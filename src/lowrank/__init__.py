@@ -6,14 +6,13 @@ from .data import (RatingsDataset, SynthCompletionConfig, SynthRpcaConfig,
                    split_ratings)
 from .inner import InnerConfig, optimize_fast, optimize_full
 from .linalg import (FactorPair, LinearOp, SingularTriplet, SparseObservations,
-                     frobenius_norm, project_observed, spectral_norm_estimate,
-                     svd_threshold, top_singular_triplet)
+                     project_observed, svd_threshold, top_singular_triplet)
 from .objectives import (ClippedObservedQuadratic, GradientHandle, HuberLowRank,
                          ObservedQuadratic)
 from .solvers import (IterationTrace, SolverConfig, fast_greedy,
                       fast_local_search, greedy, local_search, truncate_fast,
                       truncate_svd)
-from .sparse_equiv import (SparseRegressionProblem, check_equivalence,
-                           lift_diagonal, omp, ompr)
+from .sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
+                           check_equivalence, omp, ompr)
 
 __version__ = "0.1.0"

@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 
 from .data import load_movielens
 from .experiments import (COMPLETION_SOLVERS, run_completion, run_equivalence,
                           run_recsys, run_rpca)
 from .solvers import IterationTrace
 
-TRACE_HEADER = ["iter", "rank", "objective", "top_sigma", "truncated_column",
-                "wall_nanos", "flags"]
+TRACE_HEADER = [f.name for f in fields(IterationTrace)]
 
 
 def _fmt(x) -> str:
@@ -41,11 +41,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _trace_row(tr: IterationTrace) -> list:
-    return [tr.iter, tr.rank, tr.objective, tr.top_sigma, tr.truncated_column,
-            tr.wall_nanos, tr.flags]
-
-
 def _parse_clip(text: str) -> tuple[float, float] | None:
     if text.lower() == "none":
         return None
@@ -67,17 +62,17 @@ def _cmd_synth_complete(args) -> int:
     _write_json(args.json, summary)
     if args.trace is not None:
         _write_csv(args.trace, ["trial"] + TRACE_HEADER,
-                   [[trial] + _trace_row(tr) for trial, tr in traces])
+                   [(trial, *astuple(tr)) for trial, tr in traces])
     return 0
 
 
 def _cmd_rpca_synth(args) -> int:
     traces, report = run_rpca(args.m, args.n, args.true_rank, args.sparse_frac,
                               args.sparse_mag, args.delta, args.rank, args.seed)
-    _write_csv(args.csv, TRACE_HEADER, [_trace_row(tr) for tr in traces])
+    _write_csv(args.csv, TRACE_HEADER, [astuple(tr) for tr in traces])
     _write_json(args.json, report)
     if args.trace is not None:
-        _write_csv(args.trace, TRACE_HEADER, [_trace_row(tr) for tr in traces])
+        _write_csv(args.trace, TRACE_HEADER, [astuple(tr) for tr in traces])
     return 0
 
 
@@ -92,7 +87,7 @@ def _cmd_recsys(args) -> int:
     _write_json(args.json, summary)
     if args.trace is not None:
         _write_csv(args.trace, ["split"] + TRACE_HEADER,
-                   [[s] + _trace_row(tr) for s, tr in traces])
+                   [(s, *astuple(tr)) for s, tr in traces])
     return 0
 
 

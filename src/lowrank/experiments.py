@@ -47,7 +47,7 @@ def mean_stderr(xs) -> dict:
     return out
 
 
-def _solver_config(solver: str, rank: int, seed: int, inner_iters: int,
+def _solver_config(rank: int, seed: int, inner_iters: int,
                    power_iters: int, power_tol: float) -> SolverConfig:
     return SolverConfig(
         target_rank=rank,
@@ -83,13 +83,13 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
         })
 
     if solver in ("greedy", "fast-greedy", "local"):
-        scfg = _solver_config(solver, rank, seed, inner_iters, power_iters, power_tol)
+        scfg = _solver_config(rank, seed, inner_iters, power_iters, power_tol)
         fn = {"greedy": greedy, "fast-greedy": fast_greedy, "local": local_search}[solver]
         _, traces = fn(objective, scfg, callback=lambda t, pair: record(pair, pair.rank))
     elif solver == "fast-local":
         # one full run per target rank: the swap passes change the whole solution
         for r in range(1, rank + 1):
-            scfg = _solver_config(solver, r, seed, inner_iters, power_iters, power_tol)
+            scfg = _solver_config(r, seed, inner_iters, power_iters, power_tol)
             pair, traces = fast_local_search(objective, scfg)
             record(pair, r)
     elif solver == "softimpute":
@@ -147,8 +147,8 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
 
 
 def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
-             sparse_mag: float, delta: float, rank: int, seed: int,
-             inner_iters: int = 10) -> tuple[list[IterationTrace], dict]:
+             sparse_mag: float, delta: float, rank: int, seed: int
+             ) -> tuple[list[IterationTrace], dict]:
     """Huber-loss RPCA on a synthetic low-rank + sparse instance.
 
     sparse_mag and delta are in units of the sd of the clean low-rank
@@ -159,10 +159,8 @@ def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
     low = truth.matrix()
     sd = float(np.std(low)) if true_rank > 0 else 1.0
     objective = HuberLowRank(corrupted, delta * sd)
-    scfg = SolverConfig(target_rank=rank, seed=seed,
-                        inner=InnerConfig(grad_inner_iters=inner_iters))
     start = time.perf_counter()
-    pair, traces = fast_greedy(objective, scfg)
+    pair, traces = fast_greedy(objective, SolverConfig(target_rank=rank, seed=seed))
     denom = float(np.linalg.norm(low))
     rel = float(np.linalg.norm(pair.matrix() - low)) / denom if denom else float("nan")
     report = {
@@ -192,8 +190,7 @@ def run_recsys(ds: RatingsDataset, splits: int, split_fraction: float,
         else:
             objective = ObservedQuadratic(train)
         scfg = SolverConfig(target_rank=rank, seed=seed + s,
-                            inner=InnerConfig(ls_iters=inner_iters),
-                            clipped_insertion_gradient=clip is not None)
+                            inner=InnerConfig(ls_iters=inner_iters))
         fn = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
               "greedy": greedy, "local": local_search}[solver]
         start = time.perf_counter()

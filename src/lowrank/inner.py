@@ -17,8 +17,11 @@ from scipy.optimize import minimize
 from .linalg import FactorPair, SparseObservations, project_observed
 from .objectives import HuberLowRank, huber_value
 
-__all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast",
-           "objective_after_inner"]
+__all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
+
+# iteration cap and memory of the capped L-BFGS half-step for Huber objectives
+_LBFGS_ITERS = 10
+_LBFGS_MEMORY = 5
 
 
 @dataclass
@@ -27,18 +30,16 @@ class InnerConfig:
 
     ls_iters caps the per-row least-squares iterations of the fast solve
     (2-3 acts as regularization); full_solve_tol is the CG tolerance of the
-    full solve; grad_inner_iters / grad_memory configure the quasi-Newton
-    fallback used by non-quadratic objectives.
+    full solve. The L-BFGS half-step of non-quadratic objectives uses the
+    fixed _LBFGS_ITERS / _LBFGS_MEMORY.
     """
 
     ls_iters: int = 3
     full_solve_tol: float = 1e-10
-    grad_inner_iters: int = 10
-    grad_memory: int = 5
 
     def __post_init__(self):
-        if min(self.ls_iters, self.grad_inner_iters, self.grad_memory) < 1:
-            raise ValueError("iteration counts must be >= 1")
+        if self.ls_iters < 1:
+            raise ValueError("ls_iters must be >= 1")
 
 
 @dataclass
@@ -46,10 +47,6 @@ class FullSolveInfo:
     converged: bool
     iterations: int
     rel_residual: float
-
-    @property
-    def flag(self) -> str:
-        return "" if self.converged else "cg_incomplete"
 
 
 def optimize_full(U: np.ndarray, V: np.ndarray, objective,
@@ -124,7 +121,7 @@ def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
             return FactorPair(_capped_cgnr(U, V, omega, config.ls_iters), V)
         return FactorPair(U, _capped_cgnr(V, U, omega.transpose, config.ls_iters))
     if isinstance(objective, HuberLowRank):
-        return _huber_half_step(U, V, t, objective, config)
+        return _huber_half_step(U, V, t, objective)
     raise TypeError(f"objective {type(objective).__name__} has no fast inner solve")
 
 
@@ -164,9 +161,9 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
 
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
-                     objective: HuberLowRank, config: InnerConfig) -> FactorPair:
+                     objective: HuberLowRank) -> FactorPair:
     M, d = objective.target, objective.delta
-    opts = {"maxiter": config.grad_inner_iters, "maxcor": config.grad_memory}
+    opts = {"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}
     if t % 2 == 0:
         def fun(x):
             W = x.reshape(U.shape)
@@ -185,7 +182,3 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
 
     res = minimize(fun, V.ravel(), jac=True, method="L-BFGS-B", options=opts)
     return FactorPair(U, res.x.reshape(V.shape))
-
-
-def objective_after_inner(U: np.ndarray, V: np.ndarray, objective) -> float:
-    return objective.value(FactorPair(U, V))

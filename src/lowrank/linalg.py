@@ -7,7 +7,8 @@ a lot. Everything here is deterministic given its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -21,8 +22,6 @@ __all__ = [
     "LinearOp",
     "top_singular_triplet",
     "svd_threshold",
-    "frobenius_norm",
-    "spectral_norm_estimate",
     "project_observed",
 ]
 
@@ -79,7 +78,7 @@ class SparseObservations:
         if out.vals.shape != self.row.shape:
             raise ValueError("vals length must match the support")
         # share the cached index structures; the support is identical
-        for name in ("_csr_template", "col_groups", "transpose"):
+        for name in ("_csr_template", "transpose"):
             if name in self.__dict__:
                 out.__dict__[name] = self.__dict__[name]
         return out
@@ -103,13 +102,6 @@ class SparseObservations:
 
     def csr(self) -> sp.csr_matrix:
         return self.csr_with(self.vals)
-
-    @cached_property
-    def col_groups(self) -> list[np.ndarray]:
-        """For each column j, the observed row indices (ascending)."""
-        order = np.lexsort((self.row, self.col))
-        counts = np.bincount(self.col, minlength=self.cols)
-        return np.split(self.row[order], np.cumsum(counts)[:-1])
 
     @cached_property
     def transpose(self) -> "SparseObservations":
@@ -214,6 +206,7 @@ def top_singular_triplet(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
+    # math.sqrt(x.dot(x)) is np.linalg.norm(x) bit for bit, minus its call overhead
     rng = np.random.default_rng(seed)
     v = w = None
     sigma = 0.0
@@ -223,7 +216,7 @@ def top_singular_triplet(
         w = op.matvec(v)
         if not np.all(np.isfinite(w)):
             raise ValueError("operator produced non-finite values")
-        sigma = float(np.linalg.norm(w))
+        sigma = math.sqrt(w.dot(w))
         if sigma > 0.0:
             break
     else:
@@ -233,13 +226,13 @@ def top_singular_triplet(
     u = w / sigma
     for _ in range(max_iters):
         z = op.rmatvec(u)
-        zn = float(np.linalg.norm(z))
+        zn = math.sqrt(z.dot(z))
         if zn == 0.0:
             converged = True
             break
         v = z / zn
         w = op.matvec(v)
-        sigma_new = float(np.linalg.norm(w))
+        sigma_new = math.sqrt(w.dot(w))
         if sigma_new == 0.0:
             return SingularTriplet(0.0, _unit(op.rows, 0), _unit(op.cols, 0), True)
         u = w / sigma_new
@@ -279,15 +272,6 @@ def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     k = min(r, s.size)
     return FactorPair(u[:, :k] * s[:k], vt[:k].T), s[:k].copy()
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-def spectral_norm_estimate(op: LinearOp, seed: int = 0, max_iters: int = 200,
-                           tol: float = 1e-9) -> float:
-    return top_singular_triplet(op, seed=seed, max_iters=max_iters, tol=tol).sigma
 
 
 def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:

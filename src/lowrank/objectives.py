@@ -55,15 +55,10 @@ class GradientHandle:
         out[self.sparse.row, self.sparse.col] = self.sparse.vals
         return out
 
-    def apply_right(self, x: np.ndarray) -> np.ndarray:
-        """G @ x for a matrix (or vector) x."""
-        if self.dense is not None:
-            return self.dense @ x
-        return self.sparse.csr() @ x
-
     def bilinear(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """left^T G right, the r x r projection used by the inner solver."""
-        return left.T @ self.apply_right(right)
+        g = self.dense if self.dense is not None else self.sparse.csr()
+        return left.T @ (g @ right)
 
 
 class ObservedQuadratic:

@@ -3,7 +3,7 @@
 Each outer iteration extracts the dominant singular pair of the gradient,
 appends it as a new factor column pair, and re-optimizes coefficients. Local
 search additionally drops one rank-1 component per iteration, so it can make
-progress without growing the rank.
+progress without growing the rank. All four solvers are presets of one loop.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inner import InnerConfig, optimize_fast, optimize_full
-from .linalg import FactorPair, SingularTriplet, svd_threshold, top_singular_triplet
+from .linalg import FactorPair, svd_threshold, top_singular_triplet
 
 __all__ = [
     "SolverConfig",
@@ -39,9 +39,10 @@ class SolverConfig:
     count L of local search (and a safety cap on fast local search passes).
     eps is the objective-improvement stopping slack; None picks the
     per-algorithm default (1e-10 for local_search, 0 i.e. strict decrease
-    for fast_local_search). clipped_insertion_gradient makes the fast
-    solvers take the rank-1 insertion direction from the objective's
-    clipped gradient.
+    for fast_local_search). power_iters / power_tol cap the power iteration
+    of each insertion; a capped insertion is flagged `power_unconverged` in
+    the trace. The fast solvers take the insertion direction from the
+    objective's insertion_gradient when it has one (clipped ratings).
     """
 
     target_rank: int
@@ -49,7 +50,6 @@ class SolverConfig:
     eps: float | None = None
     inner: InnerConfig = field(default_factory=InnerConfig)
     seed: int = 0
-    clipped_insertion_gradient: bool = False
     power_iters: int = 200
     power_tol: float = 1e-9
 
@@ -66,7 +66,11 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """One outer iteration: rank, objective, insertion sigma, timing."""
+    """One outer iteration: rank, objective, insertion sigma, timing.
+
+    flags joins with ';' any of gradient_zero, stalled, cg_incomplete and
+    power_unconverged (empty when none applies).
+    """
 
     iter: int
     rank: int
@@ -79,16 +83,6 @@ class IterationTrace:
 
 def _step_seed(seed: int, t: int) -> int:
     return (int(seed) * 1_000_003 + int(t)) % (2 ** 63)
-
-
-def _insertion_triplet(objective, pair: FactorPair, config: SolverConfig,
-                       t: int, use_clip: bool) -> SingularTriplet:
-    if use_clip and config.clipped_insertion_gradient:
-        handle = objective.insertion_gradient(pair)
-    else:
-        handle = objective.gradient(pair)
-    return top_singular_triplet(handle.operator(), seed=_step_seed(config.seed, t),
-                                max_iters=config.power_iters, tol=config.power_tol)
 
 
 def truncate_svd(pair: FactorPair) -> FactorPair:
@@ -114,33 +108,78 @@ def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
     return FactorPair(pair.U[:, keep], pair.V[:, keep]), i
 
 
-def greedy(objective, config: SolverConfig, callback=None
-           ) -> tuple[FactorPair, list[IterationTrace]]:
-    """Rank-1 pursuit with the full joint coefficient refit (reference path)."""
-    m, n = objective.shape
-    pair = FactorPair.empty(m, n)
+def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
+            fast: bool, truncate: bool, patience: int | None = None,
+            eps: float = 0.0, offset: int = 0, sigma0: float | None = None,
+            callback=None) -> tuple[FactorPair, list[IterationTrace]]:
+    """The outer loop of all four solvers; returns the best iterate and trace.
+
+    Step t inserts the gradient's top singular pair (power seed offset + t)
+    after truncate_fast / truncate_svd if `truncate`, refits with
+    optimize_fast (parity t) or optimize_full, and evaluates. A top sigma at
+    most 1e-12 * (1 + sigma0) ends the loop with a `gradient_zero` row;
+    sigma0 defaults to the first sigma. With patience=None every step is
+    kept; otherwise a step must lower the best objective by more than eps,
+    `patience` failures in a row end the loop, and only improving steps and
+    the final `stalled` one are traced. The callback sees every iterate.
+    """
+    gradient = objective.gradient
+    if fast:
+        gradient = getattr(objective, "insertion_gradient", gradient)
+    best, best_obj = pair, None if patience is None else objective.value(pair)
     traces: list[IterationTrace] = []
-    sigma0 = None
-    for t in range(config.target_rank):
+    stall = 0
+    for t in range(steps):
         t0 = time.perf_counter_ns()
-        trip = _insertion_triplet(objective, pair, config, t, use_clip=False)
-        if sigma0 is None:
-            sigma0 = trip.sigma
+        trip = top_singular_triplet(gradient(pair).operator(),
+                                    seed=_step_seed(config.seed, offset + t),
+                                    max_iters=config.power_iters,
+                                    tol=config.power_tol)
+        flags = [] if trip.converged else ["power_unconverged"]
+        sigma0 = trip.sigma if sigma0 is None else sigma0
         if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
             traces.append(IterationTrace(t, pair.rank, objective.value(pair),
                                          trip.sigma, None,
                                          time.perf_counter_ns() - t0,
-                                         "gradient_zero"))
+                                         ";".join(flags + ["gradient_zero"])))
             break
+        removed = None
+        if truncate and fast:
+            pair, removed = truncate_fast(pair)
+        elif truncate:
+            pair = truncate_svd(pair)
         pair = pair.append(trip.u, trip.v)
-        pair, info = optimize_full(pair.U, pair.V, objective,
-                                   tol=config.inner.full_solve_tol)
-        traces.append(IterationTrace(t, pair.rank, objective.value(pair),
-                                     trip.sigma, None,
-                                     time.perf_counter_ns() - t0, info.flag))
+        if fast:
+            pair = optimize_fast(pair.U, pair.V, t, objective, config.inner)
+        else:
+            pair, info = optimize_full(pair.U, pair.V, objective,
+                                       tol=config.inner.full_solve_tol)
+            if not info.converged:
+                flags.append("cg_incomplete")
+        obj = objective.value(pair)
+        if patience is None or best_obj - obj > eps:
+            best, best_obj, stall = pair, obj, 0
+        else:
+            stall += 1
+        if stall == patience:
+            flags.append("stalled")
+        if stall in (0, patience):
+            traces.append(IterationTrace(t, pair.rank, obj, trip.sigma, removed,
+                                         time.perf_counter_ns() - t0,
+                                         ";".join(flags)))
         if callback is not None:
             callback(t, pair)
-    return pair, traces
+        if stall == patience:
+            break
+    return best, traces
+
+
+def greedy(objective, config: SolverConfig, callback=None
+           ) -> tuple[FactorPair, list[IterationTrace]]:
+    """Rank-1 pursuit with the full joint coefficient refit (reference path)."""
+    return _pursue(objective, config, FactorPair.empty(*objective.shape),
+                   config.target_rank, fast=False, truncate=False,
+                   callback=callback)
 
 
 def local_search(objective, config: SolverConfig, callback=None
@@ -149,68 +188,22 @@ def local_search(objective, config: SolverConfig, callback=None
 
     Starts from all-zero factors of width target_rank; while the represented
     rank is below the width, truncation removes a zero singular value and
-    the iteration behaves like a greedy step.
+    the iteration behaves like a greedy step. Stops at the first step that
+    fails to improve the objective by more than eps (degraded steps, e.g. the
+    r=1 direction oscillation, are not kept) and returns the previous iterate.
     """
-    m, n = objective.shape
     eps = 1e-10 if config.eps is None else config.eps
-    pair = FactorPair.zeros(m, n, config.target_rank)
-    prev_obj = objective.value(pair)
-    traces: list[IterationTrace] = []
-    sigma0 = None
-    for t in range(config.max_outer_iters):
-        t0 = time.perf_counter_ns()
-        trip = _insertion_triplet(objective, pair, config, t, use_clip=False)
-        if sigma0 is None:
-            sigma0 = trip.sigma
-        if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
-            traces.append(IterationTrace(t, pair.rank, prev_obj, trip.sigma, None,
-                                         time.perf_counter_ns() - t0,
-                                         "gradient_zero"))
-            break
-        cand = truncate_svd(pair)
-        cand = cand.append(trip.u, trip.v)
-        cand, info = optimize_full(cand.U, cand.V, objective,
-                                   tol=config.inner.full_solve_tol)
-        obj = objective.value(cand)
-        traces.append(IterationTrace(t, cand.rank, obj, trip.sigma, None,
-                                     time.perf_counter_ns() - t0, info.flag))
-        if callback is not None:
-            callback(t, cand)
-        if prev_obj - obj <= eps:
-            # stalled (or degraded, e.g. the r=1 direction oscillation):
-            # keep the previous, no-worse iterate
-            break
-        pair = cand
-        prev_obj = obj
-    return pair, traces
+    pair = FactorPair.zeros(*objective.shape, config.target_rank)
+    return _pursue(objective, config, pair, config.max_outer_iters, fast=False,
+                   truncate=True, patience=1, eps=eps, callback=callback)
 
 
 def fast_greedy(objective, config: SolverConfig, callback=None
                 ) -> tuple[FactorPair, list[IterationTrace]]:
     """Greedy with the one-sided alternating inner solve (the practical path)."""
-    m, n = objective.shape
-    pair = FactorPair.empty(m, n)
-    traces: list[IterationTrace] = []
-    sigma0 = None
-    for t in range(config.target_rank):
-        t0 = time.perf_counter_ns()
-        trip = _insertion_triplet(objective, pair, config, t, use_clip=True)
-        if sigma0 is None:
-            sigma0 = trip.sigma
-        if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
-            traces.append(IterationTrace(t, pair.rank, objective.value(pair),
-                                         trip.sigma, None,
-                                         time.perf_counter_ns() - t0,
-                                         "gradient_zero"))
-            break
-        pair = pair.append(trip.u, trip.v)
-        pair = optimize_fast(pair.U, pair.V, t, objective, config.inner)
-        traces.append(IterationTrace(t, pair.rank, objective.value(pair),
-                                     trip.sigma, None,
-                                     time.perf_counter_ns() - t0))
-        if callback is not None:
-            callback(t, pair)
-    return pair, traces
+    return _pursue(objective, config, FactorPair.empty(*objective.shape),
+                   config.target_rank, fast=True, truncate=False,
+                   callback=callback)
 
 
 def fast_local_search(objective, config: SolverConfig, callback=None
@@ -224,38 +217,11 @@ def fast_local_search(objective, config: SolverConfig, callback=None
     until two consecutive passes (one per side) fail to improve it by more
     than eps. Returns the best (last improving) pair. The trace records the
     improving passes plus the final stalled one, so its objectives are
-    strictly decreasing except the final entry.
+    strictly decreasing except the final entry. The greedy phase's first
+    sigma anchors the gradient-zero floor.
     """
     eps = 0.0 if config.eps is None else config.eps
-    pair, _ = fast_greedy(objective, config, callback=None)
-    best, best_obj = pair, objective.value(pair)
-    chain = pair
-    traces: list[IterationTrace] = []
-    stall = 0
-    for t in range(config.max_outer_iters):
-        t0 = time.perf_counter_ns()
-        trip = _insertion_triplet(objective, chain, config,
-                                  config.target_rank + t, use_clip=True)
-        if trip.sigma <= _SIGMA_FLOOR:
-            break
-        cand, removed = truncate_fast(chain)
-        cand = cand.append(trip.u, trip.v)
-        cand = optimize_fast(cand.U, cand.V, t, objective, config.inner)
-        obj = objective.value(cand)
-        chain = cand
-        if obj < best_obj - eps:
-            best, best_obj = cand, obj
-            stall = 0
-            traces.append(IterationTrace(t, cand.rank, obj, trip.sigma, removed,
-                                         time.perf_counter_ns() - t0))
-            if callback is not None:
-                callback(t, cand)
-        else:
-            stall += 1
-            if stall >= 2:
-                traces.append(IterationTrace(t, cand.rank, obj, trip.sigma,
-                                             removed,
-                                             time.perf_counter_ns() - t0,
-                                             "stalled"))
-                break
-    return best, traces
+    pair, init = fast_greedy(objective, config)
+    return _pursue(objective, config, pair, config.max_outer_iters, fast=True,
+                   truncate=True, patience=2, eps=eps, offset=config.target_rank,
+                   sigma0=init[0].top_sigma, callback=callback)

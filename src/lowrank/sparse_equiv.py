@@ -22,7 +22,6 @@ __all__ = [
     "SparseRegressionProblem",
     "SparseFit",
     "LiftedQuadratic",
-    "lift_diagonal",
     "omp",
     "ompr",
     "EquivalenceReport",
@@ -79,26 +78,13 @@ _GRAD_FLOOR = 1e-12
 def omp(problem: SparseRegressionProblem, steps: int) -> SparseFit:
     """Orthogonal matching pursuit: grow the support by the top-|gradient|
     coordinate, re-fit exactly each step. Gradient ties break to the lowest
-    index; a numerically zero gradient stops the pursuit."""
+    index; a numerically zero gradient stops the pursuit.
+
+    This is ompr with a budget of `steps`: the support grows by at most one
+    coordinate per step, so it never fills and nothing is dropped."""
     if steps > problem.dim:
         raise ValueError("steps must be <= dimension")
-    support: list[int] = []
-    x = np.zeros(problem.dim)
-    deficient = False
-    g0 = None
-    for _ in range(steps):
-        g = problem.grad(x)
-        top = float(np.max(np.abs(g)))
-        if g0 is None:
-            g0 = top
-        if top <= _GRAD_FLOOR * (1.0 + g0):
-            break
-        i = int(np.argmax(np.abs(g)))
-        if i not in support:
-            support.append(i)
-        x, bad = _refit(problem, support)
-        deficient = deficient or bad
-    return SparseFit(support, x, deficient)
+    return ompr(problem, steps, steps)
 
 
 def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int) -> SparseFit:
@@ -173,10 +159,6 @@ class LiftedQuadratic:
                               + self.beta * (e - np.diag(d)))
 
 
-def lift_diagonal(problem: SparseRegressionProblem, beta: float) -> LiftedQuadratic:
-    return LiftedQuadratic(problem, beta)
-
-
 @dataclass
 class EquivalenceReport:
     mode: str
@@ -203,7 +185,7 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
     """
     if mode not in ("greedy", "local"):
         raise ValueError("mode must be 'greedy' or 'local'")
-    lifted = lift_diagonal(problem, beta)
+    lifted = LiftedQuadratic(problem, beta)
     n = problem.dim
     report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,12 +35,20 @@ def test_run_completion_trial_seeds_are_offset():
     assert summary["params"]["seed"] == 3
 
 
-def test_run_completion_threaded_matches_serial(monkeypatch):
-    _, s_par, _ = run_completion(20, 20, 2, 0.5, 10.0, 1, "fast-greedy", 3, 3, 3)
-    monkeypatch.setenv("LOWRANK_THREADS", "1")
-    _, s_ser, _ = run_completion(20, 20, 2, 0.5, 10.0, 1, "fast-greedy", 3, 3, 3)
+@pytest.mark.parametrize("solver", ["greedy", "local", "fast-greedy", "fast-local"])
+def test_run_completion_threaded_matches_serial(monkeypatch, solver):
+    def run(threads):
+        monkeypatch.setenv("LOWRANK_THREADS", threads)
+        _, summary, traces = run_completion(20, 20, 2, 0.5, 10.0, 1, solver, 3, 3, 3,
+                                            collect_traces=True)
+        rows = [(k, dataclasses.replace(tr, wall_nanos=0)) for k, tr in traces]
+        return summary, rows
+
+    s_par, t_par = run("2")
+    s_ser, t_ser = run("1")
     assert s_par["best_test_nmse"] == s_ser["best_test_nmse"]
     assert s_par["trials"] == s_ser["trials"]
+    assert t_par and t_par == t_ser
 
 
 def test_run_rpca_report_fields():

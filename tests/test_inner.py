@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lowrank.inner import (InnerConfig, objective_after_inner, optimize_fast,
-                           optimize_full)
+from lowrank.inner import InnerConfig, optimize_fast, optimize_full
 from lowrank.linalg import FactorPair, SparseObservations
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
 
@@ -193,27 +192,29 @@ def test_optimize_fast_huber_decreases_objective():
     u = rng.standard_normal((12, 2)) * 0.1
     v = rng.standard_normal((12, 2)) * 0.1
     before = obj.value(FactorPair(u, v))
-    pair = optimize_fast(u, v, 0, obj, InnerConfig(grad_inner_iters=10))
+    pair = optimize_fast(u, v, 0, obj, InnerConfig())
     assert obj.value(pair) < before
-    pair2 = optimize_fast(pair.U, pair.V, 1, obj, InnerConfig(grad_inner_iters=10))
+    pair2 = optimize_fast(pair.U, pair.V, 1, obj, InnerConfig())
     assert obj.value(pair2) <= obj.value(pair) + 1e-12
 
 
 def test_objective_after_inner():
+    # the value the solvers trace after each refit, against brute force
     rng = np.random.default_rng(11)
     pair = FactorPair(rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
     obs = full_observations(pair.matrix())
     obj = ObservedQuadratic(obs)
-    assert objective_after_inner(pair.U, pair.V, obj) == pytest.approx(0.0, abs=1e-18)
-    zero = FactorPair.empty(4, 5)
-    assert objective_after_inner(zero.U, zero.V, obj) == pytest.approx(
+    assert obj.value(pair) == pytest.approx(0.0, abs=1e-18)
+    assert obj.value(FactorPair.empty(4, 5)) == pytest.approx(
         0.5 * float(obs.vals @ obs.vals))
-    # brute force
-    got = objective_after_inner(pair.U * 0.5, pair.V, obj)
-    dense = (pair.U * 0.5) @ pair.V.T
+    half = FactorPair(pair.U * 0.5, pair.V)
+    dense = half.matrix()
     expect = 0.5 * sum((v - dense[i, j]) ** 2
                        for i, j, v in zip(obs.row, obs.col, obs.vals))
-    assert got == pytest.approx(expect, abs=1e-12)
+    assert obj.value(half) == pytest.approx(expect, abs=1e-12)
+    refit, info = optimize_full(half.U, half.V, obj)
+    assert info.converged
+    assert obj.value(refit) <= 1e-12 * expect
 
 
 def test_inner_config_validation():

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowrank.linalg import (FactorPair, LinearOp, SparseObservations,
-                            frobenius_norm, project_observed,
-                            spectral_norm_estimate, svd_threshold,
+                            project_observed, svd_threshold,
                             top_singular_triplet)
 
 from conftest import full_observations
@@ -31,16 +30,16 @@ def test_sparse_observations_rejects_non_finite():
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 8))
-def test_col_groups_consistent_with_entries(seed, m, n):
+def test_csr_consistent_with_entries(seed, m, n):
     rng = np.random.default_rng(seed)
-    keep = rng.random(m * n) < 0.6
-    idx = np.flatnonzero(keep)
+    idx = rng.permutation(np.flatnonzero(rng.random(m * n) < 0.6))
     obs = SparseObservations(m, n, idx // n, idx % n, rng.standard_normal(idx.size))
-    groups = obs.col_groups
-    assert len(groups) == n
-    rebuilt = sorted((int(i), int(j)) for j, rows in enumerate(groups) for i in rows)
-    expected = sorted(zip(obs.row.tolist(), obs.col.tolist()))
-    assert rebuilt == expected
+    dense = np.zeros((m, n))
+    dense[obs.row, obs.col] = obs.vals
+    assert np.array_equal(obs.csr().toarray(), dense)
+    # a value swap on the shared support keeps entry order
+    other = obs.with_vals(2.0 * obs.vals)
+    assert np.array_equal(other.csr().toarray(), 2.0 * dense)
 
 
 def test_factor_pair_append_and_rank():
@@ -179,25 +178,7 @@ def test_hr_optimality_quick():
         assert val(cand) <= v_star + 1e-9
 
 
-# ------------------------------------------------------- norms & projection
-
-def test_frobenius_345():
-    assert frobenius_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
-
-
-def test_norms_zero_matrix():
-    z = np.zeros((4, 3))
-    assert frobenius_norm(z) == 0.0
-    assert spectral_norm_estimate(LinearOp.from_dense(z), seed=1) == 0.0
-
-
-def test_spectral_estimate_matches_oracle():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((6, 6))
-    s1 = np.linalg.svd(a, compute_uv=False)[0]
-    est = spectral_norm_estimate(LinearOp.from_dense(a), seed=3, max_iters=500, tol=1e-13)
-    assert est == pytest.approx(s1, rel=1e-6)
-
+# ---------------------------------------------------------------- projection
 
 def test_project_observed_rank_zero():
     obs = SparseObservations(3, 3, [0, 1], [1, 2], [5.0, 6.0])

@@ -7,7 +7,7 @@ from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.inner import InnerConfig
 from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
-from lowrank.objectives import ObservedQuadratic
+from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
                              greedy, local_search, truncate_fast, truncate_svd)
 
@@ -129,6 +129,19 @@ def test_local_search_not_worse_than_greedy():
         l_pair, _ = local_search(obj, SolverConfig(target_rank=3, max_outer_iters=20,
                                                    seed=seed, **EXACT))
         assert obj.value(l_pair) <= obj.value(g_pair) + 1e-9
+
+
+def test_local_search_flags_final_non_improving_step():
+    rng = np.random.default_rng(29)
+    obj = quadratic_on(rng.standard_normal((10, 10)))
+    cfg = SolverConfig(target_rank=2, max_outer_iters=50, seed=1)
+    pair, traces = local_search(obj, cfg)
+    *improving, last = traces
+    assert last.flags.split(";")[-1] == "stalled"
+    assert all("stalled" not in t.flags for t in improving)
+    assert improving[-1].objective - last.objective <= 1e-10
+    # the stalled iterate is reported but not returned
+    assert obj.value(pair) == improving[-1].objective
 
 
 def test_local_search_width_bounded():
@@ -265,6 +278,69 @@ def test_fast_local_search_truncated_column_recorded():
     _, traces = fast_local_search(obj, SolverConfig(target_rank=5, seed=1))
     assert traces, "expected at least one swap pass"
     assert all(t.truncated_column is not None for t in traces)
+
+
+def test_fast_local_search_relative_gradient_floor():
+    # exactly rank 2 at scale 1e6: after the greedy phase the gradient's top
+    # sigma sits above 1e-12 in absolute terms but below 1e-12 * (1 + sigma0)
+    rng = np.random.default_rng(28)
+    m = 1e6 * rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
+    obj = quadratic_on(m)
+    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60), **EXACT)
+    g_pair, g_traces = fast_greedy(obj, cfg)
+    pair, traces = fast_local_search(obj, cfg)
+    assert len(traces) == 1
+    assert "gradient_zero" in traces[0].flags.split(";")
+    assert 1e-12 < traces[0].top_sigma <= 1e-12 * (1.0 + g_traces[0].top_sigma)
+    assert np.array_equal(pair.U, g_pair.U) and np.array_equal(pair.V, g_pair.V)
+
+
+def test_fast_local_search_callback_sees_every_pass():
+    cfg = SynthCompletionConfig(40, 40, 3, 0.3, 10.0, 77)
+    _, observed, _ = gen_completion(cfg)
+    obj = ObservedQuadratic(observed)
+    seen = []
+    _, traces = fast_local_search(obj, SolverConfig(target_rank=8, seed=7),
+                                  callback=lambda t, p: seen.append((t, obj.value(p))))
+    assert [t for t, _ in seen] == list(range(traces[-1].iter + 1))
+    assert len(seen) > len(traces)  # the non-improving passes are reported too
+    traced = {t.iter: t.objective for t in traces}
+    assert all(traced[t] == v for t, v in seen if t in traced)
+
+
+def test_unconverged_insertions_are_flagged():
+    rng = np.random.default_rng(30)
+    obj = quadratic_on(rng.standard_normal((10, 10)))
+    capped = SolverConfig(target_rank=3, seed=0, power_iters=1, power_tol=1e-15)
+    for solver in (greedy, fast_greedy, local_search, fast_local_search):
+        _, traces = solver(obj, capped)
+        assert traces and all("power_unconverged" in t.flags.split(";") for t in traces)
+        assert all("," not in t.flags for t in traces)
+    _, traces = local_search(obj, capped)
+    assert traces[-1].flags.split(";")[0] == "power_unconverged"
+    assert traces[-1].flags.split(";")[-1] == "stalled"
+    _, traces = greedy(obj, SolverConfig(target_rank=3, seed=0))
+    assert all(t.flags == "" for t in traces)
+
+
+def test_fast_solvers_insert_along_clipped_gradient():
+    # at the empty start every prediction is 0, clipped up to 1, so the first
+    # fast insertion follows 1 - M on Omega; the reference solvers keep -M
+    cfg = SynthCompletionConfig(20, 20, 2, 0.5, 10.0, 9)
+    _, observed, _ = gen_completion(cfg)
+    obj = ClippedObservedQuadratic(observed, 1.0, 5.0)
+    plain, clipped = np.zeros((20, 20)), np.zeros((20, 20))
+    plain[observed.row, observed.col] = -observed.vals
+    clipped[observed.row, observed.col] = 1.0 - observed.vals
+    top = {name: np.linalg.svd(g, compute_uv=False)[0]
+           for name, g in (("plain", plain), ("clipped", clipped))}
+    assert top["clipped"] != pytest.approx(top["plain"], rel=1e-3)
+    scfg = SolverConfig(target_rank=1, seed=0, **EXACT)
+    for solver, objective, expect in ((fast_greedy, obj, "clipped"),
+                                      (greedy, obj, "plain"),
+                                      (fast_greedy, ObservedQuadratic(observed), "plain")):
+        _, traces = solver(objective, scfg)
+        assert traces[0].top_sigma == pytest.approx(top[expect], rel=1e-9)
 
 
 def test_solver_config_validation():

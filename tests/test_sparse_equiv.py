@@ -3,8 +3,8 @@ import pytest
 
 from lowrank.experiments import make_equivalence_problem
 from lowrank.linalg import FactorPair
-from lowrank.sparse_equiv import (SparseRegressionProblem, check_equivalence,
-                                  lift_diagonal, omp, ompr)
+from lowrank.sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
+                                  check_equivalence, omp, ompr)
 
 
 def planted(seed, examples, n, s, orthonormal=False):
@@ -107,7 +107,7 @@ def test_ompr_matches_rule_resimulation():
 
 def test_lifted_value_and_gradient_on_diagonal():
     problem = planted(7, 20, 6, 2)
-    lifted = lift_diagonal(problem, beta=3.0)
+    lifted = LiftedQuadratic(problem, beta=3.0)
     x = np.array([1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
     pair = FactorPair(np.diag(x), np.eye(6))
     resid = problem.design @ x - problem.response
@@ -119,7 +119,7 @@ def test_lifted_value_and_gradient_on_diagonal():
 def test_lifted_offdiagonal_penalty():
     problem = planted(8, 20, 5, 2)
     beta = 2.5
-    lifted = lift_diagonal(problem, beta)
+    lifted = LiftedQuadratic(problem, beta)
     base = FactorPair.empty(5, 5)
     c = 0.7
     u = np.zeros((5, 1)); u[1, 0] = 1.0
@@ -131,7 +131,7 @@ def test_lifted_offdiagonal_penalty():
 
 def test_lifted_gradient_finite_difference():
     problem = planted(9, 20, 5, 2)
-    lifted = lift_diagonal(problem, beta=1.7)
+    lifted = LiftedQuadratic(problem, beta=1.7)
     rng = np.random.default_rng(9)
     pair = FactorPair(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
     g = lifted.gradient(pair).materialize()
@@ -148,7 +148,7 @@ def test_lifted_gradient_finite_difference():
 
 def test_lifted_rejects_bad_beta():
     with pytest.raises(ValueError):
-        lift_diagonal(planted(0, 10, 4, 1), beta=0.0)
+        LiftedQuadratic(planted(0, 10, 4, 1), beta=0.0)
 
 
 # ------------------------------------------------------------ the equivalence
