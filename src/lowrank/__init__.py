@@ -1,9 +1,8 @@
 """Greedy and local-search solvers for rank-constrained convex optimization."""
 
 from .baselines import SoftImputeConfig, soft_impute
-from .data import (RatingsDataset, SynthCompletionConfig, SynthRpcaConfig,
-                   gen_completion, gen_rpca, load_movielens, nmse_on, rmse_on,
-                   split_ratings)
+from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
+                   gen_rpca, load_movielens, nmse_on, rmse_on, split_ratings)
 from .inner import InnerConfig, optimize_fast, optimize_full
 from .linalg import (FactorPair, LinearOp, SingularTriplet, SparseObservations,
                      project_observed, svd_threshold, top_singular_triplet)

@@ -77,8 +77,8 @@ def _cmd_rpca_synth(args) -> int:
 
 
 def _cmd_recsys(args) -> int:
-    ds = load_movielens(args.data, args.format)
-    rows, summary, traces = run_recsys(ds, args.splits, args.split, args.seed,
+    ratings = load_movielens(args.data, args.format)
+    rows, summary, traces = run_recsys(ratings, args.splits, args.split, args.seed,
                                        args.rank, args.inner_iters, args.clip,
                                        args.solver,
                                        collect_traces=args.trace is not None)
@@ -179,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "clip", None), str):
-        args.clip = _parse_clip(args.clip)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -15,7 +15,6 @@ from .linalg import FactorPair, SparseObservations, project_observed
 __all__ = [
     "SynthCompletionConfig",
     "SynthRpcaConfig",
-    "RatingsDataset",
     "gen_completion",
     "gen_rpca",
     "load_movielens",
@@ -55,14 +54,6 @@ class SynthRpcaConfig:
     def __post_init__(self):
         if not 0.0 <= self.sparse_fraction < 1.0:
             raise ValueError("sparse_fraction must be in [0, 1)")
-
-
-@dataclass
-class RatingsDataset:
-    num_users: int
-    num_items: int
-    ratings: list[tuple[int, int, float]]
-    rating_range: tuple[float, float] = (1.0, 5.0)
 
 
 def gen_completion(config: SynthCompletionConfig
@@ -122,9 +113,10 @@ def gen_rpca(config: SynthRpcaConfig
 _FORMATS = {"ml100k": "\t", "ml1m": "::"}
 
 
-def load_movielens(path: str, fmt: str) -> RatingsDataset:
-    """Parse a MovieLens ratings file; user/item ids are remapped to dense
-    indices by ascending original id."""
+def load_movielens(path: str, fmt: str) -> SparseObservations:
+    """Parse a MovieLens ratings file into a users x items observed set, in
+    file order; user/item ids are remapped to dense indices by ascending
+    original id. A repeated (user, item) pair is an error."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_FORMATS)}")
     sep = _FORMATS[fmt]
@@ -153,27 +145,23 @@ def load_movielens(path: str, fmt: str) -> RatingsDataset:
     iids = np.unique(items)
     umap = np.searchsorted(uids, users)
     imap = np.searchsorted(iids, items)
-    ratings = [(int(u), int(i), float(x)) for u, i, x in zip(umap, imap, values)]
-    return RatingsDataset(len(uids), len(iids), ratings)
+    return SparseObservations(len(uids), len(iids), umap, imap, values)
 
 
-def split_ratings(ds: RatingsDataset, train_fraction: float, seed: int
+def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int
                   ) -> tuple[SparseObservations, SparseObservations]:
-    """Seeded uniform partition of the rating tuples into train/test sets,
-    both expressed over the full user x item grid."""
+    """Seeded uniform partition of the ratings into train/test sets, both
+    over the full user x item grid and each in the ratings' entry order."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    total = len(ds.ratings)
-    perm = rng.permutation(total)
-    n_train = int(np.floor(train_fraction * total))
+    perm = rng.permutation(ratings.nnz)
+    n_train = int(np.floor(train_fraction * ratings.nnz))
 
     def build(indices: np.ndarray) -> SparseObservations:
         indices = np.sort(indices)
-        rows = np.array([ds.ratings[i][0] for i in indices], dtype=np.int64)
-        cols = np.array([ds.ratings[i][1] for i in indices], dtype=np.int64)
-        vals = np.array([ds.ratings[i][2] for i in indices])
-        return SparseObservations(ds.num_users, ds.num_items, rows, cols, vals)
+        return SparseObservations(ratings.rows, ratings.cols, ratings.row[indices],
+                                  ratings.col[indices], ratings.vals[indices])
 
     return build(perm[:n_train]), build(perm[n_train:])
 

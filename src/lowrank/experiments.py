@@ -10,9 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .baselines import SoftImputeConfig, lambda_grid, soft_impute
-from .data import (RatingsDataset, SynthCompletionConfig, SynthRpcaConfig,
-                   gen_completion, gen_rpca, nmse_on, rmse_on, split_ratings)
+from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
+                   gen_rpca, nmse_on, rmse_on, split_ratings)
 from .inner import InnerConfig
+from .linalg import SparseObservations
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from .sparse_equiv import (EquivalenceReport, SparseRegressionProblem,
                            check_equivalence)
@@ -47,23 +48,18 @@ def mean_stderr(xs) -> dict:
     return out
 
 
-def _solver_config(rank: int, seed: int, inner_iters: int,
-                   power_iters: int, power_tol: float) -> SolverConfig:
+def _solver_config(rank: int, seed: int, inner_iters: int) -> SolverConfig:
     return SolverConfig(
         target_rank=rank,
         max_outer_iters=max(100, 4 * rank),
         seed=seed,
         inner=InnerConfig(ls_iters=inner_iters),
-        power_iters=power_iters,
-        power_tol=power_tol,
     )
 
 
 def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
                      p: float, snr: float, solver: str, rank: int,
-                     inner_iters: int, power_iters: int = 200,
-                     power_tol: float = 1e-9
-                     ) -> tuple[list[dict], list[IterationTrace]]:
+                     inner_iters: int) -> tuple[list[dict], list[IterationTrace]]:
     """One seeded trial; returns per-rank rows of train/test NMSE plus the
     solver trace (for fast-local: the trace of the full-budget run)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
@@ -83,13 +79,13 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
         })
 
     if solver in ("greedy", "fast-greedy", "local"):
-        scfg = _solver_config(rank, seed, inner_iters, power_iters, power_tol)
+        scfg = _solver_config(rank, seed, inner_iters)
         fn = {"greedy": greedy, "fast-greedy": fast_greedy, "local": local_search}[solver]
         _, traces = fn(objective, scfg, callback=lambda t, pair: record(pair, pair.rank))
     elif solver == "fast-local":
         # one full run per target rank: the swap passes change the whole solution
         for r in range(1, rank + 1):
-            scfg = _solver_config(r, seed, inner_iters, power_iters, power_tol)
+            scfg = _solver_config(r, seed, inner_iters)
             pair, traces = fast_local_search(objective, scfg)
             record(pair, r)
     elif solver == "softimpute":
@@ -108,14 +104,13 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
 
 def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
                    seed: int, solver: str, rank: int, inner_iters: int,
-                   trials: int, power_iters: int = 200, power_tol: float = 1e-9,
-                   collect_traces: bool = False
+                   trials: int, collect_traces: bool = False
                    ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Per-rank NMSE sweep over independently seeded trials (seed + index)."""
     args = [(k, seed + k) for k in range(trials)]
     with ThreadPoolExecutor(max_workers=worker_count(trials)) as pool:
         futures = [pool.submit(completion_trial, k, s, m, n, true_rank, p, snr,
-                               solver, rank, inner_iters, power_iters, power_tol)
+                               solver, rank, inner_iters)
                    for k, s in args]
         per_trial = [f.result() for f in futures]
 
@@ -175,7 +170,7 @@ def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
     return traces, report
 
 
-def run_recsys(ds: RatingsDataset, splits: int, split_fraction: float,
+def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                seed: int, rank: int, inner_iters: int,
                clip: tuple[float, float] | None, solver: str = "fast-greedy",
                collect_traces: bool = False
@@ -184,7 +179,7 @@ def run_recsys(ds: RatingsDataset, splits: int, split_fraction: float,
     rows = []
     traces: list[tuple[int, IterationTrace]] = []
     for s in range(splits):
-        train, test = split_ratings(ds, split_fraction, seed + s)
+        train, test = split_ratings(ratings, split_fraction, seed + s)
         if clip is not None:
             objective = ClippedObservedQuadratic(train, clip[0], clip[1])
         else:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .linalg import FactorPair, SparseObservations, project_observed
-from .objectives import HuberLowRank, huber_value
+from .objectives import HuberLowRank, ObservedQuadratic, huber_value
 
 __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
 
@@ -54,14 +54,14 @@ def optimize_full(U: np.ndarray, V: np.ndarray, objective,
                   ) -> tuple[FactorPair, FullSolveInfo]:
     """Minimize R(U X V^T) over X in R^{r x r}; returns (U X, V).
 
-    Requires a quadratic objective. CG runs on the normal equations from a
-    zero start, so singular systems yield the minimum-norm solution (the
-    non-converged flag is reported, not raised).
+    Requires a quadratic objective, i.e. one with a `quad_term`. CG runs on
+    the normal equations from a zero start, so singular systems yield the
+    minimum-norm solution (the non-converged flag is reported, not raised).
     """
     r = U.shape[1]
     if r == 0:
         return FactorPair(U, V), FullSolveInfo(True, 0, 0.0)
-    if not getattr(objective, "is_quadratic", False):
+    if not hasattr(objective, "quad_term"):
         raise ValueError("optimize_full requires a quadratic objective")
 
     m, n = objective.shape
@@ -115,7 +115,7 @@ def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
     """
     if U.shape[1] == 0:
         return FactorPair(U, V)
-    if getattr(objective, "column_system_support", False):
+    if isinstance(objective, ObservedQuadratic):
         omega = objective.target
         if t % 2 == 0:
             return FactorPair(_capped_cgnr(U, V, omega, config.ls_iters), V)

@@ -3,6 +3,10 @@
 Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
+
+An observed set built from outside input is validated once, by its
+constructor. The sets derived from it (`with_vals`, `transpose`) share its
+checked index arrays and skip the checks.
 """
 
 from __future__ import annotations
@@ -69,18 +73,22 @@ class SparseObservations:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def _derived(self, rows: int, cols: int, row: np.ndarray, col: np.ndarray,
+                 vals: np.ndarray) -> "SparseObservations":
+        """A set over this one's checked indices, built without re-validation."""
+        out = object.__new__(SparseObservations)
+        out.rows, out.cols, out.row, out.col, out.vals = rows, cols, row, col, vals
+        return out
+
     def with_vals(self, vals: np.ndarray) -> "SparseObservations":
         """Same support, different values (e.g. a gradient on Omega)."""
-        out = object.__new__(SparseObservations)
-        out.rows, out.cols = self.rows, self.cols
-        out.row, out.col = self.row, self.col
-        out.vals = np.asarray(vals, dtype=np.float64)
-        if out.vals.shape != self.row.shape:
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.shape != self.row.shape:
             raise ValueError("vals length must match the support")
-        # share the cached index structures; the support is identical
-        for name in ("_csr_template", "transpose"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
+        out = self._derived(self.rows, self.cols, self.row, self.col, vals)
+        # the CSR skeleton depends on the support only
+        if "_csr_template" in self.__dict__:
+            out.__dict__["_csr_template"] = self.__dict__["_csr_template"]
         return out
 
     @cached_property
@@ -105,7 +113,7 @@ class SparseObservations:
 
     @cached_property
     def transpose(self) -> "SparseObservations":
-        return SparseObservations(self.cols, self.rows, self.col, self.row, self.vals)
+        return self._derived(self.cols, self.rows, self.col, self.row, self.vals)
 
 
 @dataclass

@@ -26,8 +26,7 @@ __all__ = [
 class GradientHandle:
     """A gradient matrix, held sparse (support in Omega) or dense.
 
-    The operator view and the materialized matrix agree entrywise; solvers
-    use whichever form is cheaper.
+    Solvers read it only through `operator()` and `bilinear()`.
     """
 
     sparse: SparseObservations | None = None
@@ -48,13 +47,6 @@ class GradientHandle:
             return LinearOp.from_dense(self.dense)
         return LinearOp.from_observations(self.sparse)
 
-    def materialize(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        out = np.zeros(self.sparse.shape)
-        out[self.sparse.row, self.sparse.col] = self.sparse.vals
-        return out
-
     def bilinear(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """left^T G right, the r x r projection used by the inner solver."""
         g = self.dense if self.dense is not None else self.sparse.csr()
@@ -63,9 +55,6 @@ class GradientHandle:
 
 class ObservedQuadratic:
     """R(A) = 1/2 * sum_{(i,j) in Omega} (A - M)_ij^2."""
-
-    column_system_support = True
-    is_quadratic = True
 
     def __init__(self, target: SparseObservations):
         self.target = target
@@ -101,9 +90,6 @@ def huber_value(residual: np.ndarray, delta: float) -> float:
 
 class HuberLowRank:
     """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M."""
-
-    column_system_support = False
-    is_quadratic = False
 
     def __init__(self, target: np.ndarray, delta: float):
         if delta <= 0:

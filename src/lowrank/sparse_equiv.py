@@ -125,9 +125,6 @@ class LiftedQuadratic:
     solvers only ever insert e_i e_i^T components.
     """
 
-    column_system_support = False
-    is_quadratic = True
-
     def __init__(self, problem: SparseRegressionProblem, beta: float):
         if beta <= 0:
             raise ValueError("beta must be > 0")

@@ -24,3 +24,10 @@ def full_observations(mat):
     m, n = mat.shape
     rows, cols = np.divmod(np.arange(m * n), n)
     return SparseObservations(m, n, rows, cols, np.asarray(mat, float).ravel())
+
+
+def dense_gradient(handle):
+    """The gradient a GradientHandle holds, as a dense matrix."""
+    if handle.dense is not None:
+        return handle.dense
+    return handle.sparse.csr().toarray()

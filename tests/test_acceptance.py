@@ -24,6 +24,8 @@ from lowrank.objectives import ObservedQuadratic
 from lowrank.sparse_equiv import check_equivalence
 from lowrank.solvers import SolverConfig, fast_greedy, greedy, local_search
 
+from conftest import dense_gradient
+
 # near-exact top-singular-pair extraction for the numerical-identity criteria
 EXACT = dict(power_iters=1500, power_tol=1e-14)
 
@@ -47,7 +49,7 @@ def span_probe(objective, pair, rng, samples=8):
     """max |u^T grad v| / (1 + ||grad||_2) over random unit span vectors."""
     if pair.rank == 0:
         return 0.0
-    g = objective.gradient(pair).materialize()
+    g = dense_gradient(objective.gradient(pair))
     top = np.linalg.norm(g, 2)
     worst = 0.0
     for _ in range(samples):

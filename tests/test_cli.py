@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowrank
 from lowrank.cli import build_parser, main
 
 
@@ -160,10 +163,18 @@ def test_unknown_subcommand():
 
 
 def test_module_entry_point():
+    # the subprocess imports the same lowrank package as this interpreter
+    src = str(Path(lowrank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "lowrank", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "synth-complete" in proc.stdout
+
+
+def test_clip_default_is_parsed():
+    assert build_parser().parse_args(["recsys", "--data", "x"]).clip == (1.0, 5.0)
 
 
 def test_clip_parser_accepts_none(tmp_path, mini_ratings):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lowrank.data import (RatingsDataset, SynthCompletionConfig,
-                          SynthRpcaConfig, gen_completion, gen_rpca,
-                          load_movielens, nmse_on, rmse_on, split_ratings)
+from lowrank.data import (SynthCompletionConfig, SynthRpcaConfig,
+                          gen_completion, gen_rpca, load_movielens, nmse_on,
+                          rmse_on, split_ratings)
 from lowrank.linalg import FactorPair, SparseObservations
 
 
@@ -99,19 +99,27 @@ def test_gen_rpca_deterministic_replay():
 def test_load_movielens_ml100k(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("1\t2\t3\t881250949\n7\t2\t5\t881250950\n3\t9\t1\t881250951\n")
-    ds = load_movielens(str(path), "ml100k")
-    assert ds.num_users == 3 and ds.num_items == 2
+    ratings = load_movielens(str(path), "ml100k")
+    assert ratings.shape == (3, 2)
     # sorted-ascending remap: users {1,3,7} -> {0,1,2}; items {2,9} -> {0,1}
-    assert ds.ratings == [(0, 0, 3.0), (2, 0, 5.0), (1, 1, 1.0)]
-    assert ds.rating_range == (1.0, 5.0)
+    assert ratings.row.tolist() == [0, 2, 1]
+    assert ratings.col.tolist() == [0, 0, 1]
+    assert ratings.vals.tolist() == [3.0, 5.0, 1.0]
 
 
 def test_load_movielens_ml1m(tmp_path):
     path = tmp_path / "ratings.dat"
     path.write_text("1::1193::5::978300760\n2::661::3::978302109\n")
-    ds = load_movielens(str(path), "ml1m")
-    assert ds.ratings[0] == (0, 1, 5.0)
-    assert ds.ratings[1] == (1, 0, 3.0)
+    ratings = load_movielens(str(path), "ml1m")
+    assert (ratings.row[0], ratings.col[0], ratings.vals[0]) == (0, 1, 5.0)
+    assert (ratings.row[1], ratings.col[1], ratings.vals[1]) == (1, 0, 3.0)
+
+
+def test_load_movielens_rejects_repeated_pair(tmp_path):
+    path = tmp_path / "u.data"
+    path.write_text("1\t2\t3\t10\n5\t2\t4\t11\n1\t2\t5\t12\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        load_movielens(str(path), "ml100k")
 
 
 def test_load_movielens_malformed_line(tmp_path):
@@ -144,15 +152,9 @@ def test_load_movielens_unknown_format(tmp_path):
 
 def _toy_dataset(seed=0, users=8, items=9, count=40):
     rng = np.random.default_rng(seed)
-    seen = set()
-    ratings = []
-    while len(ratings) < count:
-        u, i = int(rng.integers(users)), int(rng.integers(items))
-        if (u, i) in seen:
-            continue
-        seen.add((u, i))
-        ratings.append((u, i, float(rng.integers(1, 6))))
-    return RatingsDataset(users, items, ratings)
+    idx = rng.choice(users * items, size=count, replace=False)
+    return SparseObservations(users, items, idx // items, idx % items,
+                              rng.integers(1, 6, size=count).astype(float))
 
 
 def test_split_sizes_and_disjointness():
@@ -163,6 +165,16 @@ def test_split_sizes_and_disjointness():
     pairs = set(zip(train.row.tolist(), train.col.tolist()))
     pairs &= set(zip(test.row.tolist(), test.col.tolist()))
     assert not pairs
+
+
+def test_split_keeps_entry_order_and_values():
+    ds = _toy_dataset(1)
+    position = {e: k for k, e in enumerate(zip(ds.row.tolist(), ds.col.tolist()))}
+    for half in split_ratings(ds, 0.75, seed=4):
+        assert half.shape == ds.shape
+        pos = [position[e] for e in zip(half.row.tolist(), half.col.tolist())]
+        assert pos == sorted(pos)
+        assert np.array_equal(half.vals, ds.vals[pos])
 
 
 def test_split_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from lowrank.experiments import (make_equivalence_problem, mean_stderr,
                                  run_completion, run_equivalence, run_recsys,
                                  run_rpca, worker_count)
-from lowrank.data import RatingsDataset
+from lowrank.linalg import SparseObservations
 
 
 def test_mean_stderr():
@@ -61,15 +61,10 @@ def test_run_rpca_report_fields():
 
 def test_run_recsys_split_rows():
     rng = np.random.default_rng(1)
-    seen, ratings = set(), []
-    while len(ratings) < 150:
-        u, i = int(rng.integers(12)), int(rng.integers(15))
-        if (u, i) in seen:
-            continue
-        seen.add((u, i))
-        ratings.append((u, i, float(rng.integers(1, 6))))
-    ds = RatingsDataset(12, 15, ratings)
-    rows, summary, traces = run_recsys(ds, splits=3, split_fraction=0.8, seed=2,
+    idx = rng.choice(12 * 15, size=150, replace=False)
+    ratings = SparseObservations(12, 15, idx // 15, idx % 15,
+                                 rng.integers(1, 6, size=150).astype(float))
+    rows, summary, traces = run_recsys(ratings, splits=3, split_fraction=0.8, seed=2,
                                        rank=2, inner_iters=2, clip=(1.0, 5.0),
                                        collect_traces=True)
     assert [r["split"] for r in rows] == [0, 1, 2]

@@ -5,7 +5,7 @@ from lowrank.inner import InnerConfig, optimize_fast, optimize_full
 from lowrank.linalg import FactorPair, SparseObservations
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
 
-from conftest import full_observations
+from conftest import dense_gradient, full_observations
 
 
 def sparse_instance(seed, m=20, n=20, p=0.5):
@@ -45,7 +45,7 @@ def test_optimize_full_first_order_optimality():
     u = rng.standard_normal((20, 3))
     v = rng.standard_normal((20, 3))
     pair, info = optimize_full(u, v, obj)
-    g = obj.gradient(pair).materialize()
+    g = dense_gradient(obj.gradient(pair))
     # U^T grad V = 0 at the optimum (Eq.-(2) optimality condition)
     resid = np.linalg.norm(pair.U.T @ g @ pair.V) / (1 + np.linalg.norm(g, 2))
     assert resid <= 1e-7
@@ -184,6 +184,18 @@ def test_optimize_fast_high_cap_stays_finite():
     assert np.all(np.isfinite(pair.U))
     assert np.abs(pair.U).max() < 1e6
 
+
+
+def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
+    obs, rng = sparse_instance(12, m=15, n=11)
+    u = rng.standard_normal((15, 3))
+    v = rng.standard_normal((11, 3))
+    config = InnerConfig(ls_iters=3)
+    v_side = optimize_fast(u, v, 1, ObservedQuadratic(obs), config)
+    flipped = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
+    u_side = optimize_fast(v, u, 0, ObservedQuadratic(flipped), config)
+    assert v_side.U is u and u_side.V is u
+    assert np.array_equal(v_side.V, u_side.U)
 
 def test_optimize_fast_huber_decreases_objective():
     rng = np.random.default_rng(10)

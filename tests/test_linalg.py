@@ -42,6 +42,46 @@ def test_csr_consistent_with_entries(seed, m, n):
     assert np.array_equal(other.csr().toarray(), 2.0 * dense)
 
 
+
+def _scrambled_set(m=4, n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    idx = rng.permutation(np.flatnonzero(rng.random(m * n) < 0.6))
+    return SparseObservations(m, n, idx // n, idx % n, rng.standard_normal(idx.size))
+
+
+def test_transpose_matches_validated_construction():
+    obs = _scrambled_set()
+    t = obs.transpose
+    built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
+    assert (t.rows, t.cols) == (built.rows, built.cols)
+    for name in ("row", "col", "vals"):
+        got, want = getattr(t, name), getattr(built, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(t.csr().toarray(), built.csr().toarray())
+    assert np.array_equal(t.csr().toarray(), obs.csr().toarray().T)
+
+
+def test_with_vals_transpose_carries_new_values():
+    obs = _scrambled_set(seed=1)
+    obs.transpose  # cache the parent's transpose first
+    v = np.arange(obs.nnz, dtype=float) + 1.0
+    t = obs.with_vals(v).transpose
+    assert np.array_equal(t.vals, v)
+    assert np.array_equal(t.csr().toarray(), obs.with_vals(v).csr().toarray().T)
+
+
+def test_derived_sets_skip_validation(monkeypatch):
+    obs = _scrambled_set(seed=2)
+
+    def fail(self):
+        raise AssertionError("derived set re-validated")
+
+    monkeypatch.setattr(SparseObservations, "__post_init__", fail)
+    assert obs.with_vals(-obs.vals).row is obs.row
+    assert obs.transpose.row is obs.col
+    with pytest.raises(ValueError, match="length"):
+        obs.with_vals(obs.vals[:-1])
+
 def test_factor_pair_append_and_rank():
     pair = FactorPair.empty(3, 4)
     assert pair.rank == 0
