@@ -157,13 +157,8 @@ def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ratings.nnz)
     n_train = int(np.floor(train_fraction * ratings.nnz))
-
-    def build(indices: np.ndarray) -> SparseObservations:
-        indices = np.sort(indices)
-        return SparseObservations(ratings.rows, ratings.cols, ratings.row[indices],
-                                  ratings.col[indices], ratings.vals[indices])
-
-    return build(perm[:n_train]), build(perm[n_train:])
+    train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    return ratings._take(train), ratings._take(test)
 
 
 def nmse_on(pair: FactorPair, ref: SparseObservations) -> float:

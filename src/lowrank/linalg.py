@@ -4,9 +4,13 @@ Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
 
+The top singular pair of an operator is exact, from LAPACK, when one of its
+sides is at most 64 long and it has at most 2^20 cells, and comes from capped
+power iteration otherwise.
+
 An observed set built from outside input is validated once, by its
-constructor. The sets derived from it (`with_vals`, `transpose`) share its
-checked index arrays and skip the checks.
+constructor. The sets derived from it (`with_vals`, `transpose`, `_take`)
+reuse its checked index arrays and skip the checks.
 """
 
 from __future__ import annotations
@@ -90,6 +94,14 @@ class SparseObservations:
         if "_csr_template" in self.__dict__:
             out.__dict__["_csr_template"] = self.__dict__["_csr_template"]
         return out
+
+    def _take(self, indices: np.ndarray) -> "SparseObservations":
+        """The entries at `indices`, in that order, without re-validation.
+
+        The caller passes distinct positions; repeated ones would yield a set
+        with duplicate (i, j) entries that the constructor rejects."""
+        return self._derived(self.rows, self.cols, self.row[indices],
+                             self.col[indices], self.vals[indices])
 
     @cached_property
     def _csr_template(self) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -198,22 +210,72 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def top_singular_triplet(
-    op: LinearOp, seed: int = 0, max_iters: int = 200, tol: float = 1e-9
-) -> SingularTriplet:
-    """Dominant singular triplet of `op` by power iteration on G^T G.
+# Operators with a side of at most _EXACT_SIDE and at most _EXACT_CELLS cells
+# are read back densely and decomposed by LAPACK; others go through power
+# iteration. The side limit lies between the largest operators that need an
+# exact pair (the <= 20 x 20 lifts of `check_equivalence`) and the smallest
+# completion gradients (100 x 100), where power iteration is cheaper. Median
+# per call on first-insertion completion gradients at 20% observed,
+# single-threaded OpenBLAS, LAPACK vs power: 0.26 vs 0.26 ms at n = 32,
+# 0.99 vs 0.52 ms at 64, 2.5 vs 0.68 ms at 100. The cell limit bounds the
+# read-back's memory (the matrix and its left factor, 8 MB each at the cap)
+# on tall or wide operators.
+_EXACT_SIDE = 64
+_EXACT_CELLS = 1 << 20
+_POWER_ITERS = 200
+_POWER_TOL = 1e-9
 
-    The start vector comes from ``np.random.default_rng(seed)``, so identical
-    (op, seed, max_iters, tol) give bit-identical results. Convergence is
-    declared when successive sigma estimates differ relatively by less than
-    `tol`; otherwise the estimate is returned with ``converged=False``.
-    A numerically zero operator yields (0, e_1, e_1).
+
+def top_singular_triplet(op: LinearOp, seed: int = 0) -> SingularTriplet:
+    """Dominant singular triplet of `op`, exact where that is cheap.
+
+    When min(rows, cols) <= 64 and rows * cols <= 2^20 the operator is read
+    back densely through one block matvec (or rmatvec when rows are fewer),
+    which takes O(rows * cols) memory, and decomposed by LAPACK; the result
+    is exact and ``converged=True``. Other operators use power iteration
+    on G^T G from a start vector drawn from
+    ``np.random.default_rng(seed)``; `seed` moves only that start vector,
+    and identical (op, seed) give bit-identical results. The power path
+    stops when successive sigma estimates differ relatively by less than
+    1e-9 and returns ``converged=False`` when 200 steps do not get there.
+    A numerically zero operator yields (0, e_1, e_1). The sign is fixed so
+    that the largest-magnitude entry of u is nonnegative.
     """
     if op.rows < 1 or op.cols < 1:
         raise ValueError("operator must have positive dimensions")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    if min(op.rows, op.cols) <= _EXACT_SIDE and op.rows * op.cols <= _EXACT_CELLS:
+        return _exact_triplet(op)
+    return _power_triplet(op, seed)
 
+
+def _zero_triplet(op: LinearOp) -> SingularTriplet:
+    return SingularTriplet(0.0, _unit(op.rows, 0), _unit(op.cols, 0), True)
+
+
+def _oriented(sigma: float, u: np.ndarray, v: np.ndarray,
+              converged: bool) -> SingularTriplet:
+    """Flip (u, v) so that the largest-magnitude entry of u is nonnegative."""
+    i = int(np.argmax(np.abs(u)))
+    if u[i] < 0.0:
+        u = -u
+        v = -v
+    return SingularTriplet(sigma, u, v, converged)
+
+
+def _exact_triplet(op: LinearOp) -> SingularTriplet:
+    if op.cols <= op.rows:
+        a = op.matvec(np.eye(op.cols))
+    else:
+        a = op.rmatvec(np.eye(op.rows)).T
+    if not np.all(np.isfinite(a)):
+        raise ValueError("operator produced non-finite values")
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        return _zero_triplet(op)
+    return _oriented(float(s[0]), u[:, 0], vt[0], True)
+
+
+def _power_triplet(op: LinearOp, seed: int) -> SingularTriplet:
     # math.sqrt(x.dot(x)) is np.linalg.norm(x) bit for bit, minus its call overhead
     rng = np.random.default_rng(seed)
     v = w = None
@@ -228,11 +290,11 @@ def top_singular_triplet(
         if sigma > 0.0:
             break
     else:
-        return SingularTriplet(0.0, _unit(op.rows, 0), _unit(op.cols, 0), True)
+        return _zero_triplet(op)
 
     converged = False
     u = w / sigma
-    for _ in range(max_iters):
+    for _ in range(_POWER_ITERS):
         z = op.rmatvec(u)
         zn = math.sqrt(z.dot(z))
         if zn == 0.0:
@@ -242,12 +304,9 @@ def top_singular_triplet(
         w = op.matvec(v)
         sigma_new = math.sqrt(w.dot(w))
         if sigma_new == 0.0:
-            return SingularTriplet(0.0, _unit(op.rows, 0), _unit(op.cols, 0), True)
+            return _zero_triplet(op)
         u = w / sigma_new
-        # strict: tol=0 never converges and always runs max_iters, which is
-        # what near-exact singular vectors require (sigma freezes in float
-        # while the vector is still ~sqrt(eps) impure)
-        if abs(sigma_new - sigma) < tol * sigma_new:
+        if abs(sigma_new - sigma) < _POWER_TOL * sigma_new:
             sigma = sigma_new
             converged = True
             break
@@ -255,12 +314,7 @@ def top_singular_triplet(
 
     if not (np.isfinite(sigma) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("power iteration produced non-finite values")
-    # sign convention: largest-magnitude entry of u is nonnegative
-    i = int(np.argmax(np.abs(u)))
-    if u[i] < 0.0:
-        u = -u
-        v = -v
-    return SingularTriplet(sigma, u, v, converged)
+    return _oriented(sigma, u, v, converged)
 
 
 def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:

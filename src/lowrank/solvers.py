@@ -39,10 +39,11 @@ class SolverConfig:
     count L of local search (and a safety cap on fast local search passes).
     eps is the objective-improvement stopping slack; None picks the
     per-algorithm default (1e-10 for local_search, 0 i.e. strict decrease
-    for fast_local_search). power_iters / power_tol cap the power iteration
-    of each insertion; a capped insertion is flagged `power_unconverged` in
-    the trace. The fast solvers take the insertion direction from the
-    objective's insertion_gradient when it has one (clipped ratings).
+    for fast_local_search). Each insertion comes from top_singular_triplet:
+    exact on gradients with a side of at most 64, power iteration on larger
+    ones, where a capped run is flagged `power_unconverged` in the trace.
+    The fast solvers take the insertion direction from the objective's
+    insertion_gradient when it has one (clipped ratings).
     """
 
     target_rank: int
@@ -50,8 +51,6 @@ class SolverConfig:
     eps: float | None = None
     inner: InnerConfig = field(default_factory=InnerConfig)
     seed: int = 0
-    power_iters: int = 200
-    power_tol: float = 1e-9
 
     def __post_init__(self):
         if self.target_rank < 1:
@@ -132,9 +131,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     for t in range(steps):
         t0 = time.perf_counter_ns()
         trip = top_singular_triplet(gradient(pair).operator(),
-                                    seed=_step_seed(config.seed, offset + t),
-                                    max_iters=config.power_iters,
-                                    tol=config.power_tol)
+                                    seed=_step_seed(config.seed, offset + t))
         flags = [] if trip.converged else ["power_unconverged"]
         sigma0 = trip.sigma if sigma0 is None else sigma0
         if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):

@@ -26,9 +26,6 @@ from lowrank.solvers import SolverConfig, fast_greedy, greedy, local_search
 
 from conftest import dense_gradient
 
-# near-exact top-singular-pair extraction for the numerical-identity criteria
-EXACT = dict(power_iters=1500, power_tol=1e-14)
-
 COMPLETION = dict(m=100, n=100, true_rank=5, p=0.2, snr=10.0, seed=7,
                   rank=30, inner_iters=3, trials=5)
 
@@ -73,7 +70,7 @@ def test_criterion_1_greedy_equals_truncated_svd():
     obj = full_quadratic(m)
     probe_rng = np.random.default_rng(0)
     start = time.monotonic()
-    pair, _ = greedy(obj, SolverConfig(target_rank=4, seed=11, **EXACT),
+    pair, _ = greedy(obj, SolverConfig(target_rank=4, seed=11),
                      callback=lambda t, p: PROBES.append(
                          ("c1", span_probe(obj, p, probe_rng))))
     elapsed = time.monotonic() - start
@@ -98,7 +95,7 @@ def test_criterion_2_theorem1_rate():
             gaps.append(obj.value(pair) - opt)
             PROBES.append(("c2", span_probe(obj, pair, probe_rng)))
 
-        greedy(obj, SolverConfig(target_rank=8, seed=seed, **EXACT), callback=cb)
+        greedy(obj, SolverConfig(target_rank=8, seed=seed), callback=cb)
         for prev, cur in zip(gaps, gaps[1:]):
             worst_ratio_violation = max(worst_ratio_violation,
                                         cur - (0.75 * prev + 1e-9))
@@ -121,7 +118,7 @@ def test_criterion_3_theorem2_endpoint():
         gap0 = obj.value(FactorPair.empty(20, 20)) - opt
         big_l = int(np.ceil(4 * r_star * np.log(gap0 / eps)))
         cfg = SolverConfig(target_rank=9 * r_star, max_outer_iters=big_l,
-                           seed=seed, **EXACT)
+                           seed=seed)
         pair, _ = local_search(obj, cfg, callback=lambda t, p: PROBES.append(
             ("c3", span_probe(obj, p, probe_rng))))
         worst = max(worst, obj.value(pair) - opt)
@@ -136,11 +133,11 @@ def test_criterion_4_gradient_zero_invariant():
         probe_rng = np.random.default_rng(3)
         rng = np.random.default_rng(101)
         obj = full_quadratic(rng.standard_normal((20, 20)))
-        greedy(obj, SolverConfig(target_rank=4, seed=11, **EXACT),
+        greedy(obj, SolverConfig(target_rank=4, seed=11),
                callback=lambda t, p: PROBES.append(
                    ("c1", span_probe(obj, p, probe_rng))))
         local_search(obj, SolverConfig(target_rank=18, max_outer_iters=40,
-                                       seed=0, **EXACT),
+                                       seed=0),
                      callback=lambda t, p: PROBES.append(
                          ("c3", span_probe(obj, p, probe_rng))))
     worst = max(p for _, p in PROBES)

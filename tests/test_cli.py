@@ -48,6 +48,13 @@ def test_equivalence_local_mode(capsys):
     assert code == 0
 
 
+def test_equivalence_above_exact_limit_is_an_error(capsys):
+    code = run_cli(["equivalence", "--n", "80", "--sparsity", "3", "--steps", "3",
+                    "--seed", "1", "--mode", "greedy"])
+    assert code == 1
+    assert "dimension <= 64" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ synth-complete
 
 def test_synth_complete_shapes(tmp_path):

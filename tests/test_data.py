@@ -185,6 +185,17 @@ def test_split_deterministic():
     assert np.array_equal(b1.row, b2.row)
 
 
+def test_split_skips_revalidation(monkeypatch):
+    ds = _toy_dataset(4)
+
+    def fail(self):
+        raise AssertionError("split half re-validated")
+
+    monkeypatch.setattr(SparseObservations, "__post_init__", fail)
+    train, test = split_ratings(ds, 0.8, seed=1)
+    assert train.nnz + test.nnz == ds.nnz
+
+
 def test_split_validation():
     with pytest.raises(ValueError):
         split_ratings(_toy_dataset(), 1.0, seed=0)

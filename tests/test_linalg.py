@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lowrank.linalg import (FactorPair, LinearOp, SparseObservations,
-                            project_observed, svd_threshold,
-                            top_singular_triplet)
+from lowrank.linalg import (_EXACT_CELLS, FactorPair, LinearOp,
+                            SparseObservations, project_observed,
+                            svd_threshold, top_singular_triplet)
 
 from conftest import full_observations
 
@@ -94,13 +94,19 @@ def test_factor_pair_append_and_rank():
 
 
 # ---------------------------------------------------- top singular triplet
+# Operators with a side of at most 64 take the exact LAPACK path; the power
+# path is exercised on operators with both sides above 64.
 
-def test_top_triplet_diagonal():
-    trip = top_singular_triplet(LinearOp.from_dense(np.diag([2.0, 1.0])), seed=0,
-                                max_iters=400, tol=0.0)
-    assert trip.sigma == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(np.abs(trip.u), [1, 0], atol=1e-10)
-    assert np.allclose(trip.u, trip.v, atol=1e-10)
+def _sparse_op_set(m, n, seed, density=0.3):
+    """A random observed set around a rank-1 spike, and its dense copy."""
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal((m, n)) + 0.5 * np.outer(rng.standard_normal(m),
+                                                        rng.standard_normal(n))
+    keep = np.flatnonzero(rng.random(m * n) < density)
+    obs = SparseObservations(m, n, keep // n, keep % n, full.ravel()[keep])
+    dense = np.zeros((m, n))
+    dense[obs.row, obs.col] = obs.vals
+    return obs, dense
 
 
 def test_top_triplet_rank_one():
@@ -119,11 +125,93 @@ def test_top_triplet_rank_one():
     assert np.allclose(trip.v, sign * v0, atol=1e-9)
 
 
+def test_exact_triplet_sign_convention_and_oracle():
+    rng = np.random.default_rng(6)
+    for shape in ((8, 6), (6, 8), (64, 200), (200, 64)):
+        a = rng.standard_normal(shape)
+        for flip in (1.0, -1.0):
+            trip = top_singular_triplet(LinearOp.from_dense(flip * a), seed=0)
+            i = int(np.argmax(np.abs(trip.u)))
+            assert trip.u[i] >= 0 and trip.converged
+            assert trip.sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+            assert np.allclose(flip * a @ trip.v, trip.sigma * trip.u, atol=1e-10)
+            assert np.allclose(flip * a.T @ trip.u, trip.sigma * trip.v, atol=1e-10)
+
+
+def test_exact_triplet_on_tall_and_wide_sparse_operators():
+    for shape, side in (((2000, 40), "matvec"), ((40, 2000), "rmatvec")):
+        obs, dense = _sparse_op_set(*shape, seed=4, density=0.05)
+        assert obs.rows * obs.cols > 65536  # CSR-backed, not densified
+        op = LinearOp.from_observations(obs)
+        calls = []
+        counted = LinearOp(op.rows, op.cols,
+                           lambda x: calls.append("matvec") or op.matvec(x),
+                           lambda y: calls.append("rmatvec") or op.rmatvec(y))
+        trip = top_singular_triplet(counted, seed=0)
+        assert calls == [side]  # one block read-back of the short side
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        assert trip.converged
+        assert trip.sigma == pytest.approx(s[0], rel=1e-12)
+        assert abs(abs(trip.u @ u[:, 0]) - 1.0) < 1e-12
+        assert abs(abs(trip.v @ vt[0]) - 1.0) < 1e-12
+
+
+def test_tall_operator_above_cell_cap_takes_power_path():
+    # a short side of 40 but more than 2^20 cells: no dense read-back
+    m, n = _EXACT_CELLS // 40 + 1, 40
+    sigmas = np.r_[10.0, np.linspace(1.0, 0.1, n - 1)]
+    obs = SparseObservations(m, n, np.arange(n) * 600, np.arange(n), sigmas)
+    op = LinearOp.from_observations(obs)
+    shapes = []
+    counted = LinearOp(m, n,
+                       lambda x: shapes.append(x.shape) or op.matvec(x),
+                       lambda y: shapes.append(y.shape) or op.rmatvec(y))
+    trip = top_singular_triplet(counted, seed=0)
+    assert shapes and all(len(s) == 1 for s in shapes)
+    assert trip.converged
+    assert trip.sigma == pytest.approx(10.0, rel=1e-9)
+    assert np.allclose(np.abs(trip.v), np.eye(n)[0], atol=1e-4)
+
+
+def test_top_triplet_zero_operator():
+    for m, n in ((3, 4), (70, 80)):  # exact path, power path
+        trip = top_singular_triplet(LinearOp.from_dense(np.zeros((m, n))), seed=5)
+        assert trip.sigma == 0.0
+        assert np.array_equal(trip.u, np.eye(m)[0])
+        assert np.array_equal(trip.v, np.eye(n)[0])
+        assert trip.converged
+
+
+def test_top_triplet_non_finite_raises():
+    for n in (3, 70):  # exact path, power path
+        a = np.full((n, n), np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            top_singular_triplet(LinearOp.from_dense(a), seed=0)
+
+
+def test_top_triplet_diagonal():
+    trip = top_singular_triplet(LinearOp.from_dense(np.diag([2.0, 1.0])), seed=0)
+    assert trip.sigma == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(np.abs(trip.u), [1, 0], atol=1e-10)
+    assert np.allclose(trip.u, trip.v, atol=1e-10)
+    # the power path stops once sigma settles to 1e-9, before the vectors do
+    d = np.zeros((70, 80))
+    d[np.arange(70), np.arange(70)] = np.r_[1.0, 2.0, np.linspace(1.0, 0.1, 68)]
+    trip = top_singular_triplet(LinearOp.from_dense(d), seed=0)
+    assert trip.converged
+    assert trip.sigma == pytest.approx(2.0, rel=1e-9)
+    assert np.allclose(np.abs(trip.u), np.eye(70)[1], atol=1e-4)
+    assert np.allclose(np.abs(trip.v), np.eye(80)[1], atol=1e-4)
+    assert trip.u[1] > 0 and trip.v[1] > 0
+
+
 def test_top_triplet_matches_svd_oracle():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((8, 6))
-    u, s, vt = np.linalg.svd(a)
-    trip = top_singular_triplet(LinearOp.from_dense(a), seed=2, max_iters=500, tol=1e-13)
+    obs, dense = _sparse_op_set(300, 260, seed=7)
+    op = LinearOp.from_observations(obs)
+    assert obs.rows * obs.cols > 65536  # CSR-backed, not densified
+    u, s, vt = np.linalg.svd(dense)
+    trip = top_singular_triplet(op, seed=2)
+    assert trip.converged
     assert trip.sigma == pytest.approx(s[0], rel=1e-6)
     # subspace angle, sign-insensitive
     assert abs(abs(trip.u @ u[:, 0]) - 1.0) < 1e-4
@@ -134,39 +222,24 @@ def test_top_triplet_residual_invariant():
     # ||G^T u - sigma v|| small after convergence on gapped instances
     rng = np.random.default_rng(11)
     for k in range(5):
-        q1, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-        q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-        s = np.array([2.2, 2.0, 1.4, 0.8, 0.5, 0.3, 0.1])  # gap 1.1
-        a = q1[:, :7] @ np.diag(s) @ q2
+        q1, _ = np.linalg.qr(rng.standard_normal((90, 90)))
+        q2, _ = np.linalg.qr(rng.standard_normal((70, 70)))
+        s = np.r_[2.2, 2.0, np.linspace(1.4, 0.1, 68)]  # gap 1.1
+        a = q1[:, :70] @ np.diag(s) @ q2
         trip = top_singular_triplet(LinearOp.from_dense(a), seed=k)
         assert np.linalg.norm(a @ trip.v - trip.sigma * trip.u) <= 1e-4 * trip.sigma
         assert np.linalg.norm(a.T @ trip.u - trip.sigma * trip.v) <= 1e-4 * trip.sigma
 
 
-def test_top_triplet_zero_operator():
-    trip = top_singular_triplet(LinearOp.from_dense(np.zeros((3, 4))), seed=5)
-    assert trip.sigma == 0.0
-    assert np.array_equal(trip.u, [1, 0, 0])
-    assert np.array_equal(trip.v, [1, 0, 0, 0])
-    assert trip.converged
-
-
 def test_top_triplet_deterministic():
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((6, 5))
-    op = LinearOp.from_dense(a)
-    t1 = top_singular_triplet(op, seed=42, max_iters=100, tol=1e-9)
-    t2 = top_singular_triplet(op, seed=42, max_iters=100, tol=1e-9)
+    op = LinearOp.from_dense(rng.standard_normal((80, 70)))
+    t1 = top_singular_triplet(op, seed=42)
+    t2 = top_singular_triplet(op, seed=42)
     assert t1.sigma == t2.sigma
     assert np.array_equal(t1.u, t2.u)
     assert np.array_equal(t1.v, t2.v)
     assert t1.converged == t2.converged
-
-
-def test_top_triplet_non_finite_raises():
-    a = np.full((3, 3), np.inf)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        top_singular_triplet(LinearOp.from_dense(a), seed=0)
 
 
 # ------------------------------------------------------------ svd threshold

@@ -13,8 +13,6 @@ from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
 
 from conftest import dense_gradient, full_observations
 
-EXACT = dict(power_iters=1200, power_tol=0.0)
-
 
 def quadratic_on(mat):
     return ObservedQuadratic(full_observations(mat))
@@ -24,7 +22,7 @@ def quadratic_on(mat):
 
 def test_greedy_diag_truncation():
     obj = quadratic_on(np.diag([5.0, 3.0, 1.0]))
-    pair, traces = greedy(obj, SolverConfig(target_rank=2, seed=0, **EXACT))
+    pair, traces = greedy(obj, SolverConfig(target_rank=2, seed=0))
     assert np.allclose(pair.matrix(), np.diag([5.0, 3.0, 0.0]), atol=1e-8)
     assert [t.rank for t in traces] == [1, 2]
 
@@ -40,7 +38,7 @@ def test_greedy_matches_truncated_svd():
     rng = np.random.default_rng(21)
     m = rng.standard_normal((20, 20))
     obj = quadratic_on(m)
-    pair, _ = greedy(obj, SolverConfig(target_rank=4, seed=1, **EXACT))
+    pair, _ = greedy(obj, SolverConfig(target_rank=4, seed=1))
     h4, _ = svd_threshold(m, 4)
     err = np.linalg.norm(pair.matrix() - h4.matrix())
     assert err <= 1e-6 * np.linalg.norm(m)
@@ -50,7 +48,7 @@ def test_greedy_rank_bookkeeping_and_monotonicity():
     rng = np.random.default_rng(22)
     m = rng.standard_normal((10, 12))
     obj = quadratic_on(m)
-    pair, traces = greedy(obj, SolverConfig(target_rank=5, seed=2, **EXACT))
+    pair, traces = greedy(obj, SolverConfig(target_rank=5, seed=2))
     assert [t.rank for t in traces] == [1, 2, 3, 4, 5]
     objs = [t.objective for t in traces]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
@@ -68,7 +66,7 @@ def test_greedy_theorem1_endpoint():
     eps = gap0 / 100.0
     r = int(np.ceil(2 * r_star * np.log(gap0 / eps)))
     assert r <= 20
-    pair, _ = greedy(obj, SolverConfig(target_rank=r, seed=3, **EXACT))
+    pair, _ = greedy(obj, SolverConfig(target_rank=r, seed=3))
     assert obj.value(pair) <= opt + eps
 
 
@@ -90,7 +88,7 @@ def test_greedy_gradient_zero_invariant_via_callback():
                 continue
             worst = max(worst, abs(u @ g @ v) / (nu * nv * (1.0 + top)))
 
-    greedy(obj, SolverConfig(target_rank=4, seed=4, **EXACT), callback=probe)
+    greedy(obj, SolverConfig(target_rank=4, seed=4), callback=probe)
     assert worst <= 1e-6
 
 
@@ -108,7 +106,7 @@ def test_greedy_deterministic():
 
 def test_local_search_diag_rank_one():
     obj = quadratic_on(np.diag([5.0, 3.0, 1.0]))
-    cfg = SolverConfig(target_rank=1, max_outer_iters=3, seed=0, **EXACT)
+    cfg = SolverConfig(target_rank=1, max_outer_iters=3, seed=0)
     pair, _ = local_search(obj, cfg)
     assert np.allclose(pair.matrix(), np.diag([5.0, 0.0, 0.0]), atol=1e-8)
 
@@ -125,9 +123,9 @@ def test_local_search_not_worse_than_greedy():
         rng = np.random.default_rng(100 + seed)
         m = rng.standard_normal((12, 12))
         obj = quadratic_on(m)
-        g_pair, _ = greedy(obj, SolverConfig(target_rank=3, seed=seed, **EXACT))
+        g_pair, _ = greedy(obj, SolverConfig(target_rank=3, seed=seed))
         l_pair, _ = local_search(obj, SolverConfig(target_rank=3, max_outer_iters=20,
-                                                   seed=seed, **EXACT))
+                                                   seed=seed))
         assert obj.value(l_pair) <= obj.value(g_pair) + 1e-9
 
 
@@ -149,7 +147,7 @@ def test_local_search_width_bounded():
     m = rng.standard_normal((10, 10))
     obj = quadratic_on(m)
     widths = []
-    cfg = SolverConfig(target_rank=4, max_outer_iters=10, seed=1, **EXACT)
+    cfg = SolverConfig(target_rank=4, max_outer_iters=10, seed=1)
     local_search(obj, cfg, callback=lambda t, p: widths.append(p.rank))
     assert max(widths) <= 4
 
@@ -203,7 +201,7 @@ def test_truncate_fast_matches_bruteforce(seed, r):
 
 def test_fast_greedy_diag_high_cap():
     obj = quadratic_on(np.diag([5.0, 3.0, 1.0]))
-    cfg = SolverConfig(target_rank=2, seed=0, inner=InnerConfig(ls_iters=50), **EXACT)
+    cfg = SolverConfig(target_rank=2, seed=0, inner=InnerConfig(ls_iters=50))
     pair, _ = fast_greedy(obj, cfg)
     assert np.allclose(pair.matrix(), np.diag([5.0, 3.0, 0.0]), atol=1e-5)
 
@@ -253,7 +251,7 @@ def test_fast_local_search_returns_init_when_optimal():
     rng = np.random.default_rng(28)
     m = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
     obj = quadratic_on(m)
-    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60), **EXACT)
+    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60))
     g_pair, _ = fast_greedy(obj, cfg)
     l_pair, _ = fast_local_search(obj, cfg)
     assert obj.value(l_pair) == pytest.approx(obj.value(g_pair), abs=1e-12)
@@ -286,7 +284,7 @@ def test_fast_local_search_relative_gradient_floor():
     rng = np.random.default_rng(28)
     m = 1e6 * rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
     obj = quadratic_on(m)
-    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60), **EXACT)
+    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60))
     g_pair, g_traces = fast_greedy(obj, cfg)
     pair, traces = fast_local_search(obj, cfg)
     assert len(traces) == 1
@@ -308,17 +306,26 @@ def test_fast_local_search_callback_sees_every_pass():
     assert all(traced[t] == v for t, v in seen if t in traced)
 
 
-def test_unconverged_insertions_are_flagged():
+def test_unconverged_insertions_are_flagged(monkeypatch):
     rng = np.random.default_rng(30)
-    obj = quadratic_on(rng.standard_normal((10, 10)))
-    capped = SolverConfig(target_rank=3, seed=0, power_iters=1, power_tol=1e-15)
-    for solver in (greedy, fast_greedy, local_search, fast_local_search):
-        _, traces = solver(obj, capped)
-        assert traces and all("power_unconverged" in t.flags.split(";") for t in traces)
-        assert all("," not in t.flags for t in traces)
-    _, traces = local_search(obj, capped)
-    assert traces[-1].flags.split(";")[0] == "power_unconverged"
-    assert traces[-1].flags.split(";")[-1] == "stalled"
+    q1, _ = np.linalg.qr(rng.standard_normal((70, 70)))
+    q2, _ = np.linalg.qr(rng.standard_normal((70, 70)))
+    obj = quadratic_on(q1 @ np.diag(0.5 ** np.arange(70)) @ q2)  # gapped spectrum
+    small = quadratic_on(rng.standard_normal((10, 10)))
+    capped = SolverConfig(target_rank=3, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr("lowrank.linalg._POWER_ITERS", 1)
+        for solver in (greedy, fast_greedy, local_search, fast_local_search):
+            _, traces = solver(obj, capped)
+            assert traces and all("power_unconverged" in t.flags.split(";")
+                                  for t in traces)
+            assert all("," not in t.flags for t in traces)
+            # a side of at most 64 takes the exact path, whatever the power cap
+            _, traces = solver(small, capped)
+            assert all("power_unconverged" not in t.flags.split(";") for t in traces)
+        _, traces = local_search(obj, capped)
+        assert traces[-1].flags.split(";")[0] == "power_unconverged"
+        assert traces[-1].flags.split(";")[-1] == "stalled"
     _, traces = greedy(obj, SolverConfig(target_rank=3, seed=0))
     assert all(t.flags == "" for t in traces)
 
@@ -335,7 +342,7 @@ def test_fast_solvers_insert_along_clipped_gradient():
     top = {name: np.linalg.svd(g, compute_uv=False)[0]
            for name, g in (("plain", plain), ("clipped", clipped))}
     assert top["clipped"] != pytest.approx(top["plain"], rel=1e-3)
-    scfg = SolverConfig(target_rank=1, seed=0, **EXACT)
+    scfg = SolverConfig(target_rank=1, seed=0)
     for solver, objective, expect in ((fast_greedy, obj, "clipped"),
                                       (greedy, obj, "plain"),
                                       (fast_greedy, ObservedQuadratic(observed), "plain")):
