@@ -136,6 +136,11 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     solving them one by one. Rows that reach their numerical floor freeze
     (CG iterated past convergence turns rounding noise into huge steps).
     Rows with no observations keep their current value.
+
+    On the V side `omega` is a transposed set, whose `csr_with` matrices are
+    CSC views of the root set's CSR skeleton. scipy's CSC product adds each
+    output row's terms in the same order as a CSR product over the
+    transposed entries, so both sides match a CSR build bit for bit.
     """
     X = np.zeros_like(W)
     R = omega.csr_with(omega.vals) @ F
@@ -154,7 +159,7 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
         beta = np.where(ok, rs_new / np.where(ok, rs, 1.0), 0.0)
         P = np.where(ok[:, None], R + beta[:, None] * P, P)
         rs = np.where(ok, rs_new, rs)
-    untouched = np.bincount(omega.row, minlength=W.shape[0]) == 0
+    untouched = omega._row_counts == 0
     if untouched.any():
         X[untouched] = W[untouched]
     return X

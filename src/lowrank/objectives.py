@@ -54,18 +54,35 @@ class GradientHandle:
 
 
 class ObservedQuadratic:
-    """R(A) = 1/2 * sum_{(i,j) in Omega} (A - M)_ij^2."""
+    """R(A) = 1/2 * sum_{(i,j) in Omega} (A - M)_ij^2.
+
+    The projection of the last FactorPair seen is cached, so `value` at the
+    end of one outer step and `gradient` (or `insertion_gradient`) at the
+    start of the next share one gather. The cache is one (pair, prediction)
+    tuple, matched by identity and replaced in one assignment, so threads
+    sharing an objective at worst project again. A FactorPair must
+    therefore not be mutated after it has been passed to an objective.
+    """
 
     def __init__(self, target: SparseObservations):
         self.target = target
+        self._last: tuple[FactorPair | None, np.ndarray | None] = (None, None)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.target.shape
 
+    def _prediction(self, pair: FactorPair) -> np.ndarray:
+        """Pi_Omega(U V^T) in entry order, from the cache when `pair` is the last one."""
+        last, pred = self._last
+        if last is not pair:
+            pred = project_observed(pair, self.target)
+            self._last = (pair, pred)
+        return pred
+
     def residual(self, pair: FactorPair) -> np.ndarray:
         """Prediction minus target on Omega."""
-        return project_observed(pair, self.target) - self.target.vals
+        return self._prediction(pair) - self.target.vals
 
     def value(self, pair: FactorPair) -> float:
         r = self.residual(pair)
@@ -128,6 +145,6 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         self.clip_hi = float(clip_hi)
 
     def insertion_gradient(self, pair: FactorPair) -> GradientHandle:
-        pred = project_observed(pair, self.target)
+        pred = self._prediction(pair)
         vals = np.clip(pred, self.clip_lo, self.clip_hi) - self.target.vals
         return GradientHandle(sparse=self.target.with_vals(vals))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lowrank.linalg import (_EXACT_CELLS, FactorPair, LinearOp,
+import lowrank
+from lowrank.linalg import (_EXACT_CELLS, _GATHER_BLOCK, FactorPair, LinearOp,
                             SparseObservations, project_observed,
                             svd_threshold, top_singular_triplet)
 
@@ -81,6 +83,71 @@ def test_derived_sets_skip_validation(monkeypatch):
     assert obs.transpose.row is obs.col
     with pytest.raises(ValueError, match="length"):
         obs.with_vals(obs.vals[:-1])
+
+def _entries(m, n, nnz, seed, shuffled):
+    """`nnz` distinct cells of an m x n grid, in CSR order or shuffled."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(m * n, size=nnz, replace=False)
+    if not shuffled:
+        flat = np.sort(flat)
+    return SparseObservations(m, n, flat // n, flat % n, rng.standard_normal(nnz))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_csr_with_equals_coo_construction(shuffled):
+    obs = _entries(40, 30, 500, 3, shuffled)
+    v = np.random.default_rng(4).standard_normal(obs.nnz)
+    got = obs.csr_with(v)
+    want = sp.csr_matrix((v, (obs.row, obs.col)), shape=obs.shape)
+    assert got.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    F = np.random.default_rng(5).standard_normal((obs.cols, 4))
+    assert np.array_equal(got @ F, want @ F)
+    assert np.array_equal(obs.with_vals(v).csr().toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_transposed_csr_with_equals_validated_transpose(shuffled):
+    obs = _entries(40, 30, 500, 6, shuffled)
+    v = np.random.default_rng(7).standard_normal(obs.nnz)
+    built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, v)
+    F = np.random.default_rng(8).standard_normal((obs.rows, 4))
+    got = obs.transpose.csr_with(v)
+    assert got.shape == (obs.cols, obs.rows)
+    assert np.array_equal(got @ F, built.csr() @ F)
+    assert np.array_equal(got @ F[:, 0], built.csr() @ F[:, 0])
+    assert np.array_equal(obs.with_vals(v).transpose.csr().toarray(),
+                          built.csr().toarray())
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_csr_data_is_read_only(shuffled):
+    obs = _entries(10, 12, 40, 9, shuffled)
+    before = obs.vals.copy()
+    for mat in (obs.csr(), obs.transpose.csr()):
+        with pytest.raises(ValueError):
+            mat.data[0] = 123.0
+    assert np.array_equal(obs.vals, before)
+
+
+def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    in_order = _entries(60, 50, 900, 10, shuffled=False)
+    shuffled = _entries(60, 50, 900, 10, shuffled=True)
+    config = lowrank.SolverConfig(target_rank=4, seed=1)
+    lowrank.fast_greedy(lowrank.ObservedQuadratic(in_order), config)
+    assert calls == []
+    lowrank.fast_greedy(lowrank.ObservedQuadratic(shuffled), config)
+    assert calls == [shuffled.nnz]
+
 
 def test_factor_pair_append_and_rank():
     pair = FactorPair.empty(3, 4)
@@ -323,6 +390,17 @@ def test_project_observed_matches_dense(seed, m, n, r):
     dense = pair.matrix()
     expect = dense[obs.row, obs.col]
     assert np.allclose(project_observed(pair, obs), expect, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("r", [1, 5, 30])
+@pytest.mark.parametrize("nnz", [0, 1, _GATHER_BLOCK - 1, _GATHER_BLOCK,
+                                 _GATHER_BLOCK + 1, 3 * _GATHER_BLOCK + 7])
+def test_project_observed_blocks_match_one_gather_exactly(nnz, r):
+    obs = _entries(150, 110, nnz, nnz + r, shuffled=True)
+    rng = np.random.default_rng(r)
+    pair = FactorPair(rng.standard_normal((150, r)), rng.standard_normal((110, r)))
+    want = np.einsum("ij,ij->i", pair.U[obs.row], pair.V[obs.col])
+    assert np.array_equal(project_observed(pair, obs), want)
 
 
 def test_operator_from_observations_matches_dense():

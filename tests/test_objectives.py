@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import lowrank.objectives
 from lowrank.linalg import FactorPair, SparseObservations
 from lowrank.objectives import (ClippedObservedQuadratic, GradientHandle,
                                 HuberLowRank, ObservedQuadratic, huber_value)
@@ -87,6 +91,74 @@ def test_gradient_sign_convention():
 
 
 # ----------------------------------------------------------------- huber
+
+def _count_projections(monkeypatch):
+    calls = []
+    project = lowrank.objectives.project_observed
+
+    def counting(pair, omega):
+        calls.append(pair)
+        return project(pair, omega)
+
+    monkeypatch.setattr(lowrank.objectives, "project_observed", counting)
+    return calls
+
+
+def test_value_then_gradient_projects_once(monkeypatch):
+    obs, pair, _ = random_instance(9)
+    want_value = ObservedQuadratic(obs).value(pair)
+    want_grad = dense_gradient(ObservedQuadratic(obs).gradient(pair))
+    calls = _count_projections(monkeypatch)
+    obj = ObservedQuadratic(obs)
+    assert obj.value(pair) == want_value
+    assert np.array_equal(dense_gradient(obj.gradient(pair)), want_grad)
+    assert len(calls) == 1
+    # a new pair object projects again, even with equal factors
+    again = FactorPair(pair.U, pair.V)
+    assert obj.value(again) == want_value
+    assert len(calls) == 2
+
+
+def test_clipped_insertion_gradient_shares_projection(monkeypatch):
+    obs, pair, _ = random_instance(10)
+    want = dense_gradient(ClippedObservedQuadratic(obs, -0.5, 0.5).insertion_gradient(pair))
+    calls = _count_projections(monkeypatch)
+    obj = ClippedObservedQuadratic(obs, -0.5, 0.5)
+    obj.value(pair)
+    assert np.array_equal(dense_gradient(obj.insertion_gradient(pair)), want)
+    obj.gradient(pair)
+    assert len(calls) == 1
+
+
+def test_shared_objective_cache_under_threads():
+    obs, _, rng = random_instance(11, m=30, n=20, p=0.5)
+    pairs = [FactorPair(rng.standard_normal((30, 2)), rng.standard_normal((20, 2)))
+             for _ in range(8)]
+    want = [(ObservedQuadratic(obs).value(p),
+             dense_gradient(ObservedQuadratic(obs).gradient(p))) for p in pairs]
+    obj = ObservedQuadratic(obs)
+    wrong = []
+
+    def work(k):
+        for _ in range(200):
+            value = obj.value(pairs[k])
+            grad = dense_gradient(obj.gradient(pairs[k]))
+            if value != want[k][0] or not np.array_equal(grad, want[k][1]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(pairs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
 
 def test_huber_quadratic_branch():
     m = np.zeros((2, 2))
