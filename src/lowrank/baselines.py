@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FactorPair, LinearOp, SparseObservations, top_singular_triplet
+from .linalg import FactorPair, SparseObservations, top_singular_triplet
 
 __all__ = ["SoftImputeConfig", "SoftImputeTrace", "soft_impute", "lambda_grid"]
 
@@ -66,9 +66,9 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig
     return pair, traces
 
 
-def lambda_grid(target: SparseObservations, num: int = 10, seed: int = 0) -> np.ndarray:
-    """Geometric grid from 0.01*sigma_1 to sigma_1 of Pi_Omega(M)."""
-    sigma1 = top_singular_triplet(LinearOp.from_observations(target), seed=seed).sigma
+def lambda_grid(target: SparseObservations, seed: int = 0) -> np.ndarray:
+    """Ten geometric steps from 0.01*sigma_1 to sigma_1 of Pi_Omega(M)."""
+    sigma1 = top_singular_triplet(target.csr(), seed=seed).sigma
     if sigma1 == 0.0:
-        return np.zeros(num)
-    return np.geomspace(0.01 * sigma1, sigma1, num)
+        return np.zeros(10)
+    return np.geomspace(0.01 * sigma1, sigma1, 10)

@@ -107,6 +107,8 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
                    trials: int, collect_traces: bool = False
                    ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Per-rank NMSE sweep over independently seeded trials (seed + index)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     args = [(k, seed + k) for k in range(trials)]
     with ThreadPoolExecutor(max_workers=worker_count(trials)) as pool:
         futures = [pool.submit(completion_trial, k, s, m, n, true_rank, p, snr,
@@ -176,6 +178,8 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                collect_traces: bool = False
                ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Seeded train/test splits, one solver run per split, test RMSE rows."""
+    if splits < 1:
+        raise ValueError("splits must be >= 1")
     rows = []
     traces: list[tuple[int, IterationTrace]] = []
     for s in range(splits):

@@ -49,14 +49,14 @@ class FullSolveInfo:
     rel_residual: float
 
 
-def optimize_full(U: np.ndarray, V: np.ndarray, objective,
-                  tol: float = 1e-10, max_iters: int | None = None
+def optimize_full(U: np.ndarray, V: np.ndarray, objective, tol: float = 1e-10
                   ) -> tuple[FactorPair, FullSolveInfo]:
     """Minimize R(U X V^T) over X in R^{r x r}; returns (U X, V).
 
     Requires a quadratic objective, i.e. one with a `quad_term`. CG runs on
-    the normal equations from a zero start, so singular systems yield the
-    minimum-norm solution (the non-converged flag is reported, not raised).
+    the normal equations from a zero start for at most 10 r^2 steps, so
+    singular systems yield the minimum-norm solution (the non-converged flag
+    is reported, not raised).
     """
     r = U.shape[1]
     if r == 0:
@@ -66,13 +66,12 @@ def optimize_full(U: np.ndarray, V: np.ndarray, objective,
 
     m, n = objective.shape
     g0 = objective.gradient(FactorPair.empty(m, n))
-    b = -g0.bilinear(U, V)
+    b = -(U.T @ (g0 @ V))
 
     def matvec(x):
-        return objective.quad_term(U @ x, V).bilinear(U, V)
+        return U.T @ (objective.quad_term(U @ x, V) @ V)
 
-    cap = 10 * r * r if max_iters is None else max_iters
-    x, info = _cg(matvec, b, tol, cap)
+    x, info = _cg(matvec, b, tol, 10 * r * r)
     return FactorPair(U @ x, V), info
 
 

@@ -4,26 +4,26 @@ Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
 
-The top singular pair of an operator is exact, from LAPACK, when one of its
-sides is at most 64 long and it has at most 2^20 cells, and comes from capped
-power iteration otherwise.
+The top singular pair of a matrix (dense, or sparse CSR/CSC) is exact, from
+LAPACK, when one of its sides is at most 64 long and it has at most 2^20
+cells, and comes from capped power iteration otherwise. A sparse matrix on
+that exact path, or with at most 65536 cells, is densified first.
 
 An observed set built from outside input is validated once, by its
-constructor. The sets derived from it (`with_vals`, `transpose`, `_take`)
-reuse its checked index arrays and skip the checks.
+constructor. The sets derived from it (`transpose`, `_take`) reuse its
+checked index arrays and skip the checks.
 
 Entries keep the order they were given in ("entry order"); every per-entry
 array (`vals`, `project_observed`'s output) follows it. Sparse matrices need
 CSR order, row-major with columns increasing. Each root set (one built by the
 constructor or by `_take`) builds one CSR skeleton `(indptr, indices, perm)`,
-the first time a matrix is asked for, and the sets derived from it by
-`with_vals` and `transpose` share it. `perm` maps entry order to CSR order
-and is None when the entries already are in CSR order, which an O(nnz) check
-finds before any sort. `csr_with` then wraps the given values without
-copying: scipy gets the skeleton and a read-only view of the values, so
-nothing written through the matrix reaches the set. A transposed set reads
-the root's skeleton as a CSC matrix of the transposed shape, with no CSR of
-its own.
+the first time a matrix is asked for, and its `transpose` shares it. `perm`
+maps entry order to CSR order and is None when the entries already are in
+CSR order, which an O(nnz) check finds before any sort. `csr_with` then
+wraps the given values without copying: scipy gets the skeleton and a
+read-only view of the values, so nothing written through the matrix reaches
+the set. A transposed set reads the root's skeleton as a CSC matrix of the
+transposed shape, with no CSR of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,13 +39,12 @@ __all__ = [
     "SparseObservations",
     "FactorPair",
     "SingularTriplet",
-    "LinearOp",
     "top_singular_triplet",
     "svd_threshold",
     "project_observed",
 ]
 
-# Below this many cells a sparse operator is cheaper to apply densified.
+# Below this many cells a sparse matrix is cheaper to apply densified.
 _DENSIFY_CELLS = 65536
 
 
@@ -66,8 +64,15 @@ class SparseObservations:
     vals: np.ndarray
 
     def __post_init__(self):
-        self.row = np.asarray(self.row, dtype=np.int64)
-        self.col = np.asarray(self.col, dtype=np.int64)
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("rows and cols must be >= 0")
+        for name in ("row", "col"):
+            idx = np.asarray(getattr(self, name))
+            # integer dtypes pass unchecked; other values must be whole numbers
+            if idx.dtype.kind not in "iu" and not np.all(
+                    np.isfinite(idx) & (np.trunc(idx) == idx)):
+                raise ValueError(f"{name} indices must be integers")
+            setattr(self, name, idx.astype(np.int64, copy=False))
         self.vals = np.asarray(self.vals, dtype=np.float64)
         if not (self.row.shape == self.col.shape == self.vals.shape):
             raise ValueError("row, col, vals must have identical shapes")
@@ -93,22 +98,16 @@ class SparseObservations:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def _derived(self, rows: int, cols: int, row: np.ndarray, col: np.ndarray,
-                 vals: np.ndarray, flip: bool) -> "SparseObservations":
-        """A set over this one's checked indices and CSR skeleton, built
-        without re-validation; `flip` marks a transpose of this set."""
+    def _derived(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray,
+                 flip: bool) -> "SparseObservations":
+        """A set over checked indices, built without re-validation: this set's
+        transpose, reading its CSR skeleton, when `flip`, else a root set."""
         out = object.__new__(SparseObservations)
-        out.rows, out.cols, out.row, out.col, out.vals = rows, cols, row, col, vals
-        out._root = self if self._root is None else self._root
-        out._flip = self._flip != flip
+        out.rows, out.cols = (self.cols, self.rows) if flip else self.shape
+        out.row, out.col, out.vals = row, col, vals
+        root = self if self._root is None else self._root
+        out._root, out._flip = (root, not self._flip) if flip else (None, False)
         return out
-
-    def with_vals(self, vals: np.ndarray) -> "SparseObservations":
-        """Same support, different values (e.g. a gradient on Omega)."""
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != self.row.shape:
-            raise ValueError("vals length must match the support")
-        return self._derived(self.rows, self.cols, self.row, self.col, vals, False)
 
     def _take(self, indices: np.ndarray) -> "SparseObservations":
         """The entries at `indices`, in that order, without re-validation.
@@ -116,10 +115,8 @@ class SparseObservations:
         The caller passes distinct positions; repeated ones would yield a set
         with duplicate (i, j) entries that the constructor rejects. The result
         is a root set with a skeleton of its own."""
-        out = self._derived(self.rows, self.cols, self.row[indices],
-                            self.col[indices], self.vals[indices], False)
-        out._root, out._flip = None, False
-        return out
+        return self._derived(self.row[indices], self.col[indices],
+                             self.vals[indices], False)
 
     @cached_property
     def _row_counts(self) -> np.ndarray:
@@ -162,7 +159,7 @@ class SparseObservations:
 
     @cached_property
     def transpose(self) -> "SparseObservations":
-        return self._derived(self.cols, self.rows, self.col, self.row, self.vals, True)
+        return self._derived(self.col, self.row, self.vals, True)
 
 
 @dataclass
@@ -219,77 +216,52 @@ class SingularTriplet:
     converged: bool = True
 
 
-@dataclass
-class LinearOp:
-    """Matrix-free operator: apply x -> Gx and apply_transpose y -> G^T y."""
-
-    rows: int
-    cols: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    rmatvec: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "LinearOp":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(a.shape[0], a.shape[1], lambda x: a @ x, lambda y: a.T @ y)
-
-    @classmethod
-    def from_observations(cls, obs: SparseObservations) -> "LinearOp":
-        if obs.rows * obs.cols <= _DENSIFY_CELLS:
-            dense = np.zeros((obs.rows, obs.cols))
-            dense[obs.row, obs.col] = obs.vals
-            return cls.from_dense(dense)
-        mat = obs.csr()
-        mat_t = mat.T.tocsr()
-        return cls(obs.rows, obs.cols, lambda x: mat @ x, lambda y: mat_t @ y)
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-# Operators with a side of at most _EXACT_SIDE and at most _EXACT_CELLS cells
-# are read back densely and decomposed by LAPACK; others go through power
-# iteration. The side limit lies between the largest operators that need an
-# exact pair (the <= 20 x 20 lifts of `check_equivalence`) and the smallest
-# completion gradients (100 x 100), where power iteration is cheaper. Median
-# per call on first-insertion completion gradients at 20% observed,
-# single-threaded OpenBLAS, LAPACK vs power: 0.26 vs 0.26 ms at n = 32,
-# 0.99 vs 0.52 ms at 64, 2.5 vs 0.68 ms at 100. The cell limit bounds the
-# read-back's memory (the matrix and its left factor, 8 MB each at the cap)
-# on tall or wide operators.
+# Matrices with a side of at most _EXACT_SIDE and at most _EXACT_CELLS cells
+# are densified and decomposed by LAPACK; others go through power iteration.
+# The side limit lies between the largest matrices that need an exact pair
+# (the <= 20 x 20 lifts of `check_equivalence`) and the smallest completion
+# gradients (100 x 100), where power iteration is cheaper. Median per call on
+# first-insertion completion gradients at 20% observed, single-threaded
+# OpenBLAS, LAPACK vs power: 0.26 vs 0.26 ms at n = 32, 0.99 vs 0.52 ms at 64,
+# 2.5 vs 0.68 ms at 100. The cell limit bounds the dense copy's memory (the
+# matrix and its left factor, 8 MB each at the cap) on tall or wide matrices.
 _EXACT_SIDE = 64
 _EXACT_CELLS = 1 << 20
 _POWER_ITERS = 200
 _POWER_TOL = 1e-9
 
 
-def top_singular_triplet(op: LinearOp, seed: int = 0) -> SingularTriplet:
-    """Dominant singular triplet of `op`, exact where that is cheap.
+def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:
+    """Dominant singular triplet of the matrix `g`, exact where that is cheap.
 
-    When min(rows, cols) <= 64 and rows * cols <= 2^20 the operator is read
-    back densely through one block matvec (or rmatvec when rows are fewer),
-    which takes O(rows * cols) memory, and decomposed by LAPACK; the result
-    is exact and ``converged=True``. Other operators use power iteration
-    on G^T G from a start vector drawn from
-    ``np.random.default_rng(seed)``; `seed` moves only that start vector,
-    and identical (op, seed) give bit-identical results. The power path
+    `g` is a dense array or a scipy sparse matrix. When min(rows, cols) <= 64
+    and rows * cols <= 2^20 the matrix is decomposed by LAPACK, densified
+    first if sparse, which takes O(rows * cols) memory; the result is exact
+    and ``converged=True``. Other matrices use power iteration on G^T G
+    from a start vector drawn from ``np.random.default_rng(seed)``; a
+    sparse one with at most 65536 cells is densified for it, a larger one
+    keeps a CSR copy of its transpose. `seed` moves only the start vector,
+    and identical (g, seed) give bit-identical results. The power path
     stops when successive sigma estimates differ relatively by less than
     1e-9 and returns ``converged=False`` when 200 steps do not get there.
-    A numerically zero operator yields (0, e_1, e_1). The sign is fixed so
+    A numerically zero matrix yields (0, e_1, e_1). The sign is fixed so
     that the largest-magnitude entry of u is nonnegative.
     """
-    if op.rows < 1 or op.cols < 1:
-        raise ValueError("operator must have positive dimensions")
-    if min(op.rows, op.cols) <= _EXACT_SIDE and op.rows * op.cols <= _EXACT_CELLS:
-        return _exact_triplet(op)
-    return _power_triplet(op, seed)
+    rows, cols = g.shape
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix must have positive dimensions")
+    exact = min(rows, cols) <= _EXACT_SIDE and rows * cols <= _EXACT_CELLS
+    if not sp.issparse(g):
+        g = np.asarray(g, dtype=np.float64)
+    elif exact or rows * cols <= _DENSIFY_CELLS:
+        g = g.toarray(order="C")  # CSC would give Fortran order and other sums
+    if exact:
+        return _exact_triplet(g)
+    return _power_triplet(g, seed)
 
 
-def _zero_triplet(op: LinearOp) -> SingularTriplet:
-    return SingularTriplet(0.0, _unit(op.rows, 0), _unit(op.cols, 0), True)
+def _zero_triplet(rows: int, cols: int) -> SingularTriplet:
+    return SingularTriplet(0.0, np.eye(1, rows)[0], np.eye(1, cols)[0], True)
 
 
 def _oriented(sigma: float, u: np.ndarray, v: np.ndarray,
@@ -302,49 +274,47 @@ def _oriented(sigma: float, u: np.ndarray, v: np.ndarray,
     return SingularTriplet(sigma, u, v, converged)
 
 
-def _exact_triplet(op: LinearOp) -> SingularTriplet:
-    if op.cols <= op.rows:
-        a = op.matvec(np.eye(op.cols))
-    else:
-        a = op.rmatvec(np.eye(op.rows)).T
+def _exact_triplet(a: np.ndarray) -> SingularTriplet:
     if not np.all(np.isfinite(a)):
-        raise ValueError("operator produced non-finite values")
+        raise ValueError("matrix has non-finite values")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
-        return _zero_triplet(op)
+        return _zero_triplet(*a.shape)
     return _oriented(float(s[0]), u[:, 0], vt[0], True)
 
 
-def _power_triplet(op: LinearOp, seed: int) -> SingularTriplet:
+def _power_triplet(g: np.ndarray | sp.spmatrix, seed: int) -> SingularTriplet:
     # math.sqrt(x.dot(x)) is np.linalg.norm(x) bit for bit, minus its call overhead
+    # a CSR transpose: its products run 1.3x faster than the CSC view's
+    gt = g.T.tocsr() if sp.issparse(g) else g.T
     rng = np.random.default_rng(seed)
     v = w = None
     sigma = 0.0
     for _ in range(3):
-        v = rng.standard_normal(op.cols)
+        v = rng.standard_normal(g.shape[1])
         v /= np.linalg.norm(v)
-        w = op.matvec(v)
+        w = g @ v
         if not np.all(np.isfinite(w)):
-            raise ValueError("operator produced non-finite values")
+            raise ValueError("matrix has non-finite values")
         sigma = math.sqrt(w.dot(w))
         if sigma > 0.0:
             break
     else:
-        return _zero_triplet(op)
+        return _zero_triplet(*g.shape)
 
     converged = False
     u = w / sigma
     for _ in range(_POWER_ITERS):
-        z = op.rmatvec(u)
+        z = gt @ u
         zn = math.sqrt(z.dot(z))
         if zn == 0.0:
             converged = True
             break
         v = z / zn
-        w = op.matvec(v)
+        w = g @ v
         sigma_new = math.sqrt(w.dot(w))
         if sigma_new == 0.0:
-            return _zero_triplet(op)
+            return _zero_triplet(*g.shape)
         u = w / sigma_new
         if abs(sigma_new - sigma) < _POWER_TOL * sigma_new:
             sigma = sigma_new

@@ -3,54 +3,24 @@
 Gradient sign convention, used by every solver in this package: for the
 observed-entry quadratic the gradient is Pi_Omega(A - M), i.e. prediction
 minus target on the observed set.
+
+Gradients are plain matrices: a sparse matrix on Omega (`csr_with` of the
+target) for the observed quadratics, a dense array for the Huber objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import FactorPair, LinearOp, SparseObservations, project_observed
+from .linalg import FactorPair, SparseObservations, project_observed
 
 __all__ = [
-    "GradientHandle",
     "ObservedQuadratic",
     "HuberLowRank",
     "ClippedObservedQuadratic",
     "huber_value",
 ]
-
-
-@dataclass
-class GradientHandle:
-    """A gradient matrix, held sparse (support in Omega) or dense.
-
-    Solvers read it only through `operator()` and `bilinear()`.
-    """
-
-    sparse: SparseObservations | None = None
-    dense: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.sparse is None) == (self.dense is None):
-            raise ValueError("exactly one of sparse/dense must be set")
-        if self.dense is not None:
-            self.dense = np.asarray(self.dense, dtype=np.float64)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.sparse.shape if self.sparse is not None else self.dense.shape
-
-    def operator(self) -> LinearOp:
-        if self.dense is not None:
-            return LinearOp.from_dense(self.dense)
-        return LinearOp.from_observations(self.sparse)
-
-    def bilinear(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left^T G right, the r x r projection used by the inner solver."""
-        g = self.dense if self.dense is not None else self.sparse.csr()
-        return left.T @ (g @ right)
 
 
 class ObservedQuadratic:
@@ -88,13 +58,13 @@ class ObservedQuadratic:
         r = self.residual(pair)
         return 0.5 * float(r @ r)
 
-    def gradient(self, pair: FactorPair) -> GradientHandle:
-        return GradientHandle(sparse=self.target.with_vals(self.residual(pair)))
+    def gradient(self, pair: FactorPair) -> sp.spmatrix:
+        return self.target.csr_with(self.residual(pair))
 
-    def quad_term(self, left: np.ndarray, right: np.ndarray) -> GradientHandle:
+    def quad_term(self, left: np.ndarray, right: np.ndarray) -> sp.spmatrix:
         """Hessian applied to left @ right^T (here: Pi_Omega of the product)."""
         vals = project_observed(FactorPair(left, right), self.target)
-        return GradientHandle(sparse=self.target.with_vals(vals))
+        return self.target.csr_with(vals)
 
 
 def huber_value(residual: np.ndarray, delta: float) -> float:
@@ -124,9 +94,8 @@ class HuberLowRank:
     def value(self, pair: FactorPair) -> float:
         return huber_value(self.residual(pair), self.delta)
 
-    def gradient(self, pair: FactorPair) -> GradientHandle:
-        g = np.clip(self.residual(pair), -self.delta, self.delta)
-        return GradientHandle(dense=g)
+    def gradient(self, pair: FactorPair) -> np.ndarray:
+        return np.clip(self.residual(pair), -self.delta, self.delta)
 
 
 class ClippedObservedQuadratic(ObservedQuadratic):
@@ -144,7 +113,7 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         self.clip_lo = float(clip_lo)
         self.clip_hi = float(clip_hi)
 
-    def insertion_gradient(self, pair: FactorPair) -> GradientHandle:
+    def insertion_gradient(self, pair: FactorPair) -> sp.spmatrix:
         pred = self._prediction(pair)
-        vals = np.clip(pred, self.clip_lo, self.clip_hi) - self.target.vals
-        return GradientHandle(sparse=self.target.with_vals(vals))
+        return self.target.csr_with(np.clip(pred, self.clip_lo, self.clip_hi)
+                                    - self.target.vals)

@@ -130,7 +130,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     stall = 0
     for t in range(steps):
         t0 = time.perf_counter_ns()
-        trip = top_singular_triplet(gradient(pair).operator(),
+        trip = top_singular_triplet(gradient(pair),
                                     seed=_step_seed(config.seed, offset + t))
         flags = [] if trip.converged else ["power_unconverged"]
         sigma0 = trip.sigma if sigma0 is None else sigma0

@@ -15,7 +15,6 @@ import numpy as np
 
 from .inner import InnerConfig
 from .linalg import _EXACT_SIDE, FactorPair
-from .objectives import GradientHandle
 from .solvers import SolverConfig, greedy, local_search
 
 __all__ = [
@@ -144,16 +143,15 @@ class LiftedQuadratic:
         off = a - np.diag(np.diag(a))
         return 0.5 * float(resid @ resid) + 0.5 * self.beta * float(np.sum(off * off))
 
-    def gradient(self, pair: FactorPair) -> GradientHandle:
+    def gradient(self, pair: FactorPair) -> np.ndarray:
         a = pair.matrix()
         g = self.problem.grad(np.diag(a).copy())
-        return GradientHandle(dense=np.diag(g) + self.beta * (a - np.diag(np.diag(a))))
+        return np.diag(g) + self.beta * (a - np.diag(np.diag(a)))
 
-    def quad_term(self, left: np.ndarray, right: np.ndarray) -> GradientHandle:
+    def quad_term(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         e = left @ right.T
         d = np.diag(e).copy()
-        return GradientHandle(dense=np.diag(self._gram @ d)
-                              + self.beta * (e - np.diag(d)))
+        return np.diag(self._gram @ d) + self.beta * (e - np.diag(d))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -26,8 +27,6 @@ def full_observations(mat):
     return SparseObservations(m, n, rows, cols, np.asarray(mat, float).ravel())
 
 
-def dense_gradient(handle):
-    """The gradient a GradientHandle holds, as a dense matrix."""
-    if handle.dense is not None:
-        return handle.dense
-    return handle.sparse.csr().toarray()
+def dense_gradient(g):
+    """A gradient matrix, sparse or dense, as a dense array."""
+    return g.toarray() if sp.issparse(g) else g

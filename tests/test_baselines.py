@@ -57,7 +57,7 @@ def test_lambda_grid_spans_sigma1():
     keep = np.flatnonzero(rng.random(400) < 0.5)
     obs = SparseObservations(20, 20, keep // 20, keep % 20,
                              rng.standard_normal(keep.size))
-    grid = lambda_grid(obs, num=10, seed=0)
+    grid = lambda_grid(obs, seed=0)
     dense = np.zeros((20, 20))
     dense[obs.row, obs.col] = obs.vals
     sigma1 = np.linalg.svd(dense, compute_uv=False)[0]

@@ -150,6 +150,17 @@ def test_recsys_outputs(tmp_path, mini_ratings):
     assert summary["params"]["clip"] == [1.0, 5.0]
 
 
+def test_zero_trials_or_splits_exit_one(tmp_path, mini_ratings, capsys):
+    for args in (["synth-complete", "--m", "20", "--n", "20", "--trials", "0"],
+                 ["recsys", "--data", str(mini_ratings), "--splits", "0"]):
+        csv_path = tmp_path / "out.csv"
+        code = run_cli(args + ["--csv", str(csv_path),
+                               "--json", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
 def test_recsys_missing_data_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["recsys", "--rank", "3"])

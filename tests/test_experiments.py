@@ -73,6 +73,15 @@ def test_run_recsys_split_rows():
     assert traces and traces[0][0] == 0
 
 
+def test_zero_trials_or_splits_raise():
+    with pytest.raises(ValueError, match="trials"):
+        run_completion(20, 20, 2, 0.5, 10.0, 0, "fast-greedy", 3, 3, trials=0)
+    ratings = SparseObservations(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="splits"):
+        run_recsys(ratings, splits=0, split_fraction=0.8, seed=0, rank=1,
+                   inner_iters=2, clip=None)
+
+
 def test_make_equivalence_problem_planted_optimum():
     # response is exactly design @ x*, so a sparse global minimizer exists
     problem = make_equivalence_problem(12, 4, 5)

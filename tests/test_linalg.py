@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_EXACT_CELLS, _GATHER_BLOCK, FactorPair, LinearOp,
+from lowrank.linalg import (_DENSIFY_CELLS, _EXACT_CELLS, _GATHER_BLOCK, FactorPair,
                             SparseObservations, project_observed,
                             svd_threshold, top_singular_triplet)
 
@@ -26,6 +26,38 @@ def test_sparse_observations_rejects_out_of_range():
         SparseObservations(2, 2, [0], [-1], [1.0])
 
 
+def test_sparse_observations_rejects_fractional_indices():
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SparseObservations(3, 3, [0.5, 2.9], [1.7, 0.2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="col indices must be integers"):
+        SparseObservations(3, 3, [0, 2], [1.0, 0.2], [1.0, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="integers"):
+            SparseObservations(3, 3, [bad], [0], [1.0])
+    # whole numbers in a float array are indices
+    obs = SparseObservations(3, 3, [0.0, 2.0], np.array([1.0, 0.0]), [1.0, 2.0])
+    assert obs.row.dtype == np.int64 and obs.row.tolist() == [0, 2]
+    assert obs.col.tolist() == [1, 0]
+
+
+def test_sparse_observations_integer_indices_skip_whole_number_check(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integer indices checked for fractions")
+
+    monkeypatch.setattr(np, "trunc", fail)
+    for dtype in (np.int32, np.int64, np.uint16):
+        obs = SparseObservations(3, 3, np.array([0, 2], dtype), np.array([1, 0], dtype),
+                                 [1.0, 2.0])
+        assert obs.row.dtype == obs.col.dtype == np.int64
+
+
+def test_sparse_observations_rejects_negative_shape():
+    for rows, cols in ((-2, 3), (3, -1)):
+        with pytest.raises(ValueError, match="rows and cols"):
+            SparseObservations(rows, cols, [], [], [])
+    assert SparseObservations(0, 0, [], [], []).nnz == 0
+
+
 def test_sparse_observations_rejects_non_finite():
     with pytest.raises(ValueError):
         SparseObservations(2, 2, [0], [0], [np.nan])
@@ -39,9 +71,8 @@ def test_csr_consistent_with_entries(seed, m, n):
     dense = np.zeros((m, n))
     dense[obs.row, obs.col] = obs.vals
     assert np.array_equal(obs.csr().toarray(), dense)
-    # a value swap on the shared support keeps entry order
-    other = obs.with_vals(2.0 * obs.vals)
-    assert np.array_equal(other.csr().toarray(), 2.0 * dense)
+    # new values on the shared support are read in entry order
+    assert np.array_equal(obs.csr_with(2.0 * obs.vals).toarray(), 2.0 * dense)
 
 
 
@@ -63,15 +94,6 @@ def test_transpose_matches_validated_construction():
     assert np.array_equal(t.csr().toarray(), obs.csr().toarray().T)
 
 
-def test_with_vals_transpose_carries_new_values():
-    obs = _scrambled_set(seed=1)
-    obs.transpose  # cache the parent's transpose first
-    v = np.arange(obs.nnz, dtype=float) + 1.0
-    t = obs.with_vals(v).transpose
-    assert np.array_equal(t.vals, v)
-    assert np.array_equal(t.csr().toarray(), obs.with_vals(v).csr().toarray().T)
-
-
 def test_derived_sets_skip_validation(monkeypatch):
     obs = _scrambled_set(seed=2)
 
@@ -79,10 +101,10 @@ def test_derived_sets_skip_validation(monkeypatch):
         raise AssertionError("derived set re-validated")
 
     monkeypatch.setattr(SparseObservations, "__post_init__", fail)
-    assert obs.with_vals(-obs.vals).row is obs.row
     assert obs.transpose.row is obs.col
-    with pytest.raises(ValueError, match="length"):
-        obs.with_vals(obs.vals[:-1])
+    assert obs.transpose.transpose.csr().format == "csr"
+    taken = obs._take(np.arange(obs.nnz)[::-1])
+    assert np.array_equal(taken.csr().toarray(), obs.csr().toarray())
 
 def _entries(m, n, nnz, seed, shuffled):
     """`nnz` distinct cells of an m x n grid, in CSR order or shuffled."""
@@ -104,7 +126,6 @@ def test_csr_with_equals_coo_construction(shuffled):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     F = np.random.default_rng(5).standard_normal((obs.cols, 4))
     assert np.array_equal(got @ F, want @ F)
-    assert np.array_equal(obs.with_vals(v).csr().toarray(), want.toarray())
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
@@ -117,8 +138,7 @@ def test_transposed_csr_with_equals_validated_transpose(shuffled):
     assert got.shape == (obs.cols, obs.rows)
     assert np.array_equal(got @ F, built.csr() @ F)
     assert np.array_equal(got @ F[:, 0], built.csr() @ F[:, 0])
-    assert np.array_equal(obs.with_vals(v).transpose.csr().toarray(),
-                          built.csr().toarray())
+    assert np.array_equal(got.toarray(), built.csr().toarray())
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
@@ -161,8 +181,8 @@ def test_factor_pair_append_and_rank():
 
 
 # ---------------------------------------------------- top singular triplet
-# Operators with a side of at most 64 take the exact LAPACK path; the power
-# path is exercised on operators with both sides above 64.
+# Matrices with a side of at most 64 take the exact LAPACK path; the power
+# path is exercised on matrices with both sides above 64.
 
 def _sparse_op_set(m, n, seed, density=0.3):
     """A random observed set around a rank-1 spike, and its dense copy."""
@@ -182,7 +202,7 @@ def test_top_triplet_rank_one():
     u0 /= np.linalg.norm(u0)
     v0 = rng.standard_normal(4)
     v0 /= np.linalg.norm(v0)
-    trip = top_singular_triplet(LinearOp.from_dense(3.0 * np.outer(u0, v0)), seed=1)
+    trip = top_singular_triplet(3.0 * np.outer(u0, v0), seed=1)
     assert trip.sigma == pytest.approx(3.0, rel=1e-12)
     # sign convention: largest-magnitude entry of u nonnegative
     i = np.argmax(np.abs(trip.u))
@@ -197,7 +217,7 @@ def test_exact_triplet_sign_convention_and_oracle():
     for shape in ((8, 6), (6, 8), (64, 200), (200, 64)):
         a = rng.standard_normal(shape)
         for flip in (1.0, -1.0):
-            trip = top_singular_triplet(LinearOp.from_dense(flip * a), seed=0)
+            trip = top_singular_triplet(flip * a, seed=0)
             i = int(np.argmax(np.abs(trip.u)))
             assert trip.u[i] >= 0 and trip.converged
             assert trip.sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
@@ -205,17 +225,26 @@ def test_exact_triplet_sign_convention_and_oracle():
             assert np.allclose(flip * a.T @ trip.u, trip.sigma * trip.v, atol=1e-10)
 
 
-def test_exact_triplet_on_tall_and_wide_sparse_operators():
-    for shape, side in (((2000, 40), "matvec"), ((40, 2000), "rmatvec")):
+def _path_sentinel(monkeypatch):
+    """Record the dense matrices `_exact_triplet` decomposes."""
+    seen = []
+    exact = lowrank.linalg._exact_triplet
+
+    def recording(a):
+        seen.append((type(a), a.shape))
+        return exact(a)
+
+    monkeypatch.setattr(lowrank.linalg, "_exact_triplet", recording)
+    return seen
+
+
+def test_exact_triplet_on_tall_and_wide_sparse_operators(monkeypatch):
+    seen = _path_sentinel(monkeypatch)
+    for shape in ((2000, 40), (40, 2000)):
         obs, dense = _sparse_op_set(*shape, seed=4, density=0.05)
-        assert obs.rows * obs.cols > 65536  # CSR-backed, not densified
-        op = LinearOp.from_observations(obs)
-        calls = []
-        counted = LinearOp(op.rows, op.cols,
-                           lambda x: calls.append("matvec") or op.matvec(x),
-                           lambda y: calls.append("rmatvec") or op.rmatvec(y))
-        trip = top_singular_triplet(counted, seed=0)
-        assert calls == [side]  # one block read-back of the short side
+        assert obs.rows * obs.cols > _DENSIFY_CELLS  # densified for the exact path only
+        trip = top_singular_triplet(obs.csr(), seed=0)
+        assert seen.pop() == (np.ndarray, shape) and not seen
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         assert trip.converged
         assert trip.sigma == pytest.approx(s[0], rel=1e-12)
@@ -223,18 +252,19 @@ def test_exact_triplet_on_tall_and_wide_sparse_operators():
         assert abs(abs(trip.v @ vt[0]) - 1.0) < 1e-12
 
 
-def test_tall_operator_above_cell_cap_takes_power_path():
-    # a short side of 40 but more than 2^20 cells: no dense read-back
+def test_tall_operator_above_cell_cap_takes_power_path(monkeypatch):
+    # a short side of 40 but more than 2^20 cells: no dense copy
     m, n = _EXACT_CELLS // 40 + 1, 40
     sigmas = np.r_[10.0, np.linspace(1.0, 0.1, n - 1)]
     obs = SparseObservations(m, n, np.arange(n) * 600, np.arange(n), sigmas)
-    op = LinearOp.from_observations(obs)
-    shapes = []
-    counted = LinearOp(m, n,
-                       lambda x: shapes.append(x.shape) or op.matvec(x),
-                       lambda y: shapes.append(y.shape) or op.rmatvec(y))
-    trip = top_singular_triplet(counted, seed=0)
-    assert shapes and all(len(s) == 1 for s in shapes)
+    seen = _path_sentinel(monkeypatch)
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("densified above the cell cap")
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
+    trip = top_singular_triplet(obs.csr(), seed=0)
+    assert seen == []
     assert trip.converged
     assert trip.sigma == pytest.approx(10.0, rel=1e-9)
     assert np.allclose(np.abs(trip.v), np.eye(n)[0], atol=1e-4)
@@ -242,7 +272,7 @@ def test_tall_operator_above_cell_cap_takes_power_path():
 
 def test_top_triplet_zero_operator():
     for m, n in ((3, 4), (70, 80)):  # exact path, power path
-        trip = top_singular_triplet(LinearOp.from_dense(np.zeros((m, n))), seed=5)
+        trip = top_singular_triplet(np.zeros((m, n)), seed=5)
         assert trip.sigma == 0.0
         assert np.array_equal(trip.u, np.eye(m)[0])
         assert np.array_equal(trip.v, np.eye(n)[0])
@@ -253,18 +283,18 @@ def test_top_triplet_non_finite_raises():
     for n in (3, 70):  # exact path, power path
         a = np.full((n, n), np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            top_singular_triplet(LinearOp.from_dense(a), seed=0)
+            top_singular_triplet(a, seed=0)
 
 
 def test_top_triplet_diagonal():
-    trip = top_singular_triplet(LinearOp.from_dense(np.diag([2.0, 1.0])), seed=0)
+    trip = top_singular_triplet(np.diag([2.0, 1.0]), seed=0)
     assert trip.sigma == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(trip.u), [1, 0], atol=1e-10)
     assert np.allclose(trip.u, trip.v, atol=1e-10)
     # the power path stops once sigma settles to 1e-9, before the vectors do
     d = np.zeros((70, 80))
     d[np.arange(70), np.arange(70)] = np.r_[1.0, 2.0, np.linspace(1.0, 0.1, 68)]
-    trip = top_singular_triplet(LinearOp.from_dense(d), seed=0)
+    trip = top_singular_triplet(d, seed=0)
     assert trip.converged
     assert trip.sigma == pytest.approx(2.0, rel=1e-9)
     assert np.allclose(np.abs(trip.u), np.eye(70)[1], atol=1e-4)
@@ -274,10 +304,9 @@ def test_top_triplet_diagonal():
 
 def test_top_triplet_matches_svd_oracle():
     obs, dense = _sparse_op_set(300, 260, seed=7)
-    op = LinearOp.from_observations(obs)
-    assert obs.rows * obs.cols > 65536  # CSR-backed, not densified
+    assert obs.rows * obs.cols > _DENSIFY_CELLS  # CSR-backed, not densified
     u, s, vt = np.linalg.svd(dense)
-    trip = top_singular_triplet(op, seed=2)
+    trip = top_singular_triplet(obs.csr(), seed=2)
     assert trip.converged
     assert trip.sigma == pytest.approx(s[0], rel=1e-6)
     # subspace angle, sign-insensitive
@@ -293,16 +322,16 @@ def test_top_triplet_residual_invariant():
         q2, _ = np.linalg.qr(rng.standard_normal((70, 70)))
         s = np.r_[2.2, 2.0, np.linspace(1.4, 0.1, 68)]  # gap 1.1
         a = q1[:, :70] @ np.diag(s) @ q2
-        trip = top_singular_triplet(LinearOp.from_dense(a), seed=k)
+        trip = top_singular_triplet(a, seed=k)
         assert np.linalg.norm(a @ trip.v - trip.sigma * trip.u) <= 1e-4 * trip.sigma
         assert np.linalg.norm(a.T @ trip.u - trip.sigma * trip.v) <= 1e-4 * trip.sigma
 
 
 def test_top_triplet_deterministic():
     rng = np.random.default_rng(9)
-    op = LinearOp.from_dense(rng.standard_normal((80, 70)))
-    t1 = top_singular_triplet(op, seed=42)
-    t2 = top_singular_triplet(op, seed=42)
+    a = rng.standard_normal((80, 70))
+    t1 = top_singular_triplet(a, seed=42)
+    t2 = top_singular_triplet(a, seed=42)
     assert t1.sigma == t2.sigma
     assert np.array_equal(t1.u, t2.u)
     assert np.array_equal(t1.v, t2.v)
@@ -408,8 +437,23 @@ def test_operator_from_observations_matches_dense():
     obs = SparseObservations(4, 5, [0, 1, 3], [2, 0, 4], [1.5, -2.0, 0.5])
     dense = np.zeros((4, 5))
     dense[obs.row, obs.col] = obs.vals
-    op = LinearOp.from_observations(obs)
     x = rng.standard_normal(5)
     y = rng.standard_normal(4)
-    assert np.allclose(op.matvec(x), dense @ x, atol=1e-12)
-    assert np.allclose(op.rmatvec(y), dense.T @ y, atol=1e-12)
+    for op in (obs.csr(), obs.transpose.csr().T):
+        assert np.allclose(op @ x, dense @ x, atol=1e-12)
+        assert np.allclose(op.T @ y, dense.T @ y, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (200, 300), (2000, 40)])
+def test_triplet_identical_for_csr_csc_and_dense(shape, monkeypatch):
+    # (30, 50), (50, 30), (2000, 40): exact path; (200, 300): densified power path
+    obs, dense = _sparse_op_set(*shape, seed=sum(shape), density=0.2)
+    exact = min(shape) <= 64
+    assert exact or obs.rows * obs.cols <= _DENSIFY_CELLS
+    seen = _path_sentinel(monkeypatch)
+    csr = obs.csr()
+    trips = [top_singular_triplet(g, seed=3) for g in (csr, csr.tocsc(), dense)]
+    assert len(seen) == (3 if exact else 0)
+    for trip in trips[1:]:
+        assert trip.sigma == trips[0].sigma and trip.converged == trips[0].converged
+        assert np.array_equal(trip.u, trips[0].u) and np.array_equal(trip.v, trips[0].v)

@@ -3,11 +3,13 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import lowrank.objectives
 from lowrank.linalg import FactorPair, SparseObservations
-from lowrank.objectives import (ClippedObservedQuadratic, GradientHandle,
-                                HuberLowRank, ObservedQuadratic, huber_value)
+from lowrank.objectives import (ClippedObservedQuadratic, HuberLowRank,
+                                ObservedQuadratic, huber_value)
+from lowrank.sparse_equiv import LiftedQuadratic, SparseRegressionProblem
 
 from conftest import dense_gradient, full_observations
 
@@ -27,9 +29,9 @@ def fd_directional(value, pair, du, dv, t=1e-6):
     return (value(up) - value(dn)) / (2 * t)
 
 
-def grad_inner(handle, pair, du, dv):
+def grad_inner(grad, pair, du, dv):
     """<grad, d(UV^T)> for the factor perturbation (du, dv)."""
-    g = dense_gradient(handle)
+    g = dense_gradient(grad)
     return float(np.sum(g * (du @ pair.V.T + pair.U @ dv.T)))
 
 
@@ -63,11 +65,11 @@ def test_quadratic_gradient_trivials():
     pair = FactorPair(rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
     obs = full_observations(pair.matrix())
     g = ObservedQuadratic(obs).gradient(pair)
-    assert np.allclose(g.sparse.vals, 0.0, atol=1e-12)
+    assert np.allclose(g.toarray(), 0.0, atol=1e-12)
 
     zero = FactorPair.empty(obs.rows, obs.cols)
     g0 = ObservedQuadratic(obs).gradient(zero)
-    assert np.allclose(g0.sparse.vals, -obs.vals)  # -Pi_Omega(M)
+    assert np.array_equal(g0.toarray()[obs.row, obs.col], -obs.vals)  # -Pi_Omega(M)
 
 
 def test_quadratic_gradient_fd():
@@ -85,9 +87,9 @@ def test_quadratic_gradient_fd():
 def test_gradient_sign_convention():
     # project-wide: grad = Pi_Omega(A - M)
     obs, pair, _ = random_instance(9)
-    g = ObservedQuadratic(obs).gradient(pair)
+    g = ObservedQuadratic(obs).gradient(pair).toarray()
     dense = pair.matrix()
-    assert np.allclose(g.sparse.vals, dense[obs.row, obs.col] - obs.vals, atol=1e-12)
+    assert np.allclose(g[obs.row, obs.col], dense[obs.row, obs.col] - obs.vals, atol=1e-12)
 
 
 # ----------------------------------------------------------------- huber
@@ -166,7 +168,7 @@ def test_huber_quadratic_branch():
     obj = HuberLowRank(m, delta=1.0)
     pair = FactorPair.empty(2, 2)
     assert obj.value(pair) == pytest.approx(0.125)
-    assert obj.gradient(pair).dense[0, 0] == pytest.approx(0.5)
+    assert obj.gradient(pair)[0, 0] == pytest.approx(0.5)
 
 
 def test_huber_linear_branch():
@@ -175,7 +177,7 @@ def test_huber_linear_branch():
     obj = HuberLowRank(m, delta=1.0)
     pair = FactorPair.empty(2, 2)
     assert obj.value(pair) == pytest.approx(1.5)  # 1*2 - 1/2
-    assert obj.gradient(pair).dense[0, 0] == pytest.approx(1.0)
+    assert obj.gradient(pair)[0, 0] == pytest.approx(1.0)
 
 
 def test_huber_gradient_fd_away_from_kinks():
@@ -214,24 +216,24 @@ def test_clipped_matches_plain_inside_range():
     obs, pair, _ = random_instance(11)
     pair = FactorPair(pair.U * 0.01, pair.V * 0.01)  # predictions near 0, inside range
     obj = ClippedObservedQuadratic(obs, -10.0, 10.0)
-    g_clip = obj.insertion_gradient(pair)
+    g_clip = obj.insertion_gradient(pair).toarray()
     dense = pair.matrix()
-    assert np.allclose(g_clip.vals if hasattr(g_clip, "vals") else g_clip.sparse.vals,
-                       dense[obs.row, obs.col] - obs.vals, atol=1e-12)
+    assert np.allclose(g_clip[obs.row, obs.col], dense[obs.row, obs.col] - obs.vals,
+                       atol=1e-12)
 
 
 def test_clipped_clamps_then_subtracts():
     obs = SparseObservations(1, 1, [0], [0], [4.0])
     pair = FactorPair(np.array([[7.2]]), np.array([[1.0]]))
     obj = ClippedObservedQuadratic(obs, 1.0, 5.0)
-    assert obj.insertion_gradient(pair).sparse.vals[0] == pytest.approx(1.0)
+    assert obj.insertion_gradient(pair).toarray()[0, 0] == pytest.approx(1.0)
 
 
 def test_clipped_matches_bruteforce():
     obs, pair, _ = random_instance(13)
     lo, hi = -0.5, 0.5
     obj = ClippedObservedQuadratic(obs, lo, hi)
-    got = obj.insertion_gradient(pair).sparse.vals
+    got = obj.insertion_gradient(pair).toarray()[obs.row, obs.col]
     dense = pair.matrix()
     expect = [min(max(dense[i, j], lo), hi) - v
               for i, j, v in zip(obs.row, obs.col, obs.vals)]
@@ -251,26 +253,62 @@ def test_clipped_rejects_bad_range():
         ClippedObservedQuadratic(obs, 5.0, 1.0)
 
 
-# ---------------------------------------------------------- gradient handle
+# ---------------------------------------------------------- gradient matrices
 
-def test_handle_operator_agrees_with_materialized():
+def _on_omega(obs, a):
+    """Pi_Omega(a) as a dense array."""
+    out = np.zeros(obs.shape)
+    out[obs.row, obs.col] = a[obs.row, obs.col]
+    return out
+
+
+def _check_matrix(g, want, sparse, rng):
+    """g is a CSR matrix (sparse) or an ndarray equal to `want`, products included."""
+    assert sp.issparse(g) == sparse and g.shape == want.shape
+    if sparse:
+        assert g.format == "csr"
+    else:
+        assert isinstance(g, np.ndarray)
+    assert np.allclose(dense_gradient(g), want, atol=1e-12, rtol=0)
+    x, y = rng.standard_normal(want.shape[1]), rng.standard_normal(want.shape[0])
+    assert np.allclose(g @ x, want @ x, atol=1e-12)
+    assert np.allclose(g.T @ y, want.T @ y, atol=1e-12)
+
+
+def test_gradient_matrices_match_dense_reference():
     obs, pair, rng = random_instance(17)
-    for handle in (ObservedQuadratic(obs).gradient(pair),
-                   HuberLowRank(np.zeros(obs.shape), 1.0).gradient(pair)):
-        dense = dense_gradient(handle)
-        op = handle.operator()
-        x = rng.standard_normal(obs.cols)
-        y = rng.standard_normal(obs.rows)
-        assert np.allclose(op.matvec(x), dense @ x, atol=1e-12)
-        assert np.allclose(op.rmatvec(y), dense.T @ y, atol=1e-12)
+    left, right = rng.standard_normal((obs.rows, 2)), rng.standard_normal((obs.cols, 2))
+    a, m = pair.matrix(), np.zeros(obs.shape)
+    m[obs.row, obs.col] = obs.vals
+    perm = rng.permutation(obs.nnz)
+    shuffled = SparseObservations(obs.rows, obs.cols, obs.row[perm], obs.col[perm],
+                                  obs.vals[perm])
+    got = {}
+    for key, omega in (("sorted", obs), ("shuffled", shuffled)):
+        quad, clip = ObservedQuadratic(omega), ClippedObservedQuadratic(omega, -0.5, 0.5)
+        got[key] = [quad.gradient(pair), quad.quad_term(left, right),
+                    clip.insertion_gradient(pair)]
+        wants = [_on_omega(omega, a - m), _on_omega(omega, left @ right.T),
+                 _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
+        for g, want in zip(got[key], wants):
+            _check_matrix(g, want, True, rng)
+    # entry order changes nothing: each entry's value is computed alone
+    for g, h in zip(got["sorted"], got["shuffled"]):
+        assert np.array_equal(g.toarray(), h.toarray())
 
+    huber = HuberLowRank(m, 0.7)
+    _check_matrix(huber.gradient(pair), np.clip(a - m, -0.7, 0.7), False, rng)
 
-def test_handle_requires_exactly_one_form():
-    with pytest.raises(ValueError):
-        GradientHandle()
-    with pytest.raises(ValueError):
-        GradientHandle(sparse=SparseObservations(1, 1, [0], [0], [1.0]),
-                       dense=np.zeros((1, 1)))
+    design = rng.standard_normal((12, 6))
+    problem = SparseRegressionProblem(design, rng.standard_normal(12), 2)
+    lifted, beta = LiftedQuadratic(problem, 2.0), 2.0
+    sq = FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
+    a6, e6 = sq.matrix(), left[:6] @ right[:6].T
+    off = np.ones((6, 6)) - np.eye(6)
+    _check_matrix(lifted.gradient(sq),
+                  np.diag(problem.grad(np.diag(a6).copy())) + beta * off * a6, False, rng)
+    _check_matrix(lifted.quad_term(left[:6], right[:6]),
+                  np.diag(design.T @ design @ np.diag(e6)) + beta * off * e6, False, rng)
 
 
 def test_gradients_match_fd_on_twenty_directions():
