@@ -52,6 +52,9 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig
         z[target.row, target.col] = target.vals
         u, s, vt = np.linalg.svd(z, full_matrices=False)
         s2 = np.maximum(s - config.lam, 0.0)[: config.max_rank]
+        # below numpy's matrix_rank cutoff a shrunk value is rounding noise
+        # (lam = sigma_1 leaves +-1 ulp), which would never settle
+        s2[s2 <= s[0] * max(m, n) * np.finfo(float).eps] = 0.0
         a_new = (u[:, : s2.size] * s2) @ vt[: s2.size]
         resid = target.vals - a_new[target.row, target.col]
         obj = 0.5 * float(resid @ resid) + config.lam * float(s2.sum())

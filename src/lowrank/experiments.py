@@ -64,6 +64,8 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
     solver trace (for fast-local: the trace of the full-budget run)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
     _, observed, heldout = gen_completion(cfg)
+    if heldout.nnz == 0:
+        raise ValueError("no held-out entries to score: p leaves none unobserved")
     objective = ObservedQuadratic(observed)
     rows: list[dict] = []
     traces: list[IterationTrace] = []
@@ -74,7 +76,7 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
             "trial": trial,
             "rank": rank_label,
             "train_nmse": nmse_on(pair, observed),
-            "test_nmse": nmse_on(pair, heldout) if heldout.nnz else float("nan"),
+            "test_nmse": nmse_on(pair, heldout),
             "seconds": time.perf_counter() - start,
         })
 

@@ -4,10 +4,11 @@ Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
 
-The top singular pair of a matrix (dense, or sparse CSR/CSC) is exact, from
-LAPACK, when one of its sides is at most 64 long and it has at most 2^20
-cells, and comes from capped power iteration otherwise. A sparse matrix on
-that exact path, or with at most 65536 cells, is densified first.
+The top singular pair of a matrix (dense, or sparse CSR/CSC) follows one
+size rule: up to 65536 cells, or with a side of 1, it is the top eigenpair of
+the densified matrix's smaller Gram matrix (LAPACK); above that it comes from
+ARPACK, converged to machine precision or raising. Both work on the matrix
+divided by its largest absolute entry.
 
 An observed set built from outside input is validated once, by its
 constructor. The sets derived from it (`transpose`, `_take`) reuse its
@@ -34,6 +35,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsyevr
+from scipy.sparse.linalg import svds
 
 __all__ = [
     "SparseObservations",
@@ -43,10 +47,6 @@ __all__ = [
     "svd_threshold",
     "project_observed",
 ]
-
-# Below this many cells a sparse matrix is cheaper to apply densified.
-_DENSIFY_CELLS = 65536
-
 
 @dataclass
 class SparseObservations:
@@ -213,118 +213,77 @@ class SingularTriplet:
     sigma: float
     u: np.ndarray
     v: np.ndarray
-    converged: bool = True
 
 
-# Matrices with a side of at most _EXACT_SIDE and at most _EXACT_CELLS cells
-# are densified and decomposed by LAPACK; others go through power iteration.
-# The side limit lies between the largest matrices that need an exact pair
-# (the <= 20 x 20 lifts of `check_equivalence`) and the smallest completion
-# gradients (100 x 100), where power iteration is cheaper. Median per call on
-# first-insertion completion gradients at 20% observed, single-threaded
-# OpenBLAS, LAPACK vs power: 0.26 vs 0.26 ms at n = 32, 0.99 vs 0.52 ms at 64,
-# 2.5 vs 0.68 ms at 100. The cell limit bounds the dense copy's memory (the
-# matrix and its left factor, 8 MB each at the cap) on tall or wide matrices.
-_EXACT_SIDE = 64
-_EXACT_CELLS = 1 << 20
-_POWER_ITERS = 200
-_POWER_TOL = 1e-9
+# Matrices with at most this many cells, or with a side of 1, are densified
+# and solved through their Gram matrix; larger ones go to ARPACK. Median ms
+# per call on square 20%-dense random matrices, 2-core host, one OpenBLAS
+# thread, Gram vs svds: 0.45-0.54 vs 2.1-2.3 at n = 100, 4.8 vs 4.7-5.1 at
+# 256 (the cap), 6.5-6.8 vs 5.1-5.9 at 300. The cap also bounds the dense
+# copy at 512 kB.
+_DENSE_CELLS = 65536
 
 
 def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:
-    """Dominant singular triplet of the matrix `g`, exact where that is cheap.
+    """Dominant singular triplet of the matrix `g`, to machine precision.
 
-    `g` is a dense array or a scipy sparse matrix. When min(rows, cols) <= 64
-    and rows * cols <= 2^20 the matrix is decomposed by LAPACK, densified
-    first if sparse, which takes O(rows * cols) memory; the result is exact
-    and ``converged=True``. Other matrices use power iteration on G^T G
-    from a start vector drawn from ``np.random.default_rng(seed)``; a
-    sparse one with at most 65536 cells is densified for it, a larger one
-    keeps a CSR copy of its transpose. `seed` moves only the start vector,
-    and identical (g, seed) give bit-identical results. The power path
-    stops when successive sigma estimates differ relatively by less than
-    1e-9 and returns ``converged=False`` when 200 steps do not get there.
-    A numerically zero matrix yields (0, e_1, e_1). The sign is fixed so
-    that the largest-magnitude entry of u is nonnegative.
+    `g` is a dense array or a scipy CSR/CSC matrix. It is first divided by
+    its largest absolute entry, and sigma is scaled back at the end, so that
+    neither path under- or overflows. A matrix with at most 65536 cells or a
+    side of 1 is densified (C order, so CSR, CSC and dense inputs give
+    bit-identical results) and its top pair comes from the top eigenpair of
+    its smaller Gram matrix, by LAPACK's dsyevr. Any other matrix goes to
+    ARPACK (`svds`) with the residual tolerance at machine precision and a
+    start vector drawn from ``np.random.default_rng(seed)``; identical
+    (g, seed) give bit-identical results, and a run that does not converge
+    raises ``ArpackNoConvergence`` rather than returning an inexact pair.
+    Non-finite entries raise ValueError. A zero matrix yields (0, e_1, e_1).
+    The sign is fixed so that the largest-magnitude entry of u is
+    nonnegative.
     """
     rows, cols = g.shape
     if rows < 1 or cols < 1:
         raise ValueError("matrix must have positive dimensions")
-    exact = min(rows, cols) <= _EXACT_SIDE and rows * cols <= _EXACT_CELLS
+    dense = rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
     if not sp.issparse(g):
         g = np.asarray(g, dtype=np.float64)
-    elif exact or rows * cols <= _DENSIFY_CELLS:
+    elif dense:
         g = g.toarray(order="C")  # CSC would give Fortran order and other sums
-    if exact:
-        return _exact_triplet(g)
-    return _power_triplet(g, seed)
-
-
-def _zero_triplet(rows: int, cols: int) -> SingularTriplet:
-    return SingularTriplet(0.0, np.eye(1, rows)[0], np.eye(1, cols)[0], True)
-
-
-def _oriented(sigma: float, u: np.ndarray, v: np.ndarray,
-              converged: bool) -> SingularTriplet:
-    """Flip (u, v) so that the largest-magnitude entry of u is nonnegative."""
-    i = int(np.argmax(np.abs(u)))
-    if u[i] < 0.0:
-        u = -u
-        v = -v
-    return SingularTriplet(sigma, u, v, converged)
-
-
-def _exact_triplet(a: np.ndarray) -> SingularTriplet:
-    if not np.all(np.isfinite(a)):
+    scale = float(np.abs(g.data if sp.issparse(g) else g).max(initial=0.0))
+    if not math.isfinite(scale):
         raise ValueError("matrix has non-finite values")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
-        return _zero_triplet(*a.shape)
-    return _oriented(float(s[0]), u[:, 0], vt[0], True)
+    if scale == 0.0:
+        return SingularTriplet(0.0, np.eye(1, rows)[0], np.eye(1, cols)[0])
+    g = g / scale
+    sigma, u, v = _gram_triplet(g) if dense else _krylov_triplet(g, seed)
+    if u[np.argmax(np.abs(u))] < 0.0:
+        u, v = -u, -v
+    return SingularTriplet(sigma * scale, u, v)
 
 
-def _power_triplet(g: np.ndarray | sp.spmatrix, seed: int) -> SingularTriplet:
-    # math.sqrt(x.dot(x)) is np.linalg.norm(x) bit for bit, minus its call overhead
-    # a CSR transpose: its products run 1.3x faster than the CSC view's
-    gt = g.T.tocsr() if sp.issparse(g) else g.T
-    rng = np.random.default_rng(seed)
-    v = w = None
-    sigma = 0.0
-    for _ in range(3):
-        v = rng.standard_normal(g.shape[1])
-        v /= np.linalg.norm(v)
-        w = g @ v
-        if not np.all(np.isfinite(w)):
-            raise ValueError("matrix has non-finite values")
-        sigma = math.sqrt(w.dot(w))
-        if sigma > 0.0:
-            break
-    else:
-        return _zero_triplet(*g.shape)
+def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Top pair of the nonzero dense `a` from its smaller Gram matrix b^T b."""
+    b = a if a.shape[0] >= a.shape[1] else a.T
+    n = b.shape[1]
+    # the upper triangle by scipy's BLAS, not numpy's `b.T @ b`: numpy and scipy
+    # each bundle an OpenBLAS with its own thread pool, and numpy's threaded
+    # syrk just before dsyevr took a 100 x 100 call from 0.6 to 8.7 ms on 2 cores
+    gram = dsyrk(1.0, b, trans=1)
+    _, z, _, _, info = dsyevr(gram, range="I", il=n, iu=n)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    x = z[:, 0]
+    w = b @ x
+    sigma = math.sqrt(w.dot(w))
+    return (sigma, w / sigma, x) if b is a else (sigma, x, w / sigma)
 
-    converged = False
-    u = w / sigma
-    for _ in range(_POWER_ITERS):
-        z = gt @ u
-        zn = math.sqrt(z.dot(z))
-        if zn == 0.0:
-            converged = True
-            break
-        v = z / zn
-        w = g @ v
-        sigma_new = math.sqrt(w.dot(w))
-        if sigma_new == 0.0:
-            return _zero_triplet(*g.shape)
-        u = w / sigma_new
-        if abs(sigma_new - sigma) < _POWER_TOL * sigma_new:
-            sigma = sigma_new
-            converged = True
-            break
-        sigma = sigma_new
 
-    if not (np.isfinite(sigma) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("power iteration produced non-finite values")
-    return _oriented(sigma, u, v, converged)
+def _krylov_triplet(g: np.ndarray | sp.spmatrix,
+                    seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Top pair of `g` (both sides >= 2) by ARPACK at machine precision."""
+    v0 = np.random.default_rng(seed).standard_normal(min(g.shape))
+    u, s, vt = svds(g, k=1, v0=v0, tol=0)
+    return float(s[0]), u[:, 0], vt[0]
 
 
 def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:

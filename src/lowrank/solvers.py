@@ -39,11 +39,10 @@ class SolverConfig:
     count L of local search (and a safety cap on fast local search passes).
     eps is the objective-improvement stopping slack; None picks the
     per-algorithm default (1e-10 for local_search, 0 i.e. strict decrease
-    for fast_local_search). Each insertion comes from top_singular_triplet:
-    exact on gradients with a side of at most 64, power iteration on larger
-    ones, where a capped run is flagged `power_unconverged` in the trace.
-    The fast solvers take the insertion direction from the objective's
-    insertion_gradient when it has one (clipped ratings).
+    for fast_local_search). Each insertion is the gradient's top singular
+    pair from top_singular_triplet, to machine precision. The fast solvers
+    take the insertion direction from the objective's insertion_gradient
+    when it has one (clipped ratings).
     """
 
     target_rank: int
@@ -67,8 +66,8 @@ class SolverConfig:
 class IterationTrace:
     """One outer iteration: rank, objective, insertion sigma, timing.
 
-    flags joins with ';' any of gradient_zero, stalled, cg_incomplete and
-    power_unconverged (empty when none applies).
+    flags joins with ';' any of gradient_zero, stalled and cg_incomplete
+    (empty when none applies).
     """
 
     iter: int
@@ -113,8 +112,8 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
             callback=None) -> tuple[FactorPair, list[IterationTrace]]:
     """The outer loop of all four solvers; returns the best iterate and trace.
 
-    Step t inserts the gradient's top singular pair (power seed offset + t)
-    after truncate_fast / truncate_svd if `truncate`, refits with
+    Step t inserts the gradient's top singular pair (seed offset + t) after
+    truncate_fast / truncate_svd if `truncate`, refits with
     optimize_fast (parity t) or optimize_full, and evaluates. A top sigma at
     most 1e-12 * (1 + sigma0) ends the loop with a `gradient_zero` row;
     sigma0 defaults to the first sigma. With patience=None every step is
@@ -132,14 +131,14 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
         t0 = time.perf_counter_ns()
         trip = top_singular_triplet(gradient(pair),
                                     seed=_step_seed(config.seed, offset + t))
-        flags = [] if trip.converged else ["power_unconverged"]
         sigma0 = trip.sigma if sigma0 is None else sigma0
         if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
             traces.append(IterationTrace(t, pair.rank, objective.value(pair),
                                          trip.sigma, None,
                                          time.perf_counter_ns() - t0,
-                                         ";".join(flags + ["gradient_zero"])))
+                                         "gradient_zero"))
             break
+        flags = []
         removed = None
         if truncate and fast:
             pair, removed = truncate_fast(pair)

@@ -25,6 +25,20 @@ def test_soft_impute_full_shrinkage_returns_zero():
     assert np.allclose(pair.matrix(), 0.0)
 
 
+def test_soft_impute_rounding_level_shrinkage_is_zero():
+    # at lam = sigma_1, or one ulp below it, the shrunk top value is rounding
+    # noise: the iterate is zero at once, not noise chased to max_iters
+    rng = np.random.default_rng(4)
+    keep = np.flatnonzero(rng.random(900) < 0.3)
+    obs = SparseObservations(30, 30, keep // 30, keep % 30,
+                             rng.standard_normal(keep.size))
+    sigma1 = lambda_grid(obs, seed=0)[-1]
+    assert sigma1 == pytest.approx(np.linalg.norm(obs.csr().toarray(), 2), rel=1e-14)
+    for lam in (sigma1, np.nextafter(sigma1, 0.0)):
+        pair, traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=6))
+        assert pair.rank == 0 and len(traces) == 1
+
+
 def test_soft_impute_nuclear_objective_monotone():
     rng = np.random.default_rng(2)
     keep = np.flatnonzero(rng.random(900) < 0.5)

@@ -48,11 +48,21 @@ def test_equivalence_local_mode(capsys):
     assert code == 0
 
 
-def test_equivalence_above_exact_limit_is_an_error(capsys):
+def test_equivalence_above_64_dimensions_passes(capsys):
     code = run_cli(["equivalence", "--n", "80", "--sparsity", "3", "--steps", "3",
-                    "--seed", "1", "--mode", "greedy"])
-    assert code == 1
-    assert "dimension <= 64" in capsys.readouterr().err
+                    "--seed", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["passed"] is True
+
+
+def test_equivalence_without_steps_is_an_error(capsys):
+    for steps in ("0", "-3"):
+        code = run_cli(["equivalence", "--n", "10", "--sparsity", "2", "--steps", steps])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "steps must be >= 1" in captured.err
 
 
 # ------------------------------------------------------------ synth-complete
@@ -76,6 +86,16 @@ def test_synth_complete_shapes(tmp_path):
     tlines = read_lines(trace_path)
     assert tlines[0] == "trial,iter,rank,objective,top_sigma,truncated_column,wall_nanos,flags"
     assert len(tlines) == 1 + 2 * 5
+
+
+def test_synth_complete_without_heldout_entries_is_an_error(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["synth-complete", "--m", "30", "--n", "30", "--p", "1.0",
+                    "--rank", "3", "--trials", "2",
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert "held-out" in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
 
 
 def test_synth_complete_softimpute_rows(tmp_path):

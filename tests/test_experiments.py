@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lowrank.experiments import (make_equivalence_problem, mean_stderr,
-                                 run_completion, run_equivalence, run_recsys,
-                                 run_rpca, worker_count)
+from lowrank.experiments import (completion_trial, make_equivalence_problem,
+                                 mean_stderr, run_completion, run_equivalence,
+                                 run_recsys, run_rpca, worker_count)
 from lowrank.linalg import SparseObservations
 
 
@@ -80,6 +80,15 @@ def test_zero_trials_or_splits_raise():
     with pytest.raises(ValueError, match="splits"):
         run_recsys(ratings, splits=0, split_fraction=0.8, seed=0, rank=1,
                    inner_iters=2, clip=None)
+
+
+def test_completion_without_heldout_entries_raises():
+    # p = 1 observes every entry and leaves no test NMSE to score
+    for solver in ("fast-greedy", "softimpute"):
+        with pytest.raises(ValueError, match="held-out"):
+            completion_trial(0, 0, 30, 30, 3, 1.0, 10.0, solver, 3, 3)
+    with pytest.raises(ValueError, match="held-out"):
+        run_completion(30, 30, 3, 1.0, 10.0, 0, "fast-greedy", 3, 3, trials=2)
 
 
 def test_make_equivalence_problem_planted_optimum():

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_DENSIFY_CELLS, _EXACT_CELLS, _GATHER_BLOCK, FactorPair,
+from lowrank.linalg import (_DENSE_CELLS, _GATHER_BLOCK, FactorPair,
                             SparseObservations, project_observed,
                             svd_threshold, top_singular_triplet)
 
@@ -181,8 +184,8 @@ def test_factor_pair_append_and_rank():
 
 
 # ---------------------------------------------------- top singular triplet
-# Matrices with a side of at most 64 take the exact LAPACK path; the power
-# path is exercised on matrices with both sides above 64.
+# Matrices with at most 65536 cells or a side of 1 take the Gram path; the
+# ARPACK path is exercised on larger matrices with both sides at least 2.
 
 def _sparse_op_set(m, n, seed, density=0.3):
     """A random observed set around a rank-1 spike, and its dense copy."""
@@ -194,6 +197,30 @@ def _sparse_op_set(m, n, seed, density=0.3):
     dense = np.zeros((m, n))
     dense[obs.row, obs.col] = obs.vals
     return obs, dense
+
+
+def _path_sentinel(monkeypatch):
+    """Record (path, matrix type, shape) for every `_gram_triplet` and
+    `_krylov_triplet` call."""
+    seen = []
+    for path in ("gram", "krylov"):
+        def recording(g, *args, _path=path, _fn=getattr(lowrank.linalg, f"_{path}_triplet")):
+            seen.append((_path, type(g), g.shape))
+            return _fn(g, *args)
+        monkeypatch.setattr(lowrank.linalg, f"_{path}_triplet", recording)
+    return seen
+
+
+def _assert_matches_svd(trip, a, scale=1.0, tol=1e-12):
+    """trip is the top triplet of scale * a, by the LAPACK SVD of a."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    i = int(np.argmax(np.abs(trip.u)))
+    assert trip.u[i] >= 0
+    assert trip.sigma == pytest.approx(scale * s[0], rel=tol)
+    assert abs(abs(trip.u @ u[:, 0]) - 1.0) < tol
+    assert abs(abs(trip.v @ vt[0]) - 1.0) < tol
+    assert np.linalg.norm(a @ trip.v - s[0] * trip.u) <= tol * s[0]
+    assert np.linalg.norm(a.T @ trip.u - s[0] * trip.v) <= tol * s[0]
 
 
 def test_top_triplet_rank_one():
@@ -214,49 +241,72 @@ def test_top_triplet_rank_one():
 
 def test_exact_triplet_sign_convention_and_oracle():
     rng = np.random.default_rng(6)
-    for shape in ((8, 6), (6, 8), (64, 200), (200, 64)):
+    for shape in ((8, 6), (6, 8), (64, 200), (200, 64), (300, 260), (260, 300)):
         a = rng.standard_normal(shape)
         for flip in (1.0, -1.0):
             trip = top_singular_triplet(flip * a, seed=0)
             i = int(np.argmax(np.abs(trip.u)))
-            assert trip.u[i] >= 0 and trip.converged
+            assert trip.u[i] >= 0
             assert trip.sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
             assert np.allclose(flip * a @ trip.v, trip.sigma * trip.u, atol=1e-10)
             assert np.allclose(flip * a.T @ trip.u, trip.sigma * trip.v, atol=1e-10)
 
 
-def _path_sentinel(monkeypatch):
-    """Record the dense matrices `_exact_triplet` decomposes."""
-    seen = []
-    exact = lowrank.linalg._exact_triplet
+def _oracle_inputs():
+    """(name, matrix, path) cases for the SVD oracle: tall, wide, rank-1,
+    rank-deficient, single row and single column, on both paths."""
+    rng = np.random.default_rng(21)
 
-    def recording(a):
-        seen.append((type(a), a.shape))
-        return exact(a)
+    def low_rank(m, n, r):
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
 
-    monkeypatch.setattr(lowrank.linalg, "_exact_triplet", recording)
-    return seen
+    return [
+        ("tall", rng.standard_normal((120, 40)), "gram"),
+        ("wide", rng.standard_normal((40, 120)), "gram"),
+        ("tall", rng.standard_normal((400, 200)), "krylov"),
+        ("wide", rng.standard_normal((200, 400)), "krylov"),
+        ("rank-1", low_rank(90, 70, 1), "gram"),
+        ("rank-1", low_rank(400, 300, 1), "krylov"),
+        ("rank-deficient", low_rank(90, 70, 3), "gram"),
+        ("rank-deficient", low_rank(300, 400, 3), "krylov"),
+        ("1 x N", rng.standard_normal((1, 70000)), "gram"),
+        ("N x 1", rng.standard_normal((70000, 1)), "gram"),
+        ("N x 1 CSR", sp.random(70000, 1, density=0.1, format="csr", rng=rng), "gram"),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_top_triplet_matches_svd_on_both_paths(scale, monkeypatch):
+    seen = _path_sentinel(monkeypatch)
+    for name, a, path in _oracle_inputs():
+        trip = top_singular_triplet(a * scale, seed=1)
+        assert seen.pop()[0] == path and not seen, name
+        assert np.isfinite(trip.sigma) and trip.sigma > 0.0, name
+        dense = a.toarray() if sp.issparse(a) else a
+        _assert_matches_svd(trip, dense, scale)
 
 
 def test_exact_triplet_on_tall_and_wide_sparse_operators(monkeypatch):
     seen = _path_sentinel(monkeypatch)
-    for shape in ((2000, 40), (40, 2000)):
+    # at most 65536 cells: densified for the Gram path; above: CSR to ARPACK
+    for shape, path in (((1600, 40), "gram"), ((40, 1600), "gram"),
+                        ((2000, 40), "krylov"), ((40, 2000), "krylov")):
         obs, dense = _sparse_op_set(*shape, seed=4, density=0.05)
-        assert obs.rows * obs.cols > _DENSIFY_CELLS  # densified for the exact path only
+        assert (obs.rows * obs.cols <= _DENSE_CELLS) == (path == "gram")
         trip = top_singular_triplet(obs.csr(), seed=0)
-        assert seen.pop() == (np.ndarray, shape) and not seen
+        kind = np.ndarray if path == "gram" else sp.csr_matrix
+        assert seen.pop() == (path, kind, shape) and not seen
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        assert trip.converged
         assert trip.sigma == pytest.approx(s[0], rel=1e-12)
         assert abs(abs(trip.u @ u[:, 0]) - 1.0) < 1e-12
         assert abs(abs(trip.v @ vt[0]) - 1.0) < 1e-12
 
 
-def test_tall_operator_above_cell_cap_takes_power_path(monkeypatch):
-    # a short side of 40 but more than 2^20 cells: no dense copy
-    m, n = _EXACT_CELLS // 40 + 1, 40
+def test_tall_operator_above_cell_cap_takes_krylov_path(monkeypatch):
+    # a short side of 40 but more than 65536 cells: no dense copy
+    m, n = _DENSE_CELLS // 40 + 1, 40
     sigmas = np.r_[10.0, np.linspace(1.0, 0.1, n - 1)]
-    obs = SparseObservations(m, n, np.arange(n) * 600, np.arange(n), sigmas)
+    obs = SparseObservations(m, n, np.arange(n) * 40, np.arange(n), sigmas)
     seen = _path_sentinel(monkeypatch)
 
     def no_dense(self, *args, **kwargs):
@@ -264,26 +314,30 @@ def test_tall_operator_above_cell_cap_takes_power_path(monkeypatch):
 
     monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
     trip = top_singular_triplet(obs.csr(), seed=0)
-    assert seen == []
-    assert trip.converged
-    assert trip.sigma == pytest.approx(10.0, rel=1e-9)
-    assert np.allclose(np.abs(trip.v), np.eye(n)[0], atol=1e-4)
+    assert seen == [("krylov", sp.csr_matrix, (m, n))]
+    assert trip.sigma == pytest.approx(10.0, rel=1e-12)
+    assert np.allclose(np.abs(trip.v), np.eye(n)[0], atol=1e-12)
+    assert np.allclose(np.abs(trip.u), np.eye(m)[0], atol=1e-12)
 
 
 def test_top_triplet_zero_operator():
-    for m, n in ((3, 4), (70, 80)):  # exact path, power path
-        trip = top_singular_triplet(np.zeros((m, n)), seed=5)
-        assert trip.sigma == 0.0
-        assert np.array_equal(trip.u, np.eye(m)[0])
-        assert np.array_equal(trip.v, np.eye(n)[0])
-        assert trip.converged
+    for m, n in ((3, 4), (300, 260), (1, 70000)):  # Gram, ARPACK, Gram
+        for g in (np.zeros((m, n)), sp.csr_matrix((m, n)),
+                  sp.csr_matrix((np.zeros(2), ([0, 0], [0, 1])), shape=(m, n))):
+            trip = top_singular_triplet(g, seed=5)
+            assert trip.sigma == 0.0
+            assert np.array_equal(trip.u, np.eye(1, m)[0])
+            assert np.array_equal(trip.v, np.eye(1, n)[0])
 
 
 def test_top_triplet_non_finite_raises():
-    for n in (3, 70):  # exact path, power path
-        a = np.full((n, n), np.inf)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            top_singular_triplet(a, seed=0)
+    for n in (3, 300):  # Gram path, ARPACK path
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.ones((n, n))
+            a[1, 2] = bad
+            for g in (a, sp.csr_matrix(a)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    top_singular_triplet(g, seed=0)
 
 
 def test_top_triplet_diagonal():
@@ -291,23 +345,22 @@ def test_top_triplet_diagonal():
     assert trip.sigma == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(trip.u), [1, 0], atol=1e-10)
     assert np.allclose(trip.u, trip.v, atol=1e-10)
-    # the power path stops once sigma settles to 1e-9, before the vectors do
-    d = np.zeros((70, 80))
-    d[np.arange(70), np.arange(70)] = np.r_[1.0, 2.0, np.linspace(1.0, 0.1, 68)]
-    trip = top_singular_triplet(d, seed=0)
-    assert trip.converged
-    assert trip.sigma == pytest.approx(2.0, rel=1e-9)
-    assert np.allclose(np.abs(trip.u), np.eye(70)[1], atol=1e-4)
-    assert np.allclose(np.abs(trip.v), np.eye(80)[1], atol=1e-4)
-    assert trip.u[1] > 0 and trip.v[1] > 0
+    for m, n in ((70, 80), (300, 260)):  # Gram path, ARPACK path
+        d = np.zeros((m, n))
+        k = min(m, n)
+        d[np.arange(k), np.arange(k)] = np.r_[1.0, 2.0, np.linspace(1.0, 0.1, k - 2)]
+        trip = top_singular_triplet(d, seed=0)
+        assert trip.sigma == pytest.approx(2.0, rel=1e-12)
+        assert np.allclose(np.abs(trip.u), np.eye(m)[1], atol=1e-12)
+        assert np.allclose(np.abs(trip.v), np.eye(n)[1], atol=1e-12)
+        assert trip.u[1] > 0 and trip.v[1] > 0
 
 
 def test_top_triplet_matches_svd_oracle():
     obs, dense = _sparse_op_set(300, 260, seed=7)
-    assert obs.rows * obs.cols > _DENSIFY_CELLS  # CSR-backed, not densified
+    assert obs.rows * obs.cols > _DENSE_CELLS  # CSR-backed, not densified
     u, s, vt = np.linalg.svd(dense)
     trip = top_singular_triplet(obs.csr(), seed=2)
-    assert trip.converged
     assert trip.sigma == pytest.approx(s[0], rel=1e-6)
     # subspace angle, sign-insensitive
     assert abs(abs(trip.u @ u[:, 0]) - 1.0) < 1e-4
@@ -327,15 +380,53 @@ def test_top_triplet_residual_invariant():
         assert np.linalg.norm(a.T @ trip.u - trip.sigma * trip.v) <= 1e-4 * trip.sigma
 
 
+def test_top_triplet_residual_at_small_gap():
+    # sigma_2 / sigma_1 = 0.999 on the ARPACK path: the residual, not the
+    # drift in sigma, decides convergence
+    rng = np.random.default_rng(13)
+    q1, _ = np.linalg.qr(rng.standard_normal((300, 260)))
+    q2, _ = np.linalg.qr(rng.standard_normal((260, 260)))
+    s = np.r_[1.0, 0.999, np.linspace(0.9, 0.1, 258)]
+    a = (q1 * s) @ q2
+    for seed in range(3):
+        trip = top_singular_triplet(a, seed=seed)
+        assert trip.sigma == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(a @ trip.v - trip.sigma * trip.u) <= 1e-12 * trip.sigma
+        assert np.linalg.norm(a.T @ trip.u - trip.sigma * trip.v) <= 1e-12 * trip.sigma
+        assert abs(abs(trip.v @ q2[0]) - 1.0) < 1e-10
+
+
 def test_top_triplet_deterministic():
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((80, 70))
-    t1 = top_singular_triplet(a, seed=42)
-    t2 = top_singular_triplet(a, seed=42)
-    assert t1.sigma == t2.sigma
-    assert np.array_equal(t1.u, t2.u)
-    assert np.array_equal(t1.v, t2.v)
-    assert t1.converged == t2.converged
+    for shape in ((80, 70), (300, 260)):  # Gram path, ARPACK path
+        a = rng.standard_normal(shape)
+        for g in (a, sp.csr_matrix(a)):
+            t1 = top_singular_triplet(g, seed=42)
+            t2 = top_singular_triplet(g, seed=42)
+            assert t1.sigma == t2.sigma
+            assert np.array_equal(t1.u, t2.u)
+            assert np.array_equal(t1.v, t2.v)
+        # CSR and CSC give the same sums on the ARPACK path too
+        t3 = top_singular_triplet(sp.csc_matrix(a), seed=42)
+        assert t3.sigma == t1.sigma
+        assert np.array_equal(t3.u, t1.u) and np.array_equal(t3.v, t1.v)
+
+
+def test_top_triplet_threads_match_serial():
+    # the trial pool calls ARPACK from several threads at once
+    rng = np.random.default_rng(17)
+    mats = [sp.random(400, 300, density=0.2, format="csr", rng=rng) for _ in range(8)]
+    serial = [top_singular_triplet(g, seed=k) for k, g in enumerate(mats)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(top_singular_triplet, mats, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert a.sigma == b.sigma
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 # ------------------------------------------------------------ svd threshold
@@ -444,16 +535,15 @@ def test_operator_from_observations_matches_dense():
         assert np.allclose(op.T @ y, dense.T @ y, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (200, 300), (2000, 40)])
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (200, 300), (1600, 40)])
 def test_triplet_identical_for_csr_csc_and_dense(shape, monkeypatch):
-    # (30, 50), (50, 30), (2000, 40): exact path; (200, 300): densified power path
+    # all at most 65536 cells: densified in C order for the Gram path
     obs, dense = _sparse_op_set(*shape, seed=sum(shape), density=0.2)
-    exact = min(shape) <= 64
-    assert exact or obs.rows * obs.cols <= _DENSIFY_CELLS
+    assert obs.rows * obs.cols <= _DENSE_CELLS
     seen = _path_sentinel(monkeypatch)
     csr = obs.csr()
     trips = [top_singular_triplet(g, seed=3) for g in (csr, csr.tocsc(), dense)]
-    assert len(seen) == (3 if exact else 0)
+    assert seen == [("gram", np.ndarray, shape)] * 3
     for trip in trips[1:]:
-        assert trip.sigma == trips[0].sigma and trip.converged == trips[0].converged
+        assert trip.sigma == trips[0].sigma
         assert np.array_equal(trip.u, trips[0].u) and np.array_equal(trip.v, trips[0].v)

@@ -306,30 +306,6 @@ def test_fast_local_search_callback_sees_every_pass():
     assert all(traced[t] == v for t, v in seen if t in traced)
 
 
-def test_unconverged_insertions_are_flagged(monkeypatch):
-    rng = np.random.default_rng(30)
-    q1, _ = np.linalg.qr(rng.standard_normal((70, 70)))
-    q2, _ = np.linalg.qr(rng.standard_normal((70, 70)))
-    obj = quadratic_on(q1 @ np.diag(0.5 ** np.arange(70)) @ q2)  # gapped spectrum
-    small = quadratic_on(rng.standard_normal((10, 10)))
-    capped = SolverConfig(target_rank=3, seed=0)
-    with monkeypatch.context() as patch:
-        patch.setattr("lowrank.linalg._POWER_ITERS", 1)
-        for solver in (greedy, fast_greedy, local_search, fast_local_search):
-            _, traces = solver(obj, capped)
-            assert traces and all("power_unconverged" in t.flags.split(";")
-                                  for t in traces)
-            assert all("," not in t.flags for t in traces)
-            # a side of at most 64 takes the exact path, whatever the power cap
-            _, traces = solver(small, capped)
-            assert all("power_unconverged" not in t.flags.split(";") for t in traces)
-        _, traces = local_search(obj, capped)
-        assert traces[-1].flags.split(";")[0] == "power_unconverged"
-        assert traces[-1].flags.split(";")[-1] == "stalled"
-    _, traces = greedy(obj, SolverConfig(target_rank=3, seed=0))
-    assert all(t.flags == "" for t in traces)
-
-
 def test_fast_solvers_insert_along_clipped_gradient():
     # at the empty start every prediction is 0, clipped up to 1, so the first
     # fast insertion follows 1 - M on Omega; the reference solvers keep -M

@@ -176,7 +176,7 @@ def test_equivalence_zero_response():
 
 def test_equivalence_correlated_design():
     # seeds 2, 5, 15, 17 and 28 failed while insertions used power iteration
-    for seed in (3, 2, 5, 15, 17, 28):
+    for seed in range(30):
         problem = make_equivalence_problem(20, 6, seed, correlation=0.3)
         gram = problem.design.T @ problem.design
         beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
@@ -194,19 +194,27 @@ def test_equivalence_single_step_stays_diagonal():
 
 
 def test_equivalence_dimension_limit():
-    # insertions are exact up to dimension 64; beyond it power iteration can
-    # report off-diagonal mass on an equivalence that holds, so the check
-    # refuses instead of reporting a false violation
-    problem = make_equivalence_problem(64, 3, 1)
-    gram = problem.design.T @ problem.design
-    beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
-    report = check_equivalence(problem, beta, 3, mode="greedy", seed=1)
-    assert report.passed, report.first_violation
-    assert report.max_offdiag == 0.0
-    for mode in ("greedy", "local"):
-        with pytest.raises(ValueError, match="dimension <= 64.*got 80"):
-            check_equivalence(make_equivalence_problem(80, 3, 1), beta, 3,
-                              mode=mode, seed=1)
+    # no dimension limit: the lifts of n = 80 take the Gram path, those of
+    # n = 300 (90000 cells) the ARPACK path, both at machine precision
+    for n in (64, 80, 300):
+        problem = make_equivalence_problem(n, 3, 1)
+        gram = problem.design.T @ problem.design
+        beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
+        for mode in ("greedy", "local"):
+            report = check_equivalence(problem, beta, 3, mode=mode, seed=1)
+            assert report.passed, (n, mode, report.first_violation)
+            assert report.max_offdiag <= 1e-8
+            if n <= 80:
+                assert report.max_offdiag == 0.0
+
+
+def test_equivalence_rejects_no_steps():
+    # a check of no steps compares nothing, so it must not pass
+    problem = planted(0, 10, 4, 1)
+    for steps in (0, -3):
+        for mode in ("greedy", "local"):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                check_equivalence(problem, 1.0, steps, mode=mode)
 
 
 def test_equivalence_rejects_bad_mode():
