@@ -8,8 +8,8 @@ from .linalg import (FactorPair, SingularTriplet, SparseObservations,
                      project_observed, svd_threshold, top_singular_triplet)
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from .solvers import (IterationTrace, SolverConfig, fast_greedy,
-                      fast_local_search, greedy, local_search, truncate_fast,
-                      truncate_svd)
+                      fast_local_search, fast_local_sweep, greedy, local_search,
+                      truncate_fast, truncate_svd)
 from .sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
                            check_equivalence, omp, ompr)
 

@@ -18,7 +18,7 @@ from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadrati
 from .sparse_equiv import (EquivalenceReport, SparseRegressionProblem,
                            check_equivalence)
 from .solvers import (IterationTrace, SolverConfig, fast_greedy,
-                      fast_local_search, greedy, local_search)
+                      fast_local_search, fast_local_sweep, greedy, local_search)
 
 __all__ = [
     "COMPLETION_SOLVERS",
@@ -61,7 +61,9 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
                      p: float, snr: float, solver: str, rank: int,
                      inner_iters: int) -> tuple[list[dict], list[IterationTrace]]:
     """One seeded trial; returns per-rank rows of train/test NMSE plus the
-    solver trace (for fast-local: the trace of the full-budget run)."""
+    solver trace (for fast-local: the trace of the full-budget run; for
+    softimpute: every lambda run, largest lambda first, each last row
+    flagged `capped` when it stopped above tol)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
     _, observed, heldout = gen_completion(cfg)
     if heldout.nnz == 0:
@@ -85,20 +87,26 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
         fn = {"greedy": greedy, "fast-greedy": fast_greedy, "local": local_search}[solver]
         _, traces = fn(objective, scfg, callback=lambda t, pair: record(pair, pair.rank))
     elif solver == "fast-local":
-        # one full run per target rank: the swap passes change the whole solution
-        for r in range(1, rank + 1):
-            scfg = _solver_config(r, seed, inner_iters)
-            pair, traces = fast_local_search(objective, scfg)
-            record(pair, r)
+        # the swap passes change the whole solution, so each target rank has
+        # its own; the greedy phase is one run shared by all of them
+        configs = [_solver_config(r, seed, inner_iters) for r in range(1, rank + 1)]
+        for scfg, (pair, traces) in zip(configs, fast_local_sweep(objective, configs)):
+            record(pair, scfg.target_rank)
     elif solver == "softimpute":
-        for lam in lambda_grid(observed, seed=seed):
-            pair, si_traces = soft_impute(observed,
-                                          SoftImputeConfig(lam=float(lam), max_rank=rank))
+        # the lambda path from the largest value down, each run warm-started
+        # from the one before
+        pair = None
+        for lam in lambda_grid(observed, seed=seed)[::-1]:
+            sicfg = SoftImputeConfig(lam=float(lam), max_rank=rank)
+            pair, si_traces = soft_impute(observed, sicfg, start=pair)
             record(pair, pair.rank)
+            label = f"softimpute lam={float(lam)!r}"
+            flags = [label] * len(si_traces)
+            if si_traces[-1].rel_change > sicfg.tol:
+                flags[-1] += ";capped"
             traces.extend(IterationTrace(tr.iter, tr.rank, tr.objective,
-                                         float("nan"), None, 0,
-                                         f"softimpute lam={float(lam)!r}")
-                          for tr in si_traces)
+                                         float("nan"), None, 0, flag)
+                          for tr, flag in zip(si_traces, flags))
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return rows, traces

@@ -23,6 +23,7 @@ __all__ = [
     "local_search",
     "fast_greedy",
     "fast_local_search",
+    "fast_local_sweep",
     "truncate_svd",
     "truncate_fast",
 ]
@@ -66,8 +67,9 @@ class SolverConfig:
 class IterationTrace:
     """One outer iteration: rank, objective, insertion sigma, timing.
 
-    flags joins with ';' any of gradient_zero, stalled and cg_incomplete
-    (empty when none applies).
+    flags joins with ';' any of gradient_zero, stalled, cg_incomplete and
+    objective_up (empty when none applies); README.md's CSV section defines
+    them.
     """
 
     iter: int
@@ -119,13 +121,19 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     sigma0 defaults to the first sigma. With patience=None every step is
     kept; otherwise a step must lower the best objective by more than eps,
     `patience` failures in a row end the loop, and only improving steps and
-    the final `stalled` one are traced. The callback sees every iterate.
+    the final `stalled` one are traced. A traced row whose objective is above
+    the previous traced row's gets `objective_up`. The callback sees every
+    iterate.
     """
     gradient = objective.gradient
     if fast:
         gradient = getattr(objective, "insertion_gradient", gradient)
     best, best_obj = pair, None if patience is None else objective.value(pair)
     traces: list[IterationTrace] = []
+
+    def went_up(obj):
+        return ["objective_up"] if traces and obj > traces[-1].objective else []
+
     stall = 0
     for t in range(steps):
         t0 = time.perf_counter_ns()
@@ -133,10 +141,10 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
                                     seed=_step_seed(config.seed, offset + t))
         sigma0 = trip.sigma if sigma0 is None else sigma0
         if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
-            traces.append(IterationTrace(t, pair.rank, objective.value(pair),
-                                         trip.sigma, None,
+            obj = objective.value(pair)
+            traces.append(IterationTrace(t, pair.rank, obj, trip.sigma, None,
                                          time.perf_counter_ns() - t0,
-                                         "gradient_zero"))
+                                         ";".join(["gradient_zero"] + went_up(obj))))
             break
         flags = []
         removed = None
@@ -153,6 +161,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
             if not info.converged:
                 flags.append("cg_incomplete")
         obj = objective.value(pair)
+        flags += went_up(obj)
         if patience is None or best_obj - obj > eps:
             best, best_obj, stall = pair, obj, 0
         else:
@@ -202,6 +211,16 @@ def fast_greedy(objective, config: SolverConfig, callback=None
                    callback=callback)
 
 
+def _swap_passes(objective, config: SolverConfig, pair: FactorPair,
+                 sigma0: float, callback=None
+                 ) -> tuple[FactorPair, list[IterationTrace]]:
+    """The swap passes of fast_local_search from the greedy pair."""
+    eps = 0.0 if config.eps is None else config.eps
+    return _pursue(objective, config, pair, config.max_outer_iters, fast=True,
+                   truncate=True, patience=2, eps=eps, offset=config.target_rank,
+                   sigma0=sigma0, callback=callback)
+
+
 def fast_local_search(objective, config: SolverConfig, callback=None
                       ) -> tuple[FactorPair, list[IterationTrace]]:
     """Fast greedy init, then swap passes: drop the cheapest column, insert
@@ -216,8 +235,35 @@ def fast_local_search(objective, config: SolverConfig, callback=None
     strictly decreasing except the final entry. The greedy phase's first
     sigma anchors the gradient-zero floor.
     """
-    eps = 0.0 if config.eps is None else config.eps
     pair, init = fast_greedy(objective, config)
-    return _pursue(objective, config, pair, config.max_outer_iters, fast=True,
-                   truncate=True, patience=2, eps=eps, offset=config.target_rank,
-                   sigma0=init[0].top_sigma, callback=callback)
+    return _swap_passes(objective, config, pair, init[0].top_sigma, callback)
+
+
+def fast_local_sweep(objective, configs, callback=None):
+    """Yield fast_local_search(objective, config, callback) for each config
+    in turn, bit for bit, from one shared greedy prefix.
+
+    Step t of fast_greedy depends on the seed, the inner settings and t, not
+    on the target rank, so the greedy phase of every config is a prefix of
+    one fast_greedy run to the largest target rank: each config's swap
+    passes start from that run's iterate at its rank. A greedy run that
+    stops at gradient_zero after k < rank steps leaves iterate k, as the
+    shorter run would. The configs must share seed and inner settings
+    (ValueError, raised on the first iteration, otherwise).
+    """
+    configs = list(configs)
+    if any((c.seed, c.inner) != (configs[0].seed, configs[0].inner) for c in configs):
+        raise ValueError("fast_local_sweep configs must share seed and inner")
+    ranks = {c.target_rank for c in configs}
+    iterates = {}
+
+    def keep(t, pair):
+        if pair.rank in ranks:
+            iterates[pair.rank] = pair
+
+    last, init = fast_greedy(objective, max(configs, key=lambda c: c.target_rank),
+                             callback=keep)
+    for config in configs:
+        # a rank the greedy run stopped short of starts from its last iterate
+        start = iterates.get(config.target_rank, last)
+        yield _swap_passes(objective, config, start, init[0].top_sigma, callback)

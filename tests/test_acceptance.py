@@ -8,6 +8,7 @@ is implemented exactly as stated and is a verified-unattainable property
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -214,9 +215,11 @@ def completion_bundle():
     fg_rows, fg_sum, _ = run_completion(c["m"], c["n"], c["true_rank"], c["p"],
                                         c["snr"], c["seed"], "fast-greedy",
                                         c["rank"], c["inner_iters"], c["trials"])
-    si_rows, si_sum, _ = run_completion(c["m"], c["n"], c["true_rank"], c["p"],
-                                        c["snr"], c["seed"], "softimpute",
-                                        c["rank"], c["inner_iters"], c["trials"])
+    si_rows, si_sum, si_traces = run_completion(c["m"], c["n"], c["true_rank"],
+                                                c["p"], c["snr"], c["seed"],
+                                                "softimpute", c["rank"],
+                                                c["inner_iters"], c["trials"],
+                                                collect_traces=True)
     elapsed = time.monotonic() - start
     # full-accuracy greedy runs back criteria 8 and 9
     fg_full_rows, _, _ = run_completion(c["m"], c["n"], c["true_rank"], c["p"],
@@ -224,6 +227,7 @@ def completion_bundle():
                                         c["rank"], 100, c["trials"])
     return {"fls_rows": fls_rows, "fls_sum": fls_sum, "fg_rows": fg_rows,
             "fg_sum": fg_sum, "si_rows": si_rows, "si_sum": si_sum,
+            "si_traces": si_traces,
             "fg_full_rows": fg_full_rows, "elapsed": elapsed}
 
 
@@ -251,6 +255,17 @@ def test_criterion_7_completion_vs_paper(completion_bundle):
            f"{np.mean(si_best):.4f} (both beat it per trial: {beats}); "
            f"runtime {b['elapsed']:.0f}s (< 120s) "
            f"[paper: 0.0613/14, 0.0673/30, SoftImpute 0.1759/10]")
+
+
+def test_softimpute_baseline_converges_at_every_lambda(completion_bundle):
+    # criteria 7 and 8 compare against SoftImpute: none of its runs may stop
+    # at max_iters short of its tolerance
+    traces = completion_bundle["si_traces"]
+    capped = [(k, tr.flags) for k, tr in traces if "capped" in tr.flags.split(";")]
+    iters = Counter((k, tr.flags.split(";")[0]) for k, tr in traces)
+    max_iters = SoftImputeConfig(lam=0.0, max_rank=1).max_iters
+    assert len(iters) == 10 * COMPLETION["trials"]
+    assert not capped and max(iters.values()) < max_iters, (capped, iters)
 
 
 def test_criterion_8_train_dominance(completion_bundle):

@@ -56,6 +56,39 @@ def test_soft_impute_nuclear_objective_monotone():
         assert objs[-1] == pytest.approx(expect, rel=1e-8, abs=1e-8)
 
 
+def _plain_soft_impute_objective(obs, lam, max_rank, tol):
+    """Momentum-free reference: A <- SVT_lam(Pi_Omega(M) + Pi_Omega_perp(A))."""
+    a = np.zeros(obs.shape)
+    while True:
+        z = a.copy()
+        z[obs.row, obs.col] = obs.vals
+        u, s, vt = np.linalg.svd(z, full_matrices=False)
+        s2 = np.maximum(s[:max_rank] - lam, 0.0)
+        a_new = (u[:, :max_rank] * s2) @ vt[:max_rank]
+        change = np.linalg.norm(a_new - a) / max(np.linalg.norm(a), 1e-30)
+        a = a_new
+        if change <= tol:
+            resid = obs.vals - a[obs.row, obs.col]
+            return 0.5 * float(resid @ resid) + lam * float(s2.sum())
+
+
+def test_soft_impute_accelerated_reaches_plain_optimum_and_warm_start_stops():
+    # max_rank = n keeps the problem convex (a binding rank cap has local
+    # minima), so both iterations share one optimal value
+    rng = np.random.default_rng(2)
+    keep = np.flatnonzero(rng.random(900) < 0.5)
+    obs = SparseObservations(30, 30, keep // 30, keep % 30,
+                             rng.standard_normal(keep.size))
+    for lam in (0.5, 2.0, 5.0):
+        expect = _plain_soft_impute_objective(obs, lam, 30, 1e-12)
+        config = SoftImputeConfig(lam=lam, max_rank=30, max_iters=100_000, tol=1e-12)
+        pair, traces = soft_impute(obs, config)
+        assert traces[-1].rel_change <= 1e-12
+        assert traces[-1].objective == pytest.approx(expect, rel=1e-8)
+        _, warm = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=30), start=pair)
+        assert len(warm) <= 2
+
+
 def test_soft_impute_respects_max_rank():
     rng = np.random.default_rng(3)
     keep = np.flatnonzero(rng.random(400) < 0.6)

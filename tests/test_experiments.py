@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from lowrank import experiments, solvers
+from lowrank.baselines import SoftImputeConfig
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
                                  mean_stderr, run_completion, run_equivalence,
                                  run_recsys, run_rpca, worker_count)
@@ -49,6 +52,36 @@ def test_run_completion_threaded_matches_serial(monkeypatch, solver):
     assert s_par["best_test_nmse"] == s_ser["best_test_nmse"]
     assert s_par["trials"] == s_ser["trials"]
     assert t_par and t_par == t_ser
+
+
+def test_fast_local_trial_runs_greedy_once(monkeypatch):
+    # every target rank's swap passes start from one greedy run to the top rank
+    calls = []
+
+    def counted(objective, config, callback=None):
+        calls.append(config.target_rank)
+        return real(objective, config, callback=callback)
+
+    real = solvers.fast_greedy
+    monkeypatch.setattr(solvers, "fast_greedy", counted)
+    rows, _ = completion_trial(0, 3, 30, 30, 2, 0.5, 10.0, "fast-local", 5, 3)
+    assert calls == [5]
+    assert [r["rank"] for r in rows] == [1, 2, 3, 4, 5]
+
+
+def test_softimpute_trial_flags_capped_runs(monkeypatch):
+    def flags():
+        _, traces = completion_trial(0, 2, 30, 30, 2, 0.5, 10.0, "softimpute", 6, 3)
+        lams = [float(t.flags.split(";")[0].split("=")[1]) for t in traces]
+        assert lams == sorted(lams, reverse=True)  # largest lambda first
+        return [t.flags.split(";")[1:] for t in traces]
+
+    assert all(f == [] for f in flags())
+    monkeypatch.setattr(experiments, "SoftImputeConfig",
+                        functools.partial(SoftImputeConfig, max_iters=2))
+    capped = flags()
+    assert ["capped"] in capped
+    assert all(f in ([], ["capped"]) for f in capped)
 
 
 def test_run_rpca_report_fields():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
+from lowrank.experiments import _solver_config
 from lowrank.inner import InnerConfig
 from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
-                             greedy, local_search, truncate_fast, truncate_svd)
+                             fast_local_sweep, greedy, local_search,
+                             truncate_fast, truncate_svd)
 
 from conftest import dense_gradient, full_observations
 
@@ -212,6 +216,18 @@ def test_fast_greedy_zero_target():
     assert pair.rank == 0
 
 
+def test_fast_greedy_flags_objective_up():
+    # with 2 capped inner steps per refit, some insertions raise the objective
+    cfg = SynthCompletionConfig(20, 20, 2, 0.4, 10.0, 0)
+    _, observed, _ = gen_completion(cfg)
+    _, traces = fast_greedy(ObservedQuadratic(observed),
+                            SolverConfig(target_rank=6, seed=0,
+                                         inner=InnerConfig(ls_iters=2)))
+    went_up = [b.objective > a.objective for a, b in zip(traces, traces[1:])]
+    assert any(went_up)
+    assert ["objective_up" in t.flags.split(";") for t in traces] == [False] + went_up
+
+
 def test_fast_greedy_beats_softimpute_train():
     # qualitative Fig.-1 property at desk scale: wherever the SoftImpute
     # lambda path produces a solution of rank k, the greedy train error at
@@ -304,6 +320,67 @@ def test_fast_local_search_callback_sees_every_pass():
     assert len(seen) > len(traces)  # the non-improving passes are reported too
     traced = {t.iter: t.objective for t in traces}
     assert all(traced[t] == v for t, v in seen if t in traced)
+
+
+def _completion_objective(m, true_rank, p, seed):
+    _, observed, _ = gen_completion(SynthCompletionConfig(m, m, true_rank, p, 10.0, seed))
+    return ObservedQuadratic(observed)
+
+
+def _shuffled(observed, seed):
+    order = np.random.default_rng(seed).permutation(observed.nnz)
+    return SparseObservations(*observed.shape, observed.row[order],
+                              observed.col[order], observed.vals[order])
+
+
+def _rank_two_at_scale():
+    rng = np.random.default_rng(28)
+    return quadratic_on(1e6 * rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8)))
+
+
+SWEEP_CASES = (
+    [(f"40x40-seed{s}", lambda s=s: _completion_objective(40, 3, 0.3, s), 8, s)
+     for s in range(6)]
+    + [(f"100x100-seed{s}", lambda s=s: _completion_objective(100, 5, 0.2, s), 10, s)
+       for s in range(6)]
+    # ranks above 25 get a larger max_outer_iters from _solver_config
+    + [("100x100-rank30", lambda: _completion_objective(100, 5, 0.2, 7), 30, 7),
+       ("clipped", lambda: ClippedObservedQuadratic(
+           _completion_objective(40, 3, 0.3, 2).target, -1.0, 1.0), 8, 2),
+       ("shuffled", lambda: ObservedQuadratic(
+           _shuffled(_completion_objective(40, 3, 0.3, 4).target, 4)), 8, 4),
+       # greedy stops at step 0 with gradient_zero: every rank starts empty
+       ("zero", lambda: quadratic_on(np.zeros((6, 6))), 3, 0),
+       # greedy stops at step 2: ranks 3 and 4 start from the rank-2 iterate
+       ("exact-rank-2", _rank_two_at_scale, 4, 3)])
+
+
+@pytest.mark.parametrize("make, rank, seed", [c[1:] for c in SWEEP_CASES],
+                         ids=[c[0] for c in SWEEP_CASES])
+def test_fast_local_sweep_matches_per_rank_runs(make, rank, seed):
+    objective = make()
+    configs = [_solver_config(r, seed, 3) for r in range(1, rank + 1)]
+
+    def log_into(seen):
+        return lambda t, pair: seen.append((t, pair.U.tobytes(), pair.V.tobytes()))
+
+    def bits(pair, traces):
+        return (pair.U.shape, pair.V.shape, pair.U.tobytes(), pair.V.tobytes(),
+                repr([dataclasses.replace(t, wall_nanos=0) for t in traces]))
+
+    ref_seen, seen = [], []
+    reference = [bits(*fast_local_search(objective, c, callback=log_into(ref_seen)))
+                 for c in configs]
+    swept = [bits(*out) for out in fast_local_sweep(objective, configs,
+                                                     callback=log_into(seen))]
+    assert swept == reference
+    assert seen == ref_seen
+
+
+def test_fast_local_sweep_rejects_mixed_seeds():
+    configs = [SolverConfig(target_rank=1, seed=0), SolverConfig(target_rank=2, seed=1)]
+    with pytest.raises(ValueError, match="seed"):
+        list(fast_local_sweep(quadratic_on(np.eye(3)), configs))
 
 
 def test_fast_solvers_insert_along_clipped_gradient():
