@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,19 @@ class SoftImputeTrace:
     objective: float  # 1/2 ||Pi_Omega(M - A)||^2 + lam * ||A||_*
     rank: int
     rel_change: float
+    # the run's last row only: its last exact step kept max_rank values and
+    # would have kept more, so the rank cap binds and the problem is non-convex
+    rank_capped: bool = False
+
+
+class _Step(NamedTuple):
+    matrix: np.ndarray  # the new iterate
+    objective: float
+    exact: bool  # a dense SVD, not a block step
+    sigma: np.ndarray  # singular values before shrinking
+    u: np.ndarray
+    s2: np.ndarray  # shrunk values, at most max_rank
+    vt: np.ndarray
 
 
 def soft_impute(target: SparseObservations, config: SoftImputeConfig,
@@ -44,56 +58,98 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     A step from Y soft-thresholds the singular values of
     Pi_Omega(M) + Pi_Omega_perp(Y) by lam and keeps the top max_rank: the
     exact prox of lam ||.||_* plus the rank cap at the unit step the
-    quadratic allows, so a step from the current iterate A never raises the
-    objective. Y is the momentum point A + ((theta - 1) / theta') (A - A_prev)
-    with the FISTA theta sequence (Yao & Kwok, IJCAI 2015). When that step
+    quadratic allows, so an exact step from the current iterate A never
+    raises the objective. Y is the momentum point
+    A + ((theta - 1) / theta') (A - A_prev) with the FISTA theta sequence
+    (Yao & Kwok, IJCAI 2015). `start` warm starts the iteration, e.g. from
+    the previous, larger lambda of a path (Mazumder, Hastie & Tibshirani,
+    JMLR 2010); the default is zero.
+
+    The first step of a run takes the exact dense SVD. When w = max_rank + 10
+    is below min(m, n), every later step takes a block step instead: one
+    subspace iteration on the previous step's top w right singular vectors V
+    (Q = qr(Z V), then the SVD of the w x n matrix Q^T Z; Halko, Martinsson
+    & Tropp, SIAM Review 2011). Its factors are orthonormal, so the traced
+    objective is exact for the iterate it returns. When the step from Y
     would raise the objective, theta resets to 1 and the plain step from A
-    is taken instead, so the traced objective never goes up. `start` warm
-    starts the iteration, e.g. from the previous, larger lambda of a path
-    (Mazumder, Hastie & Tibshirani, JMLR 2010); the default is zero. Stops
-    when the relative Frobenius change of A drops to tol or after max_iters
-    steps; a run that hit the cap ends on a rel_change above tol.
+    is taken instead; when a plain block step would raise it too, the exact
+    plain step is taken, so the traced objective never goes up.
+
+    A run stops when an exact step moves A by a relative Frobenius change of
+    at most tol, or after max_iters steps. A block step that reaches tol is
+    redone from the same point with the exact SVD, and only the exact step
+    is traced, so a run that hit the cap ends on a rel_change above tol. The
+    last row's `rank_capped` reports whether the (max_rank + 1)-th singular
+    value of the run's last exact step exceeds lam.
 
     The dense iterate keeps this implementation simple; it is meant for
     desk-scale comparison experiments.
     """
     m, n = target.shape
     k = config.max_rank
+    width = k + 10
+    block = width < min(m, n)
     # below numpy's matrix_rank cutoff a shrunk value is rounding noise
     # (lam = sigma_1 leaves +-1 ulp), which would never settle
     cutoff = max(m, n) * np.finfo(float).eps
 
-    def step(y):
+    def step(y, exact):
         z = y.copy()
         z[target.row, target.col] = target.vals
-        u, s, vt = np.linalg.svd(z, full_matrices=False)
+        if exact:
+            u, s, vt = np.linalg.svd(z, full_matrices=False)
+        else:  # `taken` is still the last step
+            q, _ = np.linalg.qr(z @ taken.vt[:width].T)
+            ub, s, vt = np.linalg.svd(q.T @ z, full_matrices=False)
+            u = q @ ub
         s2 = np.maximum(s[:k] - config.lam, 0.0)
         s2[s2 <= s[0] * cutoff] = 0.0
         a_new = (u[:, : s2.size] * s2) @ vt[: s2.size]
         resid = target.vals - a_new[target.row, target.col]
         obj = 0.5 * float(resid @ resid) + config.lam * float(s2.sum())
-        return a_new, obj, (u, s2, vt)
+        return _Step(a_new, obj, exact, s, u, s2, vt)
+
+    def advance(y, exact):
+        """The step from y, or the plain step from A (exact if need be) when
+        that one would raise the objective; also says whether it restarted."""
+        new = step(y, exact)
+        if y is a or new.objective <= obj:
+            return new, False
+        new = step(a, exact)
+        if new.objective > obj and not exact:
+            new = step(a, True)
+        return new, True
+
+    def rel_change(new):
+        return float(np.linalg.norm(new.matrix - a)) / max(float(np.linalg.norm(a)), 1e-30)
 
     a = np.zeros((m, n)) if start is None else start.matrix()
-    a_prev, theta, obj = a, 1.0, np.inf
+    a_prev, theta, obj, taken = a, 1.0, np.inf, None
+    tail = 0.0  # sigma_{max_rank + 1} of the last exact step
     traces: list[SoftImputeTrace] = []
     for it in range(config.max_iters):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         momentum = (theta - 1.0) / theta_next
-        a_new, obj_new, svd = step(a + momentum * (a - a_prev))
-        if momentum > 0.0 and obj_new > obj:
-            # restart at theta = 1: the plain step from A cannot go up
+        y = a + momentum * (a - a_prev) if momentum > 0.0 else a
+        taken, restarted = advance(y, taken is None or not block)
+        change = rel_change(taken)
+        if change <= config.tol and not taken.exact:
+            # only an exact step may certify convergence: redo this one
+            taken, again = advance(a if restarted else y, True)
+            restarted |= again
+            change = rel_change(taken)
+        if restarted:
             theta_next = 0.5 * (1.0 + np.sqrt(5.0))
-            a_new, obj_new, svd = step(a)
-        change = float(np.linalg.norm(a_new - a)) / max(float(np.linalg.norm(a)), 1e-30)
-        rank = int(np.count_nonzero(svd[1]))
-        traces.append(SoftImputeTrace(it, obj_new, rank, change))
-        a_prev, a, obj, theta = a, a_new, obj_new, theta_next
+        if taken.exact:
+            tail = float(taken.sigma[k]) if taken.sigma.size > k else 0.0
+        traces.append(SoftImputeTrace(it, taken.objective,
+                                      int(np.count_nonzero(taken.s2)), change))
+        a_prev, a, obj, theta = a, taken.matrix, taken.objective, theta_next
         if change <= config.tol:
             break
-    u, s2, vt = svd
-    rank = int(np.count_nonzero(s2))
-    pair = FactorPair(u[:, :rank] * s2[:rank], vt[:rank].T)
+    traces[-1].rank_capped = tail > config.lam
+    rank = int(np.count_nonzero(taken.s2))
+    pair = FactorPair(taken.u[:, :rank] * taken.s2[:rank], taken.vt[:rank].T)
     return pair, traces
 
 

@@ -63,7 +63,8 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
     """One seeded trial; returns per-rank rows of train/test NMSE plus the
     solver trace (for fast-local: the trace of the full-budget run; for
     softimpute: every lambda run, largest lambda first, each last row
-    flagged `capped` when it stopped above tol)."""
+    flagged `capped` when it stopped above tol and `rank_capped` when the
+    rank cap binds)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
     _, observed, heldout = gen_completion(cfg)
     if heldout.nnz == 0:
@@ -104,6 +105,8 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
             flags = [label] * len(si_traces)
             if si_traces[-1].rel_change > sicfg.tol:
                 flags[-1] += ";capped"
+            if si_traces[-1].rank_capped:
+                flags[-1] += ";rank_capped"
             traces.extend(IterationTrace(tr.iter, tr.rank, tr.objective,
                                          float("nan"), None, 0, flag)
                           for tr, flag in zip(si_traces, flags))

@@ -133,8 +133,9 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     regularization the fast solvers rely on). All rows advance in lockstep
     with their own step sizes; the systems are disjoint, so this matches
     solving them one by one. Rows that reach their numerical floor freeze
-    (CG iterated past convergence turns rounding noise into huge steps).
-    Rows with no observations keep their current value.
+    (CG iterated past convergence turns rounding noise into huge steps), and
+    the loop ends once every row has frozen. Rows with no observations keep
+    their current value.
 
     On the V side `omega` is a transposed set, whose `csr_with` matrices are
     CSC views of the root set's CSR skeleton. scipy's CSC product adds each
@@ -151,6 +152,8 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
         Q = omega.csr_with(q_vals) @ F
         pq = np.einsum("ij,ij->i", P, Q)
         ok = (pq > 0.0) & (rs > floor)
+        if not ok.any():
+            break  # a frozen row stays frozen, so no later step moves anything
         alpha = np.where(ok, rs / np.where(ok, pq, 1.0), 0.0)
         X += alpha[:, None] * P
         R = R - alpha[:, None] * Q

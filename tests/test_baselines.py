@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
+from lowrank.data import SynthCompletionConfig, gen_completion
 from lowrank.linalg import SparseObservations
 
 from conftest import full_observations
@@ -119,3 +120,81 @@ def test_soft_impute_config_validation():
         SoftImputeConfig(lam=-1.0, max_rank=3)
     with pytest.raises(ValueError):
         SoftImputeConfig(lam=0.0, max_rank=0)
+
+
+def test_soft_impute_flags_binding_rank_cap():
+    # the 30x30 instance of the monotone test: at max_rank=10 the cap binds
+    # for the two smaller lambdas, and only the last row says so
+    rng = np.random.default_rng(2)
+    keep = np.flatnonzero(rng.random(900) < 0.5)
+    obs = SparseObservations(30, 30, keep // 30, keep % 30,
+                             rng.standard_normal(keep.size))
+    for lam, binds in ((0.5, True), (2.0, True), (5.0, False)):
+        pair, traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=10))
+        assert traces[-1].rank_capped == binds
+        assert not any(t.rank_capped for t in traces[:-1])
+        assert (pair.rank == 10) == binds
+
+
+def _block_path_instance(m, n, seed, p=0.5):
+    # rank-3 signal plus noise: at the lambdas used below the optimum has
+    # rank < 10, so max_rank=10 does not bind and the block step is active
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    keep = np.flatnonzero(rng.random(m * n) < p)
+    vals = signal.ravel()[keep] + 0.3 * rng.standard_normal(keep.size)
+    return SparseObservations(m, n, keep // n, keep % n, vals)
+
+
+def _svd_shapes(monkeypatch):
+    """Record the shape of every matrix np.linalg.svd sees."""
+    shapes = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def test_soft_impute_block_path_reaches_exact_optimum(monkeypatch):
+    obs = _block_path_instance(60, 60, seed=5)
+    shapes = _svd_shapes(monkeypatch)
+    for lam in (3.0, 6.0):
+        shapes.clear()
+        config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
+        pair, traces = soft_impute(obs, config)
+        assert (20, 60) in shapes  # block steps ran
+        assert pair.rank < 10 and not traces[-1].rank_capped
+        expect = _plain_soft_impute_objective(obs, lam, 10, 1e-12)
+        assert traces[-1].rel_change <= 1e-12
+        assert traces[-1].objective == pytest.approx(expect, rel=1e-8)
+
+
+def test_soft_impute_lambda_path_stops_on_exact_steps(monkeypatch):
+    # the warm-started lambda path of a synth-complete trial (100x100, rank
+    # 5, 20% observed, max_rank 30): a run ends on an exact step and needs
+    # few of them, the rest are block steps
+    _, obs, _ = gen_completion(SynthCompletionConfig(100, 100, 5, 0.2, 10.0, 3))
+    grid = lambda_grid(obs, seed=3)[::-1]
+    shapes = _svd_shapes(monkeypatch)
+    pair, dense = None, 0
+    for lam in grid:
+        shapes.clear()
+        pair, traces = soft_impute(obs, SoftImputeConfig(lam=float(lam), max_rank=30),
+                                   start=pair)
+        assert shapes[-1] == (100, 100)
+        assert traces[-1].rel_change <= 1e-5
+        dense += shapes.count((100, 100))
+    assert dense <= 3 * grid.size
+
+
+def test_soft_impute_block_path_is_deterministic():
+    obs = _block_path_instance(60, 60, seed=7)
+    config = SoftImputeConfig(lam=2.0, max_rank=10)
+    first, traces = soft_impute(obs, config)
+    again, traces_again = soft_impute(obs, config)
+    assert np.array_equal(first.U, again.U) and np.array_equal(first.V, again.V)
+    assert traces == traces_again

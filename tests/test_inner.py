@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lowrank import inner
 from lowrank.inner import InnerConfig, optimize_fast, optimize_full
-from lowrank.linalg import FactorPair, SparseObservations
+from lowrank.linalg import FactorPair, SparseObservations, project_observed
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
 
 from conftest import dense_gradient, full_observations
@@ -184,6 +185,59 @@ def test_optimize_fast_high_cap_stays_finite():
     assert np.all(np.isfinite(pair.U))
     assert np.abs(pair.U).max() < 1e6
 
+
+
+def _capped_cgnr_without_break(W, F, omega, iters):
+    """The capped CGNR loop run for all `iters` steps, frozen rows or not."""
+    X = np.zeros_like(W)
+    R = omega.csr_with(omega.vals) @ F
+    P = R.copy()
+    rs = np.einsum("ij,ij->i", R, R)
+    floor = 1e-26 * rs
+    for _ in range(iters):
+        Q = omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
+        pq = np.einsum("ij,ij->i", P, Q)
+        ok = (pq > 0.0) & (rs > floor)
+        alpha = np.where(ok, rs / np.where(ok, pq, 1.0), 0.0)
+        X += alpha[:, None] * P
+        R = R - alpha[:, None] * Q
+        rs_new = np.einsum("ij,ij->i", R, R)
+        beta = np.where(ok, rs_new / np.where(ok, rs, 1.0), 0.0)
+        P = np.where(ok[:, None], R + beta[:, None] * P, P)
+        rs = np.where(ok, rs_new, rs)
+    untouched = omega._row_counts == 0
+    X[untouched] = W[untouched]
+    return X
+
+
+def test_optimize_fast_stop_on_frozen_rows_is_bit_identical():
+    for seed, iters in ((13, 3), (14, 40), (15, 100)):
+        obs, rng = sparse_instance(seed, m=25, n=18, p=0.3)
+        obj = ObservedQuadratic(obs)
+        u = rng.standard_normal((25, 4))
+        v = rng.standard_normal((18, 4))
+        config = InnerConfig(ls_iters=iters)
+        assert np.array_equal(optimize_fast(u, v, 0, obj, config).U,
+                              _capped_cgnr_without_break(u, v, obs, iters))
+        assert np.array_equal(optimize_fast(u, v, 1, obj, config).V,
+                              _capped_cgnr_without_break(v, u, obs.transpose, iters))
+
+
+def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
+    # rank-4 row systems reach their floor in a few steps; the loop must not
+    # keep projecting frozen rows for the rest of the 100-step cap
+    calls = []
+
+    def counting(pair, omega):
+        calls.append(1)
+        return project_observed(pair, omega)
+
+    monkeypatch.setattr(inner, "project_observed", counting)
+    obs, rng = sparse_instance(16, m=25, n=18, p=0.6)
+    u = rng.standard_normal((25, 4))
+    v = rng.standard_normal((18, 4))
+    optimize_fast(u, v, 0, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
+    assert 0 < len(calls) < 100
 
 
 def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
