@@ -54,6 +54,8 @@ class SynthRpcaConfig:
     def __post_init__(self):
         if not 0.0 <= self.sparse_fraction < 1.0:
             raise ValueError("sparse_fraction must be in [0, 1)")
+        if not np.isfinite(self.sparse_magnitude):
+            raise ValueError("sparse_magnitude must be finite")
 
 
 def gen_completion(config: SynthCompletionConfig

@@ -169,23 +169,19 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
                      objective: HuberLowRank) -> FactorPair:
-    M, d = objective.target, objective.delta
-    opts = {"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}
-    if t % 2 == 0:
-        def fun(x):
-            W = x.reshape(U.shape)
-            resid = W @ V.T - M
-            g = np.clip(resid, -d, d)
-            return huber_value(resid, d), (g @ V).ravel()
-
-        res = minimize(fun, U.ravel(), jac=True, method="L-BFGS-B", options=opts)
-        return FactorPair(res.x.reshape(U.shape), V)
+    """Capped L-BFGS on the free factor (U when t is even, else V). Its m x n
+    buffers are per call, never stored on the objective that threads share."""
+    M, d, even = objective.target, objective.delta, t % 2 == 0
+    resid, clipped = np.empty(M.shape), np.empty(M.shape)
 
     def fun(x):
-        W = x.reshape(V.shape)
-        resid = U @ W.T - M
-        g = np.clip(resid, -d, d)
-        return huber_value(resid, d), (g.T @ U).ravel()
+        left, right = (x.reshape(U.shape), V) if even else (U, x.reshape(V.shape))
+        np.matmul(left, right.T, out=resid)
+        np.subtract(resid, M, out=resid)
+        np.clip(resid, -d, d, out=clipped)
+        grad = clipped @ V if even else clipped.T @ U
+        return huber_value(resid, d, clipped), grad.ravel()
 
-    res = minimize(fun, V.ravel(), jac=True, method="L-BFGS-B", options=opts)
-    return FactorPair(U, res.x.reshape(V.shape))
+    x = minimize(fun, (U if even else V).ravel(), jac=True, method="L-BFGS-B",
+                 options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}).x
+    return FactorPair(x.reshape(U.shape), V) if even else FactorPair(U, x.reshape(V.shape))

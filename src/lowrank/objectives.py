@@ -67,21 +67,22 @@ class ObservedQuadratic:
         return self.target.csr_with(vals)
 
 
-def huber_value(residual: np.ndarray, delta: float) -> float:
-    """sum_ij H_delta(residual): quadratic inside +-delta, linear outside."""
-    a = np.abs(residual)
-    quad = a <= delta
-    return float(np.where(quad, 0.5 * residual * residual,
-                          delta * a - 0.5 * delta * delta).sum())
+def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
+    """sum_ij H_delta(r) = sum g r - g^2 / 2 with g = clip(r, -delta, delta), or
+    `clipped` when given; each term is at least g r / 2, so nothing cancels."""
+    g = np.clip(residual, -delta, delta) if clipped is None else clipped
+    return float(np.vdot(g, residual) - 0.5 * np.vdot(g, g))
 
 
 class HuberLowRank:
     """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M."""
 
     def __init__(self, target: np.ndarray, delta: float):
-        if delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not (np.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta must be finite and > 0, got {delta}")
         self.target = np.asarray(target, dtype=np.float64)
+        if not np.isfinite(self.target).all():
+            raise ValueError("target has non-finite values")
         self.delta = float(delta)
 
     @property

@@ -136,6 +136,20 @@ def test_rpca_synth_outputs(tmp_path):
     assert np.isfinite(report["rel_frobenius_error"])
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--delta", "nan", "delta"), ("--delta", "inf", "delta"),
+    ("--sparse-mag", "nan", "sparse_magnitude"), ("--sparse-mag", "inf", "sparse_magnitude")])
+def test_rpca_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value, name):
+    csv_path = tmp_path / "r.csv"
+    json_path = tmp_path / "r.json"
+    code = run_cli(["rpca-synth", "--m", "20", "--n", "20", "--true-rank", "2",
+                    "--rank", "2", flag, value,
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
+
+
 # --------------------------------------------------------------------- recsys
 
 @pytest.fixture

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -263,6 +266,97 @@ def test_optimize_fast_huber_decreases_objective():
     pair2 = optimize_fast(pair.U, pair.V, 1, obj, InnerConfig())
     assert obj.value(pair2) <= obj.value(pair) + 1e-12
 
+
+
+def _huber_instance(seed, m=60, n=50, r=3):
+    """Low rank plus sparse spikes, so residuals fall on both Huber branches."""
+    rng = np.random.default_rng(seed)
+    target = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    spikes = rng.random((m, n)) < 0.1
+    target[spikes] += 10.0 * rng.choice([-1.0, 1.0], size=int(spikes.sum()))
+    u = rng.standard_normal((m, r))
+    v = rng.standard_normal((n, r))
+    return HuberLowRank(target, 1.0), u, v
+
+
+def _reference_half_step(U, V, t, objective):
+    """The two-closure L-BFGS half-step with fresh temporaries and the
+    elementwise np.where Huber value, for comparison with the buffered one."""
+    M, d = objective.target, objective.delta
+
+    def value(resid):
+        a = np.abs(resid)
+        return float(np.where(a <= d, 0.5 * resid * resid, d * a - 0.5 * d * d).sum())
+
+    opts = {"maxiter": inner._LBFGS_ITERS, "maxcor": inner._LBFGS_MEMORY}
+    if t % 2 == 0:
+        def fun(x):
+            resid = x.reshape(U.shape) @ V.T - M
+            return value(resid), (np.clip(resid, -d, d) @ V).ravel()
+
+        res = inner.minimize(fun, U.ravel(), jac=True, method="L-BFGS-B", options=opts)
+        return FactorPair(res.x.reshape(U.shape), V)
+
+    def fun(x):
+        resid = U @ x.reshape(V.shape).T - M
+        return value(resid), (np.clip(resid, -d, d).T @ U).ravel()
+
+    res = inner.minimize(fun, V.ravel(), jac=True, method="L-BFGS-B", options=opts)
+    return FactorPair(U, res.x.reshape(V.shape))
+
+
+def test_huber_half_step_follows_reference_path(monkeypatch):
+    runs = []
+    minimize = inner.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append((res.nit, res.nfev))
+        return res
+
+    monkeypatch.setattr(inner, "minimize", recording)
+    obj, u, v = _huber_instance(20)
+    for t in (0, 1):
+        got = optimize_fast(u, v, t, obj, InnerConfig())
+        want = _reference_half_step(u, v, t, obj)
+        assert runs[-2] == runs[-1] and runs[-1][1] > 2
+        for a, b in ((got.U, want.U), (got.V, want.V)):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(runs) == 4
+
+
+def test_huber_half_step_threads_sharing_one_objective():
+    # the evaluation buffers are per call: concurrent half-steps on one
+    # objective must give the serial results bit for bit
+    obj, _, _ = _huber_instance(21)
+    rng = np.random.default_rng(22)
+    starts = [(rng.standard_normal((60, 3)), rng.standard_normal((50, 3)))
+              for _ in range(4)]
+    want = [[optimize_fast(u, v, t, obj, InnerConfig()) for t in (0, 1)]
+            for u, v in starts]
+    wrong = []
+
+    def work(k):
+        u, v = starts[k]
+        for _ in range(5):
+            for t in (0, 1):
+                pair = optimize_fast(u, v, t, obj, InnerConfig())
+                if not (np.array_equal(pair.U, want[k][t].U)
+                        and np.array_equal(pair.V, want[k][t].V)):
+                    wrong.append((k, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(starts))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 def test_objective_after_inner():
     # the value the solvers trace after each refit, against brute force

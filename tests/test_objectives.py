@@ -205,9 +205,34 @@ def test_huber_dominated_by_quadratic():
         assert huber_value(resid, delta) <= 0.5 * float(np.sum(resid * resid)) + 1e-12
 
 
+def test_huber_value_matches_piecewise_definition():
+    rng = np.random.default_rng(5)
+    for delta in (0.3, 1.0, 2.5):
+        edges = np.array([delta, -delta, 0.0, 1e8, -1e8, np.nextafter(delta, 0.0),
+                          np.nextafter(delta, np.inf)])
+        resid = np.concatenate([edges, 0.9 * delta * rng.uniform(-1, 1, 30),
+                                delta * rng.uniform(1.1, 50, 30) * rng.choice([-1, 1], 30)])
+        for r in (resid, resid[:5], resid[5:]):
+            want = sum(0.5 * x * x if abs(x) <= delta else delta * abs(x) - 0.5 * delta * delta
+                       for x in r.tolist())
+            assert huber_value(r, delta) == pytest.approx(want, rel=1e-14)
+            assert huber_value(r, delta, np.clip(r, -delta, delta)) == huber_value(r, delta)
+
+
 def test_huber_rejects_bad_delta():
     with pytest.raises(ValueError):
         HuberLowRank(np.zeros((2, 2)), delta=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            HuberLowRank(np.zeros((2, 2)), delta=bad)
+
+
+def test_huber_rejects_non_finite_target():
+    for bad in (np.nan, np.inf, -np.inf):
+        target = np.zeros((2, 3))
+        target[1, 2] = bad
+        with pytest.raises(ValueError, match="target"):
+            HuberLowRank(target, delta=1.0)
 
 
 # --------------------------------------------------------------- clipped
