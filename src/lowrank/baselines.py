@@ -68,9 +68,11 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     The first step of a run takes the exact dense SVD. When w = max_rank + 10
     is below min(m, n), every later step takes a block step instead: one
     subspace iteration on the previous step's top w right singular vectors V
-    (Q = qr(Z V), then the SVD of the w x n matrix Q^T Z; Halko, Martinsson
-    & Tropp, SIAM Review 2011). Its factors are orthonormal, so the traced
-    objective is exact for the iterate it returns. When the step from Y
+    (Q = qr(Z V), B = Q^T Z; Halko, Martinsson & Tropp, SIAM Review 2011),
+    with B's SVD taken from the eigenpairs of its w x w Gram matrix B B^T
+    (`_block_svd`). Its u is orthonormal and row i of its V^T is to within
+    about eps sigma_1^2 / sigma_i^2, so for the values kept the traced
+    objective is that of the iterate it returns. When the step from Y
     would raise the objective, theta resets to 1 and the plain step from A
     is taken instead; when a plain block step would raise it too, the exact
     plain step is taken, so the traced objective never goes up.
@@ -99,9 +101,7 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
         if exact:
             u, s, vt = np.linalg.svd(z, full_matrices=False)
         else:  # `taken` is still the last step
-            q, _ = np.linalg.qr(z @ taken.vt[:width].T)
-            ub, s, vt = np.linalg.svd(q.T @ z, full_matrices=False)
-            u = q @ ub
+            u, s, vt = _block_svd(z, taken.vt[:width])
         s2 = np.maximum(s[:k] - config.lam, 0.0)
         s2[s2 <= s[0] * cutoff] = 0.0
         a_new = (u[:, : s2.size] * s2) @ vt[: s2.size]
@@ -151,6 +151,36 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     rank = int(np.count_nonzero(taken.s2))
     pair = FactorPair(taken.u[:, :rank] * taken.s2[:rank], taken.vt[:rank].T)
     return pair, traces
+
+
+def _block_svd(z: np.ndarray, vt: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vt) of z on the subspace one subspace iteration from the rows
+    of `vt`, from the eigenpairs of a w x w Gram matrix.
+
+    With q = qr(z vt^T) and b = q^T z (w x n), the eigenvectors e of b b^T,
+    largest first, give u = q e; the rows of c = e^T b are orthogonal, and
+    their norms are s. When every eigenvalue exceeds eigh's rounding level
+    w eps ev_1, vt is c with its rows scaled to unit norm. Otherwise the
+    rows of the eigenvalues at that level are rounding noise (0 / 0 for an
+    exact 0), so vt and s come from a QR of c^T instead: its orthonormal
+    factor completes a width-w right basis for the next block, and |R_ii|
+    puts those values near 0, not at the noise level sqrt(eps) s_1.
+    """
+    q, _ = np.linalg.qr(z @ vt.T)
+    b = q.T @ z
+    # the Gram and its eigensolve both by numpy: numpy and scipy each bundle
+    # an OpenBLAS with its own thread pool, and a hand-over between them is
+    # slow (see `linalg._gram_triplet`)
+    ev, e = np.linalg.eigh(b @ b.T)
+    ev, e = ev[::-1], e[:, ::-1]
+    c = e.T @ b
+    if ev[-1] > ev.size * np.finfo(float).eps * ev[0]:
+        s = np.sqrt(np.einsum("ij,ij->i", c, c))
+        return q @ e, s, c / s[:, None]
+    basis, tri = np.linalg.qr(c.T)
+    d = np.diag(tri)
+    return q @ e, np.abs(d), basis.T * np.where(d < 0.0, -1.0, 1.0)[:, None]
 
 
 def lambda_grid(target: SparseObservations, seed: int = 0) -> np.ndarray:

@@ -24,6 +24,15 @@ __all__ = [
 ]
 
 
+def _check_shape(config) -> None:
+    """A synthetic instance needs m, n >= 1 and true_rank >= 0."""
+    for name in ("m", "n"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+    if config.true_rank < 0:
+        raise ValueError(f"true_rank must be >= 0, got {config.true_rank}")
+
+
 @dataclass
 class SynthCompletionConfig:
     m: int
@@ -34,12 +43,13 @@ class SynthCompletionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_shape(self)
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError("observed_fraction must be in (0, 1]")
         if self.true_rank > min(self.m, self.n):
             raise ValueError("true_rank must be <= min(m, n)")
-        if self.snr <= 0:
-            raise ValueError("snr must be > 0")
+        if not self.snr > 0:  # also rejects NaN
+            raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
 @dataclass
@@ -52,6 +62,7 @@ class SynthRpcaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_shape(self)
         if not 0.0 <= self.sparse_fraction < 1.0:
             raise ValueError("sparse_fraction must be in [0, 1)")
         if not np.isfinite(self.sparse_magnitude):

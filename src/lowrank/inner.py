@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import FactorPair, SparseObservations, project_observed
+from .linalg import FactorPair, SparseObservations, fits_dense, project_observed
 from .objectives import HuberLowRank, ObservedQuadratic, huber_value
 
 __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
@@ -137,19 +137,22 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     the loop ends once every row has frozen. Rows with no observations keep
     their current value.
 
-    On the V side `omega` is a transposed set, whose `csr_with` matrices are
-    CSC views of the root set's CSR skeleton. scipy's CSC product adds each
-    output row's terms in the same order as a CSR product over the
-    transposed entries, so both sides match a CSR build bit for bit.
+    Only the normal-equation products depend on the size of `omega`
+    (`_normal_products`). A set that `fits_dense` multiplies its dense 0/1
+    mask and zero-filled target by F; a larger one gathers the observed
+    entries and multiplies a CSR view of them. On the sparse kernel's V side
+    `omega` is a transposed set, whose `csr_with` matrices are CSC views of
+    the root set's CSR skeleton. scipy's CSC product adds each output row's
+    terms in the same order as a CSR product over the transposed entries,
+    so on that kernel both sides match a CSR build bit for bit.
     """
     X = np.zeros_like(W)
-    R = omega.csr_with(omega.vals) @ F
+    R, normal = _normal_products(F, omega)
     P = R.copy()
     rs = np.einsum("ij,ij->i", R, R)
     floor = 1e-26 * rs
     for _ in range(iters):
-        q_vals = project_observed(FactorPair(P, F), omega)
-        Q = omega.csr_with(q_vals) @ F
+        Q = normal(P)
         pq = np.einsum("ij,ij->i", P, Q)
         ok = (pq > 0.0) & (rs > floor)
         if not ok.any():
@@ -165,6 +168,27 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     if untouched.any():
         X[untouched] = W[untouched]
     return X
+
+
+def _normal_products(F: np.ndarray, omega: SparseObservations):
+    """(M_Omega F, P -> Pi_Omega(P F^T) F): the right-hand sides and the
+    normal-equation product of `_capped_cgnr`'s row systems. The dense kernel
+    takes two GEMMs and a masked multiply per product; the sparse one makes
+    no m x n array."""
+    if fits_dense(omega.shape):
+        mask, target = omega.dense()
+
+        def product(P):
+            Q = P @ F.T
+            Q *= mask
+            return Q @ F
+
+        return target @ F, product
+
+    def product(P):
+        return omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
+
+    return omega.csr_with(omega.vals) @ F, product
 
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,

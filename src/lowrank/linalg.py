@@ -4,11 +4,14 @@ Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
 
-The top singular pair of a matrix (dense, or sparse CSR/CSC) follows one
-size rule: up to 65536 cells, or with a side of 1, it is the top eigenpair of
-the densified matrix's smaller Gram matrix (LAPACK); above that it comes from
-ARPACK, converged to machine precision or raising. Both work on the matrix
-divided by its largest absolute entry.
+One size rule, `fits_dense`, picks dense or sparse work: a matrix of at most
+65536 cells, or with a side of 1, is handled as a dense array. The top
+singular pair of such a matrix (dense, or sparse CSR/CSC) is the top
+eigenpair of the densified matrix's smaller Gram matrix (LAPACK); above the
+cap it comes from ARPACK, converged to machine precision or raising. Both
+work on the matrix divided by its largest absolute entry. The capped refit
+in `inner` follows the same rule: masked dense products on a small observed
+set, the gather and CSR kernel below on a larger one.
 
 An observed set built from outside input is validated once, by its
 constructor. The sets derived from it (`transpose`, `_take`) reuse its
@@ -24,7 +27,9 @@ CSR order, which an O(nnz) check finds before any sort. `csr_with` then
 wraps the given values without copying: scipy gets the skeleton and a
 read-only view of the values, so nothing written through the matrix reaches
 the set. A transposed set reads the root's skeleton as a CSC matrix of the
-transposed shape, with no CSR of its own.
+transposed shape, with no CSR of its own. In the same way a root set builds
+its dense 0/1 mask and zero-filled target once, when `dense` is first asked
+for, and its transpose reads their `.T`.
 """
 
 from __future__ import annotations
@@ -158,6 +163,22 @@ class SparseObservations:
         return self.csr_with(self.vals)
 
     @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(0/1 mask, zero-filled target) of this root set, read-only."""
+        mask, target = np.zeros(self.shape), np.zeros(self.shape)
+        mask[self.row, self.col] = 1.0
+        target[self.row, self.col] = self.vals
+        mask.flags.writeable = target.flags.writeable = False
+        return mask, target
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1 mask of Omega and the target zero-filled off Omega, as
+        m x n arrays. A transposed set returns the root's arrays' `.T`."""
+        root = self if self._root is None else self._root
+        mask, target = root._dense
+        return (mask.T, target.T) if self._flip else (mask, target)
+
+    @cached_property
     def transpose(self) -> "SparseObservations":
         return self._derived(self.col, self.row, self.vals, True)
 
@@ -215,13 +236,23 @@ class SingularTriplet:
     v: np.ndarray
 
 
-# Matrices with at most this many cells, or with a side of 1, are densified
-# and solved through their Gram matrix; larger ones go to ARPACK. Median ms
-# per call on square 20%-dense random matrices, 2-core host, one OpenBLAS
-# thread, Gram vs svds: 0.45-0.54 vs 2.1-2.3 at n = 100, 4.8 vs 4.7-5.1 at
-# 256 (the cap), 6.5-6.8 vs 5.1-5.9 at 300. The cap also bounds the dense
-# copy at 512 kB.
+# The one size rule (`fits_dense`): matrices with at most this many cells, or
+# with a side of 1, are handled as dense arrays, both for insertion (the Gram
+# eigenpair, else ARPACK) and for the capped refit's products (masked GEMMs,
+# else the gather and CSR kernel). Median ms per insertion on square
+# 20%-dense random matrices, 2-core host, one OpenBLAS thread, Gram vs svds:
+# 0.45-0.54 vs 2.1-2.3 at n = 100, 4.8 vs 4.7-5.1 at 256 (the cap), 6.5-6.8
+# vs 5.1-5.9 at 300. Median us per refit product, same host, dense vs sparse
+# kernel at r = 5 / 30: 20 / 46 vs 121 / 451 at n = 100, 20% observed;
+# 108 / 267 vs 435 / 2120 at n = 256, 20%; 102 / 314 vs 108 / 163 at
+# n = 256, 2%. The cap also bounds each dense copy at 512 kB.
 _DENSE_CELLS = 65536
+
+
+def fits_dense(shape: tuple[int, int]) -> bool:
+    """Whether a matrix of this shape is worked on as a dense array."""
+    rows, cols = shape
+    return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
 def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:
@@ -244,7 +275,7 @@ def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> Singular
     rows, cols = g.shape
     if rows < 1 or cols < 1:
         raise ValueError("matrix must have positive dimensions")
-    dense = rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
+    dense = fits_dense(g.shape)
     if not sp.issparse(g):
         g = np.asarray(g, dtype=np.float64)
     elif dense:

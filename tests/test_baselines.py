@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
+from lowrank.baselines import SoftImputeConfig, _block_svd, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion
 from lowrank.linalg import SparseObservations
 
@@ -146,27 +146,31 @@ def _block_path_instance(m, n, seed, p=0.5):
     return SparseObservations(m, n, keep // n, keep % n, vals)
 
 
-def _svd_shapes(monkeypatch):
-    """Record the shape of every matrix np.linalg.svd sees."""
-    shapes = []
-    real = np.linalg.svd
+def _dense_calls(monkeypatch):
+    """Record ("svd" | "eigh", shape) for every np.linalg.svd and
+    np.linalg.eigh call: a dense SVD is an exact step, a w x w eigh a block
+    step."""
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, a.shape))
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return shapes
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def test_soft_impute_block_path_reaches_exact_optimum(monkeypatch):
     obs = _block_path_instance(60, 60, seed=5)
-    shapes = _svd_shapes(monkeypatch)
+    calls = _dense_calls(monkeypatch)
     for lam in (3.0, 6.0):
-        shapes.clear()
+        calls.clear()
         config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
         pair, traces = soft_impute(obs, config)
-        assert (20, 60) in shapes  # block steps ran
+        assert ("eigh", (20, 20)) in calls  # block steps ran
+        assert calls[-1] == ("svd", (60, 60))
         assert pair.rank < 10 and not traces[-1].rank_capped
         expect = _plain_soft_impute_objective(obs, lam, 10, 1e-12)
         assert traces[-1].rel_change <= 1e-12
@@ -179,16 +183,71 @@ def test_soft_impute_lambda_path_stops_on_exact_steps(monkeypatch):
     # few of them, the rest are block steps
     _, obs, _ = gen_completion(SynthCompletionConfig(100, 100, 5, 0.2, 10.0, 3))
     grid = lambda_grid(obs, seed=3)[::-1]
-    shapes = _svd_shapes(monkeypatch)
-    pair, dense = None, 0
+    calls = _dense_calls(monkeypatch)
+    pair, dense, block = None, 0, 0
     for lam in grid:
-        shapes.clear()
+        calls.clear()
         pair, traces = soft_impute(obs, SoftImputeConfig(lam=float(lam), max_rank=30),
                                    start=pair)
-        assert shapes[-1] == (100, 100)
+        assert calls[-1] == ("svd", (100, 100))
         assert traces[-1].rel_change <= 1e-5
-        dense += shapes.count((100, 100))
+        assert set(calls) <= {("svd", (100, 100)), ("eigh", (40, 40))}
+        dense += calls.count(("svd", (100, 100)))
+        block += calls.count(("eigh", (40, 40)))
     assert dense <= 3 * grid.size
+    assert block > dense
+
+
+def _step_objective(obs, lam, k, u, s, vt):
+    """The traced objective of the step with factors (u, s, vt)."""
+    s2 = np.maximum(s[:k] - lam, 0.0)
+    a = (u[:, :k] * s2) @ vt[:k]
+    resid = obs.vals - a[obs.row, obs.col]
+    return 0.5 * float(resid @ resid) + lam * float(s2.sum())
+
+
+def test_block_step_matches_the_small_svd_step():
+    # one block step from the Gram eigenpairs against the same step by the
+    # SVD of the w x n matrix q^T z, from a start subspace near the top
+    obs = _block_path_instance(60, 60, seed=9)
+    rng = np.random.default_rng(9)
+    z = obs.csr().toarray()
+    _, _, start = np.linalg.svd(z + 0.1 * rng.standard_normal(z.shape))
+    z[z == 0.0] = 0.5 * rng.standard_normal(int((z == 0.0).sum()))
+    vt = start[:20]
+    u, s, v = _block_svd(z, vt)
+    q, _ = np.linalg.qr(z @ vt.T)
+    ub, s_ref, v_ref = np.linalg.svd(q.T @ z, full_matrices=False)
+    assert np.allclose(s, s_ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(u.T @ u, np.eye(20), rtol=0.0, atol=1e-12)
+    assert np.allclose(v @ v.T, np.eye(20), rtol=0.0, atol=1e-12)
+    for lam in (0.0, 0.1 * s_ref[0], 0.3 * s_ref[0]):
+        want = _step_objective(obs, lam, 10, q @ ub, s_ref, v_ref)
+        assert _step_objective(obs, lam, 10, u, s, v) == pytest.approx(want, rel=1e-12)
+
+
+def test_block_step_completes_the_basis_below_rounding():
+    # an exactly rank-3 z leaves 17 of the 20 Gram eigenvalues at rounding
+    # level: their rows must still complete an orthonormal right basis, with
+    # values near 0, and the run must still reach the plain optimum
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 60))
+    vt = np.linalg.qr(rng.standard_normal((60, 20)))[0].T
+    u, s, v = _block_svd(m, vt)
+    s_true = np.linalg.svd(m, compute_uv=False)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert np.allclose(v @ v.T, np.eye(20), rtol=0.0, atol=1e-12)
+    assert np.allclose(s[:3], s_true[:3], rtol=1e-12, atol=0.0)
+    assert np.all(s[3:] <= 1e-12 * s[0])
+    assert np.allclose((u * s) @ v, m, rtol=0.0, atol=1e-12 * s[0])
+
+    obs = full_observations(m)
+    for lam in (0.0, 1.0):
+        expect = _plain_soft_impute_objective(obs, lam, 10, 1e-12)
+        config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
+        pair, traces = soft_impute(obs, config)
+        assert pair.rank == 3
+        assert traces[-1].objective == pytest.approx(expect, rel=1e-8, abs=1e-12)
 
 
 def test_soft_impute_block_path_is_deterministic():

@@ -98,6 +98,19 @@ def test_synth_complete_without_heldout_entries_is_an_error(tmp_path, capsys):
     assert not csv_path.exists() and not json_path.exists()
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--snr", "nan", "snr"), ("--true-rank", "-1", "true_rank"),
+    ("--m", "0", "m must"), ("--n", "0", "n must")])
+def test_synth_complete_rejects_bad_config(tmp_path, capsys, flag, value, name):
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["synth-complete", "--m", "20", "--n", "20", "--rank", "3",
+                    "--trials", "1", flag, value,
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_synth_complete_softimpute_rows(tmp_path):
     csv_path = tmp_path / "o.csv"
     code = run_cli(["synth-complete", "--m", "25", "--n", "25", "--true-rank", "2",
@@ -144,6 +157,18 @@ def test_rpca_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value,
     json_path = tmp_path / "r.json"
     code = run_cli(["rpca-synth", "--m", "20", "--n", "20", "--true-rank", "2",
                     "--rank", "2", flag, value,
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
+
+
+@pytest.mark.filterwarnings("error")  # m = 0 used to warn on an empty std first
+@pytest.mark.parametrize("flag,value,name", [
+    ("--m", "0", "m must"), ("--n", "0", "n must"), ("--true-rank", "-1", "true_rank")])
+def test_rpca_synth_rejects_bad_shape(tmp_path, capsys, flag, value, name):
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    code = run_cli(["rpca-synth", "--m", "20", "--n", "20", "--rank", "2", flag, value,
                     "--csv", str(csv_path), "--json", str(json_path)])
     assert code == 1
     assert name in capsys.readouterr().err

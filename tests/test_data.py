@@ -58,6 +58,17 @@ def test_gen_completion_validation():
         SynthCompletionConfig(10, 10, 2, 0.0, 1.0)
     with pytest.raises(ValueError):
         SynthCompletionConfig(10, 10, 20, 0.5, 1.0)
+    for args, field in (((10, 10, 2, 0.5, np.nan), "snr"), ((10, 10, -1, 0.5, 1.0), "true_rank"),
+                        ((0, 10, 0, 0.5, 1.0), "m must"), ((10, 0, 0, 0.5, 1.0), "n must")):
+        with pytest.raises(ValueError, match=field):
+            SynthCompletionConfig(*args)
+
+
+def test_gen_rpca_validation():
+    for args, field in (((0, 10, 0), "m must"), ((10, 0, 0), "n must"),
+                        ((10, 10, -1), "true_rank")):
+        with pytest.raises(ValueError, match=field):
+            SynthRpcaConfig(*args, 0.1, 4.0)
 
 
 # ------------------------------------------------------------------ gen_rpca

@@ -6,7 +6,7 @@ import pytest
 
 from lowrank import inner
 from lowrank.inner import InnerConfig, optimize_fast, optimize_full
-from lowrank.linalg import FactorPair, SparseObservations, project_observed
+from lowrank.linalg import FactorPair, SparseObservations, fits_dense, project_observed
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
 
 from conftest import dense_gradient, full_observations
@@ -190,15 +190,23 @@ def test_optimize_fast_high_cap_stays_finite():
 
 
 
-def _capped_cgnr_without_break(W, F, omega, iters):
-    """The capped CGNR loop run for all `iters` steps, frozen rows or not."""
+def _capped_cgnr_without_break(W, F, omega, iters, dense=False):
+    """The capped CGNR loop run for all `iters` steps, frozen rows or not, on
+    the dense masked products or on the sparse gather and CSR ones."""
     X = np.zeros_like(W)
-    R = omega.csr_with(omega.vals) @ F
+    if dense:
+        mask, target = omega.dense()
+        R = target @ F
+    else:
+        R = omega.csr_with(omega.vals) @ F
     P = R.copy()
     rs = np.einsum("ij,ij->i", R, R)
     floor = 1e-26 * rs
     for _ in range(iters):
-        Q = omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
+        if dense:
+            Q = ((P @ F.T) * mask) @ F
+        else:
+            Q = omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
         pq = np.einsum("ij,ij->i", P, Q)
         ok = (pq > 0.0) & (rs > floor)
         alpha = np.where(ok, rs / np.where(ok, pq, 1.0), 0.0)
@@ -213,22 +221,60 @@ def _capped_cgnr_without_break(W, F, omega, iters):
     return X
 
 
+# 300 x 240 = 72,000 cells, above the 65,536-cell cap: the sparse kernel.
+# About 7 entries per row keep the rank-4 row systems solvable, so rows
+# freeze well inside a 100-step cap.
+ABOVE_CAP = dict(m=300, n=240, p=0.03)
+
+
 def test_optimize_fast_stop_on_frozen_rows_is_bit_identical():
-    for seed, iters in ((13, 3), (14, 40), (15, 100)):
-        obs, rng = sparse_instance(seed, m=25, n=18, p=0.3)
+    cases = [(13, 3, dict(m=25, n=18, p=0.3)), (14, 40, dict(m=25, n=18, p=0.3)),
+             (15, 100, dict(m=25, n=18, p=0.3)), (13, 3, ABOVE_CAP),
+             (14, 40, ABOVE_CAP), (15, 100, ABOVE_CAP)]
+    for seed, iters, size in cases:
+        obs, rng = sparse_instance(seed, **size)
+        dense = fits_dense(obs.shape)
+        assert dense == (size is not ABOVE_CAP)
         obj = ObservedQuadratic(obs)
-        u = rng.standard_normal((25, 4))
-        v = rng.standard_normal((18, 4))
+        u = rng.standard_normal((size["m"], 4))
+        v = rng.standard_normal((size["n"], 4))
         config = InnerConfig(ls_iters=iters)
         assert np.array_equal(optimize_fast(u, v, 0, obj, config).U,
-                              _capped_cgnr_without_break(u, v, obs, iters))
+                              _capped_cgnr_without_break(u, v, obs, iters, dense))
         assert np.array_equal(optimize_fast(u, v, 1, obj, config).V,
-                              _capped_cgnr_without_break(v, u, obs.transpose, iters))
+                              _capped_cgnr_without_break(v, u, obs.transpose, iters, dense))
 
 
 def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
-    # rank-4 row systems reach their floor in a few steps; the loop must not
-    # keep projecting frozen rows for the rest of the 100-step cap
+    # rank-4 row systems reach their floor in a few steps; on either kernel
+    # the loop must not keep multiplying frozen rows for the rest of the
+    # 100-step cap
+    calls = []
+    normal_products = inner._normal_products
+
+    def counting(F, omega):
+        R, product = normal_products(F, omega)
+
+        def counted(P):
+            calls.append(1)
+            return product(P)
+
+        return R, counted
+
+    monkeypatch.setattr(inner, "_normal_products", counting)
+    for size in (dict(m=25, n=18, p=0.6), ABOVE_CAP):
+        obs, rng = sparse_instance(16, **size)
+        u = rng.standard_normal((size["m"], 4))
+        v = rng.standard_normal((size["n"], 4))
+        for t in (0, 1):
+            calls.clear()
+            optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
+            assert 0 < len(calls) < 100
+
+
+def test_capped_cgnr_takes_the_sparse_kernel_above_the_cap(monkeypatch):
+    # sentinel: a set above _DENSE_CELLS never builds its m x n dense arrays
+    # and projects through the gather; a set below it does neither
     calls = []
 
     def counting(pair, omega):
@@ -236,11 +282,60 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
         return project_observed(pair, omega)
 
     monkeypatch.setattr(inner, "project_observed", counting)
-    obs, rng = sparse_instance(16, m=25, n=18, p=0.6)
-    u = rng.standard_normal((25, 4))
-    v = rng.standard_normal((18, 4))
-    optimize_fast(u, v, 0, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
-    assert 0 < len(calls) < 100
+    for size, dense in ((dict(m=256, n=256, p=0.02), True), (dict(m=257, n=256, p=0.02), False),
+                        (dict(m=1, n=70_000, p=0.001), True)):
+        obs, rng = sparse_instance(17, **size)
+        calls.clear()
+        u = rng.standard_normal((size["m"], 3))
+        v = rng.standard_normal((size["n"], 3))
+        optimize_fast(u, v, 0, ObservedQuadratic(obs), InnerConfig(ls_iters=3))
+        optimize_fast(u, v, 1, ObservedQuadratic(obs), InnerConfig(ls_iters=3))
+        assert ("_dense" in vars(obs)) == dense
+        assert (len(calls) == 0) == dense
+
+
+# Dense and sparse kernels add the same terms in different orders; the bound
+# is fixed from the float64 rounding of 100-step refits, with room to spare.
+KERNEL_RTOL = 1e-10
+
+
+def _with_empty_lines(obs):
+    """`obs` without any entry in rows 0 and 3 or in columns 1 and 2."""
+    keep = ~np.isin(obs.row, [0, 3]) & ~np.isin(obs.col, [1, 2])
+    return SparseObservations(obs.rows, obs.cols, obs.row[keep], obs.col[keep],
+                              obs.vals[keep])
+
+
+def test_dense_kernel_matches_sparse_kernel(monkeypatch):
+    cases = []
+    for seed in range(3):
+        for rank in (1, 5, 15):
+            obs, rng = sparse_instance(30 + seed, m=60, n=45, p=0.3)
+            u = rng.standard_normal((60, rank))
+            v = rng.standard_normal((45, rank))
+            cases.append((obs, u, v))
+    obs, rng = sparse_instance(40, m=30, n=25, p=0.4)
+    u = rng.standard_normal((30, 4))
+    v = rng.standard_normal((25, 4))
+    u[:, 2] = 0.0
+    v[:, 2] = 0.0  # each side's fixed factor has a zero column
+    holes = _with_empty_lines(obs)
+    assert holes._row_counts[[0, 3]].sum() == holes.transpose._row_counts[[1, 2]].sum() == 0
+    cases.append((holes, u, v))
+
+    def refits(obs, u, v):
+        obj = ObservedQuadratic(obs)
+        return [optimize_fast(u, v, t, obj, InnerConfig(ls_iters=iters))
+                for t in (0, 1) for iters in (3, 100)]
+
+    dense = [refits(*case) for case in cases]
+    monkeypatch.setattr(inner, "fits_dense", lambda shape: False)
+    sparse = [refits(*case) for case in cases]
+    for got, want in zip(dense, sparse):
+        for a, b in zip(got, want):
+            for x, y in ((a.U, b.U), (a.V, b.V)):
+                assert np.all(np.isfinite(x))
+                assert np.linalg.norm(x - y) <= KERNEL_RTOL * np.linalg.norm(y)
 
 
 def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
