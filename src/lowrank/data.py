@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FactorPair, SparseObservations, project_observed
+from .linalg import (DuplicateEntryError, FactorPair, SparseObservations,
+                     project_observed)
 
 __all__ = [
     "SynthCompletionConfig",
@@ -129,7 +130,8 @@ _FORMATS = {"ml100k": "\t", "ml1m": "::"}
 def load_movielens(path: str, fmt: str) -> SparseObservations:
     """Parse a MovieLens ratings file into a users x items observed set, in
     file order; user/item ids are remapped to dense indices by ascending
-    original id. A repeated (user, item) pair is an error."""
+    original id. A repeated (user, item) pair is an error that names the
+    pair by its ids in the file."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_FORMATS)}")
     sep = _FORMATS[fmt]
@@ -154,11 +156,14 @@ def load_movielens(path: str, fmt: str) -> SparseObservations:
                 raise ValueError(f"{path}:{lineno}: rating {values[-1]} outside [1, 5]")
     if not values:
         raise ValueError(f"{path}: no ratings found")
-    uids = np.unique(users)
-    iids = np.unique(items)
-    umap = np.searchsorted(uids, users)
-    imap = np.searchsorted(iids, items)
-    return SparseObservations(len(uids), len(iids), umap, imap, values)
+    uids, umap = np.unique(np.asarray(users), return_inverse=True)
+    iids, imap = np.unique(np.asarray(items), return_inverse=True)
+    try:
+        return SparseObservations(len(uids), len(iids), umap, imap, values)
+    except DuplicateEntryError as exc:
+        i, j = exc.cell
+        raise ValueError(f"{path}: duplicate rating of item {iids[j]} "
+                         f"by user {uids[i]}") from None
 
 
 def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int

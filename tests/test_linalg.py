@@ -4,12 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_DENSE_CELLS, _GATHER_BLOCK, FactorPair,
-                            SparseObservations, project_observed,
+from lowrank.linalg import (_DENSE_CELLS, _GATHER_BLOCK, DuplicateEntryError,
+                            FactorPair, SparseObservations, project_observed,
                             svd_threshold, top_singular_triplet)
 
 from conftest import full_observations
@@ -20,6 +20,18 @@ from conftest import full_observations
 def test_sparse_observations_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         SparseObservations(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+
+
+def test_duplicate_error_names_first_repeated_cell():
+    # row-major input: the repeat sits next to its copy
+    with pytest.raises(DuplicateEntryError, match=r"\(1, 2\)") as info:
+        SparseObservations(3, 4, [0, 1, 1, 2], [3, 2, 2, 0], np.ones(4))
+    assert info.value.cell == (1, 2)
+    # shuffled input: (2, 3) repeats first in entry order, (1, 2) in row-major
+    with pytest.raises(ValueError, match="duplicate") as info:
+        SparseObservations(3, 4, [2, 0, 2, 1, 1], [3, 1, 3, 2, 2], np.ones(5))
+    assert info.value.cell == (1, 2)
+    assert "(1, 2)" in str(info.value)
 
 
 def test_sparse_observations_rejects_out_of_range():
@@ -156,13 +168,13 @@ def test_csr_data_is_read_only(shuffled):
 
 def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
     calls = []
-    lexsort = np.lexsort
+    argsort = np.argsort
 
-    def counting(keys):
-        calls.append(len(keys[0]))
-        return lexsort(keys)
+    def counting(a, *args, **kwargs):
+        calls.append(np.size(a))
+        return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "lexsort", counting)
+    monkeypatch.setattr(np, "argsort", counting)
     in_order = _entries(60, 50, 900, 10, shuffled=False)
     shuffled = _entries(60, 50, 900, 10, shuffled=True)
     config = lowrank.SolverConfig(target_rank=4, seed=1)
@@ -170,6 +182,62 @@ def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
     assert calls == []
     lowrank.fast_greedy(lowrank.ObservedQuadratic(shuffled), config)
     assert calls == [shuffled.nnz]
+
+
+def _lexsort_skeleton(m, row, col, vals):
+    """(indptr, indices, data) of the CSR matrix, from a (row, col) lexsort."""
+    perm = np.lexsort((col, row))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m))])
+    return indptr, col[perm], vals[perm]
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 49),
+       st.sampled_from(["sorted", "shuffled", "duplicated"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(3, 4, 0, "sorted", 0)       # empty set
+@example(3, 4, 1, "shuffled", 0)     # one entry
+@example(1, 7, 5, "shuffled", 1)     # 1 x n
+@example(7, 1, 3, "duplicated", 2)   # m x 1
+def test_constructor_and_skeleton_match_unique_and_lexsort(m, n, nnz, kind, seed):
+    """The constructor accepts what the np.unique size check accepted, names
+    the first repeated cell otherwise, and both orientations' matrices hold
+    the arrays of a (row, col) lexsort build."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(m * n, size=min(nnz, m * n), replace=False)
+    if kind == "sorted":
+        flat = np.sort(flat)
+    elif kind == "duplicated" and flat.size:
+        flat = np.insert(flat, rng.integers(flat.size + 1),
+                         flat[rng.integers(flat.size)])
+        if rng.random() < 0.5:
+            flat = np.sort(flat)
+    row, col = flat // n, flat % n
+    vals = rng.standard_normal(flat.size)
+    if np.unique(flat).size != flat.size:
+        with pytest.raises(DuplicateEntryError) as info:
+            SparseObservations(m, n, row, col, vals)
+        uniq, counts = np.unique(flat, return_counts=True)
+        assert info.value.cell == divmod(int(uniq[counts > 1][0]), n)
+        return
+    obs = SparseObservations(m, n, row, col, vals)
+    want = _lexsort_skeleton(m, row, col, vals)
+    for mat in (obs.csr(), obs.transpose.csr()):
+        for got, ref in zip((mat.indptr, mat.indices, mat.data), want):
+            assert np.array_equal(got, ref)
+
+
+def test_shuffled_set_builds_without_unique_or_lexsort(monkeypatch):
+    rng = np.random.default_rng(11)
+    flat = rng.choice(300 * 200, size=5000, replace=False)
+    row, col, vals = flat // 200, flat % 200, rng.standard_normal(flat.size)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("hash unique or lexsort called")
+
+    monkeypatch.setattr(np, "unique", fail)
+    monkeypatch.setattr(np, "lexsort", fail)
+    obs = SparseObservations(300, 200, row, col, vals)
+    assert obs.csr().has_sorted_indices and obs.transpose.csr().nnz == 5000
 
 
 def test_factor_pair_append_and_rank():
