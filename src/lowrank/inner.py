@@ -4,7 +4,13 @@ The full solve refits an r x r coefficient matrix X in R(U X V^T) by
 conjugate gradient on the normal equations. The fast solve refits one whole
 factor, decomposed into independent per-row least-squares systems, each run
 for a fixed (small) number of CG-on-normal-equations steps from a zero
-start; the iteration cap doubles as regularization.
+start; the iteration cap doubles as regularization. Each CG step's product
+takes one of three kernels by the size rules in `linalg`: masked dense
+GEMMs on a small observed set, per-row r x r Gram matrices formed once per
+refit on a larger one at the ranks and step caps where that pays
+(`fits_gram`), and a gather of the observed entries at every step
+otherwise. Huber objectives refit by a capped L-BFGS instead; scipy's
+optimizer is imported on its first use.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import FactorPair, SparseObservations, fits_dense, project_observed
+from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
+                     project_observed)
 from .objectives import HuberLowRank, ObservedQuadratic, huber_value
 
 __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
@@ -22,6 +28,14 @@ __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
 # iteration cap and memory of the capped L-BFGS half-step for Huber objectives
 _LBFGS_ITERS = 10
 _LBFGS_MEMORY = 5
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first use: only the Huber
+    half-step needs it, and it is a large share of the package's import time."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass
@@ -137,17 +151,18 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     the loop ends once every row has frozen. Rows with no observations keep
     their current value.
 
-    Only the normal-equation products depend on the size of `omega`
-    (`_normal_products`). A set that `fits_dense` multiplies its dense 0/1
-    mask and zero-filled target by F; a larger one gathers the observed
-    entries and multiplies a CSR view of them. On the sparse kernel's V side
-    `omega` is a transposed set, whose `csr_with` matrices are CSC views of
-    the root set's CSR skeleton. scipy's CSC product adds each output row's
-    terms in the same order as a CSR product over the transposed entries,
-    so on that kernel both sides match a CSR build bit for bit.
+    Only the normal-equation products depend on the size of `omega`, the
+    rank and `iters` (`_normal_products`): dense masked GEMMs, per-row Gram
+    matrices, or a gather at every step. The kernels add the same terms in
+    different orders, so their results agree to rounding, not bit for bit.
+    On the sparse kernels' V side `omega` is a transposed set, whose sparse
+    matrices are CSC views of the root set's CSR skeleton. scipy's CSC
+    product adds each output row's terms in the same order as a CSR product
+    over the transposed entries, so on those kernels both sides match a CSR
+    build bit for bit.
     """
     X = np.zeros_like(W)
-    R, normal = _normal_products(F, omega)
+    R, normal = _normal_products(F, omega, iters)
     P = R.copy()
     rs = np.einsum("ij,ij->i", R, R)
     floor = 1e-26 * rs
@@ -173,11 +188,17 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     return X
 
 
-def _normal_products(F: np.ndarray, omega: SparseObservations):
+def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
     """(M_Omega F, P -> Pi_Omega(P F^T) F): the right-hand sides and the
-    normal-equation product of `_capped_cgnr`'s row systems. The dense kernel
-    takes two GEMMs and a masked multiply per product; the sparse one makes
-    no m x n array."""
+    normal-equation product of `_capped_cgnr`'s row systems, for at most
+    `iters` products.
+
+    A set that `fits_dense` takes two GEMMs and a masked multiply per
+    product. A larger one makes no m x n array. When the refit `fits_gram`,
+    row i's Gram matrix G_i = F[omega_i]^T F[omega_i] is formed once, as one
+    SpMM of the set's 0/1 pattern by the r(r+1)/2 column products of F, and
+    each product is the batched G_i P_i. Otherwise each product gathers the
+    observed entries of P F^T and multiplies a CSR view of them by F."""
     if fits_dense(omega.shape):
         mask, target = omega.dense()
 
@@ -188,10 +209,22 @@ def _normal_products(F: np.ndarray, omega: SparseObservations):
 
         return target @ F, product
 
+    rhs = omega.csr_with(omega.vals) @ F
+    r = F.shape[1]
+    if fits_gram(omega.rows, r, iters):
+        upper = np.triu_indices(r)
+        packed = omega.pattern() @ (F[:, upper[0]] * F[:, upper[1]])
+        # slot[a, b]: the packed column holding G[a, b], so one take fills
+        # both triangles
+        slot = np.empty((r, r), dtype=np.intp)
+        slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
+        gram = np.take(packed, slot.ravel(), axis=1).reshape(-1, r, r)
+        return rhs, lambda P: np.einsum("ijk,ik->ij", gram, P)
+
     def product(P):
         return omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
 
-    return omega.csr_with(omega.vals) @ F, product
+    return rhs, product
 
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,

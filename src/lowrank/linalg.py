@@ -10,8 +10,13 @@ singular pair of such a matrix (dense, or sparse CSR/CSC) is the top
 eigenpair of the densified matrix's smaller Gram matrix (LAPACK); above the
 cap it comes from ARPACK, converged to machine precision or raising. Both
 work on the matrix divided by its largest absolute entry. The capped refit
-in `inner` follows the same rule: masked dense products on a small observed
-set, the gather and CSR kernel below on a larger one.
+in `inner` has three kernels, each picked by one rule:
+- dense: an observed set that `fits_dense` takes masked dense products;
+- Gram: a larger set whose refit `fits_gram` (rank below six times the step
+  cap, and a rows x r x r array of at most `_GRAM_CELLS` cells) forms every
+  row's r x r Gram matrix once, by one product of the set's 0/1 `pattern`;
+- gather: any other set gathers the observed entries (`project_observed`)
+  and multiplies a CSR view of them at every step.
 
 An observed set built from outside input is validated once, by its
 constructor. The sets derived from it (`transpose`, `_take`) reuse its
@@ -35,7 +40,8 @@ read-only view of the values, so nothing written through the matrix reaches
 the set. A transposed set reads the root's skeleton as a CSC matrix of the
 transposed shape, with no CSR of its own. In the same way a root set builds
 its dense 0/1 mask and zero-filled target once, when `dense` is first asked
-for, and its transpose reads their `.T`.
+for, and its transpose reads their `.T`; likewise its sparse 0/1 `pattern`,
+which the transpose reads as CSC.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dsyevr
-from scipy.sparse.linalg import svds
 
 __all__ = [
     "SparseObservations",
@@ -197,6 +202,20 @@ class SparseObservations:
         mask.flags.writeable = target.flags.writeable = False
         return mask, target
 
+    @cached_property
+    def _pattern(self) -> sp.csr_matrix:
+        """The 0/1 matrix of this root set: its CSR skeleton with read-only ones."""
+        indptr, indices, _ = self._skeleton
+        ones = np.ones(self.nnz)
+        ones.flags.writeable = False
+        return sp.csr_matrix((ones, indices, indptr), shape=self.shape, copy=False)
+
+    def pattern(self) -> sp.csr_matrix | sp.csc_matrix:
+        """The 0/1 matrix of Omega, built once per root set. A transposed set
+        returns the root's matrix as CSC, with no arrays of its own."""
+        root = self if self._root is None else self._root
+        return root._pattern.T if self._flip else root._pattern
+
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The 0/1 mask of Omega and the target zero-filled off Omega, as
         m x n arrays. A transposed set returns the root's arrays' `.T`."""
@@ -281,6 +300,32 @@ def fits_dense(shape: tuple[int, int]) -> bool:
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
+# The capped refit's Gram rule (`fits_gram`), for sets above the dense cap:
+# forming each row's r x r Gram matrix costs one SpMM of nnz x r(r+1)/2
+# multiply-adds, and each CG step then one batched r x r product; the gather
+# kernel costs a gather and a CSR product of nnz x r at every step. Median ms
+# per refit (Gram vs gather), 2-core host, one OpenBLAS thread, random sets:
+# on 6040 x 3706 with 1M entries, U side, 2 steps: 18 vs 69 at r = 5, 62 vs
+# 92 at 11, 78 vs 89 at 14, 120 vs 121 at 17; 3 steps: 54 vs 131 at 11, 121
+# vs 169 at 17; 1 step: 18 vs 37 at 5, 33 vs 44 at 8; 5 steps: 350 vs 432 at
+# 26, 476 vs 492 at 32. V side, 2 steps: 44 vs 70 at 11, 81 vs 86 at 14, 137
+# vs 113 at 17. On 943 x 1682 with 80k entries, 2 steps: 3.8 vs 7.0 at
+# r = 11, 6.3 vs 8.3 at 14, 9.9 vs 9.2 at 17 (V side: 9.0 vs 8.4 at 14).
+# So the Gram kernel runs while rank + 1 <= 6 * steps, which leaves some
+# gain at 1 and 5 steps. The cell cap bounds the rows x r x r array at
+# 32 MB (the SpMM's packed output beside it is about half that), which a
+# large step cap would otherwise let grow with r^2.
+_GRAM_STEP_RANKS = 6
+_GRAM_CELLS = 1 << 22
+
+
+def fits_gram(rows: int, rank: int, steps: int) -> bool:
+    """Whether a capped refit of `rows` row systems at this rank, for at most
+    `steps` CG steps, forms each row's Gram matrix (on a set above the dense
+    cap; see `inner._normal_products`)."""
+    return rank + 1 <= _GRAM_STEP_RANKS * steps and rows * rank * rank <= _GRAM_CELLS
+
+
 def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:
     """Dominant singular triplet of the matrix `g`, to machine precision.
 
@@ -338,6 +383,10 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def _krylov_triplet(g: np.ndarray | sp.spmatrix,
                     seed: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Top pair of `g` (both sides >= 2) by ARPACK at machine precision."""
+    # imported here: only matrices above the dense cap need ARPACK, and
+    # scipy.sparse.linalg is a large share of the package's import time
+    from scipy.sparse.linalg import svds
+
     v0 = np.random.default_rng(seed).standard_normal(min(g.shape))
     u, s, vt = svds(g, k=1, v0=v0, tol=0)
     return float(s[0]), u[:, 0], vt[0]

@@ -1,12 +1,16 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lowrank import inner
+from lowrank import inner, linalg
 from lowrank.inner import InnerConfig, optimize_fast, optimize_full
-from lowrank.linalg import FactorPair, SparseObservations, fits_dense, project_observed
+from lowrank.linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
+                            project_observed)
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
 
 from conftest import dense_gradient, full_observations
@@ -190,21 +194,31 @@ def test_optimize_fast_high_cap_stays_finite():
 
 
 
-def _capped_cgnr_without_break(W, F, omega, iters, dense=False):
+def _capped_cgnr_without_break(W, F, omega, iters, kernel):
     """The capped CGNR loop run for all `iters` steps, frozen rows or not, on
-    the dense masked products or on the sparse gather and CSR ones."""
+    the dense masked products, the per-row Gram matrices or the sparse gather
+    and CSR products."""
     X = np.zeros_like(W)
-    if dense:
+    if kernel == "dense":
         mask, target = omega.dense()
         R = target @ F
     else:
         R = omega.csr_with(omega.vals) @ F
+    if kernel == "gram":
+        r = F.shape[1]
+        a, b = np.triu_indices(r)
+        packed = omega.pattern() @ (F[:, a] * F[:, b])
+        gram = np.empty((W.shape[0], r, r))
+        gram[:, a, b] = packed
+        gram[:, b, a] = packed
     P = R.copy()
     rs = np.einsum("ij,ij->i", R, R)
     floor = 1e-26 * rs
     for _ in range(iters):
-        if dense:
+        if kernel == "dense":
             Q = ((P @ F.T) * mask) @ F
+        elif kernel == "gram":
+            Q = np.einsum("ijk,ik->ij", gram, P)
         else:
             Q = omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
         pq = np.einsum("ij,ij->i", P, Q)
@@ -221,39 +235,47 @@ def _capped_cgnr_without_break(W, F, omega, iters, dense=False):
     return X
 
 
-# 300 x 240 = 72,000 cells, above the 65,536-cell cap: the sparse kernel.
+def _kernel(omega, rank, iters):
+    """The kernel `_capped_cgnr` takes for this set, rank and step cap."""
+    if fits_dense(omega.shape):
+        return "dense"
+    return "gram" if fits_gram(omega.rows, rank, iters) else "gather"
+
+
+# 300 x 240 = 72,000 cells, above the 65,536-cell cap: a sparse kernel.
 # About 7 entries per row keep the rank-4 row systems solvable, so rows
 # freeze well inside a 100-step cap.
 ABOVE_CAP = dict(m=300, n=240, p=0.03)
 
 
 def test_optimize_fast_stop_on_frozen_rows_is_bit_identical():
-    cases = [(13, 3, dict(m=25, n=18, p=0.3)), (14, 40, dict(m=25, n=18, p=0.3)),
-             (15, 100, dict(m=25, n=18, p=0.3)), (13, 3, ABOVE_CAP),
-             (14, 40, ABOVE_CAP), (15, 100, ABOVE_CAP)]
-    for seed, iters, size in cases:
+    small = dict(m=25, n=18, p=0.3)
+    cases = [(13, 3, small, 4, "dense"), (14, 40, small, 4, "dense"),
+             (15, 100, small, 4, "dense"), (13, 3, ABOVE_CAP, 4, "gram"),
+             (14, 40, ABOVE_CAP, 4, "gram"), (15, 100, ABOVE_CAP, 4, "gram"),
+             (16, 2, ABOVE_CAP, 12, "gather")]
+    for seed, iters, size, rank, kernel in cases:
         obs, rng = sparse_instance(seed, **size)
-        dense = fits_dense(obs.shape)
-        assert dense == (size is not ABOVE_CAP)
+        assert _kernel(obs, rank, iters) == _kernel(obs.transpose, rank, iters) == kernel
         obj = ObservedQuadratic(obs)
-        u = rng.standard_normal((size["m"], 4))
-        v = rng.standard_normal((size["n"], 4))
+        u = rng.standard_normal((size["m"], rank))
+        v = rng.standard_normal((size["n"], rank))
         config = InnerConfig(ls_iters=iters)
         assert np.array_equal(optimize_fast(u, v, 0, obj, config).U,
-                              _capped_cgnr_without_break(u, v, obs, iters, dense))
+                              _capped_cgnr_without_break(u, v, obs, iters, kernel))
         assert np.array_equal(optimize_fast(u, v, 1, obj, config).V,
-                              _capped_cgnr_without_break(v, u, obs.transpose, iters, dense))
+                              _capped_cgnr_without_break(v, u, obs.transpose, iters, kernel))
 
 
 def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
-    # rank-4 row systems reach their floor in a few steps; on either kernel
-    # the loop must not keep multiplying frozen rows for the rest of the
-    # 100-step cap
+    # rank-4 row systems reach their floor in a few steps; on the dense and
+    # the Gram kernel the loop must not keep multiplying frozen rows for the
+    # rest of the 100-step cap
     calls = []
     normal_products = inner._normal_products
 
-    def counting(F, omega):
-        R, product = normal_products(F, omega)
+    def counting(F, omega, iters):
+        R, product = normal_products(F, omega, iters)
 
         def counted(P):
             calls.append(1)
@@ -262,7 +284,7 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
         return R, counted
 
     monkeypatch.setattr(inner, "_normal_products", counting)
-    for size in (dict(m=25, n=18, p=0.6), ABOVE_CAP):
+    for size, kernel in ((dict(m=25, n=18, p=0.6), "dense"), (ABOVE_CAP, "gram")):
         obs, rng = sparse_instance(16, **size)
         u = rng.standard_normal((size["m"], 4))
         v = rng.standard_normal((size["n"], 4))
@@ -270,32 +292,60 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
             calls.clear()
             optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
             assert 0 < len(calls) < 100
+        assert ("_pattern" in vars(obs)) == (kernel == "gram")
 
 
-def test_capped_cgnr_takes_the_sparse_kernel_above_the_cap(monkeypatch):
-    # sentinel: a set above _DENSE_CELLS never builds its m x n dense arrays
-    # and projects through the gather; a set below it does neither
-    calls = []
+def _kernels_run(monkeypatch, size, rank, iters, t):
+    """The kernels one refit of a fresh set ran, told apart by what they
+    leave behind: dense arrays, a cached 0/1 pattern, or gathers."""
+    gathers = []
 
     def counting(pair, omega):
-        calls.append(1)
+        gathers.append(1)
         return project_observed(pair, omega)
 
     monkeypatch.setattr(inner, "project_observed", counting)
-    for size, dense in ((dict(m=256, n=256, p=0.02), True), (dict(m=257, n=256, p=0.02), False),
-                        (dict(m=1, n=70_000, p=0.001), True)):
-        obs, rng = sparse_instance(17, **size)
-        calls.clear()
-        u = rng.standard_normal((size["m"], 3))
-        v = rng.standard_normal((size["n"], 3))
-        optimize_fast(u, v, 0, ObservedQuadratic(obs), InnerConfig(ls_iters=3))
-        optimize_fast(u, v, 1, ObservedQuadratic(obs), InnerConfig(ls_iters=3))
-        assert ("_dense" in vars(obs)) == dense
-        assert (len(calls) == 0) == dense
+    obs, rng = sparse_instance(17, **size)
+    u = rng.standard_normal((size["m"], rank))
+    v = rng.standard_normal((size["n"], rank))
+    optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=iters))
+    ran = {"dense": "_dense" in vars(obs), "gram": "_pattern" in vars(obs),
+           "gather": bool(gathers)}
+    return {kernel for kernel, yes in ran.items() if yes}
 
 
-# Dense and sparse kernels add the same terms in different orders; the bound
-# is fixed from the float64 rounding of 100-step refits, with room to spare.
+def test_capped_cgnr_takes_the_sparse_kernel_above_the_cap(monkeypatch):
+    # a set of at most _DENSE_CELLS cells takes the dense kernel; a larger one
+    # never builds its m x n dense arrays, and forms Gram matrices while
+    # rank + 1 <= 6 * steps, else gathers at every step
+    above = dict(m=257, n=256, p=0.02)
+    for size, rank, iters, kernel in (
+            (dict(m=256, n=256, p=0.02), 3, 3, "dense"),
+            (dict(m=1, n=70_000, p=0.001), 3, 3, "dense"),
+            (above, 3, 3, "gram"), (above, 17, 3, "gram"), (above, 18, 3, "gather"),
+            (above, 11, 2, "gram"), (above, 12, 2, "gather"),
+            (above, 5, 1, "gram"), (above, 6, 1, "gather")):
+        for t in (0, 1):
+            assert _kernels_run(monkeypatch, size, rank, iters, t) == {kernel}
+
+
+def test_large_ranks_and_gram_arrays_take_the_gather_kernel(monkeypatch):
+    # the recsys recipe's refit (ml-100k shape: 943 x 1682, 80k entries;
+    # rank 100, 2 steps) stays on the gather kernel, on both sides
+    recipe = dict(m=943, n=1682, p=80_000 / (943 * 1682))
+    for t in (0, 1):
+        assert _kernels_run(monkeypatch, recipe, 100, 2, t) == {"gather"}
+    # a step cap that admits the rank still gathers once the rows x r x r
+    # Gram array would pass the cell bound
+    rank, cells = 27, linalg._GRAM_CELLS
+    rows = cells // (rank * rank) + 1
+    assert fits_gram(rows - 1, rank, 100) and not fits_gram(rows, rank, 100)
+    assert _kernels_run(monkeypatch, dict(m=rows, n=12, p=0.3), rank, 100, 0) == {"gather"}
+
+
+# Dense, Gram and gather kernels add the same terms in different orders; the
+# bound is fixed from the float64 rounding of 100-step refits, with room to
+# spare.
 KERNEL_RTOL = 1e-10
 
 
@@ -328,26 +378,37 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
         return [optimize_fast(u, v, t, obj, InnerConfig(ls_iters=iters))
                 for t in (0, 1) for iters in (3, 100)]
 
+    def copied(obs):
+        return SparseObservations(*obs.shape, obs.row, obs.col, obs.vals)
+
     dense = [refits(*case) for case in cases]
     monkeypatch.setattr(inner, "fits_dense", lambda shape: False)
-    sparse = [refits(*case) for case in cases]
-    for got, want in zip(dense, sparse):
-        for a, b in zip(got, want):
-            for x, y in ((a.U, b.U), (a.V, b.V)):
-                assert np.all(np.isfinite(x))
-                assert np.linalg.norm(x - y) <= KERNEL_RTOL * np.linalg.norm(y)
+    gram_sets = [copied(obs) for obs, _, _ in cases]
+    gram = [refits(obs, u, v) for obs, (_, u, v) in zip(gram_sets, cases)]
+    assert all("_pattern" in vars(obs) for obs in gram_sets)
+    monkeypatch.setattr(inner, "fits_gram", lambda rows, rank, steps: False)
+    gather = [refits(*case) for case in cases]
+    for kernel in (dense, gram):
+        for got, want in zip(kernel, gather):
+            for a, b in zip(got, want):
+                for x, y in ((a.U, b.U), (a.V, b.V)):
+                    assert np.all(np.isfinite(x))
+                    assert np.linalg.norm(x - y) <= KERNEL_RTOL * np.linalg.norm(y)
 
 
 def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
-    obs, rng = sparse_instance(12, m=15, n=11)
-    u = rng.standard_normal((15, 3))
-    v = rng.standard_normal((11, 3))
-    config = InnerConfig(ls_iters=3)
-    v_side = optimize_fast(u, v, 1, ObservedQuadratic(obs), config)
-    flipped = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
-    u_side = optimize_fast(v, u, 0, ObservedQuadratic(flipped), config)
-    assert v_side.U is u and u_side.V is u
-    assert np.array_equal(v_side.V, u_side.U)
+    # bit for bit on each kernel: dense below the cap, Gram and gather above
+    for size, rank, iters in ((dict(m=15, n=11, p=0.5), 3, 3), (ABOVE_CAP, 3, 3),
+                              (ABOVE_CAP, 12, 2)):
+        obs, rng = sparse_instance(12, **size)
+        u = rng.standard_normal((size["m"], rank))
+        v = rng.standard_normal((size["n"], rank))
+        config = InnerConfig(ls_iters=iters)
+        v_side = optimize_fast(u, v, 1, ObservedQuadratic(obs), config)
+        flipped = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
+        u_side = optimize_fast(v, u, 0, ObservedQuadratic(flipped), config)
+        assert v_side.U is u and u_side.V is u
+        assert np.array_equal(v_side.V, u_side.U)
 
 def test_optimize_fast_huber_decreases_objective():
     rng = np.random.default_rng(10)
@@ -452,6 +513,17 @@ def test_huber_half_step_threads_sharing_one_objective():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+def test_import_leaves_optimizer_and_arpack_unloaded():
+    # scipy's optimizer (Huber half-step) and ARPACK (insertion above the
+    # dense cap) load on first use, not with the package
+    code = ("import sys, lowrank; print(sorted(m for m in ('scipy.optimize', "
+            "'scipy.sparse.linalg', 'scipy.sparse', 'scipy.linalg') if m in sys.modules))")
+    src = str(Path(inner.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "['scipy.linalg', 'scipy.sparse']"
+
 
 def test_objective_after_inner():
     # the value the solvers trace after each refit, against brute force
