@@ -8,8 +8,10 @@ One size rule, `fits_dense`, picks dense or sparse work: a matrix of at most
 65536 cells, or with a side of 1, is handled as a dense array. The top
 singular pair of such a matrix (dense, or sparse CSR/CSC) is the top
 eigenpair of the densified matrix's smaller Gram matrix (LAPACK); above the
-cap it comes from ARPACK, converged to machine precision or raising. Both
-work on the matrix divided by its largest absolute entry. The capped refit
+cap it comes from a Golub-Kahan-Lanczos bidiagonalization of the matrix as
+given, with no copy and no transpose, converged to machine precision or
+raising. Both work on the matrix divided by its largest absolute entry (the
+Krylov path divides the vectors it multiplies instead). The capped refit
 in `inner` has three kernels, each picked by one rule:
 - dense: an observed set that `fits_dense` takes masked dense products;
 - Gram: a larger set whose refit `fits_gram` (rank below six times the step
@@ -53,7 +55,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dstebz, dstein, dsyevr
 
 __all__ = [
     "SparseObservations",
@@ -151,9 +153,17 @@ class SparseObservations:
                              self.vals[indices], False)
 
     @cached_property
+    def _counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Observed entries per row and per column of this root set."""
+        return (np.bincount(self.row, minlength=self.rows),
+                np.bincount(self.col, minlength=self.cols))
+
+    @property
     def _row_counts(self) -> np.ndarray:
-        """Observed entries per row."""
-        return np.bincount(self.row, minlength=self.rows)
+        """Observed entries per row; a transposed set reads its root's column
+        counts."""
+        root = self if self._root is None else self._root
+        return root._counts[self._flip]
 
     @cached_property
     def _skeleton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -223,8 +233,12 @@ class SparseObservations:
         mask, target = root._dense
         return (mask.T, target.T) if self._flip else (mask, target)
 
-    @cached_property
+    @property
     def transpose(self) -> "SparseObservations":
+        """The transposed set, built on each access, without validation or
+        copies. A root caching it would form a reference cycle with it, which
+        only a full garbage collection frees, so a loop that builds one set per
+        pass held several passes' skeletons and patterns at once."""
         return self._derived(self.col, self.row, self.vals, True)
 
 
@@ -283,14 +297,16 @@ class SingularTriplet:
 
 # The one size rule (`fits_dense`): matrices with at most this many cells, or
 # with a side of 1, are handled as dense arrays, both for insertion (the Gram
-# eigenpair, else ARPACK) and for the capped refit's products (masked GEMMs,
-# else the gather and CSR kernel). Median ms per insertion on square
-# 20%-dense random matrices, 2-core host, one OpenBLAS thread, Gram vs svds:
-# 0.45-0.54 vs 2.1-2.3 at n = 100, 4.8 vs 4.7-5.1 at 256 (the cap), 6.5-6.8
-# vs 5.1-5.9 at 300. Median us per refit product, same host, dense vs sparse
-# kernel at r = 5 / 30: 20 / 46 vs 121 / 451 at n = 100, 20% observed;
-# 108 / 267 vs 435 / 2120 at n = 256, 20%; 102 / 314 vs 108 / 163 at
-# n = 256, 2%. The cap also bounds each dense copy at 512 kB.
+# eigenpair, else the Krylov path) and for the capped refit's products (masked
+# GEMMs, else the gather and CSR kernel). Median ms per insertion on three
+# square 20%-dense random CSR matrices, 2-core host, one OpenBLAS thread, Gram
+# vs Krylov path at n = 100 / 256 (the cap) / 300: with entries uniform on
+# [0, 1) (one dominant singular value) 0.51-0.54 vs 1.2-1.3 / 3.8-4.9 vs
+# 0.9-1.8 / 4.6-6.7 vs 0.9-1.5; with Gaussian entries 0.34-0.51 vs 2.3-3.0 /
+# 3.5-4.4 vs 6.4-6.6 / 6.5-6.9 vs 7.3-8.8. Median us per refit product,
+# same host, dense vs sparse kernel at r = 5 / 30: 20 / 46 vs 121 / 451 at
+# n = 100, 20% observed; 108 / 267 vs 435 / 2120 at n = 256, 20%; 102 / 314
+# vs 108 / 163 at n = 256, 2%. The cap also bounds each dense copy at 512 kB.
 _DENSE_CELLS = 65536
 
 
@@ -329,19 +345,17 @@ def fits_gram(rows: int, rank: int, steps: int) -> bool:
 def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:
     """Dominant singular triplet of the matrix `g`, to machine precision.
 
-    `g` is a dense array or a scipy CSR/CSC matrix. It is first divided by
-    its largest absolute entry, and sigma is scaled back at the end, so that
-    neither path under- or overflows. A matrix with at most 65536 cells or a
-    side of 1 is densified (C order, so CSR, CSC and dense inputs give
-    bit-identical results) and its top pair comes from the top eigenpair of
-    its smaller Gram matrix, by LAPACK's dsyevr. Any other matrix goes to
-    ARPACK (`svds`) with the residual tolerance at machine precision and a
-    start vector drawn from ``np.random.default_rng(seed)``; identical
-    (g, seed) give bit-identical results, and a run that does not converge
-    raises ``ArpackNoConvergence`` rather than returning an inexact pair.
-    Non-finite entries raise ValueError. A zero matrix yields (0, e_1, e_1).
-    The sign is fixed so that the largest-magnitude entry of u is
-    nonnegative.
+    `g` is a dense array or a scipy CSR/CSC matrix, worked on as divided by
+    its largest absolute entry, so that nothing under- or overflows; sigma
+    is scaled back at the end. A matrix that `fits_dense` is densified (C
+    order, so CSR, CSC and dense inputs give bit-identical results) and its
+    pair comes from the top eigenpair of its smaller Gram matrix (dsyevr).
+    Any other matrix goes uncopied to `_krylov_triplet`, from a start vector
+    drawn from ``np.random.default_rng(seed)``: identical (g, seed) give
+    bit-identical results, and a run that does not converge raises
+    ``np.linalg.LinAlgError`` rather than return an inexact pair. Non-finite
+    entries raise ValueError. A zero matrix yields (0, e_1, e_1). The sign is
+    fixed so that the largest-magnitude entry of u is nonnegative.
     """
     rows, cols = g.shape
     if rows < 1 or cols < 1:
@@ -351,13 +365,18 @@ def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> Singular
         g = np.asarray(g, dtype=np.float64)
     elif dense:
         g = g.toarray(order="C")  # CSC would give Fortran order and other sums
-    scale = float(np.abs(g.data if sp.issparse(g) else g).max(initial=0.0))
-    if not math.isfinite(scale):
+    # max and min rather than abs: no temporary the size of the entries
+    entries = g.data if sp.issparse(g) else g
+    hi, lo = float(entries.max(initial=0.0)), float(entries.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("matrix has non-finite values")
+    scale = max(hi, -lo)
     if scale == 0.0:
         return SingularTriplet(0.0, np.eye(1, rows)[0], np.eye(1, cols)[0])
-    g = g / scale
-    sigma, u, v = _gram_triplet(g) if dense else _krylov_triplet(g, seed)
+    if dense:
+        sigma, u, v = _gram_triplet(g / scale)
+    else:
+        sigma, u, v = _krylov_triplet(g, seed, scale)
     if u[np.argmax(np.abs(u))] < 0.0:
         u, v = -u, -v
     return SingularTriplet(sigma * scale, u, v)
@@ -380,16 +399,115 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return (sigma, w / sigma, x) if b is a else (sigma, x, w / sigma)
 
 
-def _krylov_triplet(g: np.ndarray | sp.spmatrix,
-                    seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Top pair of `g` (both sides >= 2) by ARPACK at machine precision."""
-    # imported here: only matrices above the dense cap need ARPACK, and
-    # scipy.sparse.linalg is a large share of the package's import time
-    from scipy.sparse.linalg import svds
+# The Krylov path's basis cap and restart budget (`_krylov_triplet`). Step k
+# costs two products and a reorthogonalization against k vectors per side.
+# Steps to convergence: 12-30 for the insertions of a 6040 x 3706, 1M-entry
+# `fast_greedy` solve to rank 10 (seeds 0-2); on a 943 x 1682, 100k-entry
+# solve 9-25, but 90-94 uncapped on the noise left after the true rank,
+# where 95-101 with one restart are no slower (median ms 35-43 vs 42-47, one
+# OpenBLAS thread, 2-core host). The bases hold 64 x (rows + cols) doubles.
+_KRYLOV_STEPS = 64
+_KRYLOV_RESTARTS = 16
+_EPS = float(np.finfo(np.float64).eps)
 
-    v0 = np.random.default_rng(seed).standard_normal(min(g.shape))
-    u, s, vt = svds(g, k=1, v0=v0, tol=0)
-    return float(s[0]), u[:, 0], vt[0]
+
+def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
+                    scale: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Top pair of `g / scale` (both sides >= 2) by Golub-Kahan-Lanczos
+    bidiagonalization with full reorthogonalization.
+
+    With `a` the orientation of `g` whose columns are the smaller side, the
+    run builds orthonormal bases V (from the start vector) and U with
+    a V_k = U_k B_k, B_k upper bidiagonal (alpha on the diagonal, beta
+    above it), and a^T U_k = V_k B_k^T + beta_k v_{k+1} e_k^T. For the top
+    right singular vector q of B_k, with B_k q = sigma p, the Ritz pair
+    (U_k p, V_k q) has a v = sigma u, and a^T u - sigma v has norm
+    beta_k |p_k|: the run stops once that is at most eps * sigma. q is the
+    top eigenvector of the tridiagonal B_k^T B_k, an O(k) solve per step.
+    After `_KRYLOV_STEPS` steps the run restarts from V_k q, and after
+    `_KRYLOV_RESTARTS` restarts it raises. The factor 1 / scale goes on the
+    vectors, half before and half after each product, so that no finite
+    scale over- or underflows and `g` is never copied.
+    """
+    a = g if g.shape[0] >= g.shape[1] else g.T
+    at = a.T
+    pre = math.ldexp(1.0, -math.frexp(scale)[1] // 2)
+    post = 1.0 / (scale * pre)
+
+    def times(m, x):
+        """m @ (x / scale)."""
+        y = m @ (x * pre)
+        y *= post
+        return y
+
+    steps = _KRYLOV_STEPS
+    U, V = np.empty((steps, a.shape[0])), np.empty((steps, a.shape[1]))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    # B_k^T B_k: alpha_j^2 + beta_{j-1}^2 on the diagonal, alpha_j beta_j beside it
+    diag, off = np.empty(steps), np.empty(steps)
+    x = np.random.default_rng(seed).standard_normal(a.shape[1])
+    for _ in range(_KRYLOV_RESTARTS + 1):
+        V[0] = x / math.sqrt(x.dot(x))
+        r = times(a, V[0])
+        alpha[0] = math.sqrt(r.dot(r))
+        if alpha[0] == 0.0:
+            raise np.linalg.LinAlgError("start vector in the null space")
+        U[0] = r / alpha[0]
+        diag[0] = alpha[0] ** 2
+        for k in range(1, steps + 1):
+            r = times(at, U[k - 1])
+            r -= alpha[k - 1] * V[k - 1]
+            _orthogonalize(r, V[:k])
+            b = beta[k - 1] = math.sqrt(r.dot(r))
+            q = _top_tridiagonal_eigenvector(diag[:k], off[:k - 1])
+            p = alpha[:k] * q  # B_k q = sigma p
+            p[:-1] += beta[:k - 1] * q[1:]
+            sigma = math.sqrt(p.dot(p))
+            if b * abs(p[-1]) <= _EPS * sigma * sigma:
+                u, v = (p / sigma) @ U[:k], q @ V[:k]
+                return (sigma, u, v) if a is g else (sigma, v, u)
+            if k == steps:
+                break
+            V[k] = r / b
+            r = times(a, V[k])
+            r -= b * U[k - 1]
+            _orthogonalize(r, U[:k])
+            alpha[k] = math.sqrt(r.dot(r))
+            # alpha = 0: a v_{k+1} lies in span(U_k), and the next beta is 0
+            U[k] = r / alpha[k] if alpha[k] > 0.0 else 0.0
+            diag[k] = alpha[k] ** 2 + b ** 2
+            off[k - 1] = alpha[k - 1] * b
+        x = q @ V
+    raise np.linalg.LinAlgError(
+        f"top singular pair not converged in {_KRYLOV_RESTARTS} restarts "
+        f"of {_KRYLOV_STEPS} steps")
+
+
+def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:
+    """Remove from `r`, in place, its components along the orthonormal rows of
+    `basis`: classical Gram-Schmidt, repeated once when the pass removed more
+    than half of r's squared norm (the Daniel-Gragg-Kaufman-Stewart test)."""
+    before = r.dot(r)
+    r -= (basis @ r) @ basis
+    if r.dot(r) < 0.5 * before:
+        r -= (basis @ r) @ basis
+
+
+def _top_tridiagonal_eigenvector(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of the symmetric tridiagonal
+    matrix with diagonal `d` and off-diagonal `e`, by LAPACK's bisection
+    (dstebz) and inverse iteration (dstein): scipy's `eigh_tridiagonal` makes
+    the same two calls after 35-45 us of argument handling, which is 2-10
+    times their own cost at k = 64 down to 5."""
+    n = d.size
+    if n == 1:
+        return np.ones(1)
+    _, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "B")
+    if not info:
+        z, info = dstein(d, e, w[:1], block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigenproblem failed with info={info}")
+    return z[:, 0]
 
 
 def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:

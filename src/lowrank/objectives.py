@@ -26,12 +26,14 @@ __all__ = [
 class ObservedQuadratic:
     """R(A) = 1/2 * sum_{(i,j) in Omega} (A - M)_ij^2.
 
-    The projection of the last FactorPair seen is cached, so `value` at the
+    The residual of the last FactorPair seen is cached, so `value` at the
     end of one outer step and `gradient` (or `insertion_gradient`) at the
-    start of the next share one gather. The cache is one (pair, prediction)
-    tuple, matched by identity and replaced in one assignment, so threads
-    sharing an objective at worst project again. A FactorPair must
-    therefore not be mutated after it has been passed to an objective.
+    start of the next share one gather and one subtraction. The cache is one
+    (pair, residual) tuple, matched by identity and replaced in one
+    assignment, so threads sharing an objective at worst project again; the
+    cached array is read-only, and so is every gradient's view of it. A
+    FactorPair must therefore not be mutated after it has been passed to an
+    objective.
     """
 
     def __init__(self, target: SparseObservations):
@@ -42,17 +44,16 @@ class ObservedQuadratic:
     def shape(self) -> tuple[int, int]:
         return self.target.shape
 
-    def _prediction(self, pair: FactorPair) -> np.ndarray:
-        """Pi_Omega(U V^T) in entry order, from the cache when `pair` is the last one."""
-        last, pred = self._last
-        if last is not pair:
-            pred = project_observed(pair, self.target)
-            self._last = (pair, pred)
-        return pred
-
     def residual(self, pair: FactorPair) -> np.ndarray:
-        """Prediction minus target on Omega."""
-        return self._prediction(pair) - self.target.vals
+        """Prediction minus target on Omega, in entry order (read-only; from
+        the cache when `pair` is the last one)."""
+        last, res = self._last
+        if last is not pair:
+            res = project_observed(pair, self.target)
+            res -= self.target.vals
+            res.flags.writeable = False
+            self._last = (pair, res)
+        return res
 
     def value(self, pair: FactorPair) -> float:
         r = self.residual(pair)
@@ -115,6 +116,12 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         self.clip_hi = float(clip_hi)
 
     def insertion_gradient(self, pair: FactorPair) -> sp.spmatrix:
-        pred = self._prediction(pair)
-        return self.target.csr_with(np.clip(pred, self.clip_lo, self.clip_hi)
-                                    - self.target.vals)
+        """clip(pred, lo, hi) - vals on Omega, taken as the cached residual
+        clipped to [lo - vals, hi - vals]. Bit for bit the same: rounding is
+        monotone, so pred - vals passes a rounded bound exactly where pred
+        passes the bound, and a clipped entry is the rounded bound itself."""
+        vals = self.target.vals
+        bound = np.subtract(self.clip_hi, vals)
+        grad = np.minimum(self.residual(pair), bound)
+        np.maximum(grad, np.subtract(self.clip_lo, vals, out=bound), out=grad)
+        return self.target.csr_with(grad)

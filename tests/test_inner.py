@@ -515,14 +515,19 @@ def test_huber_half_step_threads_sharing_one_objective():
     assert wrong == []
 
 def test_import_leaves_optimizer_and_arpack_unloaded():
-    # scipy's optimizer (Huber half-step) and ARPACK (insertion above the
-    # dense cap) load on first use, not with the package
-    code = ("import sys, lowrank; print(sorted(m for m in ('scipy.optimize', "
-            "'scipy.sparse.linalg', 'scipy.sparse', 'scipy.linalg') if m in sys.modules))")
+    # scipy's optimizer (Huber half-step) loads on first use, not with the
+    # package; scipy.sparse.linalg (ARPACK) is not used at all, not even by
+    # an insertion above the dense cap (the Krylov path)
+    loaded = ("sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg', "
+              "'scipy.sparse', 'scipy.linalg') if m in sys.modules)")
+    code = (f"import sys, lowrank; print({loaded}); import scipy.sparse as sp; "
+            "g = sp.random(300, 260, density=0.2, format='csr', rng=0); "
+            "lowrank.top_singular_triplet(g); lowrank.top_singular_triplet(g.toarray()); "
+            f"print({loaded})")
     src = str(Path(inner.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "['scipy.linalg', 'scipy.sparse']"
+    assert done.stdout.splitlines() == ["['scipy.linalg', 'scipy.sparse']"] * 2
 
 
 def test_objective_after_inner():

@@ -1,4 +1,7 @@
+import gc
 import sys
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -120,6 +123,25 @@ def test_derived_sets_skip_validation(monkeypatch):
     assert obs.transpose.transpose.csr().format == "csr"
     taken = obs._take(np.arange(obs.nnz)[::-1])
     assert np.array_equal(taken.csr().toarray(), obs.csr().toarray())
+
+
+def test_used_set_is_freed_without_a_collection():
+    # a set and its transpose form no reference cycle, so a set whose caches
+    # were all built goes as soon as its last reference does
+    obs = _scrambled_set(seed=3)
+    t = obs.transpose
+    for s in (obs, t):
+        s.csr(), s.pattern(), s.dense(), s._row_counts
+    gone = weakref.ref(obs)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del obs, t, s
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
 
 def _entries(m, n, nnz, seed, shuffled):
     """`nnz` distinct cells of an m x n grid, in CSR order or shuffled."""
@@ -253,7 +275,8 @@ def test_factor_pair_append_and_rank():
 
 # ---------------------------------------------------- top singular triplet
 # Matrices with at most 65536 cells or a side of 1 take the Gram path; the
-# ARPACK path is exercised on larger matrices with both sides at least 2.
+# Krylov path (Lanczos bidiagonalization) is exercised on larger matrices
+# with both sides at least 2.
 
 def _sparse_op_set(m, n, seed, density=0.3):
     """A random observed set around a rank-1 spike, and its dense copy."""
@@ -356,7 +379,7 @@ def test_top_triplet_matches_svd_on_both_paths(scale, monkeypatch):
 
 def test_exact_triplet_on_tall_and_wide_sparse_operators(monkeypatch):
     seen = _path_sentinel(monkeypatch)
-    # at most 65536 cells: densified for the Gram path; above: CSR to ARPACK
+    # at most 65536 cells: densified for the Gram path; above: CSR to the Krylov path
     for shape, path in (((1600, 40), "gram"), ((40, 1600), "gram"),
                         ((2000, 40), "krylov"), ((40, 2000), "krylov")):
         obs, dense = _sparse_op_set(*shape, seed=4, density=0.05)
@@ -389,7 +412,7 @@ def test_tall_operator_above_cell_cap_takes_krylov_path(monkeypatch):
 
 
 def test_top_triplet_zero_operator():
-    for m, n in ((3, 4), (300, 260), (1, 70000)):  # Gram, ARPACK, Gram
+    for m, n in ((3, 4), (300, 260), (1, 70000)):  # Gram, Krylov, Gram
         for g in (np.zeros((m, n)), sp.csr_matrix((m, n)),
                   sp.csr_matrix((np.zeros(2), ([0, 0], [0, 1])), shape=(m, n))):
             trip = top_singular_triplet(g, seed=5)
@@ -399,7 +422,7 @@ def test_top_triplet_zero_operator():
 
 
 def test_top_triplet_non_finite_raises():
-    for n in (3, 300):  # Gram path, ARPACK path
+    for n in (3, 300):  # Gram path, Krylov path
         for bad in (np.inf, -np.inf, np.nan):
             a = np.ones((n, n))
             a[1, 2] = bad
@@ -413,7 +436,7 @@ def test_top_triplet_diagonal():
     assert trip.sigma == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(trip.u), [1, 0], atol=1e-10)
     assert np.allclose(trip.u, trip.v, atol=1e-10)
-    for m, n in ((70, 80), (300, 260)):  # Gram path, ARPACK path
+    for m, n in ((70, 80), (300, 260)):  # Gram path, Krylov path
         d = np.zeros((m, n))
         k = min(m, n)
         d[np.arange(k), np.arange(k)] = np.r_[1.0, 2.0, np.linspace(1.0, 0.1, k - 2)]
@@ -449,7 +472,7 @@ def test_top_triplet_residual_invariant():
 
 
 def test_top_triplet_residual_at_small_gap():
-    # sigma_2 / sigma_1 = 0.999 on the ARPACK path: the residual, not the
+    # sigma_2 / sigma_1 = 0.999 on the Krylov path: the residual, not the
     # drift in sigma, decides convergence
     rng = np.random.default_rng(13)
     q1, _ = np.linalg.qr(rng.standard_normal((300, 260)))
@@ -466,7 +489,7 @@ def test_top_triplet_residual_at_small_gap():
 
 def test_top_triplet_deterministic():
     rng = np.random.default_rng(9)
-    for shape in ((80, 70), (300, 260)):  # Gram path, ARPACK path
+    for shape in ((80, 70), (300, 260)):  # Gram path, Krylov path
         a = rng.standard_normal(shape)
         for g in (a, sp.csr_matrix(a)):
             t1 = top_singular_triplet(g, seed=42)
@@ -474,14 +497,14 @@ def test_top_triplet_deterministic():
             assert t1.sigma == t2.sigma
             assert np.array_equal(t1.u, t2.u)
             assert np.array_equal(t1.v, t2.v)
-        # CSR and CSC give the same sums on the ARPACK path too
+        # CSR and CSC give the same sums on the Krylov path too
         t3 = top_singular_triplet(sp.csc_matrix(a), seed=42)
         assert t3.sigma == t1.sigma
         assert np.array_equal(t3.u, t1.u) and np.array_equal(t3.v, t1.v)
 
 
 def test_top_triplet_threads_match_serial():
-    # the trial pool calls ARPACK from several threads at once
+    # the trial pool runs the Krylov path from several threads at once
     rng = np.random.default_rng(17)
     mats = [sp.random(400, 300, density=0.2, format="csr", rng=rng) for _ in range(8)]
     serial = [top_singular_triplet(g, seed=k) for k, g in enumerate(mats)]
@@ -495,6 +518,70 @@ def test_top_triplet_threads_match_serial():
     for a, b in zip(serial, threaded):
         assert a.sigma == b.sigma
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+def _small_gap_matrix():
+    """The 300 x 260 instance of `test_top_triplet_residual_at_small_gap`."""
+    rng = np.random.default_rng(13)
+    q1, _ = np.linalg.qr(rng.standard_normal((300, 260)))
+    q2, _ = np.linalg.qr(rng.standard_normal((260, 260)))
+    return (q1 * np.r_[1.0, 0.999, np.linspace(0.9, 0.1, 258)]) @ q2
+
+
+def _counting_ritz_solves(monkeypatch):
+    """Count the Krylov path's steps (one tridiagonal solve each)."""
+    calls = []
+    solve = lowrank.linalg._top_tridiagonal_eigenvector
+
+    def counting(d, e):
+        calls.append(d.size)
+        return solve(d, e)
+
+    monkeypatch.setattr(lowrank.linalg, "_top_tridiagonal_eigenvector", counting)
+    return calls
+
+
+def test_krylov_restarts_from_ritz_vector_at_the_step_cap(monkeypatch):
+    # the 0.999-gap instance takes 47-49 steps uncapped; at a cap of 16 it
+    # converges through restarts to the same 1e-12 oracle
+    a = _small_gap_matrix()
+    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_STEPS", 16)
+    steps = _counting_ritz_solves(monkeypatch)
+    for seed in range(3):
+        steps.clear()
+        trip = top_singular_triplet(a, seed=seed)
+        # steps 1..16 per restart, then the converged run
+        restarts = steps.count(1) - 1
+        last = len(steps) - 16 * restarts
+        assert restarts >= 2 and 1 <= last <= 16, seed
+        assert steps == list(range(1, 17)) * restarts + list(range(1, last + 1)), seed
+        _assert_matches_svd(trip, a)
+
+
+def test_krylov_raises_when_restarts_run_out(monkeypatch):
+    a = _small_gap_matrix()
+    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_STEPS", 16)
+    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_RESTARTS", 2)
+    steps = _counting_ritz_solves(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="not converged"):
+        top_singular_triplet(a, seed=0)
+    assert len(steps) == 3 * 16
+
+
+def test_krylov_path_copies_nothing_of_matrix_size():
+    # no scaled copy, no transposed copy, no |g| temporary: the call allocates
+    # vectors and two bases of `_KRYLOV_STEPS` vectors (here 1 MB)
+    rng = np.random.default_rng(23)
+    g = sp.random(1000, 1000, density=0.5, format="csr", rng=rng)
+    for a in (g, g.tocsc(), g.toarray()):
+        top_singular_triplet(a, seed=0)
+        tracemalloc.start()
+        try:
+            top_singular_triplet(a, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nnz * 8 / 2, (type(a), peak)
 
 
 # ------------------------------------------------------------ svd threshold

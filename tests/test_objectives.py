@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import lowrank.objectives
-from lowrank.linalg import FactorPair, SparseObservations
+from lowrank.linalg import FactorPair, SparseObservations, project_observed
 from lowrank.objectives import (ClippedObservedQuadratic, HuberLowRank,
                                 ObservedQuadratic, huber_value)
 from lowrank.sparse_equiv import LiftedQuadratic, SparseRegressionProblem
@@ -130,6 +130,42 @@ def test_clipped_insertion_gradient_shares_projection(monkeypatch):
     assert np.array_equal(dense_gradient(obj.insertion_gradient(pair)), want)
     obj.gradient(pair)
     assert len(calls) == 1
+
+
+def test_cached_residual_cannot_be_written():
+    # value and gradient share one cached residual; no caller can change it
+    for shuffled in (False, True):
+        obs, pair, rng = random_instance(12)
+        if shuffled:
+            order = rng.permutation(obs.nnz)
+            obs = SparseObservations(6, 7, obs.row[order], obs.col[order], obs.vals[order])
+        obj = ObservedQuadratic(obs)
+        res = obj.residual(pair)
+        assert obj.residual(pair) is res
+        assert np.array_equal(res, project_observed(pair, obs) - obs.vals)
+        grad = obj.gradient(pair)
+        for arr in (res, grad.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert obj.value(pair) == 0.5 * float(res @ res)
+
+
+def test_clipped_insertion_gradient_is_clip_of_prediction_bit_for_bit():
+    # clipping the residual to [lo - vals, hi - vals] equals clip(pred) - vals,
+    # also for predictions on or next to a bound
+    # (targets of mixed sign and size, so that pred - vals rounds)
+    rng = np.random.default_rng(14)
+    m, n, r = 40, 30, 3
+    keep = np.flatnonzero(rng.random(m * n) < 0.7)
+    vals = rng.standard_normal(keep.size) * 10.0 ** rng.uniform(-3, 1, keep.size)
+    obs = SparseObservations(m, n, keep // n, keep % n, vals)
+    pair = FactorPair(rng.standard_normal((m, r)), rng.standard_normal((n, r)))
+    pred = project_observed(pair, obs)
+    for lo, hi in ((-1.0, 1.0), (np.quantile(pred, 0.2), np.quantile(pred, 0.8)),
+                   (np.nextafter(pred.min(), -np.inf), pred.max())):
+        want = np.clip(pred, lo, hi) - vals
+        got = ClippedObservedQuadratic(obs, lo, hi).insertion_gradient(pair)
+        assert np.array_equal(got.toarray()[obs.row, obs.col], want)
 
 
 def test_shared_objective_cache_under_threads():

@@ -195,7 +195,7 @@ def test_equivalence_single_step_stays_diagonal():
 
 def test_equivalence_dimension_limit():
     # no dimension limit: the lifts of n = 80 take the Gram path, those of
-    # n = 300 (90000 cells) the ARPACK path, both at machine precision
+    # n = 300 (90000 cells) the Krylov path, both at machine precision
     for n in (64, 80, 300):
         problem = make_equivalence_problem(n, 3, 1)
         gram = problem.design.T @ problem.design
