@@ -172,15 +172,22 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
         ok = (pq > 0.0) & (rs > floor)
         if not ok.any():
             break  # a frozen row stays frozen, so no later step moves anything
-        alpha = np.divide(rs, pq, out=np.zeros_like(rs), where=ok)
+        # while no row has frozen, the unmasked updates below are the masked
+        # ones bit for bit, at a fraction of their per-call cost
+        every = ok.all()
+        alpha = rs / pq if every else np.divide(rs, pq, out=np.zeros_like(rs), where=ok)
         X += alpha[:, None] * P
         R -= alpha[:, None] * Q
         # a frozen row's R is unchanged, so its new rs equals the old one
         rs_new = np.einsum("ij,ij->i", R, R)
-        beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=ok)
-        rows = ok[:, None]
-        np.multiply(P, beta[:, None], out=P, where=rows)
-        np.add(P, R, out=P, where=rows)
+        if every:
+            P *= (rs_new / rs)[:, None]
+            P += R
+        else:
+            beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=ok)
+            rows = ok[:, None]
+            np.multiply(P, beta[:, None], out=P, where=rows)
+            np.add(P, R, out=P, where=rows)
         rs = rs_new
     untouched = omega._row_counts == 0
     if untouched.any():

@@ -4,21 +4,17 @@ Dense matrices are plain float64 numpy arrays. Sparse observed sets and
 factored pairs get small dataclasses because the solvers move them around
 a lot. Everything here is deterministic given its inputs.
 
-One size rule, `fits_dense`, picks dense or sparse work: a matrix of at most
-65536 cells, or with a side of 1, is handled as a dense array. The top
-singular pair of such a matrix (dense, or sparse CSR/CSC) is the top
-eigenpair of the densified matrix's smaller Gram matrix (LAPACK); above the
-cap it comes from a Golub-Kahan-Lanczos bidiagonalization of the matrix as
-given, with no copy and no transpose, converged to machine precision or
-raising. Both work on the matrix divided by its largest absolute entry (the
-Krylov path divides the vectors it multiplies instead). The capped refit
-in `inner` has three kernels, each picked by one rule:
-- dense: an observed set that `fits_dense` takes masked dense products;
-- Gram: a larger set whose refit `fits_gram` (rank below six times the step
-  cap, and a rows x r x r array of at most `_GRAM_CELLS` cells) forms every
-  row's r x r Gram matrix once, by one product of the set's 0/1 `pattern`;
-- gather: any other set gathers the observed entries (`project_observed`)
-  and multiplies a CSR view of them at every step.
+One size rule, `fits_dense`, picks dense or sparse work; its docstring
+lists what it governs. The top singular pair of a matrix that fits is the
+top eigenpair of the densified matrix's smaller Gram matrix (LAPACK); of a
+larger one it comes from a Golub-Kahan-Lanczos bidiagonalization of the
+matrix as given, with no copy and no transpose, converged to machine
+precision or raising. Both work on the matrix divided by its largest
+absolute entry (the Krylov path divides the vectors it multiplies instead).
+Above the dense cap the capped refit in `inner` forms every row's r x r
+Gram matrix once, by one product of the set's 0/1 `pattern`, when the
+refit `fits_gram`, and otherwise gathers the observed entries
+(`project_observed`) and multiplies a CSR view of them at every step.
 
 An observed set built from outside input is validated once, by its
 constructor. The sets derived from it (`transpose`, `_take`) reuse its
@@ -33,17 +29,17 @@ Entries keep the order they were given in ("entry order"); every per-entry
 array (`vals`, `project_observed`'s output) follows it. Sparse matrices need
 CSR order, row-major with columns increasing. Each root set (one built by the
 constructor or by `_take`) builds one CSR skeleton `(indptr, indices, perm)`,
-the first time a matrix is asked for, and its `transpose` shares it. `perm`
-maps entry order to CSR order and is None when the entries already are in
-CSR order, which an O(nnz) check finds before any sort; otherwise it is the
-argsort of the flat cell index. `csr_with` then
-wraps the given values without copying: scipy gets the skeleton and a
-read-only view of the values, so nothing written through the matrix reaches
-the set. A transposed set reads the root's skeleton as a CSC matrix of the
-transposed shape, with no CSR of its own. In the same way a root set builds
-its dense 0/1 mask and zero-filled target once, when `dense` is first asked
-for, and its transpose reads their `.T`; likewise its sparse 0/1 `pattern`,
-which the transpose reads as CSC.
+the first time a sparse matrix is asked for, and its `transpose` shares it.
+`perm` maps entry order to CSR order and is None when the entries already
+are in CSR order, which an O(nnz) check finds before any sort; otherwise it
+is the argsort of the flat cell index. `csr_with` then wraps the given
+values without copying: scipy gets the skeleton and a read-only view of the
+values, so nothing written through the matrix reaches the set. A transposed
+set reads the root's skeleton as a CSC matrix of the transposed shape, with
+no CSR of its own. In the same way a root set builds its dense 0/1 mask and
+zero-filled target once, when `dense` is first asked for, and its transpose
+reads their `.T`; likewise its sparse 0/1 `pattern`, which the transpose
+reads as CSC.
 """
 
 from __future__ import annotations
@@ -111,7 +107,7 @@ class SparseObservations:
             if self.col.min() < 0 or self.col.max() >= self.cols:
                 raise ValueError("col index out of range")
             # strictly increasing (row-major) input has no duplicates
-            flat = self.row * self.cols + self.col
+            flat = self._flat
             if not np.all(flat[1:] > flat[:-1]):
                 flat = np.sort(flat)
                 dup = np.flatnonzero(flat[1:] == flat[:-1])
@@ -131,6 +127,11 @@ class SparseObservations:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
+
+    @property
+    def _flat(self) -> np.ndarray:
+        """The flat cell index `row * cols + col` of each entry, in entry order."""
+        return self.row * self.cols + self.col
 
     def _derived(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray,
                  flip: bool) -> "SparseObservations":
@@ -176,7 +177,7 @@ class SparseObservations:
         idx = np.int64 if big else np.int32
         indptr = np.zeros(self.rows + 1, dtype=idx)
         np.cumsum(self._row_counts, out=indptr[1:])
-        flat = self.row * self.cols + self.col
+        flat = self._flat
         if np.all(flat[1:] > flat[:-1]):
             perm, indices = None, self.col.astype(idx)
         else:
@@ -202,6 +203,17 @@ class SparseObservations:
 
     def csr(self) -> sp.csr_matrix | sp.csc_matrix:
         return self.csr_with(self.vals)
+
+    def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix | sp.csc_matrix:
+        """`vals`, given in entry order, as a read-only m x n matrix on the
+        support: a dense array, zero off the support, when the set
+        `fits_dense`, else `csr_with(vals)`."""
+        if not fits_dense(self.shape):
+            return self.csr_with(vals)
+        out = np.zeros(self.shape)
+        out.ravel()[self._flat] = vals
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +307,9 @@ class SingularTriplet:
     v: np.ndarray
 
 
-# The one size rule (`fits_dense`): matrices with at most this many cells, or
-# with a side of 1, are handled as dense arrays, both for insertion (the Gram
-# eigenpair, else the Krylov path) and for the capped refit's products (masked
-# GEMMs, else the gather and CSR kernel). Median ms per insertion on three
-# square 20%-dense random CSR matrices, 2-core host, one OpenBLAS thread, Gram
-# vs Krylov path at n = 100 / 256 (the cap) / 300: with entries uniform on
+# The cap of `fits_dense`. Median ms per insertion on three square 20%-dense
+# random CSR matrices, 2-core host, one OpenBLAS thread, Gram vs Krylov
+# path at n = 100 / 256 (the cap) / 300: with entries uniform on
 # [0, 1) (one dominant singular value) 0.51-0.54 vs 1.2-1.3 / 3.8-4.9 vs
 # 0.9-1.8 / 4.6-6.7 vs 0.9-1.5; with Gaussian entries 0.34-0.51 vs 2.3-3.0 /
 # 3.5-4.4 vs 6.4-6.6 / 6.5-6.9 vs 7.3-8.8. Median us per refit product,
@@ -311,7 +320,20 @@ _DENSE_CELLS = 65536
 
 
 def fits_dense(shape: tuple[int, int]) -> bool:
-    """Whether a matrix of this shape is worked on as a dense array."""
+    """Whether a matrix of this shape is worked on as a dense array: at most
+    `_DENSE_CELLS` cells, or a side of 1.
+
+    The package's one size rule for an observed set's matrices and for
+    gradients. On a shape that fits:
+    - insertion: `top_singular_triplet` densifies the matrix and takes its
+      Gram eigenpair (else the Krylov path, on the matrix as given);
+    - refit: `inner._normal_products` takes masked dense GEMMs (else the
+      Gram or gather kernel);
+    - predictions: `project_observed` takes one GEMM and one gather (else
+      the blocked gather);
+    - gradients: `SparseObservations.matrix_with` builds a dense array,
+      zero off the set (else a CSR matrix), for the observed objectives.
+    """
     rows, cols = shape
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
@@ -541,15 +563,18 @@ _GATHER_BLOCK = 4096
 def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
     """(U V^T)_ij for each (i, j) in Omega, in Omega's entry order.
 
-    Gathers the factor rows of `_GATHER_BLOCK` entries at a time into two
-    reused buffers and takes the row-wise dot products there, so no
-    nnz x r copy of either factor is made. Each entry's value equals
-    ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit.
+    On a set that `fits_dense` this is one GEMM and one gather of its
+    entries. A larger set gathers the factor rows of `_GATHER_BLOCK` entries
+    at a time into two reused buffers and takes the row-wise dot products
+    there, so no nnz x r copy of either factor is made; each entry's value
+    equals ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit.
     """
     if pair.shape != omega.shape:
         raise ValueError(f"factor shape {pair.shape} != observation shape {omega.shape}")
     if pair.rank == 0:
         return np.zeros(omega.nnz)
+    if fits_dense(omega.shape):
+        return (pair.U @ pair.V.T).ravel()[omega._flat]
     out = np.empty(omega.nnz)
     bu = np.empty((min(_GATHER_BLOCK, omega.nnz), pair.rank))
     bv = np.empty_like(bu)

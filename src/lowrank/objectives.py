@@ -4,8 +4,9 @@ Gradient sign convention, used by every solver in this package: for the
 observed-entry quadratic the gradient is Pi_Omega(A - M), i.e. prediction
 minus target on the observed set.
 
-Gradients are plain matrices: a sparse matrix on Omega (`csr_with` of the
-target) for the observed quadratics, a dense array for the Huber objective.
+Gradients are plain matrices: the observed quadratics' are zero off Omega,
+as the target's `matrix_with` builds them (dense or sparse by
+`linalg.fits_dense`); the Huber objective's is a dense array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ObservedQuadratic:
     start of the next share one gather and one subtraction. The cache is one
     (pair, residual) tuple, matched by identity and replaced in one
     assignment, so threads sharing an objective at worst project again; the
-    cached array is read-only, and so is every gradient's view of it. A
+    cached array is read-only, and so is every gradient built from it. A
     FactorPair must therefore not be mutated after it has been passed to an
     objective.
     """
@@ -59,13 +60,13 @@ class ObservedQuadratic:
         r = self.residual(pair)
         return 0.5 * float(r @ r)
 
-    def gradient(self, pair: FactorPair) -> sp.spmatrix:
-        return self.target.csr_with(self.residual(pair))
+    def gradient(self, pair: FactorPair) -> np.ndarray | sp.spmatrix:
+        return self.target.matrix_with(self.residual(pair))
 
-    def quad_term(self, left: np.ndarray, right: np.ndarray) -> sp.spmatrix:
+    def quad_term(self, left: np.ndarray, right: np.ndarray) -> np.ndarray | sp.spmatrix:
         """Hessian applied to left @ right^T (here: Pi_Omega of the product)."""
         vals = project_observed(FactorPair(left, right), self.target)
-        return self.target.csr_with(vals)
+        return self.target.matrix_with(vals)
 
 
 def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
@@ -115,7 +116,7 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         self.clip_lo = float(clip_lo)
         self.clip_hi = float(clip_hi)
 
-    def insertion_gradient(self, pair: FactorPair) -> sp.spmatrix:
+    def insertion_gradient(self, pair: FactorPair) -> np.ndarray | sp.spmatrix:
         """clip(pred, lo, hi) - vals on Omega, taken as the cached residual
         clipped to [lo - vals, hi - vals]. Bit for bit the same: rounding is
         monotone, so pred - vals passes a rounded bound exactly where pred
@@ -124,4 +125,4 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         bound = np.subtract(self.clip_hi, vals)
         grad = np.minimum(self.residual(pair), bound)
         np.maximum(grad, np.subtract(self.clip_lo, vals, out=bound), out=grad)
-        return self.target.csr_with(grad)
+        return self.target.matrix_with(grad)

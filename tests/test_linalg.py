@@ -189,6 +189,7 @@ def test_csr_data_is_read_only(shuffled):
 
 
 def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
+    # above the dense cap, where gradients and refits read the skeleton
     calls = []
     argsort = np.argsort
 
@@ -197,13 +198,33 @@ def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting)
-    in_order = _entries(60, 50, 900, 10, shuffled=False)
-    shuffled = _entries(60, 50, 900, 10, shuffled=True)
+    in_order = _entries(300, 250, 7500, 10, shuffled=False)
+    shuffled = _entries(300, 250, 7500, 10, shuffled=True)
+    assert in_order.rows * in_order.cols > _DENSE_CELLS
     config = lowrank.SolverConfig(target_rank=4, seed=1)
     lowrank.fast_greedy(lowrank.ObservedQuadratic(in_order), config)
     assert calls == []
     lowrank.fast_greedy(lowrank.ObservedQuadratic(shuffled), config)
     assert calls == [shuffled.nnz]
+
+
+def test_small_set_solve_builds_no_sparse_matrix(monkeypatch):
+    # under the dense cap gradients, predictions and refits stay dense
+    calls = []
+    csr_with = SparseObservations.csr_with
+
+    def counting(self, vals):
+        calls.append(self.shape)
+        return csr_with(self, vals)
+
+    monkeypatch.setattr(SparseObservations, "csr_with", counting)
+    for shuffled in (False, True):
+        obs = _entries(100, 100, 2000, 12, shuffled)
+        config = lowrank.SolverConfig(target_rank=5, seed=2)
+        lowrank.fast_local_search(lowrank.ObservedQuadratic(obs), config)
+        lowrank.fast_local_search(lowrank.ClippedObservedQuadratic(obs, -1.0, 1.0), config)
+        assert "_skeleton" not in vars(obs) and "_pattern" not in vars(obs)
+    assert calls == []
 
 
 def _lexsort_skeleton(m, row, col, vals):
@@ -671,9 +692,10 @@ def test_project_observed_matches_dense(seed, m, n, r):
 @pytest.mark.parametrize("nnz", [0, 1, _GATHER_BLOCK - 1, _GATHER_BLOCK,
                                  _GATHER_BLOCK + 1, 3 * _GATHER_BLOCK + 7])
 def test_project_observed_blocks_match_one_gather_exactly(nnz, r):
-    obs = _entries(150, 110, nnz, nnz + r, shuffled=True)
+    # the blocked gather runs above the dense cap
+    obs = _entries(300, 250, nnz, nnz + r, shuffled=True)
     rng = np.random.default_rng(r)
-    pair = FactorPair(rng.standard_normal((150, r)), rng.standard_normal((110, r)))
+    pair = FactorPair(rng.standard_normal((300, r)), rng.standard_normal((250, r)))
     want = np.einsum("ij,ij->i", pair.U[obs.row], pair.V[obs.col])
     assert np.array_equal(project_observed(pair, obs), want)
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import lowrank.objectives
-from lowrank.linalg import FactorPair, SparseObservations, project_observed
+from lowrank.linalg import FactorPair, SparseObservations, fits_dense, project_observed
 from lowrank.objectives import (ClippedObservedQuadratic, HuberLowRank,
                                 ObservedQuadratic, huber_value)
 from lowrank.sparse_equiv import LiftedQuadratic, SparseRegressionProblem
@@ -20,6 +20,11 @@ def random_instance(seed, m=6, n=7, r=3, p=0.6):
     obs = SparseObservations(m, n, keep // n, keep % n, rng.standard_normal(keep.size))
     pair = FactorPair(rng.standard_normal((m, r)), rng.standard_normal((n, r)))
     return obs, pair, rng
+
+
+# shapes below and above the dense cap: the gradients there are dense arrays
+# and CSR matrices
+SIZES = [dict(m=6, n=7), dict(m=300, n=250, p=0.05)]
 
 
 def fd_directional(value, pair, du, dv, t=1e-6):
@@ -62,14 +67,16 @@ def test_quadratic_matches_bruteforce():
 
 def test_quadratic_gradient_trivials():
     rng = np.random.default_rng(1)
-    pair = FactorPair(rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
-    obs = full_observations(pair.matrix())
-    g = ObservedQuadratic(obs).gradient(pair)
-    assert np.allclose(g.toarray(), 0.0, atol=1e-12)
+    for m, n in ((4, 5), (260, 260)):
+        pair = FactorPair(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
+        obs = full_observations(pair.matrix())
+        g = ObservedQuadratic(obs).gradient(pair)
+        assert sp.issparse(g) != fits_dense(obs.shape)
+        assert np.allclose(dense_gradient(g), 0.0, atol=1e-12)
 
-    zero = FactorPair.empty(obs.rows, obs.cols)
-    g0 = ObservedQuadratic(obs).gradient(zero)
-    assert np.array_equal(g0.toarray()[obs.row, obs.col], -obs.vals)  # -Pi_Omega(M)
+        zero = FactorPair.empty(obs.rows, obs.cols)
+        g0 = dense_gradient(ObservedQuadratic(obs).gradient(zero))
+        assert np.array_equal(g0[obs.row, obs.col], -obs.vals)  # -Pi_Omega(M)
 
 
 def test_quadratic_gradient_fd():
@@ -86,10 +93,12 @@ def test_quadratic_gradient_fd():
 
 def test_gradient_sign_convention():
     # project-wide: grad = Pi_Omega(A - M)
-    obs, pair, _ = random_instance(9)
-    g = ObservedQuadratic(obs).gradient(pair).toarray()
-    dense = pair.matrix()
-    assert np.allclose(g[obs.row, obs.col], dense[obs.row, obs.col] - obs.vals, atol=1e-12)
+    for size in SIZES:
+        obs, pair, _ = random_instance(9, **size)
+        g = dense_gradient(ObservedQuadratic(obs).gradient(pair))
+        dense = pair.matrix()
+        assert np.allclose(g[obs.row, obs.col], dense[obs.row, obs.col] - obs.vals,
+                           atol=1e-12)
 
 
 # ----------------------------------------------------------------- huber
@@ -134,20 +143,47 @@ def test_clipped_insertion_gradient_shares_projection(monkeypatch):
 
 def test_cached_residual_cannot_be_written():
     # value and gradient share one cached residual; no caller can change it
-    for shuffled in (False, True):
-        obs, pair, rng = random_instance(12)
-        if shuffled:
-            order = rng.permutation(obs.nnz)
-            obs = SparseObservations(6, 7, obs.row[order], obs.col[order], obs.vals[order])
-        obj = ObservedQuadratic(obs)
-        res = obj.residual(pair)
-        assert obj.residual(pair) is res
-        assert np.array_equal(res, project_observed(pair, obs) - obs.vals)
-        grad = obj.gradient(pair)
-        for arr in (res, grad.data):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-        assert obj.value(pair) == 0.5 * float(res @ res)
+    for size in SIZES:
+        for shuffled in (False, True):
+            obs, pair, rng = random_instance(12, **size)
+            if shuffled:
+                order = rng.permutation(obs.nnz)
+                obs = SparseObservations(obs.rows, obs.cols, obs.row[order],
+                                         obs.col[order], obs.vals[order])
+            obj = ObservedQuadratic(obs)
+            res = obj.residual(pair)
+            assert obj.residual(pair) is res
+            assert np.array_equal(res, project_observed(pair, obs) - obs.vals)
+            grad = obj.gradient(pair)
+            if fits_dense(obs.shape):
+                # the dense gradient is the cached residual scattered onto zeros
+                want = np.zeros(obs.shape)
+                want[obs.row, obs.col] = res
+                assert grad.tobytes() == want.tobytes()
+            for arr in (res, grad.data if sp.issparse(grad) else grad):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+            assert obj.value(pair) == 0.5 * float(res @ res)
+
+
+def test_transposed_small_set_matches_its_root():
+    # the V side of a small set reads the root's entries transposed: every
+    # dense matrix is the root's .T bit for bit, as on a validated transpose
+    obs, pair, rng = random_instance(16, m=40, n=30, p=0.3)
+    left, right = rng.standard_normal((40, 2)), rng.standard_normal((30, 2))
+    flip = FactorPair(pair.V, pair.U)
+    built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
+    root = ClippedObservedQuadratic(obs, -0.5, 0.5)
+    want = [root.gradient(pair), root.insertion_gradient(pair),
+            root.quad_term(left, right)]
+    assert all(isinstance(g, np.ndarray) for g in want)
+    for target in (obs.transpose, built):
+        side = ClippedObservedQuadratic(target, -0.5, 0.5)
+        assert np.array_equal(side.residual(flip), root.residual(pair))
+        got = [side.gradient(flip), side.insertion_gradient(flip),
+               side.quad_term(right, left)]
+        for g, h in zip(got, want):
+            assert g.shape == h.T.shape and g.tobytes() == h.T.tobytes()
 
 
 def test_clipped_insertion_gradient_is_clip_of_prediction_bit_for_bit():
@@ -164,8 +200,8 @@ def test_clipped_insertion_gradient_is_clip_of_prediction_bit_for_bit():
     for lo, hi in ((-1.0, 1.0), (np.quantile(pred, 0.2), np.quantile(pred, 0.8)),
                    (np.nextafter(pred.min(), -np.inf), pred.max())):
         want = np.clip(pred, lo, hi) - vals
-        got = ClippedObservedQuadratic(obs, lo, hi).insertion_gradient(pair)
-        assert np.array_equal(got.toarray()[obs.row, obs.col], want)
+        got = dense_gradient(ClippedObservedQuadratic(obs, lo, hi).insertion_gradient(pair))
+        assert np.array_equal(got[obs.row, obs.col], want)
 
 
 def test_shared_objective_cache_under_threads():
@@ -277,7 +313,7 @@ def test_clipped_matches_plain_inside_range():
     obs, pair, _ = random_instance(11)
     pair = FactorPair(pair.U * 0.01, pair.V * 0.01)  # predictions near 0, inside range
     obj = ClippedObservedQuadratic(obs, -10.0, 10.0)
-    g_clip = obj.insertion_gradient(pair).toarray()
+    g_clip = dense_gradient(obj.insertion_gradient(pair))
     dense = pair.matrix()
     assert np.allclose(g_clip[obs.row, obs.col], dense[obs.row, obs.col] - obs.vals,
                        atol=1e-12)
@@ -287,14 +323,14 @@ def test_clipped_clamps_then_subtracts():
     obs = SparseObservations(1, 1, [0], [0], [4.0])
     pair = FactorPair(np.array([[7.2]]), np.array([[1.0]]))
     obj = ClippedObservedQuadratic(obs, 1.0, 5.0)
-    assert obj.insertion_gradient(pair).toarray()[0, 0] == pytest.approx(1.0)
+    assert dense_gradient(obj.insertion_gradient(pair))[0, 0] == pytest.approx(1.0)
 
 
 def test_clipped_matches_bruteforce():
     obs, pair, _ = random_instance(13)
     lo, hi = -0.5, 0.5
     obj = ClippedObservedQuadratic(obs, lo, hi)
-    got = obj.insertion_gradient(pair).toarray()[obs.row, obs.col]
+    got = dense_gradient(obj.insertion_gradient(pair))[obs.row, obs.col]
     dense = pair.matrix()
     expect = [min(max(dense[i, j], lo), hi) - v
               for i, j, v in zip(obs.row, obs.col, obs.vals)]
@@ -337,25 +373,27 @@ def _check_matrix(g, want, sparse, rng):
 
 
 def test_gradient_matrices_match_dense_reference():
-    obs, pair, rng = random_instance(17)
-    left, right = rng.standard_normal((obs.rows, 2)), rng.standard_normal((obs.cols, 2))
-    a, m = pair.matrix(), np.zeros(obs.shape)
-    m[obs.row, obs.col] = obs.vals
-    perm = rng.permutation(obs.nnz)
-    shuffled = SparseObservations(obs.rows, obs.cols, obs.row[perm], obs.col[perm],
-                                  obs.vals[perm])
-    got = {}
-    for key, omega in (("sorted", obs), ("shuffled", shuffled)):
-        quad, clip = ObservedQuadratic(omega), ClippedObservedQuadratic(omega, -0.5, 0.5)
-        got[key] = [quad.gradient(pair), quad.quad_term(left, right),
-                    clip.insertion_gradient(pair)]
-        wants = [_on_omega(omega, a - m), _on_omega(omega, left @ right.T),
-                 _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
-        for g, want in zip(got[key], wants):
-            _check_matrix(g, want, True, rng)
-    # entry order changes nothing: each entry's value is computed alone
-    for g, h in zip(got["sorted"], got["shuffled"]):
-        assert np.array_equal(g.toarray(), h.toarray())
+    # the small instance last: the Huber and lifted checks reuse its draws
+    for size in SIZES[::-1]:
+        obs, pair, rng = random_instance(17, **size)
+        left, right = rng.standard_normal((obs.rows, 2)), rng.standard_normal((obs.cols, 2))
+        a, m = pair.matrix(), np.zeros(obs.shape)
+        m[obs.row, obs.col] = obs.vals
+        perm = rng.permutation(obs.nnz)
+        shuffled = SparseObservations(obs.rows, obs.cols, obs.row[perm], obs.col[perm],
+                                      obs.vals[perm])
+        got = {}
+        for key, omega in (("sorted", obs), ("shuffled", shuffled)):
+            quad, clip = ObservedQuadratic(omega), ClippedObservedQuadratic(omega, -0.5, 0.5)
+            got[key] = [quad.gradient(pair), quad.quad_term(left, right),
+                        clip.insertion_gradient(pair)]
+            wants = [_on_omega(omega, a - m), _on_omega(omega, left @ right.T),
+                     _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
+            for g, want in zip(got[key], wants):
+                _check_matrix(g, want, not fits_dense(obs.shape), rng)
+        # entry order changes nothing: each entry's value is computed alone
+        for g, h in zip(got["sorted"], got["shuffled"]):
+            assert np.array_equal(dense_gradient(g), dense_gradient(h))
 
     huber = HuberLowRank(m, 0.7)
     _check_matrix(huber.gradient(pair), np.clip(a - m, -0.7, 0.7), False, rng)
