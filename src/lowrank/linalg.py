@@ -207,8 +207,8 @@ class SparseObservations:
     def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix | sp.csc_matrix:
         """`vals`, given in entry order, as a read-only m x n matrix on the
         support: a dense array, zero off the support, when the set
-        `fits_dense`, else `csr_with(vals)`."""
-        if not fits_dense(self.shape):
+        `fits_dense` (shape and fill), else `csr_with(vals)`."""
+        if not fits_dense(self.shape, self.nnz):
             return self.csr_with(vals)
         out = np.zeros(self.shape)
         out.ravel()[self._flat] = vals
@@ -318,23 +318,41 @@ class SingularTriplet:
 # vs 108 / 163 at n = 256, 2%. The cap also bounds each dense copy at 512 kB.
 _DENSE_CELLS = 65536
 
+# The fill floor of `fits_dense` for predictions and gradients: dense work
+# costs a GEMM over every cell, the gather and CSR kernel a multiply-add per
+# entry and about 40 us of fixed cost. Median us per call, 2-core host, one
+# OpenBLAS thread, random sets, dense vs gather/CSR at r = 5 / 30: a
+# `quad_term` and its product by V, 256 x 256 at 1% 103 / 315 vs 102 / 128,
+# 2% 106 / 328 vs 149 / 205, 5% 122 / 344 vs 266 / 1318; 100 x 100 at 1%
+# 16 / 50 vs 53 / 59, 20% 31 / 43 vs 157 / 796. A prediction, 256 x 256
+# at 1% 45 / 120 vs 46 / 54, 5% 59 / 132 vs 193 / 985. A gradient (dense
+# vs CSR densified by the insertion) costs 1-51 vs 21-69 at every fill.
+# End to end at 256 x 256, 1%, rank 30, `greedy` took 24-27 s densely and
+# 13-14 s on the gather and CSR kernel.
+_DENSE_FILL = 32
 
-def fits_dense(shape: tuple[int, int]) -> bool:
+
+def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     """Whether a matrix of this shape is worked on as a dense array: at most
-    `_DENSE_CELLS` cells, or a side of 1.
+    `_DENSE_CELLS` cells, or a side of 1; given the `nnz` of an observed set,
+    also at least 1 / `_DENSE_FILL` of its cells observed.
 
     The package's one size rule for an observed set's matrices and for
     gradients. On a shape that fits:
     - insertion: `top_singular_triplet` densifies the matrix and takes its
       Gram eigenpair (else the Krylov path, on the matrix as given);
     - refit: `inner._normal_products` takes masked dense GEMMs (else the
-      Gram or gather kernel);
+      Gram or gather kernel); this rule reads the shape alone.
+    If the set's fill passes too:
     - predictions: `project_observed` takes one GEMM and one gather (else
       the blocked gather);
     - gradients: `SparseObservations.matrix_with` builds a dense array,
-      zero off the set (else a CSR matrix), for the observed objectives.
+      zero off the set (else a CSR matrix), for the observed objectives'
+      gradients and `quad_term`.
     """
     rows, cols = shape
+    if nnz is not None and nnz * _DENSE_FILL < rows * cols:
+        return False
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
@@ -563,8 +581,8 @@ _GATHER_BLOCK = 4096
 def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
     """(U V^T)_ij for each (i, j) in Omega, in Omega's entry order.
 
-    On a set that `fits_dense` this is one GEMM and one gather of its
-    entries. A larger set gathers the factor rows of `_GATHER_BLOCK` entries
+    On a set that `fits_dense` (shape and fill) this is one GEMM and one
+    gather of its entries. Any other set gathers the factor rows of `_GATHER_BLOCK` entries
     at a time into two reused buffers and takes the row-wise dot products
     there, so no nnz x r copy of either factor is made; each entry's value
     equals ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit.
@@ -573,7 +591,7 @@ def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
         raise ValueError(f"factor shape {pair.shape} != observation shape {omega.shape}")
     if pair.rank == 0:
         return np.zeros(omega.nnz)
-    if fits_dense(omega.shape):
+    if fits_dense(omega.shape, omega.nnz):
         return (pair.U @ pair.V.T).ravel()[omega._flat]
     out = np.empty(omega.nnz)
     bu = np.empty((min(_GATHER_BLOCK, omega.nnz), pair.rank))

@@ -100,24 +100,12 @@ def truncate_svd(pair: FactorPair) -> FactorPair:
 
 def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
     """Remove the column i minimizing ||U e_i|| * ||V e_i||; ties -> lowest i."""
-    i = _cheapest_column(pair)
-    keep = np.arange(pair.rank) != i
-    return FactorPair(pair.U[:, keep], pair.V[:, keep]), i
-
-
-def _cheapest_column(pair: FactorPair) -> int:
-    """The column truncate_fast removes."""
     if pair.rank < 1:
         raise ValueError("cannot truncate a rank-0 pair")
     products = np.linalg.norm(pair.U, axis=0) * np.linalg.norm(pair.V, axis=0)
-    return int(np.argmin(products))
-
-
-def _swap(pair: FactorPair, i: int, u: np.ndarray, v: np.ndarray) -> FactorPair:
-    """The pair without column i, with (u, v) appended: truncate_fast then
-    append, bit for bit, in one copy per factor."""
-    return FactorPair(np.column_stack([pair.U[:, :i], pair.U[:, i + 1:], u]),
-                      np.column_stack([pair.V[:, :i], pair.V[:, i + 1:], v]))
+    i = int(np.argmin(products))
+    keep = np.arange(pair.rank) != i
+    return FactorPair(pair.U[:, keep], pair.V[:, keep]), i
 
 
 def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
@@ -127,7 +115,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     """The outer loop of all four solvers; returns the best iterate and trace.
 
     Step t inserts the gradient's top singular pair (seed offset + t) after
-    truncate_fast (fused by `_swap`) / truncate_svd if `truncate`, refits with
+    truncate_fast / truncate_svd if `truncate`, refits with
     optimize_fast (parity t) or optimize_full, and evaluates. A top sigma at
     most 1e-12 * (1 + sigma0) ends the loop with a `gradient_zero` row;
     sigma0 defaults to the first sigma. With patience=None every step is
@@ -161,12 +149,10 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
         flags = []
         removed = None
         if truncate and fast:
-            removed = _cheapest_column(pair)
-            pair = _swap(pair, removed, trip.u, trip.v)
+            pair, removed = truncate_fast(pair)
         elif truncate:
-            pair = truncate_svd(pair).append(trip.u, trip.v)
-        else:
-            pair = pair.append(trip.u, trip.v)
+            pair = truncate_svd(pair)
+        pair = pair.append(trip.u, trip.v)
         if fast:
             pair = optimize_fast(pair.U, pair.V, t, objective, config.inner)
         else:

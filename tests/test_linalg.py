@@ -11,9 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_DENSE_CELLS, _GATHER_BLOCK, DuplicateEntryError,
-                            FactorPair, SparseObservations, project_observed,
-                            svd_threshold, top_singular_triplet)
+from lowrank.linalg import (_DENSE_CELLS, _DENSE_FILL, _GATHER_BLOCK,
+                            DuplicateEntryError, FactorPair, SparseObservations,
+                            fits_dense, project_observed, svd_threshold,
+                            top_singular_triplet)
 
 from conftest import full_observations
 
@@ -225,6 +226,22 @@ def test_small_set_solve_builds_no_sparse_matrix(monkeypatch):
         lowrank.fast_local_search(lowrank.ClippedObservedQuadratic(obs, -1.0, 1.0), config)
         assert "_skeleton" not in vars(obs) and "_pattern" not in vars(obs)
     assert calls == []
+
+
+def test_fill_floor_keeps_sparse_sets_on_the_gather_and_csr_kernels():
+    # under the dense cap but below 1 / _DENSE_FILL observed, predictions
+    # gather the entries and gradients are CSR matrices, as above the cap
+    m, n = 200, 160
+    floor = m * n // _DENSE_FILL
+    assert fits_dense((m, n), floor) and not fits_dense((m, n), floor - 1)
+    obs = _entries(m, n, floor - 1, 5, shuffled=True)
+    rng = np.random.default_rng(5)
+    pair = FactorPair(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
+    want = np.einsum("ij,ij->i", pair.U[obs.row], pair.V[obs.col])
+    assert np.array_equal(project_observed(pair, obs), want)
+    obj = lowrank.ObservedQuadratic(obs)
+    for g in (obj.gradient(pair), obj.quad_term(pair.U, pair.V)):
+        assert sp.issparse(g) and g.format == "csr"
 
 
 def _lexsort_skeleton(m, row, col, vals):
@@ -692,7 +709,7 @@ def test_project_observed_matches_dense(seed, m, n, r):
 @pytest.mark.parametrize("nnz", [0, 1, _GATHER_BLOCK - 1, _GATHER_BLOCK,
                                  _GATHER_BLOCK + 1, 3 * _GATHER_BLOCK + 7])
 def test_project_observed_blocks_match_one_gather_exactly(nnz, r):
-    # the blocked gather runs above the dense cap
+    # the blocked gather runs above the dense cap (and below its fill floor)
     obs = _entries(300, 250, nnz, nnz + r, shuffled=True)
     rng = np.random.default_rng(r)
     pair = FactorPair(rng.standard_normal((300, r)), rng.standard_normal((250, r)))

@@ -22,9 +22,9 @@ def random_instance(seed, m=6, n=7, r=3, p=0.6):
     return obs, pair, rng
 
 
-# shapes below and above the dense cap: the gradients there are dense arrays
-# and CSR matrices
-SIZES = [dict(m=6, n=7), dict(m=300, n=250, p=0.05)]
+# a set that fits_dense, one under the dense cap below its fill floor and
+# one above the cap: the gradients there are a dense array and CSR matrices
+SIZES = [dict(m=6, n=7), dict(m=100, n=80, p=0.02), dict(m=300, n=250, p=0.05)]
 
 
 def fd_directional(value, pair, du, dv, t=1e-6):
@@ -71,7 +71,7 @@ def test_quadratic_gradient_trivials():
         pair = FactorPair(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
         obs = full_observations(pair.matrix())
         g = ObservedQuadratic(obs).gradient(pair)
-        assert sp.issparse(g) != fits_dense(obs.shape)
+        assert sp.issparse(g) != fits_dense(obs.shape, obs.nnz)
         assert np.allclose(dense_gradient(g), 0.0, atol=1e-12)
 
         zero = FactorPair.empty(obs.rows, obs.cols)
@@ -155,7 +155,7 @@ def test_cached_residual_cannot_be_written():
             assert obj.residual(pair) is res
             assert np.array_equal(res, project_observed(pair, obs) - obs.vals)
             grad = obj.gradient(pair)
-            if fits_dense(obs.shape):
+            if fits_dense(obs.shape, obs.nnz):
                 # the dense gradient is the cached residual scattered onto zeros
                 want = np.zeros(obs.shape)
                 want[obs.row, obs.col] = res
@@ -390,7 +390,7 @@ def test_gradient_matrices_match_dense_reference():
             wants = [_on_omega(omega, a - m), _on_omega(omega, left @ right.T),
                      _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
             for g, want in zip(got[key], wants):
-                _check_matrix(g, want, not fits_dense(obs.shape), rng)
+                _check_matrix(g, want, not fits_dense(obs.shape, obs.nnz), rng)
         # entry order changes nothing: each entry's value is computed alone
         for g, h in zip(got["sorted"], got["shuffled"]):
             assert np.array_equal(dense_gradient(g), dense_gradient(h))

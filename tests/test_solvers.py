@@ -11,9 +11,9 @@ from lowrank.experiments import _solver_config
 from lowrank.inner import InnerConfig
 from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
-from lowrank.solvers import (SolverConfig, _cheapest_column, _swap, fast_greedy,
-                             fast_local_search, fast_local_sweep, greedy,
-                             local_search, truncate_fast, truncate_svd)
+from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
+                             fast_local_sweep, greedy, local_search,
+                             truncate_fast, truncate_svd)
 
 from conftest import dense_gradient, full_observations
 
@@ -199,22 +199,6 @@ def test_truncate_fast_matches_bruteforce(seed, r):
     products = [np.linalg.norm(pair.U[:, i]) * np.linalg.norm(pair.V[:, i])
                 for i in range(r)]
     assert removed == int(np.argmin(products))
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30))
-def test_swap_step_is_truncate_then_append_bit_for_bit(seed, r):
-    rng = np.random.default_rng(seed)
-    pair = FactorPair(rng.standard_normal((6, r)), rng.standard_normal((7, r)))
-    u, v = rng.standard_normal(6), rng.standard_normal(7)
-    _, i = truncate_fast(pair)
-    assert i == _cheapest_column(pair)
-    for removed in {i, 0, r - 1}:
-        keep = np.arange(r) != removed
-        want = FactorPair(pair.U[:, keep], pair.V[:, keep]).append(u, v)
-        got = _swap(pair, removed, u, v)
-        for a, b in ((got.U, want.U), (got.V, want.V)):
-            assert a.flags.c_contiguous and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
 
 
 # -------------------------------------------------------------- fast greedy
