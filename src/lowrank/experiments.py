@@ -3,9 +3,7 @@ recommender splits, and the pursuit-equivalence check."""
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .solvers import (IterationTrace, SolverConfig, fast_greedy,
 __all__ = [
     "COMPLETION_SOLVERS",
     "mean_stderr",
-    "worker_count",
     "run_completion",
     "run_rpca",
     "run_recsys",
@@ -32,13 +29,6 @@ __all__ = [
 ]
 
 COMPLETION_SOLVERS = ("greedy", "local", "fast-greedy", "fast-local", "softimpute")
-
-
-def worker_count(n_tasks: int) -> int:
-    """Worker cap for parallel trials; LOWRANK_THREADS overrides cpu count."""
-    env = os.environ.get("LOWRANK_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
 
 
 def mean_stderr(xs) -> dict:
@@ -119,15 +109,13 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
                    seed: int, solver: str, rank: int, inner_iters: int,
                    trials: int, collect_traces: bool = False
                    ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
-    """Per-rank NMSE sweep over independently seeded trials (seed + index)."""
+    """Per-rank NMSE sweep over independently seeded trials (seed + index),
+    run one after another."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = [(k, seed + k) for k in range(trials)]
-    with ThreadPoolExecutor(max_workers=worker_count(trials)) as pool:
-        futures = [pool.submit(completion_trial, k, s, m, n, true_rank, p, snr,
-                               solver, rank, inner_iters)
-                   for k, s in args]
-        per_trial = [f.result() for f in futures]
+    per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
+                                  rank, inner_iters)
+                 for k in range(trials)]
 
     rows = [row for trial_rows, _ in per_trial for row in trial_rows]
     traces = []

@@ -356,29 +356,33 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
-# The capped refit's Gram rule (`fits_gram`), for sets above the dense cap:
-# forming each row's r x r Gram matrix costs one SpMM of nnz x r(r+1)/2
-# multiply-adds, and each CG step then one batched r x r product; the gather
-# kernel costs a gather and a CSR product of nnz x r at every step. Median ms
-# per refit (Gram vs gather), 2-core host, one OpenBLAS thread, random sets:
-# on 6040 x 3706 with 1M entries, U side, 2 steps: 18 vs 69 at r = 5, 62 vs
-# 92 at 11, 78 vs 89 at 14, 120 vs 121 at 17; 3 steps: 54 vs 131 at 11, 121
-# vs 169 at 17; 1 step: 18 vs 37 at 5, 33 vs 44 at 8; 5 steps: 350 vs 432 at
-# 26, 476 vs 492 at 32. V side, 2 steps: 44 vs 70 at 11, 81 vs 86 at 14, 137
-# vs 113 at 17. On 943 x 1682 with 80k entries, 2 steps: 3.8 vs 7.0 at
-# r = 11, 6.3 vs 8.3 at 14, 9.9 vs 9.2 at 17 (V side: 9.0 vs 8.4 at 14).
-# So the Gram kernel runs while rank + 1 <= 6 * steps, which leaves some
-# gain at 1 and 5 steps. The cell cap bounds the rows x r x r array at
-# 32 MB (the SpMM's packed output beside it is about half that), which a
-# large step cap would otherwise let grow with r^2.
+# The measurements behind `fits_gram`. Median ms per refit (Gram vs
+# gather), 2-core host, one OpenBLAS thread, random sets: on 6040 x 3706
+# with 1M entries, U side, 2 steps: 18 vs 69 at r = 5, 62 vs 92 at 11, 78 vs
+# 89 at 14, 120 vs 121 at 17; 3 steps: 54 vs 131 at 11, 121 vs 169 at 17; 1
+# step: 18 vs 37 at 5, 33 vs 44 at 8; 5 steps: 350 vs 432 at 26, 476 vs 492
+# at 32. V side, 2 steps: 44 vs 70 at 11, 81 vs 86 at 14, 137 vs 113 at 17.
+# On 943 x 1682 with 80k entries, 2 steps: 3.8 vs 7.0 at r = 11, 6.3 vs 8.3
+# at 14, 9.9 vs 9.2 at 17 (V side: 9.0 vs 8.4 at 14).
 _GRAM_STEP_RANKS = 6
 _GRAM_CELLS = 1 << 22
 
 
 def fits_gram(rows: int, rank: int, steps: int) -> bool:
     """Whether a capped refit of `rows` row systems at this rank, for at most
-    `steps` CG steps, forms each row's Gram matrix (on a set above the dense
-    cap; see `inner._normal_products`)."""
+    `steps` CG steps, works on per-row Gram matrices: while rank + 1 is at
+    most `_GRAM_STEP_RANKS` times `steps`, and the rows x rank x rank array
+    holds at most `_GRAM_CELLS` cells (32 MB).
+
+    The package's one rule for the capped refit on an observed set above the
+    `fits_dense` cap. If the refit fits, `inner._normal_products` forms each
+    row's r x r Gram matrix once (one SpMM, nnz x r(r+1)/2 multiply-adds) and
+    each CG step is one batched r x r product; else each step gathers the
+    observed entries and multiplies a CSR view of them (nnz x r per step).
+    The rank bound leaves some gain at 1 and 5 steps. The cell cap keeps a
+    large step cap from growing the array with r^2; the SpMM's packed output
+    beside it is about half its size.
+    """
     return rank + 1 <= _GRAM_STEP_RANKS * steps and rows * rank * rank <= _GRAM_CELLS
 
 

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from lowrank import experiments, solvers
 from lowrank.baselines import SoftImputeConfig
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
                                  mean_stderr, run_completion, run_equivalence,
-                                 run_recsys, run_rpca, worker_count)
+                                 run_recsys, run_rpca)
 from lowrank.linalg import SparseObservations
 
 
@@ -17,14 +17,6 @@ def test_mean_stderr():
     assert out["mean"] == pytest.approx(2.0)
     assert out["stderr"] == pytest.approx(np.std([1, 2, 3], ddof=1) / np.sqrt(3))
     assert mean_stderr([5.0])["stderr"] == 0.0
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("LOWRANK_THREADS", "2")
-    assert worker_count(8) == 2
-    assert worker_count(1) == 1
-    monkeypatch.delenv("LOWRANK_THREADS")
-    assert worker_count(4) >= 1
 
 
 def test_run_completion_trial_seeds_are_offset():
@@ -38,20 +30,20 @@ def test_run_completion_trial_seeds_are_offset():
     assert summary["params"]["seed"] == 3
 
 
-@pytest.mark.parametrize("solver", ["greedy", "local", "fast-greedy", "fast-local"])
-def test_run_completion_threaded_matches_serial(monkeypatch, solver):
-    def run(threads):
-        monkeypatch.setenv("LOWRANK_THREADS", threads)
-        _, summary, traces = run_completion(20, 20, 2, 0.5, 10.0, 1, solver, 3, 3, 3,
-                                            collect_traces=True)
-        rows = [(k, dataclasses.replace(tr, wall_nanos=0)) for k, tr in traces]
-        return summary, rows
+def test_run_completion_runs_trials_in_order_on_caller_thread(monkeypatch):
+    args = (20, 20, 2, 0.5, 10.0, 1, "fast-greedy", 3, 3, 3)
+    _, expected, _ = run_completion(*args)
+    calls = []
 
-    s_par, t_par = run("2")
-    s_ser, t_ser = run("1")
-    assert s_par["best_test_nmse"] == s_ser["best_test_nmse"]
-    assert s_par["trials"] == s_ser["trials"]
-    assert t_par and t_par == t_ser
+    def spy(trial, *rest):
+        calls.append((trial, threading.get_ident()))
+        return real(trial, *rest)
+
+    real = experiments.completion_trial
+    monkeypatch.setattr(experiments, "completion_trial", spy)
+    _, summary, _ = run_completion(*args)
+    assert calls == [(k, threading.get_ident()) for k in range(3)]
+    assert summary == expected
 
 
 def test_fast_local_trial_runs_greedy_once(monkeypatch):

@@ -542,7 +542,7 @@ def test_top_triplet_deterministic():
 
 
 def test_top_triplet_threads_match_serial():
-    # the trial pool runs the Krylov path from several threads at once
+    # callers may run the Krylov path from their own threads at once
     rng = np.random.default_rng(17)
     mats = [sp.random(400, 300, density=0.2, format="csr", rng=rng) for _ in range(8)]
     serial = [top_singular_triplet(g, seed=k) for k, g in enumerate(mats)]
