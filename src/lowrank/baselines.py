@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,12 +21,14 @@ class SoftImputeConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not self.tol >= 0.0:
+            raise ValueError("tol must be >= 0")
 
 
 @dataclass
@@ -34,6 +37,7 @@ class SoftImputeTrace:
     objective: float  # 1/2 ||Pi_Omega(M - A)||^2 + lam * ||A||_*
     rank: int
     rel_change: float
+    wall_nanos: int  # the iteration's wall time, every step it took included
     # the run's last row only: its last exact step kept max_rank values and
     # would have kept more, so the rank cap binds and the problem is non-convex
     rank_capped: bool = False
@@ -65,17 +69,22 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     the previous, larger lambda of a path (Mazumder, Hastie & Tibshirani,
     JMLR 2010); the default is zero.
 
-    The first step of a run takes the exact dense SVD. When w = max_rank + 10
-    is below min(m, n), every later step takes a block step instead: one
+    The first step of a run takes the exact dense SVD. When max_rank + 10 is
+    below min(m, n), every later step takes a block step instead: one
     subspace iteration on the previous step's top w right singular vectors V
     (Q = qr(Z V), B = Q^T Z; Halko, Martinsson & Tropp, SIAM Review 2011),
     with B's SVD taken from the eigenpairs of its w x w Gram matrix B B^T
     (`_block_svd`). Its u is orthonormal and row i of its V^T is to within
     about eps sigma_1^2 / sigma_i^2, so for the values kept the traced
-    objective is that of the iterate it returns. When the step from Y
-    would raise the objective, theta resets to 1 and the plain step from A
-    is taken instead; when a plain block step would raise it too, the exact
-    plain step is taken, so the traced objective never goes up.
+    objective is that of the iterate it returns. The block oversamples the
+    rank the iterates keep, not the cap: w = r + 10, with r <= max_rank the
+    rank the previous step kept. A block step's V has only its own w rows,
+    so once r grows into that oversampling the next block is no wider; the
+    exact redo at tol (below) catches any rank a block missed. When the
+    step from Y would raise the objective, theta resets to 1 and the plain
+    step from A is taken instead; when a plain block step would raise it
+    too, the exact plain step is taken, so the traced objective never goes
+    up.
 
     A run stops when an exact step moves A by a relative Frobenius change of
     at most tol, or after max_iters steps. A block step that reaches tol is
@@ -89,8 +98,7 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     """
     m, n = target.shape
     k = config.max_rank
-    width = k + 10
-    block = width < min(m, n)
+    block = k + 10 < min(m, n)
     # below numpy's matrix_rank cutoff a shrunk value is rounding noise
     # (lam = sigma_1 leaves +-1 ulp), which would never settle
     cutoff = max(m, n) * np.finfo(float).eps
@@ -101,7 +109,7 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
         if exact:
             u, s, vt = np.linalg.svd(z, full_matrices=False)
         else:  # `taken` is still the last step
-            u, s, vt = _block_svd(z, taken.vt[:width])
+            u, s, vt = _block_svd(z, taken.vt[:np.count_nonzero(taken.s2) + 10])
         s2 = np.maximum(s[:k] - config.lam, 0.0)
         s2[s2 <= s[0] * cutoff] = 0.0
         a_new = (u[:, : s2.size] * s2) @ vt[: s2.size]
@@ -128,6 +136,7 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     tail = 0.0  # sigma_{max_rank + 1} of the last exact step
     traces: list[SoftImputeTrace] = []
     for it in range(config.max_iters):
+        t0 = time.perf_counter_ns()
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         momentum = (theta - 1.0) / theta_next
         y = a + momentum * (a - a_prev) if momentum > 0.0 else a
@@ -143,7 +152,8 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
         if taken.exact:
             tail = float(taken.sigma[k]) if taken.sigma.size > k else 0.0
         traces.append(SoftImputeTrace(it, taken.objective,
-                                      int(np.count_nonzero(taken.s2)), change))
+                                      int(np.count_nonzero(taken.s2)), change,
+                                      time.perf_counter_ns() - t0))
         a_prev, a, obj, theta = a, taken.matrix, taken.objective, theta_next
         if change <= config.tol:
             break

@@ -98,7 +98,7 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
             if si_traces[-1].rank_capped:
                 flags[-1] += ";rank_capped"
             traces.extend(IterationTrace(tr.iter, tr.rank, tr.objective,
-                                         float("nan"), None, 0, flag)
+                                         float("nan"), None, tr.wall_nanos, flag)
                           for tr, flag in zip(si_traces, flags))
     else:
         raise ValueError(f"unknown solver {solver!r}")

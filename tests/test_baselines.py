@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lowrank import baselines
 from lowrank.baselines import SoftImputeConfig, _block_svd, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion
 from lowrank.linalg import SparseObservations
@@ -120,6 +123,13 @@ def test_soft_impute_config_validation():
         SoftImputeConfig(lam=-1.0, max_rank=3)
     with pytest.raises(ValueError):
         SoftImputeConfig(lam=0.0, max_rank=0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam"):
+            SoftImputeConfig(lam=lam, max_rank=3)
+    for tol in (np.nan, -1e-5):
+        with pytest.raises(ValueError, match="tol"):
+            SoftImputeConfig(lam=1.0, max_rank=3, tol=tol)
+    SoftImputeConfig(lam=0.0, max_rank=3, tol=0.0)
 
 
 def test_soft_impute_flags_binding_rank_cap():
@@ -162,6 +172,50 @@ def _dense_calls(monkeypatch):
     return calls
 
 
+def _eigh_widths(calls, side):
+    """The widths of the recorded block steps; asserts that every call is a
+    side x side SVD or a square eigh."""
+    widths = [shape[0] for name, shape in calls if name == "eigh"]
+    assert set(calls) <= {("svd", (side, side))} | {("eigh", (w, w)) for w in widths}
+    return widths
+
+
+def _record_kept_ranks(monkeypatch, calls):
+    """Also record ("kept", r) as each SoftImpute iteration ends, r the rank
+    its step kept: the taken step is the last one recorded before it."""
+    real = baselines.SoftImputeTrace
+
+    def traced(*args):
+        row = real(*args)
+        calls.append(("kept", row.rank))
+        return row
+
+    monkeypatch.setattr(baselines, "SoftImputeTrace", traced)
+
+
+def _check_block_widths(calls, max_rank):
+    """Assert that each block step's eigh is min(max_rank, r) + 10 wide, r the
+    rank the previous step kept, or that step's block width when r has grown
+    into its oversampling; returns (steps at r + 10, steps at the narrower
+    width)."""
+    full = short = 0
+    kept = rows = last = None
+    for name, value in calls:
+        if name == "svd":
+            last = min(value)
+        elif name == "eigh":
+            want = min(max_rank, kept) + 10
+            assert value == (min(want, rows),) * 2
+            if want <= rows:
+                full += 1
+            else:
+                short += 1
+            last = value[0]
+        else:
+            kept, rows = value, last
+    return full, short
+
+
 def test_soft_impute_block_path_reaches_exact_optimum(monkeypatch):
     obs = _block_path_instance(60, 60, seed=5)
     calls = _dense_calls(monkeypatch)
@@ -169,7 +223,8 @@ def test_soft_impute_block_path_reaches_exact_optimum(monkeypatch):
         calls.clear()
         config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
         pair, traces = soft_impute(obs, config)
-        assert ("eigh", (20, 20)) in calls  # block steps ran
+        widths = _eigh_widths(calls, 60)
+        assert widths and max(widths) <= 20 and min(widths) < 20  # block steps ran
         assert calls[-1] == ("svd", (60, 60))
         assert pair.rank < 10 and not traces[-1].rank_capped
         expect = _plain_soft_impute_objective(obs, lam, 10, 1e-12)
@@ -184,18 +239,60 @@ def test_soft_impute_lambda_path_stops_on_exact_steps(monkeypatch):
     _, obs, _ = gen_completion(SynthCompletionConfig(100, 100, 5, 0.2, 10.0, 3))
     grid = lambda_grid(obs, seed=3)[::-1]
     calls = _dense_calls(monkeypatch)
-    pair, dense, block = None, 0, 0
+    pair, dense, block, narrower = None, 0, 0, 0
     for lam in grid:
         calls.clear()
         pair, traces = soft_impute(obs, SoftImputeConfig(lam=float(lam), max_rank=30),
                                    start=pair)
         assert calls[-1] == ("svd", (100, 100))
         assert traces[-1].rel_change <= 1e-5
-        assert set(calls) <= {("svd", (100, 100)), ("eigh", (40, 40))}
+        widths = _eigh_widths(calls, 100)
+        assert all(w <= 40 for w in widths)
         dense += calls.count(("svd", (100, 100)))
-        block += calls.count(("eigh", (40, 40)))
+        block += len(widths)
+        narrower += sum(w < 40 for w in widths)
     assert dense <= 3 * grid.size
     assert block > dense
+    assert narrower > 0
+
+
+def test_soft_impute_block_width_follows_kept_rank(monkeypatch):
+    # the lambda path above: on trial seed 3 the kept rank also grows into
+    # a block's oversampling, so both halves of the width rule are taken
+    _, obs, _ = gen_completion(SynthCompletionConfig(100, 100, 5, 0.2, 10.0, 3))
+    grid = lambda_grid(obs, seed=3)[::-1]
+    calls = _dense_calls(monkeypatch)
+    _record_kept_ranks(monkeypatch, calls)
+    pair = None
+    for lam in grid:
+        pair, _ = soft_impute(obs, SoftImputeConfig(lam=float(lam), max_rank=30),
+                              start=pair)
+    full, short = _check_block_widths(calls, 30)
+    assert full > short > 0
+
+
+def test_soft_impute_block_path_catches_rising_rank(monkeypatch):
+    # warm started from the rank-3 iterate at lam = 8, the lam = 2.5 run keeps
+    # rank 12 at first, then 9, and rises to its optimal rank 10 during the
+    # block steps, whose blocks are then narrower than kept + 10: the exact
+    # redo at tol still ends the run on the plain optimum (max_rank = 12
+    # does not bind there)
+    obs = _block_path_instance(60, 60, seed=7)
+    start, _ = soft_impute(obs, SoftImputeConfig(lam=8.0, max_rank=12))
+    assert start.rank == 3
+    calls = _dense_calls(monkeypatch)
+    _record_kept_ranks(monkeypatch, calls)
+    config = SoftImputeConfig(lam=2.5, max_rank=12, max_iters=100_000, tol=1e-12)
+    pair, traces = soft_impute(obs, config, start=start)
+    ranks = [t.rank for t in traces]
+    assert any(b > a for a, b in zip(ranks, ranks[1:]))
+    _, short = _check_block_widths(calls, 12)
+    assert short > 0
+    assert calls[-2:] == [("svd", (60, 60)), ("kept", pair.rank)]
+    assert pair.rank == 10 and not traces[-1].rank_capped
+    assert traces[-1].rel_change <= 1e-12
+    expect = _plain_soft_impute_objective(obs, 2.5, 12, 1e-12)
+    assert traces[-1].objective == pytest.approx(expect, rel=1e-8)
 
 
 def _step_objective(obs, lam, k, u, s, vt):
@@ -256,4 +353,6 @@ def test_soft_impute_block_path_is_deterministic():
     first, traces = soft_impute(obs, config)
     again, traces_again = soft_impute(obs, config)
     assert np.array_equal(first.U, again.U) and np.array_equal(first.V, again.V)
-    assert traces == traces_again
+    assert all(t.wall_nanos > 0 for t in traces)
+    assert ([dataclasses.replace(t, wall_nanos=0) for t in traces]
+            == [dataclasses.replace(t, wall_nanos=0) for t in traces_again])
