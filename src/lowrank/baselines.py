@@ -97,15 +97,18 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     desk-scale comparison experiments.
     """
     m, n = target.shape
+    if start is not None and start.shape != target.shape:
+        raise ValueError(f"start shape {start.shape} != observation shape {target.shape}")
     k = config.max_rank
     block = k + 10 < min(m, n)
+    flat = target._flat  # scatter into z and gather from the iterate by cell
     # below numpy's matrix_rank cutoff a shrunk value is rounding noise
     # (lam = sigma_1 leaves +-1 ulp), which would never settle
     cutoff = max(m, n) * np.finfo(float).eps
 
     def step(y, exact):
-        z = y.copy()
-        z[target.row, target.col] = target.vals
+        z = y.copy(order="C")  # so that ravel() is a view
+        z.ravel()[flat] = target.vals
         if exact:
             u, s, vt = np.linalg.svd(z, full_matrices=False)
         else:  # `taken` is still the last step
@@ -113,7 +116,7 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
         s2 = np.maximum(s[:k] - config.lam, 0.0)
         s2[s2 <= s[0] * cutoff] = 0.0
         a_new = (u[:, : s2.size] * s2) @ vt[: s2.size]
-        resid = target.vals - a_new[target.row, target.col]
+        resid = target.vals - a_new.ravel()[flat]
         obj = 0.5 * float(resid @ resid) + config.lam * float(s2.sum())
         return _Step(a_new, obj, exact, s, u, s2, vt)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
                      project_observed)
-from .objectives import HuberLowRank, ObservedQuadratic, huber_value
+from .objectives import HuberLowRank, ObservedQuadratic
 
 __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
 
@@ -236,19 +236,18 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
                      objective: HuberLowRank) -> FactorPair:
-    """Capped L-BFGS on the free factor (U when t is even, else V). Its m x n
+    """Capped L-BFGS on the free factor (U when t is even, else V). Each
+    function evaluation is one `HuberLowRank.evaluate` pass over the residual
+    in cache-sized row blocks (`objectives._HUBER_BLOCK_CELLS`), whose
     buffers are per call, never stored on the objective that threads share."""
-    M, d, even = objective.target, objective.delta, t % 2 == 0
-    resid, clipped = np.empty(M.shape), np.empty(M.shape)
+    side = t % 2
+
+    def pair(x):
+        return FactorPair(U, x.reshape(V.shape)) if side else FactorPair(x.reshape(U.shape), V)
 
     def fun(x):
-        left, right = (x.reshape(U.shape), V) if even else (U, x.reshape(V.shape))
-        np.matmul(left, right.T, out=resid)
-        np.subtract(resid, M, out=resid)
-        np.clip(resid, -d, d, out=clipped)
-        grad = clipped @ V if even else clipped.T @ U
-        return huber_value(resid, d, clipped), grad.ravel()
+        value, grad = objective.evaluate(pair(x), side)
+        return value, grad.ravel()
 
-    x = minimize(fun, (U if even else V).ravel(), jac=True, method="L-BFGS-B",
-                 options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}).x
-    return FactorPair(x.reshape(U.shape), V) if even else FactorPair(U, x.reshape(V.shape))
+    return pair(minimize(fun, (V if side else U).ravel(), jac=True, method="L-BFGS-B",
+                         options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}).x)

@@ -6,7 +6,10 @@ minus target on the observed set.
 
 Gradients are plain matrices: the observed quadratics' are zero off Omega,
 as the target's `matrix_with` builds them (dense or sparse by
-`linalg.fits_dense`); the Huber objective's is a dense array.
+`linalg.fits_dense`); the Huber objective's is one dense m x n array, built
+in place. The Huber value, and the factor gradients of the L-BFGS
+half-step, walk the residual in row blocks (`_HUBER_BLOCK_CELLS`) and make
+no m x n array.
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
     return float(np.vdot(g, residual) - 0.5 * np.vdot(g, g))
 
 
+# Cells per row block of the Huber pass (`HuberLowRank.evaluate`): rows =
+# this // n, so the residual and clipped buffers (256 KB each) stay in cache
+# next to the target's block. Median ms per evaluation (value and factor
+# gradient, U and V sides averaged) of 15 interleaved runs at 500 x 500,
+# r = 5, one BLAS thread, 2-core host with 2 MB L2 per core: 4096 -> 1.97,
+# 8192 -> 1.38, 16384 -> 1.11, 32768 -> 1.01, 65536 -> 0.98,
+# 131072 -> 1.09; two whole m x n buffers took 3.42. Small blocks pay the
+# per-block calls. 32768 is near the best, and a 100 x 100 target is a
+# single block.
+_HUBER_BLOCK_CELLS = 32768
+
+
 class HuberLowRank:
     """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M."""
 
@@ -91,14 +106,52 @@ class HuberLowRank:
     def shape(self) -> tuple[int, int]:
         return self.target.shape
 
+    def _check(self, pair: FactorPair) -> None:
+        if pair.shape != self.shape:
+            raise ValueError(f"factor shape {pair.shape} != target shape {self.shape}")
+
     def residual(self, pair: FactorPair) -> np.ndarray:
-        return pair.matrix() - self.target
+        """A - M as one new m x n array: U V^T, then M subtracted in place."""
+        self._check(pair)
+        out = pair.matrix()
+        out -= self.target
+        return out
+
+    def evaluate(self, pair: FactorPair, side: int | None = None
+                 ) -> tuple[float, np.ndarray | None]:
+        """The value at `pair` and, for side 0 / 1, its gradient with respect
+        to U / V: clip(R, -delta, delta) V or clip(R)^T U, R = U V^T - M.
+
+        One pass over R in row blocks of `_HUBER_BLOCK_CELLS` cells, with two
+        block buffers made per call (nothing is stored on the objective). On
+        the V side the pass walks M^T, whose row blocks are M's column blocks,
+        so every block yields whole rows of the gradient. The value is the sum
+        of the blocks' `huber_value`s."""
+        self._check(pair)
+        target, free, fixed = ((self.target.T, pair.V, pair.U) if side == 1
+                               else (self.target, pair.U, pair.V))
+        m, n = target.shape
+        rows = max(1, min(m, _HUBER_BLOCK_CELLS // max(n, 1)))
+        resid, clipped = np.empty((rows, n)), np.empty((rows, n))
+        grad = None if side is None else np.empty_like(free)
+        total = 0.0
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            r, g = resid[:e - s], clipped[:e - s]
+            np.matmul(free[s:e], fixed.T, out=r)
+            np.subtract(r, target[s:e], out=r)
+            np.clip(r, -self.delta, self.delta, out=g)
+            total += huber_value(r, self.delta, g)
+            if grad is not None:
+                np.matmul(g, fixed, out=grad[s:e])
+        return total, grad
 
     def value(self, pair: FactorPair) -> float:
-        return huber_value(self.residual(pair), self.delta)
+        return self.evaluate(pair)[0]
 
     def gradient(self, pair: FactorPair) -> np.ndarray:
-        return np.clip(self.residual(pair), -self.delta, self.delta)
+        out = self.residual(pair)
+        return np.clip(out, -self.delta, self.delta, out=out)
 
 
 class ClippedObservedQuadratic(ObservedQuadratic):

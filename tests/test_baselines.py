@@ -6,7 +6,7 @@ import pytest
 from lowrank import baselines
 from lowrank.baselines import SoftImputeConfig, _block_svd, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion
-from lowrank.linalg import SparseObservations
+from lowrank.linalg import FactorPair, SparseObservations
 
 from conftest import full_observations
 
@@ -356,3 +356,11 @@ def test_soft_impute_block_path_is_deterministic():
     assert all(t.wall_nanos > 0 for t in traces)
     assert ([dataclasses.replace(t, wall_nanos=0) for t in traces]
             == [dataclasses.replace(t, wall_nanos=0) for t in traces_again])
+
+
+def test_soft_impute_rejects_start_of_wrong_shape():
+    obs = _block_path_instance(20, 20, seed=8)
+    start = FactorPair(np.ones((30, 2)), np.ones((25, 2)))
+    with pytest.raises(ValueError,
+                       match=r"start shape \(30, 25\) != observation shape \(20, 20\)"):
+        soft_impute(obs, SoftImputeConfig(lam=1.0, max_rank=5), start=start)

@@ -131,3 +131,16 @@ def test_make_equivalence_problem_planted_optimum():
 def test_run_equivalence_default_beta():
     rep = run_equivalence(8, 3, 3, beta=None, seed=0, mode="greedy")
     assert rep.passed, rep.first_violation
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fast_greedy diverges on held-out entries at 1% observed (test NMSE "
+    "~1e88-1e90 at rank 1): the first insertion's v holds entries near 1e-48 on "
+    "columns outside the gradient's top component, and row 118 of U, observed "
+    "once on such a column, is solved exactly to ~1e47-1e48; a refit floor for "
+    "row systems that are numerically zero is not implemented yet")
+def test_fast_greedy_held_out_error_stays_bounded_when_sparsely_observed():
+    rows, _ = completion_trial(0, 1, 256, 256, 5, 0.01, 10.0, "fast-greedy", 4, 3)
+    # predicting zero everywhere scores 1; a fit should not do far worse
+    assert all(r["test_nmse"] <= 1.0 for r in rows)

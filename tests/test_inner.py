@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowrank import inner, linalg
+from lowrank import inner, linalg, objectives
 from lowrank.inner import InnerConfig, optimize_fast, optimize_full
 from lowrank.linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
                             project_observed)
@@ -471,19 +471,25 @@ def test_huber_half_step_follows_reference_path(monkeypatch):
         return res
 
     monkeypatch.setattr(inner, "minimize", recording)
-    obj, u, v = _huber_instance(20)
-    for t in (0, 1):
-        got = optimize_fast(u, v, t, obj, InnerConfig())
-        want = _reference_half_step(u, v, t, obj)
-        assert runs[-2] == runs[-1] and runs[-1][1] > 2
-        for a, b in ((got.U, want.U), (got.V, want.V)):
-            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
-    assert len(runs) == 4
+    # one row block, then several on both sides, each ending on a partial one
+    for seed, shape in ((20, (60, 50)), (23, (300, 200)), (24, (37, 2000))):
+        obj, u, v = _huber_instance(seed, *shape)
+        for t in (0, 1):
+            got = optimize_fast(u, v, t, obj, InnerConfig())
+            want = _reference_half_step(u, v, t, obj)
+            assert runs[-2] == runs[-1] and runs[-1][1] > 2
+            for a, b in ((got.U, want.U), (got.V, want.V)):
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(runs) == 12
 
 
-def test_huber_half_step_threads_sharing_one_objective():
+def test_huber_half_step_threads_sharing_one_objective(monkeypatch):
     # the evaluation buffers are per call: concurrent half-steps on one
-    # objective must give the serial results bit for bit
+    # objective must give the serial results bit for bit. A small block
+    # budget splits each side into 5 row blocks, the last one partial; a
+    # larger instance would reach threaded BLAS vector kernels, which
+    # contend under the short switch interval below
+    monkeypatch.setattr(objectives, "_HUBER_BLOCK_CELLS", 700)
     obj, _, _ = _huber_instance(21)
     rng = np.random.default_rng(22)
     starts = [(rng.standard_normal((60, 3)), rng.standard_normal((50, 3)))

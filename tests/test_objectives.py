@@ -291,6 +291,40 @@ def test_huber_value_matches_piecewise_definition():
             assert huber_value(r, delta, np.clip(r, -delta, delta)) == huber_value(r, delta)
 
 
+# several row blocks on both sides, each side ending on a partial block
+@pytest.mark.parametrize("m, n", [(300, 200), (37, 2000)])
+def test_huber_blocked_pass_matches_whole_residual(m, n):
+    rng = np.random.default_rng(m + n)
+    target = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    target[rng.random((m, n)) < 0.1] += 10.0
+    pair = FactorPair(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
+    obj = HuberLowRank(target, 1.0)
+    resid = pair.matrix() - target
+    clipped = np.clip(resid, -1.0, 1.0)
+    want = huber_value(resid, 1.0)
+    assert obj.value(pair) == pytest.approx(want, rel=1e-13)
+    for side, rows, cols, grad in ((0, m, n, clipped @ pair.V),
+                                   (1, n, m, clipped.T @ pair.U)):
+        per_block = lowrank.objectives._HUBER_BLOCK_CELLS // cols
+        assert per_block < rows and rows % per_block
+        value, got = obj.evaluate(pair, side)
+        assert value == pytest.approx(want, rel=1e-13)
+        assert np.linalg.norm(got - grad) <= 1e-13 * np.linalg.norm(grad)
+    assert np.array_equal(obj.gradient(pair), clipped)
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 1), (1, 4)])
+def test_huber_rejects_pair_of_wrong_shape(rows, cols):
+    obj = HuberLowRank(np.ones((5, 4)), 1.0)
+    pair = FactorPair(np.ones((rows, 2)), np.ones((cols, 2)))
+    calls = (obj.value, obj.gradient, lambda p: obj.evaluate(p, 0),
+             lambda p: obj.evaluate(p, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"factor shape \({rows}, {cols}\) "
+                                             r"!= target shape \(5, 4\)"):
+            call(pair)
+
+
 def test_huber_rejects_bad_delta():
     with pytest.raises(ValueError):
         HuberLowRank(np.zeros((2, 2)), delta=0.0)
