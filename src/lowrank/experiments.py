@@ -227,8 +227,17 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     instances). `orthonormal` orthonormalizes the design columns;
     `correlation` > 0 mixes in an equicorrelated factor instead.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= sparsity <= n:
+        raise ValueError(f"sparsity must be in [0, n = {n}], got {sparsity}")
+    rows = 3 * n if examples is None else examples
+    if rows < (n if orthonormal else 1):
+        raise ValueError(f"examples must be >= {n if orthonormal else 1}, got {rows}")
+    if not 0.0 <= correlation < 1.0:
+        raise ValueError(f"correlation must be in [0, 1), got {correlation}")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((examples or 3 * n, n))
+    g = rng.standard_normal((rows, n))
     if orthonormal:
         design, _ = np.linalg.qr(g)
     elif correlation > 0.0:

@@ -54,6 +54,9 @@ class InnerConfig:
     def __post_init__(self):
         if self.ls_iters < 1:
             raise ValueError("ls_iters must be >= 1")
+        if not 0.0 <= self.full_solve_tol < np.inf:
+            raise ValueError(f"full_solve_tol must be finite and >= 0, "
+                             f"got {self.full_solve_tol}")
 
 
 @dataclass

@@ -57,8 +57,8 @@ class SolverConfig:
             raise ValueError("target_rank must be >= 1")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.eps is not None and self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if self.eps is not None and not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -39,8 +39,15 @@ class SparseRegressionProblem:
     def __post_init__(self):
         self.design = np.asarray(self.design, dtype=np.float64)
         self.response = np.asarray(self.response, dtype=np.float64)
-        if self.design.shape[0] != self.response.shape[0]:
+        if self.design.ndim != 2 or self.design.shape[1] < 1:
+            raise ValueError("design must be 2-d with at least one column")
+        if self.response.shape != self.design.shape[:1]:
             raise ValueError("design rows must match response length")
+        for name in ("design", "response"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not 0 <= self.sparsity <= self.dim:
+            raise ValueError(f"sparsity must be in [0, {self.dim}], got {self.sparsity}")
 
     @property
     def dim(self) -> int:
@@ -74,32 +81,38 @@ def _refit(problem: SparseRegressionProblem, support: list[int]) -> tuple[np.nda
 _GRAD_FLOOR = 1e-12
 
 
-def omp(problem: SparseRegressionProblem, steps: int) -> SparseFit:
+def omp(problem: SparseRegressionProblem, steps: int, callback=None) -> SparseFit:
     """Orthogonal matching pursuit: grow the support by the top-|gradient|
     coordinate, re-fit exactly each step. Gradient ties break to the lowest
     index; a numerically zero gradient stops the pursuit.
 
-    This is ompr with a budget of `steps`: the support grows by at most one
-    coordinate per step, so it never fills and nothing is dropped."""
+    This is ompr with a budget of the whole dimension: the support grows by
+    at most one coordinate per step, so within `steps` <= dim steps it never
+    fills and nothing is dropped. The callback is ompr's."""
     if steps > problem.dim:
         raise ValueError("steps must be <= dimension")
-    return ompr(problem, steps, steps)
+    return ompr(problem, problem.dim, steps, callback)
 
 
-def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int) -> SparseFit:
+def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
+         callback=None) -> SparseFit:
     """OMP with replacement at a fixed support budget.
 
     Each step picks the top-|gradient| coordinate; once the support is full
     it first drops the support coordinate with the smallest coefficient
     magnitude (the vector analogue of removing the minimum singular value),
     then re-fits exactly. With sparsity = dim this degenerates to full least
-    squares. A numerically zero gradient stops the pursuit.
+    squares. A numerically zero gradient stops the pursuit. Step t ends with
+    `callback(t, fit)`: no step depends on `steps`, so that fit is what a run
+    of t + 1 steps returns.
     """
+    if sparsity < 1:
+        raise ValueError("sparsity must be >= 1")
     support: list[int] = []
     x = np.zeros(problem.dim)
     deficient = False
     g0 = None
-    for _ in range(steps):
+    for t in range(steps):
         g = problem.grad(x)
         top = float(np.max(np.abs(g)))
         if g0 is None:
@@ -114,6 +127,8 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int) -> SparseF
             support.append(i)
         x, bad = _refit(problem, support)
         deficient = deficient or bad
+        if callback is not None:
+            callback(t, SparseFit(list(support), x, deficient))
     return SparseFit(support, x, deficient)
 
 
@@ -121,37 +136,65 @@ class LiftedQuadratic:
     """R(A) = f(diag A) + beta/2 ||A - Diag(diag A)||_F^2 over n x n matrices.
 
     On diagonal iterates the gradient reduces to Diag(grad f), so the matrix
-    solvers only ever insert e_i e_i^T components.
+    solvers only ever insert e_i e_i^T components. The last FactorPair seen
+    is cached by identity as its off-diagonal part and its diagonal, so
+    `value` and `gradient` on one pair form U V^T once, as
+    `ObservedQuadratic.residual` does; the gradient at rank 0, which every
+    full refit asks for, is formed once and shared read-only.
     """
 
     def __init__(self, problem: SparseRegressionProblem, beta: float):
-        if beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not (np.isfinite(beta) and beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {beta}")
         self.problem = problem
         self.beta = float(beta)
+        n = problem.dim
         self._gram = problem.design.T @ problem.design
+        self._diagonal = np.diag_indices(n)
+        self._last = (None, None, None)  # (pair, off-diagonal part, diagonal)
+        self._zero_grad = self._with_diagonal(np.zeros((n, n)), problem.grad(np.zeros(n)))
+        self._zero_grad.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
         n = self.problem.dim
         return (n, n)
 
+    def _split(self, pair: FactorPair) -> tuple[np.ndarray, np.ndarray]:
+        """(A with a zero diagonal, diag A) for A = U V^T, from the cache when
+        `pair` is the last one. Neither array leaves the objective."""
+        last, off, diag = self._last
+        if last is not pair:
+            off = pair.matrix()
+            diag = off[self._diagonal]
+            off[self._diagonal] = 0.0
+            self._last = (pair, off, diag)
+        return off, diag
+
+    def _with_diagonal(self, out: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """`out`, already scaled by beta, with `diag` written on its diagonal;
+        adding 0.0 last turns each -0.0 into 0.0, as the sum
+        Diag(diag) + beta * offdiag does on its zero entries. In place."""
+        out[self._diagonal] = diag
+        out += 0.0
+        return out
+
     def value(self, pair: FactorPair) -> float:
-        a = pair.matrix()
-        x = np.diag(a).copy()
-        resid = self.problem.design @ x - self.problem.response
-        off = a - np.diag(np.diag(a))
+        off, diag = self._split(pair)
+        resid = self.problem.design @ diag - self.problem.response
         return 0.5 * float(resid @ resid) + 0.5 * self.beta * float(np.sum(off * off))
 
     def gradient(self, pair: FactorPair) -> np.ndarray:
-        a = pair.matrix()
-        g = self.problem.grad(np.diag(a).copy())
-        return np.diag(g) + self.beta * (a - np.diag(np.diag(a)))
+        if pair.rank == 0:
+            return self._zero_grad
+        off, diag = self._split(pair)
+        return self._with_diagonal(np.multiply(off, self.beta), self.problem.grad(diag))
 
     def quad_term(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         e = left @ right.T
-        d = np.diag(e).copy()
-        return np.diag(self._gram @ d) + self.beta * (e - np.diag(d))
+        d = self._gram @ e[self._diagonal]
+        e *= self.beta
+        return self._with_diagonal(e, d)
 
 
 @dataclass
@@ -166,6 +209,24 @@ class EquivalenceReport:
     details: list[dict] = field(default_factory=list)
 
 
+def _pursuit_iterates(problem: SparseRegressionProblem, mode: str, steps: int
+                      ) -> list[SparseFit]:
+    """Iterate k of omp(problem, k) (greedy) or ompr(problem, sparsity, k)
+    (local) for k = 1..steps, from one run of `steps` steps. A run that stops
+    at the gradient floor repeats its last iterate, as the shorter runs
+    stop there too."""
+    fits: list[SparseFit] = []
+
+    def keep(t, fit):
+        fits.append(fit)
+
+    if mode == "greedy":
+        last = omp(problem, steps, keep)
+    else:
+        last = ompr(problem, problem.sparsity, steps, keep)
+    return fits + [last] * (steps - len(fits))
+
+
 def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
                       mode: str = "greedy", seed: int = 0,
                       offdiag_tol: float = 1e-8, iterate_tol: float = 1e-6
@@ -175,35 +236,39 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
 
     Asserts (a) each matrix iterate is diagonal up to `offdiag_tol`
     off-diagonal Frobenius mass, (b) its diagonal matches the vector iterate
-    within `iterate_tol`, (c) the supports coincide. The matrix iterate at
-    step k is recovered by re-running the (deterministic) solver for k steps.
-    `steps` must be at least 1, since a check of no steps compares nothing.
+    within `iterate_tol`, (c) the supports coincide. The vector iterate at
+    step k comes from one omp / ompr run of `steps` steps (the k-step run is
+    its prefix). The matrix iterate at step k is still recovered by
+    re-running the (deterministic) solver for k steps, because perfbench
+    pins the `equivalence` workload's solver-run count. `steps` must be at
+    least 1, since a check of no steps compares nothing, and both
+    tolerances must be finite and >= 0.
     """
     if mode not in ("greedy", "local"):
         raise ValueError("mode must be 'greedy' or 'local'")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    for name, tol in (("offdiag_tol", offdiag_tol), ("iterate_tol", iterate_tol)):
+        if not 0.0 <= tol < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     lifted = LiftedQuadratic(problem, beta)
-    n = problem.dim
     report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
+    vectors = _pursuit_iterates(problem, mode, steps)
 
     # the diagonality assertion needs coefficient refits far below the
     # library's default tolerance
     inner = InnerConfig(full_solve_tol=1e-13)
-    for k in range(1, steps + 1):
+    for k, vec in enumerate(vectors, start=1):
         if mode == "greedy":
             cfg = SolverConfig(target_rank=k, seed=seed, inner=inner)
             pair, _ = greedy(lifted, cfg)
-            vec = omp(problem, k)
         else:
             cfg = SolverConfig(target_rank=problem.sparsity, max_outer_iters=k,
                                eps=0.0, seed=seed, inner=inner)
             pair, _ = local_search(lifted, cfg)
-            vec = ompr(problem, problem.sparsity, k)
 
-        a = pair.matrix()
-        diag = np.diag(a).copy()
-        offdiag = float(np.linalg.norm(a - np.diag(diag)))
+        off, diag = lifted._split(pair)
+        offdiag = float(np.linalg.norm(off))
         diff = float(np.max(np.abs(diag - vec.coef)))
         # effective supports by magnitude on both sides (an exactly-zero refit
         # coefficient is no support in either representation)

@@ -387,7 +387,7 @@ def _strip_json_timing(obj):
 
 def test_criterion_12_cli_determinism(tmp_path):
     # identical flags must reproduce every computed byte; the wall-clock
-    # columns (seconds, wall_nanos) are excluded -- see the decisions ledger
+    # columns (seconds, wall_nanos) are excluded -- see CHANGES.md
     runs = {
         "synth": ["synth-complete", "--m", "40", "--n", "40", "--true-rank", "3",
                   "--p", "0.3", "--snr", "10", "--seed", "9",

@@ -65,6 +65,16 @@ def test_equivalence_without_steps_is_an_error(capsys):
         assert "steps must be >= 1" in captured.err
 
 
+def test_equivalence_bad_inputs_name_the_field(capsys):
+    for flags, field in ((["--beta", "nan"], "beta"), (["--beta", "inf"], "beta"),
+                         (["--sparsity", "12"], "sparsity"), (["--n", "0"], "n")):
+        code = run_cli(["equivalence", "--steps", "2"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {field} must be" in captured.err, flags
+
+
 # ------------------------------------------------------------ synth-complete
 
 def test_synth_complete_shapes(tmp_path):

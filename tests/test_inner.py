@@ -558,3 +558,9 @@ def test_objective_after_inner():
 def test_inner_config_validation():
     with pytest.raises(ValueError):
         InnerConfig(ls_iters=0)
+    # NaN or negative ran every full refit to its cap; inf stopped it after
+    # one step, reported as converged
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="full_solve_tol"):
+            InnerConfig(full_solve_tol=tol)
+    InnerConfig(full_solve_tol=0.0)

@@ -410,3 +410,7 @@ def test_solver_config_validation():
         SolverConfig(target_rank=1, eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(target_rank=1, seed=-3)
+    # a NaN eps made local_search stop after one step at its all-zero start
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            SolverConfig(target_rank=1, eps=eps)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import lowrank.sparse_equiv as sparse_equiv
 from lowrank.experiments import make_equivalence_problem
 from lowrank.linalg import FactorPair
 from lowrank.sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
-                                  check_equivalence, omp, ompr)
+                                  _pursuit_iterates, check_equivalence, omp, ompr)
 
 from conftest import dense_gradient
 
@@ -63,6 +64,37 @@ def test_omp_steps_bounded():
         omp(problem, 5)
 
 
+def test_problem_rejects_bad_fields():
+    design = np.random.default_rng(0).standard_normal((6, 4))
+    response = design[:, 0].copy()
+    for sparsity in (-1, 5):
+        with pytest.raises(ValueError, match="sparsity"):
+            SparseRegressionProblem(design, response, sparsity)
+    for bad in (np.nan, np.inf):
+        poisoned = design.copy()
+        poisoned[2, 1] = bad
+        with pytest.raises(ValueError, match="design must be finite"):
+            SparseRegressionProblem(poisoned, response, 1)
+        with pytest.raises(ValueError, match="response must be finite"):
+            SparseRegressionProblem(design, np.full(6, bad), 1)
+    with pytest.raises(ValueError, match="response length"):
+        SparseRegressionProblem(design, response[:5], 1)
+    with pytest.raises(ValueError, match="column"):
+        SparseRegressionProblem(np.zeros((6, 0)), response, 0)
+
+
+def test_make_equivalence_problem_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="sparsity"):
+        make_equivalence_problem(5, 9, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        make_equivalence_problem(0, 0, 0)
+    with pytest.raises(ValueError, match="examples"):
+        make_equivalence_problem(5, 2, 0, examples=3, orthonormal=True)
+    for correlation in (np.nan, -0.1, 1.0):
+        with pytest.raises(ValueError, match="correlation"):
+            make_equivalence_problem(5, 2, 0, correlation=correlation)
+
+
 # ---------------------------------------------------------------------- ompr
 
 def test_ompr_optimal_support_is_fixed_point():
@@ -71,6 +103,11 @@ def test_ompr_optimal_support_is_fixed_point():
     again = ompr(problem, 2, 6)
     assert set(base.support) == set(again.support)
     assert np.allclose(base.coef, again.coef, atol=1e-12)
+
+
+def test_ompr_rejects_empty_budget():
+    with pytest.raises(ValueError, match="sparsity must be >= 1"):
+        ompr(planted(4, 30, 8, 2), 0, 3)
 
 
 def test_ompr_full_sparsity_is_least_squares():
@@ -149,8 +186,69 @@ def test_lifted_gradient_finite_difference():
 
 
 def test_lifted_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        LiftedQuadratic(planted(0, 10, 4, 1), beta=0.0)
+    for beta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta"):
+            LiftedQuadratic(planted(0, 10, 4, 1), beta=beta)
+
+
+def diag_formulas(lifted, a):
+    """value and gradient at A, and quad_term's result for E = A, by the
+    np.diag formulas the cached objective must reproduce bit for bit."""
+    problem = lifted.problem
+    x = np.diag(a).copy()
+    resid = problem.design @ x - problem.response
+    off = a - np.diag(np.diag(a))
+    value = 0.5 * float(resid @ resid) + 0.5 * lifted.beta * float(np.sum(off * off))
+    grad = np.diag(problem.grad(x)) + lifted.beta * (a - np.diag(np.diag(a)))
+    quad = np.diag(lifted._gram @ x) + lifted.beta * (a - np.diag(x))
+    return value, grad, quad
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def lifted_pairs(n, rng):
+    pairs = [FactorPair(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
+             for r in (1, 2, 5)]
+    pairs += [FactorPair.empty(n, n), FactorPair.zeros(n, n, 3)]
+    eye = np.eye(n)
+    pairs.append(FactorPair(eye[:, [0, 2]] * [-1.5, 0.25], eye[:, [0, 2]]))
+    # beta < 1/2 times the least negative subnormal rounds to -0.0, which the
+    # sum Diag(g) + beta * offdiag turns into 0.0
+    pairs.append(FactorPair(eye[:, [0]] * -5e-324, eye[:, [1]]))
+    return pairs
+
+
+def test_lifted_matches_diag_formulas_bit_for_bit():
+    problem = planted(11, 20, 6, 2)
+    for beta in (1.7, 0.25):
+        lifted = LiftedQuadratic(problem, beta)
+        for pair in lifted_pairs(6, np.random.default_rng(11)):
+            value, grad, quad = diag_formulas(lifted, pair.matrix())
+            assert bits(lifted.value(pair)) == bits(value)
+            assert bits(lifted.gradient(pair)) == bits(grad)
+            assert bits(lifted.quad_term(pair.U, pair.V)) == bits(quad)
+
+
+def test_lifted_cache_alternating_pairs():
+    problem = planted(12, 20, 6, 2)
+    lifted = LiftedQuadratic(problem, beta=2.3)
+    pairs = lifted_pairs(6, np.random.default_rng(12))
+    expected = [diag_formulas(lifted, pair.matrix())[:2] for pair in pairs]
+    for _ in range(2):
+        for i in (0, 1, 0, 3, 4, 3, 5, 2, 1):
+            value, grad = expected[i]
+            assert bits(lifted.gradient(pairs[i])) == bits(grad)
+            assert bits(lifted.value(pairs[i])) == bits(value)
+            # a caller's write to a gradient does not reach the cache; the
+            # shared rank-0 gradient is read-only
+            g = lifted.gradient(pairs[i])
+            if pairs[i].rank == 0:
+                assert not g.flags.writeable
+            else:
+                g[:] = 7.0
+            assert bits(lifted.value(pairs[i])) == bits(value)
 
 
 # ------------------------------------------------------------ the equivalence
@@ -215,6 +313,76 @@ def test_equivalence_rejects_no_steps():
         for mode in ("greedy", "local"):
             with pytest.raises(ValueError, match="steps must be >= 1"):
                 check_equivalence(problem, 1.0, steps, mode=mode)
+
+
+def test_equivalence_rejects_bad_tolerances():
+    # a NaN tolerance passed every comparison and made the check vacuous
+    problem = make_equivalence_problem(10, 3, 0, correlation=0.3)
+    gram = problem.design.T @ problem.design
+    beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
+    strict = check_equivalence(problem, beta, 3, iterate_tol=1e-30)
+    assert not strict.passed and strict.first_violation.startswith("step 2")
+    for name in ("offdiag_tol", "iterate_tol"):
+        for tol in (np.nan, np.inf, -np.inf, -1e-12):
+            with pytest.raises(ValueError, match=name):
+                check_equivalence(problem, beta, 3, **{name: tol})
+        assert check_equivalence(problem, beta, 3, **{name: 1e-3}).passed
+
+
+def criterion_6_set():
+    problems = [make_equivalence_problem(10, 5, s, orthonormal=True) for s in range(5)]
+    return problems + [make_equivalence_problem(20, 6, s, correlation=0.3)
+                       for s in (0, 1, 3, 4, 6)]
+
+
+def assert_same_fit(a, b):
+    assert (a.support, a.rank_deficient) == (b.support, b.rank_deficient)
+    assert bits(a.coef) == bits(b.coef)
+
+
+def test_pursuit_iterates_match_fresh_runs():
+    # iterate k of one run of `steps` steps is the k-step run's result
+    stop = make_equivalence_problem(8, 2, 0, orthonormal=True)
+    cases = [(problem, problem.sparsity) for problem in criterion_6_set()]
+    cases.append((stop, 6))
+    for problem, steps in cases:
+        fresh = {"greedy": lambda k: omp(problem, k),
+                 "local": lambda k: ompr(problem, problem.sparsity, k)}
+        for mode in ("greedy", "local"):
+            fits = _pursuit_iterates(problem, mode, steps)
+            assert len(fits) == steps
+            for k, fit in enumerate(fits, start=1):
+                assert_same_fit(fit, fresh[mode](k))
+
+
+def test_pursuit_stopped_at_gradient_floor_repeats_last_iterate():
+    # the planted 2-sparse orthonormal instance is solved after two steps
+    problem = make_equivalence_problem(8, 2, 0, orthonormal=True)
+    seen = []
+    omp(problem, 6, lambda t, fit: seen.append(t))
+    assert seen == [0, 1]
+    fits = _pursuit_iterates(problem, "greedy", 6)
+    for fit in fits[2:]:
+        assert_same_fit(fit, fits[1])
+    report = check_equivalence(problem, 2.0, 6, mode="local")
+    assert report.passed, report.first_violation
+    assert [d["vector_support"] for d in report.details[1:]] == \
+        [sorted(fits[1].support)] * 5
+
+
+def test_check_runs_one_vector_pursuit(monkeypatch):
+    calls = []
+    for name in ("omp", "ompr"):
+        def spy(*args, _name=name, _real=getattr(sparse_equiv, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(sparse_equiv, name, spy)
+    problem = make_equivalence_problem(10, 4, 2, orthonormal=True)
+    # omp is ompr with a budget that never binds, and calls it once
+    for mode, expected in (("greedy", ["omp", "ompr"]), ("local", ["ompr"])):
+        calls.clear()
+        assert check_equivalence(problem, 2.0, 4, mode=mode, seed=2).passed
+        assert calls == expected, mode
 
 
 def test_equivalence_rejects_bad_mode():
