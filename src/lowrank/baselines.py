@@ -27,8 +27,8 @@ class SoftImputeConfig:
             raise ValueError("max_rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol >= 0.0:
-            raise ValueError("tol must be >= 0")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ sets are emitted in row-major order so replays are bit-identical.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,13 @@ __all__ = [
 
 
 def _check_shape(config) -> None:
-    """A synthetic instance needs m, n >= 1 and true_rank >= 0."""
-    for name in ("m", "n"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
-    if config.true_rank < 0:
-        raise ValueError(f"true_rank must be >= 0, got {config.true_rank}")
+    """A synthetic instance needs integers m, n >= 1 and true_rank, seed >= 0;
+    numpy integers are stored as ints."""
+    for name, least in (("m", 1), ("n", 1), ("true_rank", 0), ("seed", 0)):
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        setattr(config, name, int(value))
 
 
 @dataclass
@@ -45,6 +47,9 @@ class SynthCompletionConfig:
 
     def __post_init__(self):
         _check_shape(self)
+        if self.m * self.n < 2:
+            raise ValueError("m * n must be >= 2: the noise is scaled by its sd "
+                             "over the cells")
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError("observed_fraction must be in (0, 1]")
         if self.true_rank > min(self.m, self.n):

@@ -9,8 +9,11 @@ takes one of three kernels by the size rules in `linalg`: masked dense
 GEMMs on a small observed set, per-row r x r Gram matrices formed once per
 refit on a larger one at the ranks and step caps where that pays
 (`fits_gram`), and a gather of the observed entries at every step
-otherwise. Huber objectives refit by a capped L-BFGS instead; scipy's
-optimizer is imported on its first use.
+otherwise. The V half-step is the U half-step on the transposed set, read
+through the `.T` of the set's own matrices: the dense arrays' transposes and
+CSC views of its CSR skeleton, so nothing is built twice. Huber objectives
+refit by a capped L-BFGS instead; scipy's optimizer is imported on its first
+use.
 """
 
 from __future__ import annotations
@@ -132,40 +135,41 @@ def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
     if U.shape[1] == 0:
         return FactorPair(U, V)
     if isinstance(objective, ObservedQuadratic):
-        omega = objective.target
-        if t % 2 == 0:
-            return FactorPair(_capped_cgnr(U, V, omega, config.ls_iters), V)
-        return FactorPair(U, _capped_cgnr(V, U, omega.transpose, config.ls_iters))
+        omega, side = objective.target, t % 2
+        if side == 0:
+            return FactorPair(_capped_cgnr(U, V, omega, config.ls_iters, side), V)
+        return FactorPair(U, _capped_cgnr(V, U, omega, config.ls_iters, side))
     if isinstance(objective, HuberLowRank):
         return _huber_half_step(U, V, t, objective)
     raise TypeError(f"objective {type(objective).__name__} has no fast inner solve")
 
 
 def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
-                 iters: int) -> np.ndarray:
+                 iters: int, side: int) -> np.ndarray:
     """`iters` CG-on-normal-equations steps for every row system, from zero.
 
-    Row i solves min_x ||F[omega_i] x - vals_i||_2. The zero start makes the
-    iteration cap act like a truncated-Krylov refit of the whole factor (the
-    regularization the fast solvers rely on). All rows advance in lockstep
-    with their own step sizes; the systems are disjoint, so this matches
-    solving them one by one. Rows that reach their numerical floor freeze
-    (CG iterated past convergence turns rounding noise into huge steps), and
-    the loop ends once every row has frozen. Rows with no observations keep
-    their current value.
+    Row i of W (U on side 0, V on side 1) solves min_x ||F[omega_i] x -
+    vals_i||_2 over the observed entries of row (side 0) or column (side 1)
+    i of `omega`. The zero start makes the iteration cap act like a
+    truncated-Krylov refit of the whole factor (the regularization the fast
+    solvers rely on). All rows advance in lockstep with their own step sizes;
+    the systems are disjoint, so this matches solving them one by one. Rows
+    that reach their numerical floor freeze (CG iterated past convergence
+    turns rounding noise into huge steps), and the loop ends once every row
+    has frozen. Rows with no observations keep their current value.
 
     Only the normal-equation products depend on the size of `omega`, the
     rank and `iters` (`_normal_products`): dense masked GEMMs, per-row Gram
     matrices, or a gather at every step. The kernels add the same terms in
     different orders, so their results agree to rounding, not bit for bit.
-    On the sparse kernels' V side `omega` is a transposed set, whose sparse
-    matrices are CSC views of the root set's CSR skeleton. scipy's CSC
-    product adds each output row's terms in the same order as a CSR product
-    over the transposed entries, so on those kernels both sides match a CSR
-    build bit for bit.
+    The V side reads the set's matrices through `.T`: the dense arrays'
+    transposes and, on the sparse kernels, CSC views of the CSR skeleton.
+    scipy's CSC product adds each output row's terms in the same order as a
+    CSR product over the transposed entries, so the V side matches the U
+    side on the transposed set bit for bit.
     """
     X = np.zeros_like(W)
-    R, normal = _normal_products(F, omega, iters)
+    R, normal = _normal_products(F, omega, iters, side)
     P = R.copy()
     rs = np.einsum("ij,ij->i", R, R)
     floor = 1e-26 * rs
@@ -192,16 +196,17 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
             np.multiply(P, beta[:, None], out=P, where=rows)
             np.add(P, R, out=P, where=rows)
         rs = rs_new
-    untouched = omega._row_counts == 0
+    untouched = omega._counts[side] == 0
     if untouched.any():
         X[untouched] = W[untouched]
     return X
 
 
-def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
+def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
+                     side: int):
     """(M_Omega F, P -> Pi_Omega(P F^T) F): the right-hand sides and the
     normal-equation product of `_capped_cgnr`'s row systems, for at most
-    `iters` products.
+    `iters` products, with M_Omega and Pi_Omega transposed on side 1.
 
     A set that `fits_dense` takes two GEMMs and a masked multiply per
     product. A larger one makes no m x n array. When the refit `fits_gram`,
@@ -209,8 +214,11 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
     SpMM of the set's 0/1 pattern by the r(r+1)/2 column products of F, and
     each product is the batched G_i P_i. Otherwise each product gathers the
     observed entries of P F^T and multiplies a CSR view of them by F."""
+    def oriented(a):
+        return a.T if side else a
+
     if fits_dense(omega.shape):
-        mask, target = omega.dense()
+        mask, target = map(oriented, omega.dense)
 
         def product(P):
             Q = P @ F.T
@@ -219,11 +227,11 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
 
         return target @ F, product
 
-    rhs = omega.csr_with(omega.vals) @ F
+    rhs = oriented(omega.csr()) @ F
     r = F.shape[1]
-    if fits_gram(omega.rows, r, iters):
+    if fits_gram(omega.shape[side], r, iters):
         upper = np.triu_indices(r)
-        packed = omega.pattern() @ (F[:, upper[0]] * F[:, upper[1]])
+        packed = oriented(omega.pattern) @ (F[:, upper[0]] * F[:, upper[1]])
         # slot[a, b]: the packed column holding G[a, b], so one take fills
         # both triangles
         slot = np.empty((r, r), dtype=np.intp)
@@ -232,7 +240,8 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int):
         return rhs, lambda P: np.einsum("ijk,ik->ij", gram, P)
 
     def product(P):
-        return omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
+        pair = FactorPair(F, P) if side else FactorPair(P, F)
+        return oriented(omega.csr_with(project_observed(pair, omega))) @ F
 
     return rhs, product
 

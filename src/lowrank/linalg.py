@@ -1,50 +1,25 @@
 """Matrix containers, factored low-rank pairs, and top-singular-pair extraction.
 
-Dense matrices are plain float64 numpy arrays. Sparse observed sets and
-factored pairs get small dataclasses because the solvers move them around
-a lot. Everything here is deterministic given its inputs.
+Dense matrices are plain float64 numpy arrays; observed sets and factored
+pairs are small dataclasses. Everything here is deterministic given its
+inputs, and `fits_dense` is the one size rule for dense or sparse work.
 
-One size rule, `fits_dense`, picks dense or sparse work; its docstring
-lists what it governs. The top singular pair of a matrix that fits is the
-top eigenpair of the densified matrix's smaller Gram matrix (LAPACK); of a
-larger one it comes from a Golub-Kahan-Lanczos bidiagonalization of the
-matrix as given, with no copy and no transpose, converged to machine
-precision or raising. Both work on the matrix divided by its largest
-absolute entry (the Krylov path divides the vectors it multiplies instead).
-Above the dense cap the capped refit in `inner` forms every row's r x r
-Gram matrix once, by one product of the set's 0/1 `pattern`, when the
-refit `fits_gram`, and otherwise gathers the observed entries
-(`project_observed`) and multiplies a CSR view of them at every step.
-
-An observed set built from outside input is validated once, by its
-constructor. The sets derived from it (`transpose`, `_take`) reuse its
-checked index arrays and skip the checks. The duplicate check reads the flat
-cell index `row * cols + col`: one O(nnz) pass for row-major input (strictly
-increasing, so no cell repeats), otherwise one sort and a neighbour compare,
-which also names the first repeated cell. It avoids `np.unique`, whose hash
-path (numpy 2.4) took 0.9 s per 1M distinct cells against 12.5 ms for
-`np.sort`.
-
-Entries keep the order they were given in ("entry order"); every per-entry
-array (`vals`, `project_observed`'s output) follows it. Sparse matrices need
-CSR order, row-major with columns increasing. Each root set (one built by the
-constructor or by `_take`) builds one CSR skeleton `(indptr, indices, perm)`,
-the first time a sparse matrix is asked for, and its `transpose` shares it.
-`perm` maps entry order to CSR order and is None when the entries already
-are in CSR order, which an O(nnz) check finds before any sort; otherwise it
-is the argsort of the flat cell index. `csr_with` then wraps the given
-values without copying: scipy gets the skeleton and a read-only view of the
-values, so nothing written through the matrix reaches the set. A transposed
-set reads the root's skeleton as a CSC matrix of the transposed shape, with
-no CSR of its own. In the same way a root set builds its dense 0/1 mask and
-zero-filled target once, when `dense` is first asked for, and its transpose
-reads their `.T`; likewise its sparse 0/1 `pattern`, which the transpose
-reads as CSC.
+An observed set is validated once, by its constructor (`_take` reuses the
+checked arrays). The duplicate check reads the flat cell index
+`row * cols + col`: one O(nnz) pass for row-major input, otherwise one sort
+and a neighbour compare, which also names the first repeated cell. It
+avoids `np.unique`, whose hash path (numpy 2.4) took 0.9 s per 1M distinct
+cells against 12.5 ms for `np.sort`. Entries keep the order they were given
+in ("entry order"), and so does every per-entry array (`vals`,
+`project_observed`'s output). A set builds its CSR skeleton, dense arrays
+and 0/1 pattern once each, when first asked for; the transposed problem
+reads their `.T`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,8 +64,12 @@ class SparseObservations:
     vals: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("rows and cols must be >= 0")
+        for name in ("rows", "cols"):
+            size = getattr(self, name)
+            if not isinstance(size, numbers.Integral) or size < 0:
+                raise ValueError(f"rows and cols must be integers >= 0, "
+                                 f"got {name}={size!r}")
+            setattr(self, name, int(size))
         for name in ("row", "col"):
             idx = np.asarray(getattr(self, name))
             # integer dtypes pass unchecked; other values must be whole numbers
@@ -116,9 +95,6 @@ class SparseObservations:
                     raise DuplicateEntryError(i, j)
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("non-finite observation values")
-        # the set whose CSR skeleton this one reads (None: itself), and
-        # whether this set is that root's transpose
-        self._root, self._flip = None, False
 
     @property
     def nnz(self) -> int:
@@ -133,42 +109,26 @@ class SparseObservations:
         """The flat cell index `row * cols + col` of each entry, in entry order."""
         return self.row * self.cols + self.col
 
-    def _derived(self, row: np.ndarray, col: np.ndarray, vals: np.ndarray,
-                 flip: bool) -> "SparseObservations":
-        """A set over checked indices, built without re-validation: this set's
-        transpose, reading its CSR skeleton, when `flip`, else a root set."""
-        out = object.__new__(SparseObservations)
-        out.rows, out.cols = (self.cols, self.rows) if flip else self.shape
-        out.row, out.col, out.vals = row, col, vals
-        root = self if self._root is None else self._root
-        out._root, out._flip = (root, not self._flip) if flip else (None, False)
-        return out
-
     def _take(self, indices: np.ndarray) -> "SparseObservations":
         """The entries at `indices`, in that order, without re-validation.
 
         The caller passes distinct positions; repeated ones would yield a set
-        with duplicate (i, j) entries that the constructor rejects. The result
-        is a root set with a skeleton of its own."""
-        return self._derived(self.row[indices], self.col[indices],
-                             self.vals[indices], False)
+        with duplicate (i, j) entries that the constructor rejects."""
+        out = object.__new__(SparseObservations)
+        out.rows, out.cols = self.shape
+        out.row, out.col = self.row[indices], self.col[indices]
+        out.vals = self.vals[indices]
+        return out
 
     @cached_property
     def _counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Observed entries per row and per column of this root set."""
+        """Observed entries per row and per column."""
         return (np.bincount(self.row, minlength=self.rows),
                 np.bincount(self.col, minlength=self.cols))
 
-    @property
-    def _row_counts(self) -> np.ndarray:
-        """Observed entries per row; a transposed set reads its root's column
-        counts."""
-        root = self if self._root is None else self._root
-        return root._counts[self._flip]
-
     @cached_property
     def _skeleton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(indptr, indices, perm) of this root set's CSR matrix, read-only.
+        """(indptr, indices, perm) of this set's CSR matrix, read-only.
 
         One O(nnz) pass for row-major input, otherwise one sort: `perm` is the
         argsort of the flat cell index, which equals the (row, col) lexsort
@@ -176,7 +136,7 @@ class SparseObservations:
         big = max(self.rows, self.cols, self.nnz) > np.iinfo(np.int32).max
         idx = np.int64 if big else np.int32
         indptr = np.zeros(self.rows + 1, dtype=idx)
-        np.cumsum(self._row_counts, out=indptr[1:])
+        np.cumsum(self._counts[0], out=indptr[1:])
         flat = self._flat
         if np.all(flat[1:] > flat[:-1]):
             perm, indices = None, self.col.astype(idx)
@@ -186,25 +146,23 @@ class SparseObservations:
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices, perm
 
-    def csr_with(self, vals: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
-        """`vals`, given in entry order, as a sparse matrix on the support.
+    def csr_with(self, vals: np.ndarray) -> sp.csr_matrix:
+        """`vals`, given in entry order, as a CSR matrix on the support.
 
-        The matrix shares the root set's skeleton and, for entries in CSR
-        order, holds a read-only view of `vals` (a permuted copy otherwise).
-        A transposed set returns the root's skeleton as a CSC matrix.
+        The matrix shares the set's skeleton and, for entries in CSR order,
+        holds a read-only view of `vals` (a permuted copy otherwise). Its `.T`
+        is the CSC matrix of the transposed set on the same arrays.
         """
-        root = self if self._root is None else self._root
-        indptr, indices, perm = root._skeleton
+        indptr, indices, perm = self._skeleton
         data = np.ascontiguousarray(vals, dtype=np.float64)
         data = data.view() if perm is None else data[perm]
         data.flags.writeable = False
-        kind = sp.csc_matrix if self._flip else sp.csr_matrix
-        return kind((data, indices, indptr), shape=self.shape, copy=False)
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape, copy=False)
 
-    def csr(self) -> sp.csr_matrix | sp.csc_matrix:
+    def csr(self) -> sp.csr_matrix:
         return self.csr_with(self.vals)
 
-    def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix | sp.csc_matrix:
+    def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix:
         """`vals`, given in entry order, as a read-only m x n matrix on the
         support: a dense array, zero off the support, when the set
         `fits_dense` (shape and fill), else `csr_with(vals)`."""
@@ -216,8 +174,9 @@ class SparseObservations:
         return out
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(0/1 mask, zero-filled target) of this root set, read-only."""
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1 mask of Omega and the target zero-filled off Omega, as
+        read-only m x n arrays."""
         mask, target = np.zeros(self.shape), np.zeros(self.shape)
         mask[self.row, self.col] = 1.0
         target[self.row, self.col] = self.vals
@@ -225,33 +184,12 @@ class SparseObservations:
         return mask, target
 
     @cached_property
-    def _pattern(self) -> sp.csr_matrix:
-        """The 0/1 matrix of this root set: its CSR skeleton with read-only ones."""
+    def pattern(self) -> sp.csr_matrix:
+        """The 0/1 matrix of Omega: the CSR skeleton with read-only ones."""
         indptr, indices, _ = self._skeleton
         ones = np.ones(self.nnz)
         ones.flags.writeable = False
         return sp.csr_matrix((ones, indices, indptr), shape=self.shape, copy=False)
-
-    def pattern(self) -> sp.csr_matrix | sp.csc_matrix:
-        """The 0/1 matrix of Omega, built once per root set. A transposed set
-        returns the root's matrix as CSC, with no arrays of its own."""
-        root = self if self._root is None else self._root
-        return root._pattern.T if self._flip else root._pattern
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 0/1 mask of Omega and the target zero-filled off Omega, as
-        m x n arrays. A transposed set returns the root's arrays' `.T`."""
-        root = self if self._root is None else self._root
-        mask, target = root._dense
-        return (mask.T, target.T) if self._flip else (mask, target)
-
-    @property
-    def transpose(self) -> "SparseObservations":
-        """The transposed set, built on each access, without validation or
-        copies. A root caching it would form a reference cycle with it, which
-        only a full garbage collection frees, so a loop that builds one set per
-        pass held several passes' skeletons and patterns at once."""
-        return self._derived(self.col, self.row, self.vals, True)
 
 
 @dataclass

@@ -98,6 +98,9 @@ class HuberLowRank:
         if not (np.isfinite(delta) and delta > 0):
             raise ValueError(f"delta must be finite and > 0, got {delta}")
         self.target = np.asarray(target, dtype=np.float64)
+        if self.target.ndim != 2 or 0 in self.target.shape:
+            raise ValueError(f"target must be a 2-d array with both sides >= 1, "
+                             f"got shape {self.target.shape}")
         if not np.isfinite(self.target).all():
             raise ValueError("target has non-finite values")
         self.delta = float(delta)

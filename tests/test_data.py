@@ -59,16 +59,27 @@ def test_gen_completion_validation():
     with pytest.raises(ValueError):
         SynthCompletionConfig(10, 10, 20, 0.5, 1.0)
     for args, field in (((10, 10, 2, 0.5, np.nan), "snr"), ((10, 10, -1, 0.5, 1.0), "true_rank"),
-                        ((0, 10, 0, 0.5, 1.0), "m must"), ((10, 0, 0, 0.5, 1.0), "n must")):
+                        ((0, 10, 0, 0.5, 1.0), "m must"), ((10, 0, 0, 0.5, 1.0), "n must"),
+                        ((10.5, 10, 2, 0.5, 1.0), "m must be an integer"),
+                        ((10, np.nan, 2, 0.5, 1.0), "n must be an integer"),
+                        ((10, 10, 2.0, 0.5, 1.0), "true_rank must be an integer"),
+                        ((10, 10, 2, 0.5, 1.0, 0.5), "seed must be an integer"),
+                        ((10, 10, 2, 0.5, 1.0, -1), "seed must be an integer"),
+                        ((1, 1, 0, 1.0, 1.0), r"m \* n must be >= 2")):
         with pytest.raises(ValueError, match=field):
             SynthCompletionConfig(*args)
+    cfg = SynthCompletionConfig(np.int64(10), np.int32(9), np.uint8(2), 0.5, 1.0, np.int64(4))
+    assert [type(x) for x in (cfg.m, cfg.n, cfg.true_rank, cfg.seed)] == [int] * 4
 
 
 def test_gen_rpca_validation():
     for args, field in (((0, 10, 0), "m must"), ((10, 0, 0), "n must"),
-                        ((10, 10, -1), "true_rank")):
+                        ((10, 10, -1), "true_rank"), ((np.inf, 10, 1), "m must be an integer"),
+                        ((10, 10, 1.5), "true_rank must be an integer")):
         with pytest.raises(ValueError, match=field):
             SynthRpcaConfig(*args, 0.1, 4.0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SynthRpcaConfig(10, 10, 1, 0.1, 4.0, seed=-3)
 
 
 # ------------------------------------------------------------------ gen_rpca

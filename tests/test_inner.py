@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -194,20 +195,23 @@ def test_optimize_fast_high_cap_stays_finite():
 
 
 
-def _capped_cgnr_without_break(W, F, omega, iters, kernel):
+def _capped_cgnr_without_break(W, F, omega, iters, kernel, side):
     """The capped CGNR loop run for all `iters` steps, frozen rows or not, on
     the dense masked products, the per-row Gram matrices or the sparse gather
-    and CSR products."""
+    and CSR products; side 1 reads each matrix of `omega` through `.T`."""
+    def oriented(a):
+        return a.T if side else a
+
     X = np.zeros_like(W)
     if kernel == "dense":
-        mask, target = omega.dense()
+        mask, target = map(oriented, omega.dense)
         R = target @ F
     else:
-        R = omega.csr_with(omega.vals) @ F
+        R = oriented(omega.csr_with(omega.vals)) @ F
     if kernel == "gram":
         r = F.shape[1]
         a, b = np.triu_indices(r)
-        packed = omega.pattern() @ (F[:, a] * F[:, b])
+        packed = oriented(omega.pattern) @ (F[:, a] * F[:, b])
         gram = np.empty((W.shape[0], r, r))
         gram[:, a, b] = packed
         gram[:, b, a] = packed
@@ -220,7 +224,8 @@ def _capped_cgnr_without_break(W, F, omega, iters, kernel):
         elif kernel == "gram":
             Q = np.einsum("ijk,ik->ij", gram, P)
         else:
-            Q = omega.csr_with(project_observed(FactorPair(P, F), omega)) @ F
+            pair = FactorPair(F, P) if side else FactorPair(P, F)
+            Q = oriented(omega.csr_with(project_observed(pair, omega))) @ F
         pq = np.einsum("ij,ij->i", P, Q)
         ok = (pq > 0.0) & (rs > floor)
         alpha = np.where(ok, rs / np.where(ok, pq, 1.0), 0.0)
@@ -230,16 +235,16 @@ def _capped_cgnr_without_break(W, F, omega, iters, kernel):
         beta = np.where(ok, rs_new / np.where(ok, rs, 1.0), 0.0)
         P = np.where(ok[:, None], R + beta[:, None] * P, P)
         rs = np.where(ok, rs_new, rs)
-    untouched = omega._row_counts == 0
+    untouched = omega._counts[side] == 0
     X[untouched] = W[untouched]
     return X
 
 
-def _kernel(omega, rank, iters):
-    """The kernel `_capped_cgnr` takes for this set, rank and step cap."""
+def _kernel(omega, rank, iters, side):
+    """The kernel `_capped_cgnr` takes for this set, rank, step cap and side."""
     if fits_dense(omega.shape):
         return "dense"
-    return "gram" if fits_gram(omega.rows, rank, iters) else "gather"
+    return "gram" if fits_gram(omega.shape[side], rank, iters) else "gather"
 
 
 # 300 x 240 = 72,000 cells, above the 65,536-cell cap: a sparse kernel.
@@ -256,15 +261,15 @@ def test_optimize_fast_stop_on_frozen_rows_is_bit_identical():
              (16, 2, ABOVE_CAP, 12, "gather")]
     for seed, iters, size, rank, kernel in cases:
         obs, rng = sparse_instance(seed, **size)
-        assert _kernel(obs, rank, iters) == _kernel(obs.transpose, rank, iters) == kernel
+        assert _kernel(obs, rank, iters, 0) == _kernel(obs, rank, iters, 1) == kernel
         obj = ObservedQuadratic(obs)
         u = rng.standard_normal((size["m"], rank))
         v = rng.standard_normal((size["n"], rank))
         config = InnerConfig(ls_iters=iters)
         assert np.array_equal(optimize_fast(u, v, 0, obj, config).U,
-                              _capped_cgnr_without_break(u, v, obs, iters, kernel))
+                              _capped_cgnr_without_break(u, v, obs, iters, kernel, 0))
         assert np.array_equal(optimize_fast(u, v, 1, obj, config).V,
-                              _capped_cgnr_without_break(v, u, obs.transpose, iters, kernel))
+                              _capped_cgnr_without_break(v, u, obs, iters, kernel, 1))
 
 
 def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
@@ -274,8 +279,8 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
     calls = []
     normal_products = inner._normal_products
 
-    def counting(F, omega, iters):
-        R, product = normal_products(F, omega, iters)
+    def counting(F, omega, iters, side):
+        R, product = normal_products(F, omega, iters, side)
 
         def counted(P):
             calls.append(1)
@@ -292,7 +297,7 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
             calls.clear()
             optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
             assert 0 < len(calls) < 100
-        assert ("_pattern" in vars(obs)) == (kernel == "gram")
+        assert ("pattern" in vars(obs)) == (kernel == "gram")
 
 
 def _kernels_run(monkeypatch, size, rank, iters, t):
@@ -309,7 +314,7 @@ def _kernels_run(monkeypatch, size, rank, iters, t):
     u = rng.standard_normal((size["m"], rank))
     v = rng.standard_normal((size["n"], rank))
     optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=iters))
-    ran = {"dense": "_dense" in vars(obs), "gram": "_pattern" in vars(obs),
+    ran = {"dense": "dense" in vars(obs), "gram": "pattern" in vars(obs),
            "gather": bool(gathers)}
     return {kernel for kernel, yes in ran.items() if yes}
 
@@ -341,6 +346,8 @@ def test_large_ranks_and_gram_arrays_take_the_gather_kernel(monkeypatch):
     rows = cells // (rank * rank) + 1
     assert fits_gram(rows - 1, rank, 100) and not fits_gram(rows, rank, 100)
     assert _kernels_run(monkeypatch, dict(m=rows, n=12, p=0.3), rank, 100, 0) == {"gather"}
+    # the V side's 12 row systems are the set's columns: Gram matrices
+    assert _kernels_run(monkeypatch, dict(m=rows, n=12, p=0.3), rank, 100, 1) == {"gram"}
 
 
 # Dense, Gram and gather kernels add the same terms in different orders; the
@@ -370,7 +377,7 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
     u[:, 2] = 0.0
     v[:, 2] = 0.0  # each side's fixed factor has a zero column
     holes = _with_empty_lines(obs)
-    assert holes._row_counts[[0, 3]].sum() == holes.transpose._row_counts[[1, 2]].sum() == 0
+    assert holes._counts[0][[0, 3]].sum() == holes._counts[1][[1, 2]].sum() == 0
     cases.append((holes, u, v))
 
     def refits(obs, u, v):
@@ -385,7 +392,7 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
     monkeypatch.setattr(inner, "fits_dense", lambda shape: False)
     gram_sets = [copied(obs) for obs, _, _ in cases]
     gram = [refits(obs, u, v) for obs, (_, u, v) in zip(gram_sets, cases)]
-    assert all("_pattern" in vars(obs) for obs in gram_sets)
+    assert all("pattern" in vars(obs) for obs in gram_sets)
     monkeypatch.setattr(inner, "fits_gram", lambda rows, rank, steps: False)
     gather = [refits(*case) for case in cases]
     for kernel in (dense, gram):
@@ -397,10 +404,21 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
 
 
 def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
-    # bit for bit on each kernel: dense below the cap, Gram and gather above
-    for size, rank, iters in ((dict(m=15, n=11, p=0.5), 3, 3), (ABOVE_CAP, 3, 3),
-                              (ABOVE_CAP, 12, 2)):
+    # bit for bit on each kernel: dense below the cap, Gram and gather above;
+    # on sets in row-major order, shuffled (the skeleton has a `perm`), and
+    # with empty rows and columns (the V side reads the column counts)
+    for (size, rank, iters), kind in itertools.product(
+            ((dict(m=15, n=11, p=0.5), 3, 3), (ABOVE_CAP, 3, 3), (ABOVE_CAP, 12, 2)),
+            ("row-major", "shuffled", "empty lines")):
         obs, rng = sparse_instance(12, **size)
+        if kind == "shuffled":
+            order = rng.permutation(obs.nnz)
+            obs = SparseObservations(obs.rows, obs.cols, obs.row[order],
+                                     obs.col[order], obs.vals[order])
+            assert obs._skeleton[2] is not None
+        elif kind == "empty lines":
+            obs = _with_empty_lines(obs)
+            assert (obs._counts[0] == 0).any() and (obs._counts[1] == 0).any()
         u = rng.standard_normal((size["m"], rank))
         v = rng.standard_normal((size["n"], rank))
         config = InnerConfig(ls_iters=iters)

@@ -75,6 +75,14 @@ def test_sparse_observations_rejects_negative_shape():
         with pytest.raises(ValueError, match="rows and cols"):
             SparseObservations(rows, cols, [], [], [])
     assert SparseObservations(0, 0, [], [], []).nnz == 0
+    # non-integer sizes are named; numpy integers are stored as ints
+    for rows, cols, name in ((np.nan, 3, "rows"), (2.5, 3, "rows"), (3, np.inf, "cols"),
+                             (3.0, 3, "rows")):
+        with pytest.raises(ValueError, match=f"got {name}="):
+            SparseObservations(rows, cols, [0], [0], [1.0])
+    obs = SparseObservations(np.int64(3), np.uint8(255), [0], [254], [1.0])
+    assert obs.shape == (3, 255) and all(type(x) is int for x in obs.shape)
+    assert obs.csr().shape == (3, 255) and obs._skeleton[0].size == 4
 
 
 def test_sparse_observations_rejects_non_finite():
@@ -102,15 +110,20 @@ def _scrambled_set(m=4, n=5, seed=0):
 
 
 def test_transpose_matches_validated_construction():
+    # the .T of a set's matrices is the validated transposed set's matrices
     obs = _scrambled_set()
-    t = obs.transpose
+    t = obs.csr().T
     built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
-    assert (t.rows, t.cols) == (built.rows, built.cols)
-    for name in ("row", "col", "vals"):
-        got, want = getattr(t, name), getattr(built, name)
+    assert t.format == "csc" and t.shape == built.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(t.tocsr(), name), getattr(built.csr(), name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(t.csr().toarray(), built.csr().toarray())
-    assert np.array_equal(t.csr().toarray(), obs.csr().toarray().T)
+    assert np.array_equal(t.toarray(), built.csr().toarray())
+    assert np.array_equal(t.toarray(), obs.csr().toarray().T)
+    assert np.array_equal(obs.pattern.T.toarray(), built.pattern.toarray())
+    for got, want in zip(obs.dense, built.dense):
+        assert np.array_equal(got.T, want)
+    assert [c.tolist() for c in obs._counts] == [c.tolist() for c in built._counts[::-1]]
 
 
 def test_derived_sets_skip_validation(monkeypatch):
@@ -120,25 +133,27 @@ def test_derived_sets_skip_validation(monkeypatch):
         raise AssertionError("derived set re-validated")
 
     monkeypatch.setattr(SparseObservations, "__post_init__", fail)
-    assert obs.transpose.row is obs.col
-    assert obs.transpose.transpose.csr().format == "csr"
+    # the transposed matrix is a view on the set's own skeleton
+    assert np.shares_memory(obs.csr().T.indices, obs._skeleton[1])
+    assert obs.csr().T.T.format == "csr"
     taken = obs._take(np.arange(obs.nnz)[::-1])
+    assert taken.csr().format == "csr"
     assert np.array_equal(taken.csr().toarray(), obs.csr().toarray())
 
 
 def test_used_set_is_freed_without_a_collection():
-    # a set and its transpose form no reference cycle, so a set whose caches
-    # were all built goes as soon as its last reference does
+    # a set's caches and transposed views hold no reference back to it, so a
+    # set whose caches were all built goes as soon as its last reference
+    # does, while the views live on
     obs = _scrambled_set(seed=3)
-    t = obs.transpose
-    for s in (obs, t):
-        s.csr(), s.pattern(), s.dense(), s._row_counts
+    views = obs.csr().T, obs.pattern.T, [a.T for a in obs.dense], obs._counts
     gone = weakref.ref(obs)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del obs, t, s
+        del obs
         assert gone() is None
+        assert views[0].nnz == views[1].nnz
     finally:
         if enabled:
             gc.enable()
@@ -172,7 +187,7 @@ def test_transposed_csr_with_equals_validated_transpose(shuffled):
     v = np.random.default_rng(7).standard_normal(obs.nnz)
     built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, v)
     F = np.random.default_rng(8).standard_normal((obs.rows, 4))
-    got = obs.transpose.csr_with(v)
+    got = obs.csr_with(v).T
     assert got.shape == (obs.cols, obs.rows)
     assert np.array_equal(got @ F, built.csr() @ F)
     assert np.array_equal(got @ F[:, 0], built.csr() @ F[:, 0])
@@ -183,7 +198,7 @@ def test_transposed_csr_with_equals_validated_transpose(shuffled):
 def test_csr_data_is_read_only(shuffled):
     obs = _entries(10, 12, 40, 9, shuffled)
     before = obs.vals.copy()
-    for mat in (obs.csr(), obs.transpose.csr()):
+    for mat in (obs.csr(), obs.csr().T):
         with pytest.raises(ValueError):
             mat.data[0] = 123.0
     assert np.array_equal(obs.vals, before)
@@ -224,7 +239,7 @@ def test_small_set_solve_builds_no_sparse_matrix(monkeypatch):
         config = lowrank.SolverConfig(target_rank=5, seed=2)
         lowrank.fast_local_search(lowrank.ObservedQuadratic(obs), config)
         lowrank.fast_local_search(lowrank.ClippedObservedQuadratic(obs, -1.0, 1.0), config)
-        assert "_skeleton" not in vars(obs) and "_pattern" not in vars(obs)
+        assert "_skeleton" not in vars(obs) and "pattern" not in vars(obs)
     assert calls == []
 
 
@@ -281,7 +296,7 @@ def test_constructor_and_skeleton_match_unique_and_lexsort(m, n, nnz, kind, seed
         return
     obs = SparseObservations(m, n, row, col, vals)
     want = _lexsort_skeleton(m, row, col, vals)
-    for mat in (obs.csr(), obs.transpose.csr()):
+    for mat in (obs.csr(), obs.csr().T):
         for got, ref in zip((mat.indptr, mat.indices, mat.data), want):
             assert np.array_equal(got, ref)
 
@@ -297,7 +312,7 @@ def test_shuffled_set_builds_without_unique_or_lexsort(monkeypatch):
     monkeypatch.setattr(np, "unique", fail)
     monkeypatch.setattr(np, "lexsort", fail)
     obs = SparseObservations(300, 200, row, col, vals)
-    assert obs.csr().has_sorted_indices and obs.transpose.csr().nnz == 5000
+    assert obs.csr().has_sorted_indices and obs.csr().T.nnz == 5000
 
 
 def test_factor_pair_append_and_rank():
@@ -724,7 +739,7 @@ def test_operator_from_observations_matches_dense():
     dense[obs.row, obs.col] = obs.vals
     x = rng.standard_normal(5)
     y = rng.standard_normal(4)
-    for op in (obs.csr(), obs.transpose.csr().T):
+    for op in (obs.csr(), obs.csr().T.T):
         assert np.allclose(op @ x, dense @ x, atol=1e-12)
         assert np.allclose(op.T @ y, dense.T @ y, atol=1e-12)
 

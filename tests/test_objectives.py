@@ -166,26 +166,6 @@ def test_cached_residual_cannot_be_written():
             assert obj.value(pair) == 0.5 * float(res @ res)
 
 
-def test_transposed_small_set_matches_its_root():
-    # the V side of a small set reads the root's entries transposed: every
-    # dense matrix is the root's .T bit for bit, as on a validated transpose
-    obs, pair, rng = random_instance(16, m=40, n=30, p=0.3)
-    left, right = rng.standard_normal((40, 2)), rng.standard_normal((30, 2))
-    flip = FactorPair(pair.V, pair.U)
-    built = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
-    root = ClippedObservedQuadratic(obs, -0.5, 0.5)
-    want = [root.gradient(pair), root.insertion_gradient(pair),
-            root.quad_term(left, right)]
-    assert all(isinstance(g, np.ndarray) for g in want)
-    for target in (obs.transpose, built):
-        side = ClippedObservedQuadratic(target, -0.5, 0.5)
-        assert np.array_equal(side.residual(flip), root.residual(pair))
-        got = [side.gradient(flip), side.insertion_gradient(flip),
-               side.quad_term(right, left)]
-        for g, h in zip(got, want):
-            assert g.shape == h.T.shape and g.tobytes() == h.T.tobytes()
-
-
 def test_clipped_insertion_gradient_is_clip_of_prediction_bit_for_bit():
     # clipping the residual to [lo - vals, hi - vals] equals clip(pred) - vals,
     # also for predictions on or next to a bound

@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowrank.baselines import SoftImputeConfig, soft_impute
+from lowrank.data import SynthCompletionConfig, SynthRpcaConfig, gen_completion, gen_rpca
 from lowrank.experiments import make_equivalence_problem
 from lowrank.inner import InnerConfig
-from lowrank.objectives import ObservedQuadratic
+from lowrank.linalg import SparseObservations
+from lowrank.objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from lowrank.solvers import SolverConfig, fast_greedy, greedy, local_search
 from lowrank.sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
                                   check_equivalence, omp, ompr)
@@ -21,6 +23,8 @@ from conftest import full_observations
 ODD = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-300, 0.0, -0.0,
                        1e-12, 0.3, 2.0])
 COUNTS = st.integers(-2, 6)
+# sizes: counts, non-integers, and integers of numpy types
+SIZES = COUNTS | st.sampled_from([np.nan, np.inf, 2.5, 3.0, np.int64(3), np.uint8(2)])
 
 
 def pick(data, default, odd=ODD):
@@ -66,6 +70,76 @@ def _soft_impute_config(data):
     return run
 
 
+def _size(value, fallback=3):
+    """`value` if it is a usable positive size, else `fallback`: the grid an
+    odd size's entries are drawn on."""
+    return int(value) if isinstance(value, (int, np.integer)) and value > 0 else fallback
+
+
+def _observations(data):
+    rows, cols = pick(data, 4, SIZES), pick(data, 3, SIZES)
+    m, n = _size(rows), _size(cols)
+    rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+    flat = rng.permutation(m * n)[:data.draw(st.integers(0, m * n))]
+    arrays = {"row": (flat // n).astype(float), "col": (flat % n).astype(float),
+              "vals": rng.standard_normal(flat.size)}
+    name = pick(data, None, st.sampled_from(list(arrays)))
+    if name is not None and flat.size:
+        arrays[name][data.draw(st.integers(0, flat.size - 1))] = data.draw(
+            ODD | st.sampled_from([2.5, m, n]))
+    obs = SparseObservations(rows, cols, arrays["row"], arrays["col"], arrays["vals"])
+
+    def run():
+        out = [obs.csr().toarray(), *obs.dense, obs.pattern.toarray()]
+        if min(obs.shape) >= 1:  # no solver takes a set with no rows or no columns
+            pair, traces = fast_greedy(ObservedQuadratic(obs), SolverConfig(target_rank=2))
+            out += [pair.matrix()] + [t.objective for t in traces]
+        return out
+    return run
+
+
+def _synth_completion(data):
+    cfg = SynthCompletionConfig(pick(data, 5, SIZES), pick(data, 4, SIZES),
+                                pick(data, 2, SIZES), pick(data, 0.5),
+                                pick(data, 10.0), pick(data, 0, SIZES))
+    def run():
+        truth, observed, heldout = gen_completion(cfg)
+        return [truth.matrix(), observed.vals, heldout.vals]
+    return run
+
+
+def _synth_rpca(data):
+    cfg = SynthRpcaConfig(pick(data, 5, SIZES), pick(data, 4, SIZES), pick(data, 2, SIZES),
+                          pick(data, 0.1), pick(data, 4.0), pick(data, 0, SIZES))
+    def run():
+        truth, corrupted, _ = gen_rpca(cfg)
+        return [truth.matrix(), corrupted]
+    return run
+
+
+def _huber(data):
+    target = _MATRIX[:pick(data, 6, COUNTS), :pick(data, 5, COUNTS)].copy()
+    if target.size and pick(data, False, st.just(True)):
+        target.flat[data.draw(st.integers(0, target.size - 1))] = data.draw(ODD)
+    if pick(data, False, st.just(True)):
+        target = target.ravel()  # not a matrix
+    objective = HuberLowRank(target, pick(data, 1.0))
+    def run():
+        pair, traces = fast_greedy(objective, SolverConfig(target_rank=2))
+        return [pair.matrix()] + [t.objective for t in traces]
+    return run
+
+
+def _clipped(data):
+    objective = ClippedObservedQuadratic(full_observations(_MATRIX), pick(data, -2.0),
+                                         pick(data, 2.0))
+    def run():
+        pair, traces = fast_greedy(objective, SolverConfig(target_rank=2))
+        return [pair.matrix(), objective.insertion_gradient(pair)] + \
+            [t.objective for t in traces]
+    return run
+
+
 def _sparse_problem(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 3)))
     rows, cols = pick(data, 5, COUNTS), pick(data, 4, COUNTS)
@@ -104,8 +178,9 @@ def _tolerances(data):
 
 
 @pytest.mark.parametrize("build", [_solver_config, _inner_config, _soft_impute_config,
-                                   _sparse_problem, _lifted, _equivalence_problem,
-                                   _tolerances])
+                                   _observations, _synth_completion, _synth_rpca,
+                                   _huber, _clipped, _sparse_problem, _lifted,
+                                   _equivalence_problem, _tolerances])
 @given(data=st.data())
 def test_builders_reject_or_stay_finite(build, data):
     # each builder returns the solve to run on what it built
@@ -115,3 +190,11 @@ def test_builders_reject_or_stay_finite(build, data):
         return
     for part in run():
         assert np.isfinite(part).all(), (build.__name__, part)
+
+
+def test_soft_impute_rejects_non_finite_tol():
+    # an infinite tol ended every run after its first step, with nothing
+    # marking it unconverged
+    for tol in (np.inf, np.nan, -1e-5):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SoftImputeConfig(lam=0.1, max_rank=3, tol=tol)
