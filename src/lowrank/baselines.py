@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import FactorPair, SparseObservations, top_singular_triplet
+from .linalg import FactorPair, SparseObservations, check_integers, top_singular_triplet
 
 __all__ = ["SoftImputeConfig", "SoftImputeTrace", "soft_impute", "lambda_grid"]
 
@@ -23,10 +23,7 @@ class SoftImputeConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and >= 0")
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_integers(self, max_rank=1, max_iters=1)
         if not 0.0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 

@@ -6,13 +6,12 @@ sets are emitted in row-major order so replays are bit-identical.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (DuplicateEntryError, FactorPair, SparseObservations,
-                     project_observed)
+                     check_integers, project_observed)
 
 __all__ = [
     "SynthCompletionConfig",
@@ -26,16 +25,6 @@ __all__ = [
 ]
 
 
-def _check_shape(config) -> None:
-    """A synthetic instance needs integers m, n >= 1 and true_rank, seed >= 0;
-    numpy integers are stored as ints."""
-    for name, least in (("m", 1), ("n", 1), ("true_rank", 0), ("seed", 0)):
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        setattr(config, name, int(value))
-
-
 @dataclass
 class SynthCompletionConfig:
     m: int
@@ -46,7 +35,7 @@ class SynthCompletionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_shape(self)
+        check_integers(self, m=1, n=1, true_rank=0, seed=0)
         if self.m * self.n < 2:
             raise ValueError("m * n must be >= 2: the noise is scaled by its sd "
                              "over the cells")
@@ -68,7 +57,7 @@ class SynthRpcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_shape(self)
+        check_integers(self, m=1, n=1, true_rank=0, seed=0)
         if not 0.0 <= self.sparse_fraction < 1.0:
             raise ValueError("sparse_fraction must be in [0, 1)")
         if not np.isfinite(self.sparse_magnitude):

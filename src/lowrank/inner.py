@@ -12,8 +12,11 @@ refit on a larger one at the ranks and step caps where that pays
 otherwise. The V half-step is the U half-step on the transposed set, read
 through the `.T` of the set's own matrices: the dense arrays' transposes and
 CSC views of its CSR skeleton, so nothing is built twice. Huber objectives
-refit by a capped L-BFGS instead; scipy's optimizer is imported on its first
-use.
+refit by a capped L-BFGS instead, on the free factor scaled by the fixed
+factor's column norms: the inserted column has unit norm and the refit ones
+carry the singular values, so unscaled variables leave L-BFGS's scalar
+initial Hessian fitting neither and the run at its step cap. scipy's
+optimizer is imported on its first use.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
-                     project_observed)
+from .linalg import (FactorPair, SparseObservations, check_integers, fits_dense,
+                     fits_gram, project_observed)
 from .objectives import HuberLowRank, ObservedQuadratic
 
 __all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
@@ -48,15 +51,16 @@ class InnerConfig:
     ls_iters caps the per-row least-squares iterations of the fast solve
     (2-3 acts as regularization); full_solve_tol is the CG tolerance of the
     full solve. The L-BFGS half-step of non-quadratic objectives uses the
-    fixed _LBFGS_ITERS / _LBFGS_MEMORY.
+    fixed _LBFGS_ITERS / _LBFGS_MEMORY. It runs on variables scaled by the
+    fixed factor's column norms (`_huber_half_step` says why), so it stops
+    by its own rule rather than at that cap.
     """
 
     ls_iters: int = 3
     full_solve_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.ls_iters < 1:
-            raise ValueError("ls_iters must be >= 1")
+        check_integers(self, ls_iters=1)
         if not 0.0 <= self.full_solve_tol < np.inf:
             raise ValueError(f"full_solve_tol must be finite and >= 0, "
                              f"got {self.full_solve_tol}")
@@ -248,18 +252,36 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
 
 def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
                      objective: HuberLowRank) -> FactorPair:
-    """Capped L-BFGS on the free factor (U when t is even, else V). Each
-    function evaluation is one `HuberLowRank.evaluate` pass over the residual
-    in cache-sized row blocks (`objectives._HUBER_BLOCK_CELLS`), whose
-    buffers are per call, never stored on the objective that threads share."""
+    """Capped L-BFGS on the free factor W (U when t is even, else V).
+
+    L-BFGS runs on x = W * d, d[k] the norm of the fixed factor's column k
+    (1 for a zero column): a diagonal preconditioner for the inlier Hessian,
+    about F^T F per row for the fixed factor F. Unscaled, a freshly inserted
+    column of unit norm sits beside refit columns that carry the singular
+    values, no scalar initial Hessian fits both, and the run stops at its
+    step cap far from the minimum; scaled, it stops by its own rule.
+
+    Each function evaluation is one `HuberLowRank.evaluate` pass over M's row
+    blocks (`objectives._HUBER_BLOCK_CELLS`), whose buffers are per call. The
+    value L-BFGS ends on is `evaluate` at the returned point, so it is
+    recorded as the objective's (pair, value) entry and the solvers'
+    `value` of the result costs nothing."""
     side = t % 2
+    free, fixed = (V, U) if side else (U, V)
+    d = np.linalg.norm(fixed, axis=0)
+    d[d == 0.0] = 1.0
 
     def pair(x):
-        return FactorPair(U, x.reshape(V.shape)) if side else FactorPair(x.reshape(U.shape), V)
+        W = x.reshape(free.shape) / d
+        return FactorPair(U, W) if side else FactorPair(W, V)
 
     def fun(x):
         value, grad = objective.evaluate(pair(x), side)
+        grad /= d
         return value, grad.ravel()
 
-    return pair(minimize(fun, (V if side else U).ravel(), jac=True, method="L-BFGS-B",
-                         options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY}).x)
+    res = minimize(fun, (free * d).ravel(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY})
+    out = pair(res.x)
+    objective.record_value(out, float(res.fun))
+    return out

@@ -39,6 +39,16 @@ __all__ = [
 ]
 
 
+def check_integers(obj, **least: int) -> None:
+    """Each named field of `obj` must be an integer at least its given value;
+    numpy integers are stored as ints."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        setattr(obj, name, int(value))
+
+
 class DuplicateEntryError(ValueError):
     """An observed set repeats a cell; `cell` is the first such (i, j) in
     row-major order."""

@@ -8,8 +8,8 @@ Gradients are plain matrices: the observed quadratics' are zero off Omega,
 as the target's `matrix_with` builds them (dense or sparse by
 `linalg.fits_dense`); the Huber objective's is one dense m x n array, built
 in place. The Huber value, and the factor gradients of the L-BFGS
-half-step, walk the residual in row blocks (`_HUBER_BLOCK_CELLS`) and make
-no m x n array.
+half-step, walk the residual in M's row blocks (`_HUBER_BLOCK_CELLS`) on
+either side and make no m x n array.
 """
 
 from __future__ import annotations
@@ -92,7 +92,16 @@ _HUBER_BLOCK_CELLS = 32768
 
 
 class HuberLowRank:
-    """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M."""
+    """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M.
+
+    The value of the last FactorPair seen is kept, so the solvers' `value`
+    after a half-step costs nothing: the L-BFGS half-step records the value
+    it ended on (`record_value`), which is the same block sum bit for bit.
+    The entry is one (pair, value) tuple, matched by identity and replaced
+    in one assignment, so threads sharing an objective at worst evaluate
+    again. As with `ObservedQuadratic`, a FactorPair must not be mutated
+    after it has been passed to an objective.
+    """
 
     def __init__(self, target: np.ndarray, delta: float):
         if not (np.isfinite(delta) and delta > 0):
@@ -104,6 +113,7 @@ class HuberLowRank:
         if not np.isfinite(self.target).all():
             raise ValueError("target has non-finite values")
         self.delta = float(delta)
+        self._last: tuple[FactorPair | None, float | None] = (None, None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,32 +135,42 @@ class HuberLowRank:
         """The value at `pair` and, for side 0 / 1, its gradient with respect
         to U / V: clip(R, -delta, delta) V or clip(R)^T U, R = U V^T - M.
 
-        One pass over R in row blocks of `_HUBER_BLOCK_CELLS` cells, with two
-        block buffers made per call (nothing is stored on the objective). On
-        the V side the pass walks M^T, whose row blocks are M's column blocks,
-        so every block yields whole rows of the gradient. The value is the sum
-        of the blocks' `huber_value`s."""
+        One pass over M's row blocks of `_HUBER_BLOCK_CELLS` cells on every
+        side, with two block buffers made per call (nothing is stored on the
+        objective). Side 0 writes the block's gradient rows clip(R_b) V; side
+        1 accumulates clip(R_b)^T U_b over the blocks, so no copy of M^T and
+        no m x n array is made. The value is the sum of the blocks'
+        `huber_value`s, the same bit for bit on every side."""
         self._check(pair)
-        target, free, fixed = ((self.target.T, pair.V, pair.U) if side == 1
-                               else (self.target, pair.U, pair.V))
+        U, V, target = pair.U, pair.V, self.target
         m, n = target.shape
-        rows = max(1, min(m, _HUBER_BLOCK_CELLS // max(n, 1)))
+        rows = max(1, min(m, _HUBER_BLOCK_CELLS // n))
         resid, clipped = np.empty((rows, n)), np.empty((rows, n))
-        grad = None if side is None else np.empty_like(free)
+        grad = None if side is None else np.zeros_like(V if side else U)
         total = 0.0
         for s in range(0, m, rows):
             e = min(s + rows, m)
             r, g = resid[:e - s], clipped[:e - s]
-            np.matmul(free[s:e], fixed.T, out=r)
+            np.matmul(U[s:e], V.T, out=r)
             np.subtract(r, target[s:e], out=r)
             np.clip(r, -self.delta, self.delta, out=g)
             total += huber_value(r, self.delta, g)
-            if grad is not None:
-                np.matmul(g, fixed, out=grad[s:e])
+            if side == 0:
+                np.matmul(g, V, out=grad[s:e])
+            elif side == 1:
+                grad += g.T @ U[s:e]
         return total, grad
 
     def value(self, pair: FactorPair) -> float:
-        return self.evaluate(pair)[0]
+        last, value = self._last
+        if last is not pair:
+            value = self.evaluate(pair)[0]
+            self._last = (pair, value)
+        return value
+
+    def record_value(self, pair: FactorPair, value: float) -> None:
+        """Keep `value`, which `evaluate` returned at `pair`, as the entry."""
+        self._last = (pair, value)
 
     def gradient(self, pair: FactorPair) -> np.ndarray:
         out = self.residual(pair)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inner import InnerConfig, optimize_fast, optimize_full
-from .linalg import FactorPair, svd_threshold, top_singular_triplet
+from .linalg import FactorPair, check_integers, svd_threshold, top_singular_triplet
 
 __all__ = [
     "SolverConfig",
@@ -53,14 +53,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_rank < 1:
-            raise ValueError("target_rank must be >= 1")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        check_integers(self, target_rank=1, max_outer_iters=1, seed=0)
         if self.eps is not None and not 0.0 <= self.eps < np.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -87,6 +87,15 @@ def test_run_rpca_report_fields():
     assert rep["rel_frobenius_error"] > 0
 
 
+def test_run_rpca_recovers_criterion_10_instances_within_0_2():
+    # the column-scaled L-BFGS half-step reaches a worst error of 0.148 here;
+    # unscaled, it stopped at its step cap and reached 0.619. Criterion 10's
+    # bound of 0.05 is still out of reach: test_acceptance keeps its xfail
+    worst = max(run_rpca(100, 100, 3, 0.05, 10.0, 1.0, 3, seed)[1]["rel_frobenius_error"]
+                for seed in range(5))
+    assert worst <= 0.2
+
+
 def test_run_recsys_split_rows():
     rng = np.random.default_rng(1)
     idx = rng.choice(12 * 15, size=150, replace=False)

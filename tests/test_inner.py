@@ -455,7 +455,8 @@ def _huber_instance(seed, m=60, n=50, r=3):
 
 def _reference_half_step(U, V, t, objective):
     """The two-closure L-BFGS half-step with fresh temporaries and the
-    elementwise np.where Huber value, for comparison with the buffered one."""
+    elementwise np.where Huber value, on the same variables as the buffered
+    one: the free factor times the fixed factor's column norms."""
     M, d = objective.target, objective.delta
 
     def value(resid):
@@ -464,19 +465,27 @@ def _reference_half_step(U, V, t, objective):
 
     opts = {"maxiter": inner._LBFGS_ITERS, "maxcor": inner._LBFGS_MEMORY}
     if t % 2 == 0:
-        def fun(x):
-            resid = x.reshape(U.shape) @ V.T - M
-            return value(resid), (np.clip(resid, -d, d) @ V).ravel()
+        scale = np.linalg.norm(V, axis=0)
+        scale[scale == 0.0] = 1.0
 
-        res = inner.minimize(fun, U.ravel(), jac=True, method="L-BFGS-B", options=opts)
-        return FactorPair(res.x.reshape(U.shape), V)
+        def fun(x):
+            resid = (x.reshape(U.shape) / scale) @ V.T - M
+            return value(resid), ((np.clip(resid, -d, d) @ V) / scale).ravel()
+
+        res = inner.minimize(fun, (U * scale).ravel(), jac=True, method="L-BFGS-B",
+                             options=opts)
+        return FactorPair(res.x.reshape(U.shape) / scale, V)
+
+    scale = np.linalg.norm(U, axis=0)
+    scale[scale == 0.0] = 1.0
 
     def fun(x):
-        resid = U @ x.reshape(V.shape).T - M
-        return value(resid), (np.clip(resid, -d, d).T @ U).ravel()
+        resid = U @ (x.reshape(V.shape) / scale).T - M
+        return value(resid), ((np.clip(resid, -d, d).T @ U) / scale).ravel()
 
-    res = inner.minimize(fun, V.ravel(), jac=True, method="L-BFGS-B", options=opts)
-    return FactorPair(U, res.x.reshape(V.shape))
+    res = inner.minimize(fun, (V * scale).ravel(), jac=True, method="L-BFGS-B",
+                         options=opts)
+    return FactorPair(U, res.x.reshape(V.shape) / scale)
 
 
 def test_huber_half_step_follows_reference_path(monkeypatch):
@@ -499,6 +508,36 @@ def test_huber_half_step_follows_reference_path(monkeypatch):
             for a, b in ((got.U, want.U), (got.V, want.V)):
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
     assert len(runs) == 12
+
+
+def test_huber_half_step_records_the_value_of_its_result(monkeypatch):
+    # the value L-BFGS ends on is the objective's own block sum at the
+    # returned pair, bit for bit, on both sides; one row block, then several
+    # ending on a partial one
+    for seed, shape in ((20, (60, 50)), (23, (300, 200)), (24, (37, 2000))):
+        obj, u, v = _huber_instance(seed, *shape)
+        fresh = HuberLowRank(obj.target, obj.delta)
+        outs = []
+        for t in (0, 1):
+            out = optimize_fast(u, v, t, obj, InnerConfig())
+            with monkeypatch.context() as m:
+                m.setattr(obj, "evaluate", None)  # the value must come from the entry
+                assert obj.value(out) == fresh.value(out)
+            outs.append(out)
+        # two pairs in turn: each evaluates again and reads its own value
+        for _ in range(2):
+            for out in outs:
+                assert obj.value(out) == fresh.value(out)
+
+
+def test_huber_half_step_keeps_column_facing_a_zero_column():
+    # a zero column of the fixed factor scales by 1, not 0, and its free
+    # column, whose gradient is zero, stays as it was
+    obj, u, v = _huber_instance(25)
+    v[:, 1] = 0.0
+    out = optimize_fast(u, v, 0, obj, InnerConfig())
+    assert np.isfinite(out.U).all() and np.array_equal(out.U[:, 1], u[:, 1])
+    assert obj.value(out) < obj.value(FactorPair(u, v))
 
 
 def test_huber_half_step_threads_sharing_one_objective(monkeypatch):

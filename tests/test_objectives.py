@@ -271,7 +271,7 @@ def test_huber_value_matches_piecewise_definition():
             assert huber_value(r, delta, np.clip(r, -delta, delta)) == huber_value(r, delta)
 
 
-# several row blocks on both sides, each side ending on a partial block
+# several row blocks of M, the last one partial
 @pytest.mark.parametrize("m, n", [(300, 200), (37, 2000)])
 def test_huber_blocked_pass_matches_whole_residual(m, n):
     rng = np.random.default_rng(m + n)
@@ -283,12 +283,13 @@ def test_huber_blocked_pass_matches_whole_residual(m, n):
     clipped = np.clip(resid, -1.0, 1.0)
     want = huber_value(resid, 1.0)
     assert obj.value(pair) == pytest.approx(want, rel=1e-13)
-    for side, rows, cols, grad in ((0, m, n, clipped @ pair.V),
-                                   (1, n, m, clipped.T @ pair.U)):
-        per_block = lowrank.objectives._HUBER_BLOCK_CELLS // cols
-        assert per_block < rows and rows % per_block
+    # both sides walk M's row blocks
+    per_block = lowrank.objectives._HUBER_BLOCK_CELLS // n
+    assert per_block < m and m % per_block
+    for side, grad in ((0, clipped @ pair.V), (1, clipped.T @ pair.U)):
         value, got = obj.evaluate(pair, side)
         assert value == pytest.approx(want, rel=1e-13)
+        assert value == obj.evaluate(pair)[0]  # the same block sum on every side
         assert np.linalg.norm(got - grad) <= 1e-13 * np.linalg.norm(grad)
     assert np.array_equal(obj.gradient(pair), clipped)
 

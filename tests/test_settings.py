@@ -23,7 +23,7 @@ from conftest import full_observations
 ODD = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-300, 0.0, -0.0,
                        1e-12, 0.3, 2.0])
 COUNTS = st.integers(-2, 6)
-# sizes: counts, non-integers, and integers of numpy types
+# sizes and integer settings: counts, non-integers, and integers of numpy types
 SIZES = COUNTS | st.sampled_from([np.nan, np.inf, 2.5, 3.0, np.int64(3), np.uint8(2)])
 
 
@@ -39,9 +39,9 @@ _PROBLEM = make_equivalence_problem(6, 2, 1)
 
 
 def _solver_config(data):
-    cfg = SolverConfig(target_rank=pick(data, 2, COUNTS),
-                       max_outer_iters=pick(data, 4, COUNTS),
-                       eps=pick(data, None), seed=pick(data, 0, COUNTS))
+    cfg = SolverConfig(target_rank=pick(data, 2, SIZES),
+                       max_outer_iters=pick(data, 4, SIZES),
+                       eps=pick(data, None), seed=pick(data, 0, SIZES))
     def run():
         pair, traces = local_search(ObservedQuadratic(full_observations(_MATRIX)), cfg)
         return [pair.U, pair.V] + [t.objective for t in traces]
@@ -49,7 +49,7 @@ def _solver_config(data):
 
 
 def _inner_config(data):
-    inner = InnerConfig(ls_iters=pick(data, 3, COUNTS),
+    inner = InnerConfig(ls_iters=pick(data, 3, SIZES),
                         full_solve_tol=pick(data, 1e-10))
     def run():
         objective = ObservedQuadratic(full_observations(_MATRIX))
@@ -62,8 +62,8 @@ def _inner_config(data):
 
 
 def _soft_impute_config(data):
-    cfg = SoftImputeConfig(lam=pick(data, 0.5), max_rank=pick(data, 3, COUNTS),
-                           max_iters=pick(data, 5, COUNTS), tol=pick(data, 1e-5))
+    cfg = SoftImputeConfig(lam=pick(data, 0.5), max_rank=pick(data, 3, SIZES),
+                           max_iters=pick(data, 5, SIZES), tol=pick(data, 1e-5))
     def run():
         pair, traces = soft_impute(full_observations(_MATRIX), cfg)
         return [pair.matrix()] + [t.objective for t in traces]
@@ -198,3 +198,19 @@ def test_soft_impute_rejects_non_finite_tol():
     for tol in (np.inf, np.nan, -1e-5):
         with pytest.raises(ValueError, match="tol must be finite"):
             SoftImputeConfig(lam=0.1, max_rank=3, tol=tol)
+
+
+def test_integer_settings_name_their_field():
+    # a fraction used to build and then fail with a TypeError inside a solve;
+    # a numpy integer is stored as an int
+    for build, name in ((lambda v: SolverConfig(target_rank=v), "target_rank"),
+                        (lambda v: SolverConfig(2, max_outer_iters=v), "max_outer_iters"),
+                        (lambda v: SolverConfig(2, seed=v), "seed"),
+                        (lambda v: InnerConfig(ls_iters=v), "ls_iters"),
+                        (lambda v: SoftImputeConfig(1.0, v), "max_rank"),
+                        (lambda v: SoftImputeConfig(1.0, 3, max_iters=v), "max_iters")):
+        for bad in (2.5, 3.0, np.float64(2.0), np.nan, "3", -1):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                build(bad)
+        value = getattr(build(np.int64(3)), name)
+        assert type(value) is int and value == 3
