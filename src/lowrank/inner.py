@@ -15,12 +15,16 @@ CSC views of its CSR skeleton, so nothing is built twice. Huber objectives
 refit by a capped L-BFGS instead, on the free factor scaled by the fixed
 factor's column norms: the inserted column has unit norm and the refit ones
 carry the singular values, so unscaled variables leave L-BFGS's scalar
-initial Hessian fitting neither and the run at its step cap. scipy's
-optimizer is imported on its first use.
+initial Hessian fitting neither and the run at its step cap. The scaled
+variables are divided once more by a power of two near the start's gradient
+norm, so that L-BFGS-B's first step, of unit length, is about the full
+preconditioned gradient step; a power of two keeps the scaling exact.
+scipy's optimizer is imported on its first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +56,10 @@ class InnerConfig:
     (2-3 acts as regularization); full_solve_tol is the CG tolerance of the
     full solve. The L-BFGS half-step of non-quadratic objectives uses the
     fixed _LBFGS_ITERS / _LBFGS_MEMORY. It runs on variables scaled by the
-    fixed factor's column norms (`_huber_half_step` says why), so it stops
-    by its own rule rather than at that cap.
+    fixed factor's column norms, so it stops by its own rule rather than at
+    that cap, and divided by the power of two just above the start's
+    gradient norm, so its first trial step is about the full preconditioned
+    gradient step and scaling stays exact (`_huber_half_step` says why).
     """
 
     ls_iters: int = 3
@@ -254,33 +260,51 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
                      objective: HuberLowRank) -> FactorPair:
     """Capped L-BFGS on the free factor W (U when t is even, else V).
 
-    L-BFGS runs on x = W * d, d[k] the norm of the fixed factor's column k
-    (1 for a zero column): a diagonal preconditioner for the inlier Hessian,
-    about F^T F per row for the fixed factor F. Unscaled, a freshly inserted
-    column of unit norm sits beside refit columns that carry the singular
-    values, no scalar initial Hessian fits both, and the run stops at its
-    step cap far from the minimum; scaled, it stops by its own rule.
+    L-BFGS runs on y = W * d / c. d[k] is the norm of the fixed factor's
+    column k (1 for a zero column): a diagonal preconditioner for the inlier
+    Hessian, about F^T F per row for the fixed factor F. Unscaled, a freshly
+    inserted column of unit norm sits beside refit columns that carry the
+    singular values, no scalar initial Hessian fits both, and the run stops
+    at its step cap far from the minimum; scaled, it stops by its own rule.
+    c is the power of two in (||g||, 2 ||g||], g the gradient in x = W * d
+    at the start (1 when g = 0). L-BFGS-B's first step has no curvature pair
+    to scale it and has unit length along -g. In y that is about the full
+    preconditioned gradient step -g in x, which is Newton's step when the
+    scaled inlier Hessian is about I; a unit step in x left the line search
+    to extrapolate. A power of two scales exactly, so a column facing a zero
+    column of F, whose gradient is zero, comes back bit for bit.
 
     Each function evaluation is one `HuberLowRank.evaluate` pass over M's row
     blocks (`objectives._HUBER_BLOCK_CELLS`), whose buffers are per call. The
-    value L-BFGS ends on is `evaluate` at the returned point, so it is
-    recorded as the objective's (pair, value) entry and the solvers'
-    `value` of the result costs nothing."""
+    start's pass, which picks c, is handed back as L-BFGS's first
+    evaluation, so no point is evaluated twice. The value L-BFGS ends on is
+    `evaluate` at the returned point, so it is recorded as the objective's
+    (pair, value) entry and the solvers' `value` of the result costs
+    nothing."""
     side = t % 2
     free, fixed = (V, U) if side else (U, V)
-    d = np.linalg.norm(fixed, axis=0)
-    d[d == 0.0] = 1.0
+    scale = np.linalg.norm(fixed, axis=0)
+    scale[scale == 0.0] = 1.0
 
-    def pair(x):
-        W = x.reshape(free.shape) / d
+    def pair(y):
+        W = y.reshape(free.shape) / scale
         return FactorPair(U, W) if side else FactorPair(W, V)
 
-    def fun(x):
-        value, grad = objective.evaluate(pair(x), side)
-        grad /= d
+    x0 = (free * scale).ravel()
+    value, grad = objective.evaluate(pair(x0), side)
+    grad /= scale  # the gradient in x
+    c = math.ldexp(1.0, math.frexp(float(np.linalg.norm(grad)))[1])
+    scale /= c  # d / c, exact, so x0 / c is the same point
+    start = [(value, (grad * c).ravel())]
+
+    def fun(y):
+        if start:  # L-BFGS-B evaluates its start first
+            return start.pop()
+        value, grad = objective.evaluate(pair(y), side)
+        grad /= scale
         return value, grad.ravel()
 
-    res = minimize(fun, (free * d).ravel(), jac=True, method="L-BFGS-B",
+    res = minimize(fun, x0 / c, jac=True, method="L-BFGS-B",
                    options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY})
     out = pair(res.x)
     objective.record_value(out, float(res.fun))

@@ -38,9 +38,19 @@ class ObservedQuadratic:
     cached array is read-only, and so is every gradient built from it. A
     FactorPair must therefore not be mutated after it has been passed to an
     objective.
+
+    The value at the zero matrix, 1/2 ||vals||^2, must be finite: values
+    large enough to overflow it (about 1e154 and up) would make every
+    objective value infinite, so they are rejected when the objective is
+    built.
     """
 
     def __init__(self, target: SparseObservations):
+        with np.errstate(over="ignore"):  # reported by the ValueError below
+            start = 0.5 * float(target.vals @ target.vals)
+        if not np.isfinite(start):
+            raise ValueError(f"observed values overflow the objective: "
+                             f"1/2 ||vals||^2 = {start}")
         self.target = target
         self._last: tuple[FactorPair | None, np.ndarray | None] = (None, None)
 

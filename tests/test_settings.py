@@ -86,13 +86,14 @@ def _observations(data):
     name = pick(data, None, st.sampled_from(list(arrays)))
     if name is not None and flat.size:
         arrays[name][data.draw(st.integers(0, flat.size - 1))] = data.draw(
-            ODD | st.sampled_from([2.5, m, n]))
+            ODD | st.sampled_from([2.5, m, n, 1e150, 1e300]))
     obs = SparseObservations(rows, cols, arrays["row"], arrays["col"], arrays["vals"])
+    objective = ObservedQuadratic(obs)
 
     def run():
         out = [obs.csr().toarray(), *obs.dense, obs.pattern.toarray()]
         if min(obs.shape) >= 1:  # no solver takes a set with no rows or no columns
-            pair, traces = fast_greedy(ObservedQuadratic(obs), SolverConfig(target_rank=2))
+            pair, traces = fast_greedy(objective, SolverConfig(target_rank=2))
             out += [pair.matrix()] + [t.objective for t in traces]
         return out
     return run
@@ -214,3 +215,20 @@ def test_integer_settings_name_their_field():
                 build(bad)
         value = getattr(build(np.int64(3)), name)
         assert type(value) is int and value == 3
+
+
+def test_observed_values_that_overflow_the_objective_are_rejected():
+    # one value of 1e300 used to build, and fast_greedy then traced infinite
+    # objectives; 1e150 squares to a finite 1e300 and solves
+    for big in (1e300, 1e150):
+        vals = np.arange(1.0, 13.0)
+        vals[5] = big
+        obs = SparseObservations(4, 3, np.arange(12) // 3, np.arange(12) % 3, vals)
+        for build in (ObservedQuadratic, lambda o: ClippedObservedQuadratic(o, -2.0, 2.0)):
+            if big == 1e300:
+                with pytest.raises(ValueError, match="overflow"):
+                    build(obs)
+                continue
+            pair, traces = fast_greedy(build(obs), SolverConfig(target_rank=2))
+            assert np.isfinite(pair.matrix()).all()
+            assert np.isfinite([t.objective for t in traces]).all()
