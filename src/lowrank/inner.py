@@ -272,7 +272,10 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
     preconditioned gradient step -g in x, which is Newton's step when the
     scaled inlier Hessian is about I; a unit step in x left the line search
     to extrapolate. A power of two scales exactly, so a column facing a zero
-    column of F, whose gradient is zero, comes back bit for bit.
+    column of F, whose gradient is zero, comes back bit for bit. The
+    gradient in y is c g, so the projected-gradient stop is passed as
+    gtol = 1e-5 c: scipy's default, kept in x's units, where a default in y
+    would end a run near a minimum or on small-scale data at its start.
 
     Each function evaluation is one `HuberLowRank.evaluate` pass over M's row
     blocks (`objectives._HUBER_BLOCK_CELLS`), whose buffers are per call. The
@@ -294,18 +297,20 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
     value, grad = objective.evaluate(pair(x0), side)
     grad /= scale  # the gradient in x
     c = math.ldexp(1.0, math.frexp(float(np.linalg.norm(grad)))[1])
-    scale /= c  # d / c, exact, so x0 / c is the same point
+    scale /= c  # d / c, exact, so y0 is the same point as x0
+    y0 = x0 / c
     start = [(value, (grad * c).ravel())]
 
     def fun(y):
-        if start:  # L-BFGS-B evaluates its start first
+        if start and np.array_equal(y, y0):  # L-BFGS-B evaluates its start first
             return start.pop()
         value, grad = objective.evaluate(pair(y), side)
         grad /= scale
         return value, grad.ravel()
 
-    res = minimize(fun, x0 / c, jac=True, method="L-BFGS-B",
-                   options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY})
+    res = minimize(fun, y0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY,
+                            "gtol": 1e-5 * c})
     out = pair(res.x)
     objective.record_value(out, float(res.fun))
     return out

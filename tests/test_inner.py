@@ -484,7 +484,7 @@ def _reference_half_step(U, V, t, objective, scaled_start=True):
         c = math.ldexp(1.0, math.frexp(float(np.linalg.norm(fun(x0)[1])))[1])
     res = inner.minimize(fun, x0 / c, jac=True, method="L-BFGS-B",
                          options={"maxiter": inner._LBFGS_ITERS,
-                                  "maxcor": inner._LBFGS_MEMORY})
+                                  "maxcor": inner._LBFGS_MEMORY, "gtol": 1e-5 * c})
     W = res.x.reshape(free.shape) * c / scale
     return FactorPair(U, W) if side else FactorPair(W, V)
 
@@ -544,6 +544,34 @@ def test_huber_half_step_evaluates_its_start_once(monkeypatch):
         for t in (0, 1):
             _reference_half_step(u, v, t, obj, scaled_start=False)
     assert len(nfev) == 6 and scaled < sum(nfev)
+
+
+def test_huber_half_step_refits_small_scale_data(monkeypatch):
+    # the stop on the projected gradient stays in the units of W * d: in
+    # y = W * d / c, scipy's default would end these runs at their start.
+    # Scaling M, delta and W by s scales the gradient by s, and the stop
+    # rules are not scale-free, so the paths differ, but the scaled-down
+    # result lands within 2% of the unscaled step's length of the unscaled one
+    nit = []
+    minimize = inner.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nit.append(res.nit)
+        return res
+
+    monkeypatch.setattr(inner, "minimize", recording)
+    s = 1e-4
+    for seed, shape in ((20, (60, 50)), (23, (300, 200)), (24, (37, 2000))):
+        obj, u, v = _huber_instance(seed, *shape)
+        small = HuberLowRank(obj.target * s, obj.delta * s)
+        for t in (0, 1):
+            want = optimize_fast(u, v, t, obj, InnerConfig())
+            got = optimize_fast(u, v * s, t, small, InnerConfig()) if t else \
+                optimize_fast(u * s, v, t, small, InnerConfig())
+            a, b, start = (got.V, want.V, v) if t else (got.U, want.U, u)
+            assert nit[-1] >= 1
+            assert np.linalg.norm(a / s - b) <= 0.02 * np.linalg.norm(start - b)
 
 
 def test_huber_half_step_records_the_value_of_its_result(monkeypatch):
