@@ -3,7 +3,7 @@
 from .baselines import SoftImputeConfig, soft_impute
 from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
                    gen_rpca, load_movielens, nmse_on, rmse_on, split_ratings)
-from .inner import InnerConfig, optimize_fast, optimize_full
+from .inner import optimize_fast, optimize_full
 from .linalg import (FactorPair, SingularTriplet, SparseObservations,
                      project_observed, svd_threshold, top_singular_triplet)
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic

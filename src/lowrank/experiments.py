@@ -10,7 +10,6 @@ import numpy as np
 from .baselines import SoftImputeConfig, lambda_grid, soft_impute
 from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
                    gen_rpca, nmse_on, rmse_on, split_ratings)
-from .inner import InnerConfig
 from .linalg import SparseObservations
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from .sparse_equiv import (EquivalenceReport, SparseRegressionProblem,
@@ -42,8 +41,8 @@ def _solver_config(rank: int, seed: int, inner_iters: int) -> SolverConfig:
     return SolverConfig(
         target_rank=rank,
         max_outer_iters=max(100, 4 * rank),
+        ls_iters=inner_iters,
         seed=seed,
-        inner=InnerConfig(ls_iters=inner_iters),
     )
 
 
@@ -189,8 +188,7 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
             objective = ClippedObservedQuadratic(train, clip[0], clip[1])
         else:
             objective = ObservedQuadratic(train)
-        scfg = SolverConfig(target_rank=rank, seed=seed + s,
-                            inner=InnerConfig(ls_iters=inner_iters))
+        scfg = _solver_config(rank, seed + s, inner_iters)
         fn = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
               "greedy": greedy, "local": local_search}[solver]
         start = time.perf_counter()

@@ -6,20 +6,14 @@ factor, decomposed into independent per-row least-squares systems, each run
 for a fixed (small) number of CG-on-normal-equations steps from a zero
 start; the iteration cap doubles as regularization. Each CG step's product
 takes one of three kernels by the size rules in `linalg`: masked dense
-GEMMs on a small observed set, per-row r x r Gram matrices formed once per
-refit on a larger one at the ranks and step caps where that pays
-(`fits_gram`), and a gather of the observed entries at every step
+GEMMs on an observed set that `fits_dense`, per-row r x r Gram matrices
+formed once per refit on any other at the ranks and step caps where that
+pays (`fits_gram`), and a gather of the observed entries at every step
 otherwise. The V half-step is the U half-step on the transposed set, read
 through the `.T` of the set's own matrices: the dense arrays' transposes and
 CSC views of its CSR skeleton, so nothing is built twice. Huber objectives
-refit by a capped L-BFGS instead, on the free factor scaled by the fixed
-factor's column norms: the inserted column has unit norm and the refit ones
-carry the singular values, so unscaled variables leave L-BFGS's scalar
-initial Hessian fitting neither and the run at its step cap. The scaled
-variables are divided once more by a power of two near the start's gradient
-norm, so that L-BFGS-B's first step, of unit length, is about the full
-preconditioned gradient step; a power of two keeps the scaling exact.
-scipy's optimizer is imported on its first use.
+refit by a capped, preconditioned L-BFGS instead (`_huber_half_step` says
+how and why). scipy's optimizer is imported on its first use.
 """
 
 from __future__ import annotations
@@ -29,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (FactorPair, SparseObservations, check_integers, fits_dense,
-                     fits_gram, project_observed)
+from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
+                     project_observed)
 from .objectives import HuberLowRank, ObservedQuadratic
 
-__all__ = ["InnerConfig", "FullSolveInfo", "optimize_full", "optimize_fast"]
+__all__ = ["FullSolveInfo", "optimize_full", "optimize_fast"]
 
 # iteration cap and memory of the capped L-BFGS half-step for Huber objectives
 _LBFGS_ITERS = 10
@@ -46,30 +40,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
-
-
-@dataclass
-class InnerConfig:
-    """Knobs for the inner solves.
-
-    ls_iters caps the per-row least-squares iterations of the fast solve
-    (2-3 acts as regularization); full_solve_tol is the CG tolerance of the
-    full solve. The L-BFGS half-step of non-quadratic objectives uses the
-    fixed _LBFGS_ITERS / _LBFGS_MEMORY. It runs on variables scaled by the
-    fixed factor's column norms, so it stops by its own rule rather than at
-    that cap, and divided by the power of two just above the start's
-    gradient norm, so its first trial step is about the full preconditioned
-    gradient step and scaling stays exact (`_huber_half_step` says why).
-    """
-
-    ls_iters: int = 3
-    full_solve_tol: float = 1e-10
-
-    def __post_init__(self):
-        check_integers(self, ls_iters=1)
-        if not 0.0 <= self.full_solve_tol < np.inf:
-            raise ValueError(f"full_solve_tol must be finite and >= 0, "
-                             f"got {self.full_solve_tol}")
 
 
 @dataclass
@@ -134,11 +104,11 @@ def _cg(matvec, b: np.ndarray, tol: float, max_iters: int
 
 
 def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
-                  config: InnerConfig) -> FactorPair:
+                  ls_iters: int) -> FactorPair:
     """One alternating half-step: refit U when t is even, V when t is odd.
 
     Observed quadratics decompose into independent per-row systems on the
-    observed entries, solved by config.ls_iters capped CG steps each;
+    observed entries, solved by ls_iters capped CG steps each;
     rows/columns with no observations are left unchanged. Huber objectives
     run a capped L-BFGS on the non-frozen factor instead.
     """
@@ -147,8 +117,8 @@ def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
     if isinstance(objective, ObservedQuadratic):
         omega, side = objective.target, t % 2
         if side == 0:
-            return FactorPair(_capped_cgnr(U, V, omega, config.ls_iters, side), V)
-        return FactorPair(U, _capped_cgnr(V, U, omega, config.ls_iters, side))
+            return FactorPair(_capped_cgnr(U, V, omega, ls_iters, side), V)
+        return FactorPair(U, _capped_cgnr(V, U, omega, ls_iters, side))
     if isinstance(objective, HuberLowRank):
         return _huber_half_step(U, V, t, objective)
     raise TypeError(f"objective {type(objective).__name__} has no fast inner solve")
@@ -218,16 +188,17 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
     normal-equation product of `_capped_cgnr`'s row systems, for at most
     `iters` products, with M_Omega and Pi_Omega transposed on side 1.
 
-    A set that `fits_dense` takes two GEMMs and a masked multiply per
-    product. A larger one makes no m x n array. When the refit `fits_gram`,
-    row i's Gram matrix G_i = F[omega_i]^T F[omega_i] is formed once, as one
-    SpMM of the set's 0/1 pattern by the r(r+1)/2 column products of F, and
-    each product is the batched G_i P_i. Otherwise each product gathers the
-    observed entries of P F^T and multiplies a CSR view of them by F."""
+    A set that `fits_dense` (shape and fill) takes two GEMMs and a masked
+    multiply per product. Any other makes no m x n array. When the refit
+    `fits_gram`, row i's Gram matrix G_i = F[omega_i]^T F[omega_i] is formed
+    once, as one SpMM of the set's 0/1 pattern by the r(r+1)/2 column
+    products of F, and each product is the batched G_i P_i. Otherwise each
+    product gathers the observed entries of P F^T and multiplies a CSR view
+    of them by F."""
     def oriented(a):
         return a.T if side else a
 
-    if fits_dense(omega.shape):
+    if fits_dense(omega.shape, omega.nnz):
         mask, target = map(oriented, omega.dense)
 
         def product(P):

@@ -255,28 +255,19 @@ class SingularTriplet:
     v: np.ndarray
 
 
-# The cap of `fits_dense`. Median ms per insertion on three square 20%-dense
-# random CSR matrices, 2-core host, one OpenBLAS thread, Gram vs Krylov
-# path at n = 100 / 256 (the cap) / 300: with entries uniform on
-# [0, 1) (one dominant singular value) 0.51-0.54 vs 1.2-1.3 / 3.8-4.9 vs
-# 0.9-1.8 / 4.6-6.7 vs 0.9-1.5; with Gaussian entries 0.34-0.51 vs 2.3-3.0 /
-# 3.5-4.4 vs 6.4-6.6 / 6.5-6.9 vs 7.3-8.8. Median us per refit product,
-# same host, dense vs sparse kernel at r = 5 / 30: 20 / 46 vs 121 / 451 at
-# n = 100, 20% observed; 108 / 267 vs 435 / 2120 at n = 256, 20%; 102 / 314
-# vs 108 / 163 at n = 256, 2%. The cap also bounds each dense copy at 512 kB.
+# The cap of `fits_dense` (2-core host, one OpenBLAS thread). At n = 256 and
+# 20% fill the Gram insertion still beats the Krylov one on Gaussian entries
+# (3.5-4.4 vs 6.4-6.6 ms), and the dense refit product the sparse one
+# (108 / 267 vs 435 / 2120 us at r = 5 / 30). The cap also bounds each dense
+# copy at 512 kB. Full sweep: CHANGES.md, "Timing tables".
 _DENSE_CELLS = 65536
 
-# The fill floor of `fits_dense` for predictions and gradients: dense work
-# costs a GEMM over every cell, the gather and CSR kernel a multiply-add per
-# entry and about 40 us of fixed cost. Median us per call, 2-core host, one
-# OpenBLAS thread, random sets, dense vs gather/CSR at r = 5 / 30: a
-# `quad_term` and its product by V, 256 x 256 at 1% 103 / 315 vs 102 / 128,
-# 2% 106 / 328 vs 149 / 205, 5% 122 / 344 vs 266 / 1318; 100 x 100 at 1%
-# 16 / 50 vs 53 / 59, 20% 31 / 43 vs 157 / 796. A prediction, 256 x 256
-# at 1% 45 / 120 vs 46 / 54, 5% 59 / 132 vs 193 / 985. A gradient (dense
-# vs CSR densified by the insertion) costs 1-51 vs 21-69 at every fill.
-# End to end at 256 x 256, 1%, rank 30, `greedy` took 24-27 s densely and
-# 13-14 s on the gather and CSR kernel.
+# The fill floor of `fits_dense`: dense work costs a GEMM over every cell,
+# the gather and CSR kernels a multiply-add per entry and about 40 us of
+# fixed cost. At 256 x 256 they cross between 2% and 5% observed (a
+# `quad_term` and its product by V, dense vs sparse at r = 5 / 30: 106 / 328
+# vs 149 / 205 us at 2%, 122 / 344 vs 266 / 1318 at 5%). Full sweep:
+# CHANGES.md, "Timing tables".
 _DENSE_FILL = 32
 
 
@@ -288,10 +279,10 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     The package's one size rule for an observed set's matrices and for
     gradients. On a shape that fits:
     - insertion: `top_singular_triplet` densifies the matrix and takes its
-      Gram eigenpair (else the Krylov path, on the matrix as given);
-    - refit: `inner._normal_products` takes masked dense GEMMs (else the
-      Gram or gather kernel); this rule reads the shape alone.
+      Gram eigenpair (else the Krylov path, on the matrix as given).
     If the set's fill passes too:
+    - refit: `inner._normal_products` takes masked dense GEMMs (else the
+      Gram or gather kernel);
     - predictions: `project_observed` takes one GEMM and one gather (else
       the blocked gather);
     - gradients: `SparseObservations.matrix_with` builds a dense array,
@@ -304,14 +295,11 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
-# The measurements behind `fits_gram`. Median ms per refit (Gram vs
-# gather), 2-core host, one OpenBLAS thread, random sets: on 6040 x 3706
-# with 1M entries, U side, 2 steps: 18 vs 69 at r = 5, 62 vs 92 at 11, 78 vs
-# 89 at 14, 120 vs 121 at 17; 3 steps: 54 vs 131 at 11, 121 vs 169 at 17; 1
-# step: 18 vs 37 at 5, 33 vs 44 at 8; 5 steps: 350 vs 432 at 26, 476 vs 492
-# at 32. V side, 2 steps: 44 vs 70 at 11, 81 vs 86 at 14, 137 vs 113 at 17.
-# On 943 x 1682 with 80k entries, 2 steps: 3.8 vs 7.0 at r = 11, 6.3 vs 8.3
-# at 14, 9.9 vs 9.2 at 17 (V side: 9.0 vs 8.4 at 14).
+# The measurements behind `fits_gram`: at 2 steps, Gram beats gather on both
+# sides and both set sizes through r = 11 (62 vs 92 ms per refit on a
+# 6040 x 3706 set with 1M entries), and loses on some by r = 14-17 (V side
+# 9.0 vs 8.4 ms at 14 on 943 x 1682 with 80k entries). Full sweep:
+# CHANGES.md, "Timing tables".
 _GRAM_STEP_RANKS = 6
 _GRAM_CELLS = 1 << 22
 
@@ -393,11 +381,10 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 # The Krylov path's basis cap and restart budget (`_krylov_triplet`). Step k
 # costs two products and a reorthogonalization against k vectors per side.
-# Steps to convergence: 12-30 for the insertions of a 6040 x 3706, 1M-entry
-# `fast_greedy` solve to rank 10 (seeds 0-2); on a 943 x 1682, 100k-entry
-# solve 9-25, but 90-94 uncapped on the noise left after the true rank,
-# where 95-101 with one restart are no slower (median ms 35-43 vs 42-47, one
-# OpenBLAS thread, 2-core host). The bases hold 64 x (rows + cols) doubles.
+# 64 steps hold every insertion of a 6040 x 3706, 1M-entry `fast_greedy`
+# solve (12-30 steps); on noise, where runs take 90-101 steps, one restart
+# is no slower than none. The bases hold 64 x (rows + cols) doubles. Full
+# timings: CHANGES.md, "Timing tables".
 _KRYLOV_STEPS = 64
 _KRYLOV_RESTARTS = 16
 _EPS = float(np.finfo(np.float64).eps)
@@ -522,11 +509,9 @@ def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:
 
 
 # Entries per block of `project_observed`'s gather: the two r-column buffers
-# then stay in cache. Median ms of 3 on 1M entries of a 6040 x 3706 set,
-# 2-core host, at r = 5 / 10 / 30: 1024 -> 28 / 41 / 66, 2048 -> 29 / 35 / 65,
-# 4096 -> 26 / 32 / 86, 8192 -> 25 / 33 / 91, 32768 -> 25 / 35 / 143,
-# 131072 -> 35 / 58 / 172; one fancy-indexed gather of all entries took
-# 76 / 101 / 235. 4096 is near the best at the ranks the solvers reach.
+# then stay in cache. On 1M entries of a 6040 x 3706 set, 4096 is near the
+# best at r = 5 / 10 / 30 (26 / 32 / 86 ms, against 76 / 101 / 235 for one
+# gather of all entries). Full sweep: CHANGES.md, "Timing tables".
 _GATHER_BLOCK = 4096
 
 

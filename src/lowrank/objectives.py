@@ -91,13 +91,10 @@ def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
 
 # Cells per row block of the Huber pass (`HuberLowRank.evaluate`): rows =
 # this // n, so the residual and clipped buffers (256 KB each) stay in cache
-# next to the target's block. Median ms per evaluation (value and factor
-# gradient, U and V sides averaged) of 15 interleaved runs at 500 x 500,
-# r = 5, one BLAS thread, 2-core host with 2 MB L2 per core: 4096 -> 1.97,
-# 8192 -> 1.38, 16384 -> 1.11, 32768 -> 1.01, 65536 -> 0.98,
-# 131072 -> 1.09; two whole m x n buffers took 3.42. Small blocks pay the
-# per-block calls. 32768 is near the best, and a 100 x 100 target is a
-# single block.
+# next to the target's block. At 500 x 500, r = 5, an evaluation takes 1.01
+# ms, near the best block (0.98 at 65536), against 3.42 for two whole m x n
+# buffers; small blocks pay the per-block calls. A 100 x 100 target is a
+# single block. Full sweep: CHANGES.md, "Timing tables".
 _HUBER_BLOCK_CELLS = 32768
 
 

@@ -9,11 +9,11 @@ progress without growing the rank. All four solvers are presets of one loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import InnerConfig, optimize_fast, optimize_full
+from .inner import optimize_fast, optimize_full
 from .linalg import FactorPair, check_integers, svd_threshold, top_singular_triplet
 
 __all__ = [
@@ -43,19 +43,25 @@ class SolverConfig:
     for fast_local_search). Each insertion is the gradient's top singular
     pair from top_singular_triplet, to machine precision. The fast solvers
     take the insertion direction from the objective's insertion_gradient
-    when it has one (clipped ratings).
+    when it has one (clipped ratings). ls_iters caps the per-row CG steps
+    of the fast solvers' refit (2-3 act as regularization); full_solve_tol
+    is the CG tolerance of the full refit of greedy and local_search.
     """
 
     target_rank: int
     max_outer_iters: int = 100
     eps: float | None = None
-    inner: InnerConfig = field(default_factory=InnerConfig)
+    ls_iters: int = 3
+    full_solve_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, target_rank=1, max_outer_iters=1, seed=0)
+        check_integers(self, target_rank=1, max_outer_iters=1, ls_iters=1, seed=0)
         if self.eps is not None and not 0.0 <= self.eps < np.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0.0 <= self.full_solve_tol < np.inf:
+            raise ValueError(f"full_solve_tol must be finite and >= 0, "
+                             f"got {self.full_solve_tol}")
 
 
 @dataclass
@@ -149,10 +155,10 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
             pair = truncate_svd(pair)
         pair = pair.append(trip.u, trip.v)
         if fast:
-            pair = optimize_fast(pair.U, pair.V, t, objective, config.inner)
+            pair = optimize_fast(pair.U, pair.V, t, objective, config.ls_iters)
         else:
             pair, info = optimize_full(pair.U, pair.V, objective,
-                                       tol=config.inner.full_solve_tol)
+                                       tol=config.full_solve_tol)
             if not info.converged:
                 flags.append("cg_incomplete")
         obj = objective.value(pair)
@@ -206,16 +212,6 @@ def fast_greedy(objective, config: SolverConfig, callback=None
                    callback=callback)
 
 
-def _swap_passes(objective, config: SolverConfig, pair: FactorPair,
-                 sigma0: float, callback=None
-                 ) -> tuple[FactorPair, list[IterationTrace]]:
-    """The swap passes of fast_local_search from the greedy pair."""
-    eps = 0.0 if config.eps is None else config.eps
-    return _pursue(objective, config, pair, config.max_outer_iters, fast=True,
-                   truncate=True, patience=2, eps=eps, offset=config.target_rank,
-                   sigma0=sigma0, callback=callback)
-
-
 def fast_local_search(objective, config: SolverConfig, callback=None
                       ) -> tuple[FactorPair, list[IterationTrace]]:
     """Fast greedy init, then swap passes: drop the cheapest column, insert
@@ -228,27 +224,27 @@ def fast_local_search(objective, config: SolverConfig, callback=None
     than eps. Returns the best (last improving) pair. The trace records the
     improving passes plus the final stalled one, so its objectives are
     strictly decreasing except the final entry. The greedy phase's first
-    sigma anchors the gradient-zero floor.
+    sigma anchors the gradient-zero floor. This is `fast_local_sweep` over
+    the one config.
     """
-    pair, init = fast_greedy(objective, config)
-    return _swap_passes(objective, config, pair, init[0].top_sigma, callback)
+    return next(fast_local_sweep(objective, [config], callback))
 
 
 def fast_local_sweep(objective, configs, callback=None):
     """Yield fast_local_search(objective, config, callback) for each config
     in turn, bit for bit, from one shared greedy prefix.
 
-    Step t of fast_greedy depends on the seed, the inner settings and t, not
-    on the target rank, so the greedy phase of every config is a prefix of
-    one fast_greedy run to the largest target rank: each config's swap
-    passes start from that run's iterate at its rank. A greedy run that
-    stops at gradient_zero after k < rank steps leaves iterate k, as the
-    shorter run would. The configs must share seed and inner settings
-    (ValueError, raised on the first iteration, otherwise).
+    Step t of fast_greedy depends on the seed, ls_iters and t, not on the
+    target rank, so the greedy phase of every config is a prefix of one
+    fast_greedy run to the largest target rank: each config's swap passes
+    start from that run's iterate at its rank. A greedy run that stops at
+    gradient_zero after k < rank steps leaves iterate k, as the shorter run
+    would. The configs must share seed and ls_iters (ValueError, raised on
+    the first iteration, otherwise); the other fields are each config's own.
     """
     configs = list(configs)
-    if any((c.seed, c.inner) != (configs[0].seed, configs[0].inner) for c in configs):
-        raise ValueError("fast_local_sweep configs must share seed and inner")
+    if len({(c.seed, c.ls_iters) for c in configs}) > 1:
+        raise ValueError("fast_local_sweep configs must share seed and ls_iters")
     ranks = {c.target_rank for c in configs}
     iterates = {}
 
@@ -261,4 +257,7 @@ def fast_local_sweep(objective, configs, callback=None):
     for config in configs:
         # a rank the greedy run stopped short of starts from its last iterate
         start = iterates.get(config.target_rank, last)
-        yield _swap_passes(objective, config, start, init[0].top_sigma, callback)
+        eps = 0.0 if config.eps is None else config.eps
+        yield _pursue(objective, config, start, config.max_outer_iters, fast=True,
+                      truncate=True, patience=2, eps=eps, offset=config.target_rank,
+                      sigma0=init[0].top_sigma, callback=callback)

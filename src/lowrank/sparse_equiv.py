@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import InnerConfig
 from .linalg import FactorPair
 from .solvers import SolverConfig, greedy, local_search
 
@@ -257,14 +256,13 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
 
     # the diagonality assertion needs coefficient refits far below the
     # library's default tolerance
-    inner = InnerConfig(full_solve_tol=1e-13)
     for k, vec in enumerate(vectors, start=1):
         if mode == "greedy":
-            cfg = SolverConfig(target_rank=k, seed=seed, inner=inner)
+            cfg = SolverConfig(target_rank=k, full_solve_tol=1e-13, seed=seed)
             pair, _ = greedy(lifted, cfg)
         else:
             cfg = SolverConfig(target_rank=problem.sparsity, max_outer_iters=k,
-                               eps=0.0, seed=seed, inner=inner)
+                               eps=0.0, full_solve_tol=1e-13, seed=seed)
             pair, _ = local_search(lifted, cfg)
 
         off, diag = lifted._split(pair)

@@ -19,7 +19,6 @@ from lowrank.cli import main as cli_main
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import (make_equivalence_problem, run_completion,
                                  run_recsys, run_rpca)
-from lowrank.inner import InnerConfig
 from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
 from lowrank.objectives import ObservedQuadratic
 from lowrank.sparse_equiv import check_equivalence

@@ -9,7 +9,7 @@ from lowrank.baselines import SoftImputeConfig
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
                                  mean_stderr, run_completion, run_equivalence,
                                  run_recsys, run_rpca)
-from lowrank.linalg import SparseObservations
+from lowrank.linalg import FactorPair, SparseObservations
 
 
 def test_mean_stderr():
@@ -108,6 +108,28 @@ def test_run_recsys_split_rows():
     assert all(1.0 <= r["rmse"] <= 5.0 or r["rmse"] >= 0 for r in rows)
     assert summary["rmse"]["stderr"] >= 0
     assert traces and traces[0][0] == 0
+
+
+def test_run_recsys_builds_the_solver_config_as_completion_does(monkeypatch):
+    # with max_outer_iters left at 100, local search at rank 100 spent every
+    # iteration growing from zero and never swapped
+    rng = np.random.default_rng(1)
+    idx = rng.choice(40 * 50, size=600, replace=False)
+    ratings = SparseObservations(40, 50, idx // 50, idx % 50,
+                                 rng.integers(1, 6, size=600).astype(float))
+    for solver, name in (("local", "local_search"), ("fast-local", "fast_local_search"),
+                         ("greedy", "greedy"), ("fast-greedy", "fast_greedy")):
+        seen = []
+
+        def spy(objective, config):
+            seen.append(config)
+            return FactorPair.empty(*objective.shape), []
+
+        monkeypatch.setattr(experiments, name, spy)
+        run_recsys(ratings, splits=2, split_fraction=0.8, seed=4, rank=30,
+                   inner_iters=2, clip=None, solver=solver)
+        assert seen == [experiments._solver_config(30, 4 + s, 2) for s in range(2)]
+        assert seen[0].max_outer_iters == 120
 
 
 def test_zero_trials_or_splits_raise():

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from lowrank import inner, linalg, objectives
-from lowrank.inner import InnerConfig, optimize_fast, optimize_full
+from lowrank.inner import optimize_fast, optimize_full
 from lowrank.linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
                             project_observed)
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
+from lowrank.solvers import SolverConfig
 
 from conftest import dense_gradient, full_observations
 
@@ -109,7 +110,7 @@ def test_optimize_fast_fully_observed_orthonormal():
     v, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     obj = ObservedQuadratic(full_observations(m))
     u0 = rng.standard_normal((9, 2))
-    pair = optimize_fast(u0, v, 0, obj, InnerConfig(ls_iters=50))
+    pair = optimize_fast(u0, v, 0, obj, 50)
     assert np.allclose(pair.U, m @ v, atol=1e-8)
     assert np.array_equal(pair.V, v)
 
@@ -120,7 +121,7 @@ def test_optimize_fast_unobserved_row_unchanged():
     rng = np.random.default_rng(2)
     u = rng.standard_normal((3, 2))
     v0 = rng.standard_normal((3, 2))
-    pair = optimize_fast(u, v0, 1, ObservedQuadratic(obs), InnerConfig(ls_iters=3))
+    pair = optimize_fast(u, v0, 1, ObservedQuadratic(obs), 3)
     assert np.array_equal(pair.V[2], v0[2])
     assert np.array_equal(pair.U, u)
 
@@ -130,7 +131,7 @@ def test_optimize_fast_matches_dense_oracle_at_high_cap():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((15, 3))
     v0 = rng.standard_normal((12, 3))
-    pair = optimize_fast(u, v0, 1, obj, InnerConfig(ls_iters=100))
+    pair = optimize_fast(u, v0, 1, obj, 100)
     # oracle: per-column dense least squares for V given U
     v_star = np.array(v0)
     for j in range(obs.cols):
@@ -142,7 +143,7 @@ def test_optimize_fast_matches_dense_oracle_at_high_cap():
     oracle_obj = obj.value(FactorPair(u, v_star))
     assert obj.value(pair) == pytest.approx(oracle_obj, abs=1e-8)
     # capped solves cannot beat the exact per-column optimum
-    capped = optimize_fast(u, v0, 1, obj, InnerConfig(ls_iters=3))
+    capped = optimize_fast(u, v0, 1, obj, 3)
     assert obj.value(capped) >= oracle_obj - 1e-10
 
 
@@ -151,10 +152,10 @@ def test_optimize_fast_alternation_sides():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((8, 2))
     v = rng.standard_normal((9, 2))
-    even = optimize_fast(u, v, 0, obj, InnerConfig())
+    even = optimize_fast(u, v, 0, obj, 3)
     assert np.array_equal(even.V, v)
     assert not np.array_equal(even.U, u)
-    odd = optimize_fast(u, v, 1, obj, InnerConfig())
+    odd = optimize_fast(u, v, 1, obj, 3)
     assert np.array_equal(odd.U, u)
     assert not np.array_equal(odd.V, v)
 
@@ -164,13 +165,13 @@ def test_optimize_fast_column_permutation_invariance():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((10, 3))
     v = rng.standard_normal((8, 3))
-    base = optimize_fast(u, v, 1, obj, InnerConfig(ls_iters=3))
+    base = optimize_fast(u, v, 1, obj, 3)
 
     perm = rng.permutation(8)
     inv = np.argsort(perm)
     obs_p = SparseObservations(10, 8, obs.row, inv[obs.col], obs.vals)
     v_p = v[perm]
-    out_p = optimize_fast(u, v_p, 1, ObservedQuadratic(obs_p), InnerConfig(ls_iters=3))
+    out_p = optimize_fast(u, v_p, 1, ObservedQuadratic(obs_p), 3)
     assert np.allclose(out_p.V[inv], base.V, atol=1e-12, rtol=0)
 
 
@@ -179,8 +180,8 @@ def test_optimize_fast_deterministic():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((20, 3))
     v = rng.standard_normal((20, 3))
-    a = optimize_fast(u, v, 0, obj, InnerConfig(ls_iters=3))
-    b = optimize_fast(u, v, 0, obj, InnerConfig(ls_iters=3))
+    a = optimize_fast(u, v, 0, obj, 3)
+    b = optimize_fast(u, v, 0, obj, 3)
     assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
 
 
@@ -190,7 +191,7 @@ def test_optimize_fast_high_cap_stays_finite():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((30, 10))
     v = rng.standard_normal((30, 10))
-    pair = optimize_fast(u, v, 0, obj, InnerConfig(ls_iters=200))
+    pair = optimize_fast(u, v, 0, obj, 200)
     assert np.all(np.isfinite(pair.U))
     assert np.abs(pair.U).max() < 1e6
 
@@ -243,7 +244,7 @@ def _capped_cgnr_without_break(W, F, omega, iters, kernel, side):
 
 def _kernel(omega, rank, iters, side):
     """The kernel `_capped_cgnr` takes for this set, rank, step cap and side."""
-    if fits_dense(omega.shape):
+    if fits_dense(omega.shape, omega.nnz):
         return "dense"
     return "gram" if fits_gram(omega.shape[side], rank, iters) else "gather"
 
@@ -266,10 +267,9 @@ def test_optimize_fast_stop_on_frozen_rows_is_bit_identical():
         obj = ObservedQuadratic(obs)
         u = rng.standard_normal((size["m"], rank))
         v = rng.standard_normal((size["n"], rank))
-        config = InnerConfig(ls_iters=iters)
-        assert np.array_equal(optimize_fast(u, v, 0, obj, config).U,
+        assert np.array_equal(optimize_fast(u, v, 0, obj, iters).U,
                               _capped_cgnr_without_break(u, v, obs, iters, kernel, 0))
-        assert np.array_equal(optimize_fast(u, v, 1, obj, config).V,
+        assert np.array_equal(optimize_fast(u, v, 1, obj, iters).V,
                               _capped_cgnr_without_break(v, u, obs, iters, kernel, 1))
 
 
@@ -296,7 +296,7 @@ def test_optimize_fast_stops_once_every_row_froze(monkeypatch):
         v = rng.standard_normal((size["n"], 4))
         for t in (0, 1):
             calls.clear()
-            optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=100))
+            optimize_fast(u, v, t, ObservedQuadratic(obs), 100)
             assert 0 < len(calls) < 100
         assert ("pattern" in vars(obs)) == (kernel == "gram")
 
@@ -314,20 +314,23 @@ def _kernels_run(monkeypatch, size, rank, iters, t):
     obs, rng = sparse_instance(17, **size)
     u = rng.standard_normal((size["m"], rank))
     v = rng.standard_normal((size["n"], rank))
-    optimize_fast(u, v, t, ObservedQuadratic(obs), InnerConfig(ls_iters=iters))
+    optimize_fast(u, v, t, ObservedQuadratic(obs), iters)
     ran = {"dense": "dense" in vars(obs), "gram": "pattern" in vars(obs),
            "gather": bool(gathers)}
     return {kernel for kernel, yes in ran.items() if yes}
 
 
 def test_capped_cgnr_takes_the_sparse_kernel_above_the_cap(monkeypatch):
-    # a set of at most _DENSE_CELLS cells takes the dense kernel; a larger one
-    # never builds its m x n dense arrays, and forms Gram matrices while
+    # a set that fits_dense (at most _DENSE_CELLS cells or a side of 1, and at
+    # least 1 / _DENSE_FILL of them observed) takes the dense kernel; any
+    # other never builds its m x n dense arrays, and forms Gram matrices while
     # rank + 1 <= 6 * steps, else gathers at every step
     above = dict(m=257, n=256, p=0.02)
     for size, rank, iters, kernel in (
-            (dict(m=256, n=256, p=0.02), 3, 3, "dense"),
-            (dict(m=1, n=70_000, p=0.001), 3, 3, "dense"),
+            (dict(m=256, n=256, p=0.05), 3, 3, "dense"),
+            (dict(m=256, n=256, p=0.02), 3, 3, "gram"),
+            (dict(m=1, n=70_000, p=0.05), 3, 3, "dense"),
+            (dict(m=1, n=70_000, p=0.001), 3, 3, "gram"),
             (above, 3, 3, "gram"), (above, 17, 3, "gram"), (above, 18, 3, "gather"),
             (above, 11, 2, "gram"), (above, 12, 2, "gather"),
             (above, 5, 1, "gram"), (above, 6, 1, "gather")):
@@ -383,14 +386,14 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
 
     def refits(obs, u, v):
         obj = ObservedQuadratic(obs)
-        return [optimize_fast(u, v, t, obj, InnerConfig(ls_iters=iters))
+        return [optimize_fast(u, v, t, obj, iters)
                 for t in (0, 1) for iters in (3, 100)]
 
     def copied(obs):
         return SparseObservations(*obs.shape, obs.row, obs.col, obs.vals)
 
     dense = [refits(*case) for case in cases]
-    monkeypatch.setattr(inner, "fits_dense", lambda shape: False)
+    monkeypatch.setattr(inner, "fits_dense", lambda shape, nnz=None: False)
     gram_sets = [copied(obs) for obs, _, _ in cases]
     gram = [refits(obs, u, v) for obs, (_, u, v) in zip(gram_sets, cases)]
     assert all("pattern" in vars(obs) for obs in gram_sets)
@@ -422,10 +425,9 @@ def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
             assert (obs._counts[0] == 0).any() and (obs._counts[1] == 0).any()
         u = rng.standard_normal((size["m"], rank))
         v = rng.standard_normal((size["n"], rank))
-        config = InnerConfig(ls_iters=iters)
-        v_side = optimize_fast(u, v, 1, ObservedQuadratic(obs), config)
+        v_side = optimize_fast(u, v, 1, ObservedQuadratic(obs), iters)
         flipped = SparseObservations(obs.cols, obs.rows, obs.col, obs.row, obs.vals)
-        u_side = optimize_fast(v, u, 0, ObservedQuadratic(flipped), config)
+        u_side = optimize_fast(v, u, 0, ObservedQuadratic(flipped), iters)
         assert v_side.U is u and u_side.V is u
         assert np.array_equal(v_side.V, u_side.U)
 
@@ -436,9 +438,9 @@ def test_optimize_fast_huber_decreases_objective():
     u = rng.standard_normal((12, 2)) * 0.1
     v = rng.standard_normal((12, 2)) * 0.1
     before = obj.value(FactorPair(u, v))
-    pair = optimize_fast(u, v, 0, obj, InnerConfig())
+    pair = optimize_fast(u, v, 0, obj, 3)
     assert obj.value(pair) < before
-    pair2 = optimize_fast(pair.U, pair.V, 1, obj, InnerConfig())
+    pair2 = optimize_fast(pair.U, pair.V, 1, obj, 3)
     assert obj.value(pair2) <= obj.value(pair) + 1e-12
 
 
@@ -503,7 +505,7 @@ def test_huber_half_step_follows_reference_path(monkeypatch):
     for seed, shape in ((20, (60, 50)), (23, (300, 200)), (24, (37, 2000))):
         obj, u, v = _huber_instance(seed, *shape)
         for t in (0, 1):
-            got = optimize_fast(u, v, t, obj, InnerConfig())
+            got = optimize_fast(u, v, t, obj, 3)
             want = _reference_half_step(u, v, t, obj)
             assert runs[-2] == runs[-1] and runs[-1][1] > 2
             for a, b in ((got.U, want.U), (got.V, want.V)):
@@ -536,7 +538,7 @@ def test_huber_half_step_evaluates_its_start_once(monkeypatch):
         monkeypatch.setattr(obj, "evaluate", counting)
         for t in (0, 1):
             calls.clear()
-            optimize_fast(u, v, t, obj, InnerConfig())
+            optimize_fast(u, v, t, obj, 3)
             assert len(calls) == nfev[-1]
     scaled = sum(nfev)
     nfev.clear()
@@ -566,9 +568,9 @@ def test_huber_half_step_refits_small_scale_data(monkeypatch):
         obj, u, v = _huber_instance(seed, *shape)
         small = HuberLowRank(obj.target * s, obj.delta * s)
         for t in (0, 1):
-            want = optimize_fast(u, v, t, obj, InnerConfig())
-            got = optimize_fast(u, v * s, t, small, InnerConfig()) if t else \
-                optimize_fast(u * s, v, t, small, InnerConfig())
+            want = optimize_fast(u, v, t, obj, 3)
+            got = optimize_fast(u, v * s, t, small, 3) if t else \
+                optimize_fast(u * s, v, t, small, 3)
             a, b, start = (got.V, want.V, v) if t else (got.U, want.U, u)
             assert nit[-1] >= 1
             assert np.linalg.norm(a / s - b) <= 0.02 * np.linalg.norm(start - b)
@@ -583,7 +585,7 @@ def test_huber_half_step_records_the_value_of_its_result(monkeypatch):
         fresh = HuberLowRank(obj.target, obj.delta)
         outs = []
         for t in (0, 1):
-            out = optimize_fast(u, v, t, obj, InnerConfig())
+            out = optimize_fast(u, v, t, obj, 3)
             with monkeypatch.context() as m:
                 m.setattr(obj, "evaluate", None)  # the value must come from the entry
                 assert obj.value(out) == fresh.value(out)
@@ -599,7 +601,7 @@ def test_huber_half_step_keeps_column_facing_a_zero_column():
     # column, whose gradient is zero, stays as it was
     obj, u, v = _huber_instance(25)
     v[:, 1] = 0.0
-    out = optimize_fast(u, v, 0, obj, InnerConfig())
+    out = optimize_fast(u, v, 0, obj, 3)
     assert np.isfinite(out.U).all() and np.array_equal(out.U[:, 1], u[:, 1])
     assert obj.value(out) < obj.value(FactorPair(u, v))
 
@@ -615,7 +617,7 @@ def test_huber_half_step_threads_sharing_one_objective(monkeypatch):
     rng = np.random.default_rng(22)
     starts = [(rng.standard_normal((60, 3)), rng.standard_normal((50, 3)))
               for _ in range(4)]
-    want = [[optimize_fast(u, v, t, obj, InnerConfig()) for t in (0, 1)]
+    want = [[optimize_fast(u, v, t, obj, 3) for t in (0, 1)]
             for u, v in starts]
     wrong = []
 
@@ -623,7 +625,7 @@ def test_huber_half_step_threads_sharing_one_objective(monkeypatch):
         u, v = starts[k]
         for _ in range(5):
             for t in (0, 1):
-                pair = optimize_fast(u, v, t, obj, InnerConfig())
+                pair = optimize_fast(u, v, t, obj, 3)
                 if not (np.array_equal(pair.U, want[k][t].U)
                         and np.array_equal(pair.V, want[k][t].V)):
                     wrong.append((k, t))
@@ -677,11 +679,12 @@ def test_objective_after_inner():
 
 
 def test_inner_config_validation():
-    with pytest.raises(ValueError):
-        InnerConfig(ls_iters=0)
+    # the inner solves' settings are SolverConfig fields
+    with pytest.raises(ValueError, match="ls_iters"):
+        SolverConfig(target_rank=1, ls_iters=0)
     # NaN or negative ran every full refit to its cap; inf stopped it after
     # one step, reported as converged
     for tol in (np.nan, -1.0, np.inf):
         with pytest.raises(ValueError, match="full_solve_tol"):
-            InnerConfig(full_solve_tol=tol)
-    InnerConfig(full_solve_tol=0.0)
+            SolverConfig(target_rank=1, full_solve_tol=tol)
+    SolverConfig(target_rank=1, full_solve_tol=0.0)

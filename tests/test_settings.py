@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lowrank.baselines import SoftImputeConfig, soft_impute
 from lowrank.data import SynthCompletionConfig, SynthRpcaConfig, gen_completion, gen_rpca
 from lowrank.experiments import make_equivalence_problem
-from lowrank.inner import InnerConfig
 from lowrank.linalg import SparseObservations
 from lowrank.objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from lowrank.solvers import SolverConfig, fast_greedy, greedy, local_search
@@ -51,13 +50,13 @@ def _solver_config(data):
 
 
 def _inner_config(data):
-    inner = InnerConfig(ls_iters=pick(data, 3, SIZES),
-                        full_solve_tol=pick(data, 1e-10))
+    cfg = SolverConfig(target_rank=2, ls_iters=pick(data, 3, SIZES),
+                       full_solve_tol=pick(data, 1e-10))
     def run():
         objective = ObservedQuadratic(full_observations(_MATRIX))
         out = []
         for solver in (greedy, fast_greedy):
-            pair, traces = solver(objective, SolverConfig(target_rank=2, inner=inner))
+            pair, traces = solver(objective, cfg)
             out += [pair.matrix()] + [t.objective for t in traces]
         return out
     return run
@@ -209,7 +208,7 @@ def test_integer_settings_name_their_field():
     for build, name in ((lambda v: SolverConfig(target_rank=v), "target_rank"),
                         (lambda v: SolverConfig(2, max_outer_iters=v), "max_outer_iters"),
                         (lambda v: SolverConfig(2, seed=v), "seed"),
-                        (lambda v: InnerConfig(ls_iters=v), "ls_iters"),
+                        (lambda v: SolverConfig(2, ls_iters=v), "ls_iters"),
                         (lambda v: SoftImputeConfig(1.0, v), "max_rank"),
                         (lambda v: SoftImputeConfig(1.0, 3, max_iters=v), "max_iters")):
         for bad in (2.5, 3.0, np.float64(2.0), np.nan, "3", -1):

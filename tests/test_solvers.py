@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import _solver_config
-from lowrank.inner import InnerConfig
 from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
@@ -205,7 +204,7 @@ def test_truncate_fast_matches_bruteforce(seed, r):
 
 def test_fast_greedy_diag_high_cap():
     obj = quadratic_on(np.diag([5.0, 3.0, 1.0]))
-    cfg = SolverConfig(target_rank=2, seed=0, inner=InnerConfig(ls_iters=50))
+    cfg = SolverConfig(target_rank=2, seed=0, ls_iters=50)
     pair, _ = fast_greedy(obj, cfg)
     assert np.allclose(pair.matrix(), np.diag([5.0, 3.0, 0.0]), atol=1e-5)
 
@@ -222,7 +221,7 @@ def test_fast_greedy_flags_objective_up():
     _, observed, _ = gen_completion(cfg)
     _, traces = fast_greedy(ObservedQuadratic(observed),
                             SolverConfig(target_rank=6, seed=0,
-                                         inner=InnerConfig(ls_iters=2)))
+                                         ls_iters=2))
     went_up = [b.objective > a.objective for a, b in zip(traces, traces[1:])]
     assert any(went_up)
     assert ["objective_up" in t.flags.split(";") for t in traces] == [False] + went_up
@@ -239,7 +238,7 @@ def test_fast_greedy_beats_softimpute_train():
     obj = ObservedQuadratic(observed)
 
     train_at_rank = {}
-    scfg = SolverConfig(target_rank=10, seed=31, inner=InnerConfig(ls_iters=100))
+    scfg = SolverConfig(target_rank=10, seed=31, ls_iters=100)
     fast_greedy(obj, scfg,
                 callback=lambda t, p: train_at_rank.update({p.rank: nmse_on(p, observed)}))
     for lam in lambda_grid(observed, seed=31):
@@ -267,7 +266,7 @@ def test_fast_local_search_returns_init_when_optimal():
     rng = np.random.default_rng(28)
     m = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
     obj = quadratic_on(m)
-    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60))
+    cfg = SolverConfig(target_rank=2, seed=3, ls_iters=60)
     g_pair, _ = fast_greedy(obj, cfg)
     l_pair, _ = fast_local_search(obj, cfg)
     assert obj.value(l_pair) == pytest.approx(obj.value(g_pair), abs=1e-12)
@@ -300,7 +299,7 @@ def test_fast_local_search_relative_gradient_floor():
     rng = np.random.default_rng(28)
     m = 1e6 * rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
     obj = quadratic_on(m)
-    cfg = SolverConfig(target_rank=2, seed=3, inner=InnerConfig(ls_iters=60))
+    cfg = SolverConfig(target_rank=2, seed=3, ls_iters=60)
     g_pair, g_traces = fast_greedy(obj, cfg)
     pair, traces = fast_local_search(obj, cfg)
     assert len(traces) == 1
@@ -355,6 +354,12 @@ SWEEP_CASES = (
        ("exact-rank-2", _rank_two_at_scale, 4, 3)])
 
 
+def _bits(pair, traces):
+    """A solver result as bytes, with the trace's timing left out."""
+    return (pair.U.shape, pair.V.shape, pair.U.tobytes(), pair.V.tobytes(),
+            repr([dataclasses.replace(t, wall_nanos=0) for t in traces]))
+
+
 @pytest.mark.parametrize("make, rank, seed", [c[1:] for c in SWEEP_CASES],
                          ids=[c[0] for c in SWEEP_CASES])
 def test_fast_local_sweep_matches_per_rank_runs(make, rank, seed):
@@ -364,15 +369,11 @@ def test_fast_local_sweep_matches_per_rank_runs(make, rank, seed):
     def log_into(seen):
         return lambda t, pair: seen.append((t, pair.U.tobytes(), pair.V.tobytes()))
 
-    def bits(pair, traces):
-        return (pair.U.shape, pair.V.shape, pair.U.tobytes(), pair.V.tobytes(),
-                repr([dataclasses.replace(t, wall_nanos=0) for t in traces]))
-
     ref_seen, seen = [], []
-    reference = [bits(*fast_local_search(objective, c, callback=log_into(ref_seen)))
+    reference = [_bits(*fast_local_search(objective, c, callback=log_into(ref_seen)))
                  for c in configs]
-    swept = [bits(*out) for out in fast_local_sweep(objective, configs,
-                                                     callback=log_into(seen))]
+    swept = [_bits(*out) for out in fast_local_sweep(objective, configs,
+                                                      callback=log_into(seen))]
     assert swept == reference
     assert seen == ref_seen
 
@@ -381,6 +382,23 @@ def test_fast_local_sweep_rejects_mixed_seeds():
     configs = [SolverConfig(target_rank=1, seed=0), SolverConfig(target_rank=2, seed=1)]
     with pytest.raises(ValueError, match="seed"):
         list(fast_local_sweep(quadratic_on(np.eye(3)), configs))
+
+
+def test_fast_local_sweep_checks_only_what_the_greedy_prefix_reads():
+    # the shared greedy run reads seed and ls_iters; eps, max_outer_iters and
+    # full_solve_tol are each config's own
+    objective = _completion_objective(40, 3, 0.3, 1)
+    base = SolverConfig(target_rank=4, seed=1)  # 46 swap passes
+    configs = [base] + [dataclasses.replace(base, **change) for change in (
+        {"eps": 0.1}, {"max_outer_iters": 5}, {"full_solve_tol": 1e-3},
+        {"target_rank": 3, "eps": 0.1})]
+    swept = [_bits(*out) for out in fast_local_sweep(objective, configs)]
+    assert swept == [_bits(*fast_local_search(objective, c)) for c in configs]
+    # eps and max_outer_iters cut the swap passes short
+    assert swept[1] != swept[0] and swept[2] != swept[0]
+    for change in ({"seed": 6}, {"ls_iters": 2}):
+        with pytest.raises(ValueError, match="share seed and ls_iters"):
+            next(fast_local_sweep(objective, [base, dataclasses.replace(base, **change)]))
 
 
 def test_fast_solvers_insert_along_clipped_gradient():
