@@ -32,6 +32,13 @@ __all__ = ["FullSolveInfo", "optimize_full", "optimize_fast"]
 # iteration cap and memory of the capped L-BFGS half-step for Huber objectives
 _LBFGS_ITERS = 10
 _LBFGS_MEMORY = 5
+# the half-step stops once an iteration lowers the objective by at most this
+# share of its start value. Over the six 500 x 500 `rpca` instances, 1e-5
+# takes 150 L-BFGS evaluations, against 232 for scipy's default stops, and
+# is the largest value tried at which no recovery error moves by more than
+# 1e-4 (2.2e-4: 120 evaluations, 1.7e-4). Full sweep: CHANGES.md, "Timing
+# tables".
+_LBFGS_FTOL = 1e-5
 
 
 def minimize(*args, **kwargs):
@@ -243,18 +250,32 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
     preconditioned gradient step -g in x, which is Newton's step when the
     scaled inlier Hessian is about I; a unit step in x left the line search
     to extrapolate. A power of two scales exactly, so a column facing a zero
-    column of F, whose gradient is zero, comes back bit for bit. The
-    gradient in y is c g, so the projected-gradient stop is passed as
-    gtol = 1e-5 c: scipy's default, kept in x's units, where a default in y
-    would end a run near a minimum or on small-scale data at its start.
+    column of F, whose gradient is zero, comes back bit for bit.
+
+    The objective L-BFGS sees is divided by s, the power of two in (f0,
+    2 f0] for the start value f0 (1 when f0 = 0), and so is its gradient,
+    c g / s in y. Both stops then measure the run against its own start:
+    - the projected-gradient stop, gtol = 1e-5 c^2 / s, ends the run once
+      no entry of the gradient in x exceeds 1e-5 c, c being about the
+      start's gradient norm;
+    - L-BFGS-B's value stop divides each iteration's decrease by max(|f|,
+      1), which is 1 from the start on, so `_LBFGS_FTOL` ends the run once
+      an iteration lowers the objective by at most 1e-5 s, about 1e-5 f0.
+    The half-step is solved again at every outer step, so it need not be
+    solved tightly: on the `rpca` instances, the iterations past 1e-5 of f0
+    moved the final recovery error by at most 1e-4. Scaling M, delta and W
+    by a power of two scales g and c by it and f0 and s by its square, so
+    L-BFGS sees the same numbers and the result scales bit for bit (short of
+    overflow and underflow); absolute stops made the work, and the result,
+    depend on the data's units.
 
     Each function evaluation is one `HuberLowRank.evaluate` pass over M's row
     blocks (`objectives._HUBER_BLOCK_CELLS`), whose buffers are per call. The
-    start's pass, which picks c, is handed back as L-BFGS's first
-    evaluation, so no point is evaluated twice. The value L-BFGS ends on is
-    `evaluate` at the returned point, so it is recorded as the objective's
-    (pair, value) entry and the solvers' `value` of the result costs
-    nothing."""
+    start's pass, which picks c and s, is handed back as L-BFGS's first
+    evaluation, so no point is evaluated twice. The value L-BFGS ends on,
+    times s, is `evaluate` at the returned point bit for bit, so it is
+    recorded as the objective's (pair, value) entry and the solvers' `value`
+    of the result costs nothing."""
     side = t % 2
     free, fixed = (V, U) if side else (U, V)
     scale = np.linalg.norm(fixed, axis=0)
@@ -268,20 +289,22 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
     value, grad = objective.evaluate(pair(x0), side)
     grad /= scale  # the gradient in x
     c = math.ldexp(1.0, math.frexp(float(np.linalg.norm(grad)))[1])
+    s = math.ldexp(1.0, math.frexp(value)[1])
     scale /= c  # d / c, exact, so y0 is the same point as x0
+    grad_scale = scale * s  # the gradient of f / s in y is that in W over it
     y0 = x0 / c
-    start = [(value, (grad * c).ravel())]
+    start = [(value / s, (grad * (c / s)).ravel())]
 
     def fun(y):
         if start and np.array_equal(y, y0):  # L-BFGS-B evaluates its start first
             return start.pop()
         value, grad = objective.evaluate(pair(y), side)
-        grad /= scale
-        return value, grad.ravel()
+        grad /= grad_scale
+        return value / s, grad.ravel()
 
     res = minimize(fun, y0, jac=True, method="L-BFGS-B",
                    options={"maxiter": _LBFGS_ITERS, "maxcor": _LBFGS_MEMORY,
-                            "gtol": 1e-5 * c})
+                            "gtol": 1e-5 * c * c / s, "ftol": _LBFGS_FTOL})
     out = pair(res.x)
-    objective.record_value(out, float(res.fun))
+    objective.record_value(out, float(res.fun) * s)
     return out

@@ -108,6 +108,11 @@ class HuberLowRank:
     in one assignment, so threads sharing an objective at worst evaluate
     again. As with `ObservedQuadratic`, a FactorPair must not be mutated
     after it has been passed to an objective.
+
+    The value at the zero matrix must be finite, as `ObservedQuadratic`'s
+    must: a target and delta whose terms overflow it (1e160 each, say) make
+    it NaN or infinite, and the L-BFGS half-step divides its objective by its
+    start value, so they are rejected when the objective is built.
     """
 
     def __init__(self, target: np.ndarray, delta: float):
@@ -120,6 +125,11 @@ class HuberLowRank:
         if not np.isfinite(self.target).all():
             raise ValueError("target has non-finite values")
         self.delta = float(delta)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            start = huber_value(self.target, self.delta)  # H is even: -M as M
+        if not np.isfinite(start):
+            raise ValueError(f"target overflows the objective: its value at the "
+                             f"zero matrix is {start}")
         self._last: tuple[FactorPair | None, float | None] = (None, None)
 
     @property

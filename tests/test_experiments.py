@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from lowrank import experiments, solvers
+from lowrank import experiments, inner, solvers
 from lowrank.baselines import SoftImputeConfig
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
                                  mean_stderr, run_completion, run_equivalence,
@@ -94,6 +94,24 @@ def test_run_rpca_recovers_criterion_10_instances_within_0_2():
     worst = max(run_rpca(100, 100, 3, 0.05, 10.0, 1.0, 3, seed)[1]["rel_frobenius_error"]
                 for seed in range(5))
     assert worst <= 0.2
+
+
+def test_run_rpca_half_steps_stop_by_their_own_rule(monkeypatch):
+    # every L-BFGS half-step on the criterion-10 instances ends on its
+    # gradient or value stop (status 0), none at its step cap
+    runs = []
+    minimize = inner.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append((res.status, res.nit))
+        return res
+
+    monkeypatch.setattr(inner, "minimize", recording)
+    for seed in range(5):
+        run_rpca(100, 100, 3, 0.05, 10.0, 1.0, 3, seed)
+    assert len(runs) == 15
+    assert all(status == 0 and nit < inner._LBFGS_ITERS for status, nit in runs)
 
 
 def test_run_recsys_split_rows():

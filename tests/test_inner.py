@@ -458,17 +458,20 @@ def _huber_instance(seed, m=60, n=50, r=3):
 
 def _reference_half_step(U, V, t, objective, scaled_start=True):
     """The two-closure L-BFGS half-step with fresh temporaries and the
-    elementwise np.where Huber value, on the same variables as the buffered
-    one: y = W * d / c for the free factor W, d the fixed factor's column
-    norms and c the power of two in (||g||, 2 ||g||], g the gradient in
-    W * d at the start. `scaled_start=False` keeps c = 1, the variables of
-    the diagonal scaling alone."""
+    elementwise np.where Huber value, on the same variables and stops as the
+    buffered one: y = W * d / c for the free factor W, d the fixed factor's
+    column norms and c the power of two in (||g||, 2 ||g||], g the gradient
+    in W * d at the start; the objective divided by s, the power of two in
+    (f0, 2 f0] for the start value f0; the gradient stop at 1e-5 c in W * d
+    and the value stop at `inner._LBFGS_FTOL`. `scaled_start=False` runs on
+    y = W * d, the variables of the diagonal scaling alone, with the same
+    stops."""
     M, d = objective.target, objective.delta
     side = t % 2
     free, fixed = (V, U) if side else (U, V)
     scale = np.linalg.norm(fixed, axis=0)
     scale[scale == 0.0] = 1.0
-    c = 1.0
+    c = s = 1.0
 
     def value(resid):
         a = np.abs(resid)
@@ -479,14 +482,18 @@ def _reference_half_step(U, V, t, objective, scaled_start=True):
         resid = (U @ W.T if side else W @ V.T) - M
         clipped = np.clip(resid, -d, d)
         grad = clipped.T @ U if side else clipped @ V
-        return value(resid), (grad * c / scale).ravel()
+        return value(resid) / s, (grad * c / scale / s).ravel()
 
     x0 = (free * scale).ravel()
-    if scaled_start:
-        c = math.ldexp(1.0, math.frexp(float(np.linalg.norm(fun(x0)[1])))[1])
+    f0, g0 = fun(x0)
+    gnorm = math.ldexp(1.0, math.frexp(float(np.linalg.norm(g0)))[1])
+    s = math.ldexp(1.0, math.frexp(f0)[1])
+    c = gnorm if scaled_start else 1.0
     res = inner.minimize(fun, x0 / c, jac=True, method="L-BFGS-B",
                          options={"maxiter": inner._LBFGS_ITERS,
-                                  "maxcor": inner._LBFGS_MEMORY, "gtol": 1e-5 * c})
+                                  "maxcor": inner._LBFGS_MEMORY,
+                                  "gtol": 1e-5 * gnorm * c / s,
+                                  "ftol": inner._LBFGS_FTOL})
     W = res.x.reshape(free.shape) * c / scale
     return FactorPair(U, W) if side else FactorPair(W, V)
 
@@ -548,12 +555,11 @@ def test_huber_half_step_evaluates_its_start_once(monkeypatch):
     assert len(nfev) == 6 and scaled < sum(nfev)
 
 
-def test_huber_half_step_refits_small_scale_data(monkeypatch):
-    # the stop on the projected gradient stays in the units of W * d: in
-    # y = W * d / c, scipy's default would end these runs at their start.
-    # Scaling M, delta and W by s scales the gradient by s, and the stop
-    # rules are not scale-free, so the paths differ, but the scaled-down
-    # result lands within 2% of the unscaled step's length of the unscaled one
+def test_huber_half_step_is_scale_equivariant(monkeypatch):
+    # both stops measure the run against its own start, so scaling M, delta
+    # and the free factor by 2^k scales the result, and the value recorded
+    # for it, by 2^k and 4^k bit for bit on every side, far from scale 1
+    # too; absolute stops ended such runs early or at their start
     nit = []
     minimize = inner.minimize
 
@@ -563,17 +569,20 @@ def test_huber_half_step_refits_small_scale_data(monkeypatch):
         return res
 
     monkeypatch.setattr(inner, "minimize", recording)
-    s = 1e-4
     for seed, shape in ((20, (60, 50)), (23, (300, 200)), (24, (37, 2000))):
         obj, u, v = _huber_instance(seed, *shape)
-        small = HuberLowRank(obj.target * s, obj.delta * s)
-        for t in (0, 1):
-            want = optimize_fast(u, v, t, obj, 3)
-            got = optimize_fast(u, v * s, t, small, 3) if t else \
-                optimize_fast(u * s, v, t, small, 3)
-            a, b, start = (got.V, want.V, v) if t else (got.U, want.U, u)
-            assert nit[-1] >= 1
-            assert np.linalg.norm(a / s - b) <= 0.02 * np.linalg.norm(start - b)
+        want = [optimize_fast(u, v, t, obj, 3) for t in (0, 1)]
+        values = [obj.value(pair) for pair in want]
+        assert min(nit[-2:]) >= 1
+        for k in (-40, -20, -1, 1, 20, 40):
+            f = math.ldexp(1.0, k)
+            scaled = HuberLowRank(obj.target * f, obj.delta * f)
+            for t in (0, 1):
+                got = optimize_fast(u, v * f, t, scaled, 3) if t else \
+                    optimize_fast(u * f, v, t, scaled, 3)
+                a, b = (got.V, want[t].V) if t else (got.U, want[t].U)
+                assert np.array_equal(a, b * f)
+                assert scaled.value(got) == values[t] * f * f
 
 
 def test_huber_half_step_records_the_value_of_its_result(monkeypatch):

@@ -245,3 +245,20 @@ def test_observed_values_that_overflow_the_objective_are_rejected():
     assert any("overflow" in str(w.message) for w in record)
     assert np.isfinite(pair.matrix()).all()
     assert traces[1].objective == 0.5 * 1e150 ** 2 > traces[0].objective
+
+
+def test_huber_targets_that_overflow_the_objective_are_rejected():
+    # a target and delta of 1e160 used to build with a NaN value at the zero
+    # matrix (inf - inf in huber_value), and fast_greedy then traced NaN
+    # objectives; at 1e150 the value, about 1e302, is finite, and the
+    # half-step, which divides the objective by its start value, traces
+    # finite objectives with no overflow on the way
+    target = np.random.default_rng(0).standard_normal((20, 15))
+    with pytest.raises(ValueError, match="overflow.*nan"):
+        HuberLowRank(1e160 * target, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair, traces = fast_greedy(HuberLowRank(1e150 * target, 1e150),
+                                   SolverConfig(target_rank=2))
+    assert np.isfinite(pair.matrix()).all()
+    assert np.isfinite([t.objective for t in traces]).all()
