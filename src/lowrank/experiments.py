@@ -50,10 +50,10 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
                      p: float, snr: float, solver: str, rank: int,
                      inner_iters: int) -> tuple[list[dict], list[IterationTrace]]:
     """One seeded trial; returns per-rank rows of train/test NMSE plus the
-    solver trace (for fast-local: the trace of the full-budget run; for
-    softimpute: every lambda run, largest lambda first, each last row
-    flagged `capped` when it stopped above tol and `rank_capped` when the
-    rank cap binds)."""
+    solver trace (for local and fast-local: the trace of the full-budget
+    run; for softimpute: every lambda run, largest lambda first, each last
+    row flagged `capped` when it stopped above tol and `rank_capped` when
+    the rank cap binds)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
     _, observed, heldout = gen_completion(cfg)
     if heldout.nnz == 0:
@@ -72,15 +72,17 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
             "seconds": time.perf_counter() - start,
         })
 
-    if solver in ("greedy", "fast-greedy", "local"):
+    if solver in ("greedy", "fast-greedy"):
         scfg = _solver_config(rank, seed, inner_iters)
-        fn = {"greedy": greedy, "fast-greedy": fast_greedy, "local": local_search}[solver]
+        fn = {"greedy": greedy, "fast-greedy": fast_greedy}[solver]
         _, traces = fn(objective, scfg, callback=lambda t, pair: record(pair, pair.rank))
-    elif solver == "fast-local":
-        # the swap passes change the whole solution, so each target rank has
-        # its own; the greedy phase is one run shared by all of them
+    elif solver in ("local", "fast-local"):
+        # the swaps change the whole solution, so each target rank has its
+        # own run; fast-local's greedy phase is one run shared by all of them
         configs = [_solver_config(r, seed, inner_iters) for r in range(1, rank + 1)]
-        for scfg, (pair, traces) in zip(configs, fast_local_sweep(objective, configs)):
+        runs = (fast_local_sweep(objective, configs) if solver == "fast-local"
+                else (local_search(objective, c) for c in configs))
+        for scfg, (pair, traces) in zip(configs, runs):
             record(pair, scfg.target_rank)
     elif solver == "softimpute":
         # the lambda path from the largest value down, each run warm-started

@@ -224,10 +224,6 @@ class FactorPair:
     def empty(cls, m: int, n: int) -> "FactorPair":
         return cls(np.zeros((m, 0)), np.zeros((n, 0)))
 
-    @classmethod
-    def zeros(cls, m: int, n: int, r: int) -> "FactorPair":
-        return cls(np.zeros((m, r)), np.zeros((n, r)))
-
     @property
     def rank(self) -> int:
         return self.U.shape[1]

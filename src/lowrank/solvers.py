@@ -89,9 +89,9 @@ def _step_seed(seed: int, t: int) -> int:
 def truncate_svd(pair: FactorPair) -> FactorPair:
     """Drop the minimum singular value of U V^T; factors keep one fewer column.
 
-    Retained singular values are folded into the left factor. When the
-    represented matrix has rank below the column count, the dropped
-    component is a zero singular value and the matrix is unchanged.
+    The result is the SVD's leading components: left singular vectors scaled
+    by their singular values, and orthonormal right singular vectors. Local
+    search calls it only on a pair at its rank budget.
     """
     if pair.rank < 1:
         raise ValueError("cannot truncate a rank-0 pair")
@@ -110,21 +110,21 @@ def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
 
 
 def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
-            fast: bool, truncate: bool, patience: int | None = None,
+            fast: bool, patience: int | None = None,
             eps: float = 0.0, offset: int = 0, sigma0: float | None = None,
             callback=None) -> tuple[FactorPair, list[IterationTrace]]:
     """The outer loop of all four solvers; returns the best iterate and trace.
 
-    Step t inserts the gradient's top singular pair (seed offset + t) after
-    truncate_fast / truncate_svd if `truncate`, refits with
-    optimize_fast (parity t) or optimize_full, and evaluates. A top sigma at
-    most 1e-12 * (1 + sigma0) ends the loop with a `gradient_zero` row;
-    sigma0 defaults to the first sigma. With patience=None every step is
-    kept; otherwise a step must lower the best objective by more than eps,
-    `patience` failures in a row end the loop, and only improving steps and
-    the final `stalled` one are traced. A traced row whose objective is above
-    the previous traced row's gets `objective_up`. The callback sees every
-    iterate.
+    Step t inserts the gradient's top singular pair (seed offset + t), after
+    truncate_fast / truncate_svd once the pair is at config.target_rank,
+    refits with optimize_fast (parity t) or optimize_full, and evaluates. A
+    top sigma at most 1e-12 * (1 + sigma0) ends the loop with a
+    `gradient_zero` row; sigma0 defaults to the first sigma. With
+    patience=None every step is kept; otherwise a step must lower the best
+    objective by more than eps, `patience` failures in a row end the loop,
+    and only improving steps and the final `stalled` one are traced. A
+    traced row whose objective is above the previous traced row's gets
+    `objective_up`. The callback sees every iterate.
     """
     gradient = objective.gradient
     if fast:
@@ -149,9 +149,9 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
             break
         flags = []
         removed = None
-        if truncate and fast:
+        if pair.rank >= config.target_rank and fast:
             pair, removed = truncate_fast(pair)
-        elif truncate:
+        elif pair.rank >= config.target_rank:
             pair = truncate_svd(pair)
         pair = pair.append(trip.u, trip.v)
         if fast:
@@ -184,32 +184,31 @@ def greedy(objective, config: SolverConfig, callback=None
            ) -> tuple[FactorPair, list[IterationTrace]]:
     """Rank-1 pursuit with the full joint coefficient refit (reference path)."""
     return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.target_rank, fast=False, truncate=False,
-                   callback=callback)
+                   config.target_rank, fast=False, callback=callback)
 
 
 def local_search(objective, config: SolverConfig, callback=None
                  ) -> tuple[FactorPair, list[IterationTrace]]:
-    """Rank-constrained local search: truncate, insert, refit for L iterations.
+    """Rank-constrained local search: insert, truncate at the budget, refit,
+    for L iterations.
 
-    Starts from all-zero factors of width target_rank; while the represented
-    rank is below the width, truncation removes a zero singular value and
-    the iteration behaves like a greedy step. Stops at the first step that
-    fails to improve the objective by more than eps (degraded steps, e.g. the
-    r=1 direction oscillation, are not kept) and returns the previous iterate.
+    Starts from the empty pair, so its first target_rank steps are greedy's;
+    from then on each step drops the minimum singular value before it
+    inserts. Stops at the first step that fails to improve the objective by
+    more than eps (degraded steps, e.g. the r=1 direction oscillation, are
+    not kept) and returns the previous iterate.
     """
     eps = 1e-10 if config.eps is None else config.eps
-    pair = FactorPair.zeros(*objective.shape, config.target_rank)
-    return _pursue(objective, config, pair, config.max_outer_iters, fast=False,
-                   truncate=True, patience=1, eps=eps, callback=callback)
+    return _pursue(objective, config, FactorPair.empty(*objective.shape),
+                   config.max_outer_iters, fast=False, patience=1, eps=eps,
+                   callback=callback)
 
 
 def fast_greedy(objective, config: SolverConfig, callback=None
                 ) -> tuple[FactorPair, list[IterationTrace]]:
     """Greedy with the one-sided alternating inner solve (the practical path)."""
     return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.target_rank, fast=True, truncate=False,
-                   callback=callback)
+                   config.target_rank, fast=True, callback=callback)
 
 
 def fast_local_search(objective, config: SolverConfig, callback=None
@@ -241,8 +240,11 @@ def fast_local_sweep(objective, configs, callback=None):
     gradient_zero after k < rank steps leaves iterate k, as the shorter run
     would. The configs must share seed and ls_iters (ValueError, raised on
     the first iteration, otherwise); the other fields are each config's own.
+    No configs yield nothing.
     """
     configs = list(configs)
+    if not configs:
+        return
     if len({(c.seed, c.ls_iters) for c in configs}) > 1:
         raise ValueError("fast_local_sweep configs must share seed and ls_iters")
     ranks = {c.target_rank for c in configs}
@@ -259,5 +261,5 @@ def fast_local_sweep(objective, configs, callback=None):
         start = iterates.get(config.target_rank, last)
         eps = 0.0 if config.eps is None else config.eps
         yield _pursue(objective, config, start, config.max_outer_iters, fast=True,
-                      truncate=True, patience=2, eps=eps, offset=config.target_rank,
+                      patience=2, eps=eps, offset=config.target_rank,
                       sigma0=init[0].top_sigma, callback=callback)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import FactorPair
+from .linalg import FactorPair, check_integers
 from .solvers import SolverConfig, greedy, local_search
 
 __all__ = [
@@ -45,7 +45,8 @@ class SparseRegressionProblem:
         for name in ("design", "response"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if not 0 <= self.sparsity <= self.dim:
+        check_integers(self, sparsity=0)
+        if self.sparsity > self.dim:
             raise ValueError(f"sparsity must be in [0, {self.dim}], got {self.sparsity}")
 
     @property
@@ -239,20 +240,19 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
     step k comes from one omp / ompr run of `steps` steps (the k-step run is
     its prefix). The matrix iterate at step k is still recovered by
     re-running the (deterministic) solver for k steps, because perfbench
-    pins the `equivalence` workload's solver-run count. `steps` must be at
-    least 1, since a check of no steps compares nothing, and both
-    tolerances must be finite and >= 0.
+    pins the `equivalence` workload's solver-run count. `steps` must be an
+    integer of at least 1, since a check of no steps compares nothing, and
+    both tolerances must be finite and >= 0.
     """
     if mode not in ("greedy", "local"):
         raise ValueError("mode must be 'greedy' or 'local'")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
+    check_integers(report, steps=1)
     for name, tol in (("offdiag_tol", offdiag_tol), ("iterate_tol", iterate_tol)):
         if not 0.0 <= tol < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     lifted = LiftedQuadratic(problem, beta)
-    report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
-    vectors = _pursuit_iterates(problem, mode, steps)
+    vectors = _pursuit_iterates(problem, mode, report.steps)
 
     # the diagonality assertion needs coefficient refits far below the
     # library's default tolerance

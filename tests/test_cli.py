@@ -62,7 +62,7 @@ def test_equivalence_without_steps_is_an_error(capsys):
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "steps must be >= 1" in captured.err
+        assert "steps must be an integer >= 1" in captured.err
 
 
 def test_equivalence_bad_inputs_name_the_field(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import threading
 
@@ -6,10 +7,12 @@ import pytest
 
 from lowrank import experiments, inner, solvers
 from lowrank.baselines import SoftImputeConfig
+from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
                                  mean_stderr, run_completion, run_equivalence,
                                  run_recsys, run_rpca)
 from lowrank.linalg import FactorPair, SparseObservations
+from lowrank.objectives import ObservedQuadratic
 
 
 def test_mean_stderr():
@@ -59,6 +62,22 @@ def test_fast_local_trial_runs_greedy_once(monkeypatch):
     rows, _ = completion_trial(0, 3, 30, 30, 2, 0.5, 10.0, "fast-local", 5, 3)
     assert calls == [5]
     assert [r["rank"] for r in rows] == [1, 2, 3, 4, 5]
+
+
+def test_local_trial_runs_each_target_rank():
+    # one run to --rank used to label all of its iterates with that rank, so
+    # best_rank always read --rank
+    rows, traces = completion_trial(0, 0, 40, 40, 2, 0.4, 10.0, "local", 4, 3)
+    assert [r["rank"] for r in rows] == [1, 2, 3, 4]
+    cfg = SynthCompletionConfig(40, 40, 2, 0.4, 10.0, 0)
+    _, observed, heldout = gen_completion(cfg)
+    for row in rows:
+        pair, last = solvers.local_search(ObservedQuadratic(observed),
+                                          experiments._solver_config(row["rank"], 0, 3))
+        assert (row["train_nmse"], row["test_nmse"]) == (nmse_on(pair, observed),
+                                                         nmse_on(pair, heldout))
+    assert [dataclasses.replace(t, wall_nanos=0) for t in traces] == \
+        [dataclasses.replace(t, wall_nanos=0) for t in last]
 
 
 def test_softimpute_trial_flags_capped_runs(monkeypatch):

@@ -152,7 +152,7 @@ def _sparse_problem(data):
         pick(data, None, st.sampled_from(["design", "response"]))]
     if target is not None and target.size:
         target.flat[data.draw(st.integers(0, target.size - 1))] = data.draw(ODD)
-    problem = SparseRegressionProblem(design, response, pick(data, 2, COUNTS))
+    problem = SparseRegressionProblem(design, response, pick(data, 2, SIZES))
     return lambda: [omp(problem, min(problem.dim, 2)).coef, ompr(problem, 1, 3).coef]
 
 
@@ -174,8 +174,10 @@ def _equivalence_problem(data):
 
 def _tolerances(data):
     beta = 1.01 * float(np.linalg.eigvalsh(_PROBLEM.design.T @ _PROBLEM.design)[-1])
-    report = check_equivalence(_PROBLEM, beta, 2, mode=data.draw(st.sampled_from(
-        ["greedy", "local"])), offdiag_tol=pick(data, 1e-8), iterate_tol=pick(data, 1e-6))
+    report = check_equivalence(
+        _PROBLEM, beta, pick(data, 2, SIZES),
+        mode=data.draw(st.sampled_from(["greedy", "local"])),
+        offdiag_tol=pick(data, 1e-8), iterate_tol=pick(data, 1e-6))
     return lambda: [report.max_offdiag, report.max_iterate_diff]
 
 
@@ -203,14 +205,20 @@ def test_soft_impute_rejects_non_finite_tol():
 
 
 def test_integer_settings_name_their_field():
-    # a fraction used to build and then fail with a TypeError inside a solve;
-    # a numpy integer is stored as an int
+    # a fraction used to build and then fail with a TypeError inside a solve,
+    # or, as check_equivalence's steps, in range(); SparseRegressionProblem
+    # took a fractional sparsity; a numpy integer is stored as an int
     for build, name in ((lambda v: SolverConfig(target_rank=v), "target_rank"),
                         (lambda v: SolverConfig(2, max_outer_iters=v), "max_outer_iters"),
                         (lambda v: SolverConfig(2, seed=v), "seed"),
                         (lambda v: SolverConfig(2, ls_iters=v), "ls_iters"),
                         (lambda v: SoftImputeConfig(1.0, v), "max_rank"),
-                        (lambda v: SoftImputeConfig(1.0, 3, max_iters=v), "max_iters")):
+                        (lambda v: SoftImputeConfig(1.0, 3, max_iters=v), "max_iters"),
+                        (lambda v: SparseRegressionProblem(_PROBLEM.design,
+                                                           _PROBLEM.response, v),
+                         "sparsity"),
+                        (lambda v: check_equivalence(_PROBLEM, 1.0, v, mode="local"),
+                         "steps")):
         for bad in (2.5, 3.0, np.float64(2.0), np.nan, "3", -1):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 build(bad)

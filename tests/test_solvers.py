@@ -152,7 +152,45 @@ def test_local_search_width_bounded():
     widths = []
     cfg = SolverConfig(target_rank=4, max_outer_iters=10, seed=1)
     local_search(obj, cfg, callback=lambda t, p: widths.append(p.rank))
-    assert max(widths) <= 4
+    assert widths == [1, 2, 3, 4] + [4] * (len(widths) - 4)
+
+
+def _same_pair(a, b):
+    return np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+
+def test_local_search_first_iterate_is_greedys():
+    # a start from zero factors of full width put the first insertion next to
+    # arbitrary null-space directions of the truncation's SVD, and the refit
+    # used them: u w^T with |cos(w, v)| = 0.99905, objective 815.0984 against
+    # greedy's 815.6572
+    _, observed, _ = gen_completion(SynthCompletionConfig(60, 50, 3, 0.3, 10.0, 0))
+    obj = ObservedQuadratic(observed)
+    cfg = SolverConfig(target_rank=4)
+    seen = []
+    local_search(obj, cfg, callback=lambda t, p: seen.append(p))
+    g_pair, _ = greedy(obj, dataclasses.replace(cfg, target_rank=1))
+    assert _same_pair(seen[0], g_pair)
+
+
+@given(seed=st.integers(0, 2 ** 16), rank=st.integers(1, 4),
+       observed=st.booleans())
+def test_local_search_grows_as_greedy_does(seed, rank, observed):
+    # before the budget no step truncates, so each iterate is greedy's
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((9, 7))
+    if observed:
+        cells = rng.permutation(63)[:45]
+        obj = ObservedQuadratic(SparseObservations(9, 7, cells // 7, cells % 7,
+                                                   mat.ravel()[cells]))
+    else:
+        obj = quadratic_on(mat)
+    cfg = SolverConfig(target_rank=rank, max_outer_iters=rank + 3, seed=seed % 7)
+    g_seen, l_seen = [], []
+    greedy(obj, cfg, callback=lambda t, p: g_seen.append(p))
+    local_search(obj, cfg, callback=lambda t, p: l_seen.append(p))
+    assert [p.rank for p in l_seen[:rank]] == list(range(1, rank + 1))
+    assert all(_same_pair(g, p) for g, p in zip(g_seen, l_seen[:rank]))
 
 
 # -------------------------------------------------------------- truncations
@@ -378,6 +416,11 @@ def test_fast_local_sweep_matches_per_rank_runs(make, rank, seed):
     assert seen == ref_seen
 
 
+def test_fast_local_sweep_of_no_configs_yields_nothing():
+    # the greedy prefix runs to the largest target rank, and there was none
+    assert list(fast_local_sweep(quadratic_on(np.eye(3)), [])) == []
+
+
 def test_fast_local_sweep_rejects_mixed_seeds():
     configs = [SolverConfig(target_rank=1, seed=0), SolverConfig(target_rank=2, seed=1)]
     with pytest.raises(ValueError, match="seed"):
@@ -428,7 +471,7 @@ def test_solver_config_validation():
         SolverConfig(target_rank=1, eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(target_rank=1, seed=-3)
-    # a NaN eps made local_search stop after one step at its all-zero start
+    # a NaN eps made local_search stop after its first step
     for eps in (np.nan, np.inf):
         with pytest.raises(ValueError, match="eps"):
             SolverConfig(target_rank=1, eps=eps)

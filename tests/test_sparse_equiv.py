@@ -211,7 +211,7 @@ def bits(x):
 def lifted_pairs(n, rng):
     pairs = [FactorPair(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
              for r in (1, 2, 5)]
-    pairs += [FactorPair.empty(n, n), FactorPair.zeros(n, n, 3)]
+    pairs += [FactorPair.empty(n, n), FactorPair(np.zeros((n, 3)), np.zeros((n, 3)))]
     eye = np.eye(n)
     pairs.append(FactorPair(eye[:, [0, 2]] * [-1.5, 0.25], eye[:, [0, 2]]))
     # beta < 1/2 times the least negative subnormal rounds to -0.0, which the
@@ -311,7 +311,7 @@ def test_equivalence_rejects_no_steps():
     problem = planted(0, 10, 4, 1)
     for steps in (0, -3):
         for mode in ("greedy", "local"):
-            with pytest.raises(ValueError, match="steps must be >= 1"):
+            with pytest.raises(ValueError, match="steps must be an integer >= 1"):
                 check_equivalence(problem, 1.0, steps, mode=mode)
 
 
