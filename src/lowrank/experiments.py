@@ -4,13 +4,14 @@ recommender splits, and the pursuit-equivalence check."""
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from .baselines import SoftImputeConfig, lambda_grid, soft_impute
 from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
                    gen_rpca, nmse_on, rmse_on, split_ratings)
-from .linalg import SparseObservations
+from .linalg import SparseObservations, check_integers
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from .sparse_equiv import (EquivalenceReport, SparseRegressionProblem,
                            check_equivalence)
@@ -227,13 +228,15 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     instances). `orthonormal` orthonormalizes the design columns;
     `correlation` > 0 mixes in an equicorrelated factor instead.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= sparsity <= n:
+    sizes = SimpleNamespace(n=n, sparsity=sparsity, examples=examples)
+    check_integers(sizes, n=1, sparsity=0)
+    n, sparsity = sizes.n, sizes.sparsity
+    if sparsity > n:
         raise ValueError(f"sparsity must be in [0, n = {n}], got {sparsity}")
-    rows = 3 * n if examples is None else examples
-    if rows < (n if orthonormal else 1):
-        raise ValueError(f"examples must be >= {n if orthonormal else 1}, got {rows}")
+    if examples is None:
+        sizes.examples = 3 * n
+    check_integers(sizes, examples=n if orthonormal else 1)
+    rows = sizes.examples
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must be in [0, 1), got {correlation}")
     rng = np.random.default_rng(seed)

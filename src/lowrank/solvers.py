@@ -36,32 +36,23 @@ _SIGMA_FLOOR = 1e-12
 class SolverConfig:
     """Shared configuration for the four outer solvers.
 
-    target_rank is the rank budget r; max_outer_iters is the iteration
-    count L of local search (and a safety cap on fast local search passes).
-    eps is the objective-improvement stopping slack; None picks the
-    per-algorithm default (1e-10 for local_search, 0 i.e. strict decrease
-    for fast_local_search). Each insertion is the gradient's top singular
-    pair from top_singular_triplet, to machine precision. The fast solvers
-    take the insertion direction from the objective's insertion_gradient
-    when it has one (clipped ratings). ls_iters caps the per-row CG steps
-    of the fast solvers' refit (2-3 act as regularization); full_solve_tol
-    is the CG tolerance of the full refit of greedy and local_search.
+    target_rank is the rank budget r. max_outer_iters is the iteration
+    count L of local search, and a safety cap on fast local search passes.
+    ls_iters caps the per-row CG steps of the fast solvers' refit (2-3 act
+    as regularization). seed picks the start vectors of the insertions that
+    top_singular_triplet finds by Lanczos. Each insertion is the gradient's
+    top singular pair, to machine precision. The fast solvers take the
+    insertion direction from the objective's insertion_gradient when it has
+    one (clipped ratings).
     """
 
     target_rank: int
     max_outer_iters: int = 100
-    eps: float | None = None
     ls_iters: int = 3
-    full_solve_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         check_integers(self, target_rank=1, max_outer_iters=1, ls_iters=1, seed=0)
-        if self.eps is not None and not 0.0 <= self.eps < np.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        if not 0.0 <= self.full_solve_tol < np.inf:
-            raise ValueError(f"full_solve_tol must be finite and >= 0, "
-                             f"got {self.full_solve_tol}")
 
 
 @dataclass
@@ -111,7 +102,7 @@ def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
 
 def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
             fast: bool, patience: int | None = None,
-            eps: float = 0.0, offset: int = 0, sigma0: float | None = None,
+            offset: int = 0, sigma0: float | None = None,
             callback=None) -> tuple[FactorPair, list[IterationTrace]]:
     """The outer loop of all four solvers; returns the best iterate and trace.
 
@@ -120,8 +111,8 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     refits with optimize_fast (parity t) or optimize_full, and evaluates. A
     top sigma at most 1e-12 * (1 + sigma0) ends the loop with a
     `gradient_zero` row; sigma0 defaults to the first sigma. With
-    patience=None every step is kept; otherwise a step must lower the best
-    objective by more than eps, `patience` failures in a row end the loop,
+    patience=None every step is kept; otherwise a step is kept only if it
+    lowers the best objective, `patience` failures in a row end the loop,
     and only improving steps and the final `stalled` one are traced. A
     traced row whose objective is above the previous traced row's gets
     `objective_up`. The callback sees every iterate.
@@ -157,13 +148,12 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
         if fast:
             pair = optimize_fast(pair.U, pair.V, t, objective, config.ls_iters)
         else:
-            pair, info = optimize_full(pair.U, pair.V, objective,
-                                       tol=config.full_solve_tol)
+            pair, info = optimize_full(pair.U, pair.V, objective)
             if not info.converged:
                 flags.append("cg_incomplete")
         obj = objective.value(pair)
         flags += went_up(obj)
-        if patience is None or best_obj - obj > eps:
+        if patience is None or obj < best_obj:
             best, best_obj, stall = pair, obj, 0
         else:
             stall += 1
@@ -194,13 +184,12 @@ def local_search(objective, config: SolverConfig, callback=None
 
     Starts from the empty pair, so its first target_rank steps are greedy's;
     from then on each step drops the minimum singular value before it
-    inserts. Stops at the first step that fails to improve the objective by
-    more than eps (degraded steps, e.g. the r=1 direction oscillation, are
-    not kept) and returns the previous iterate.
+    inserts. Stops at the first step that fails to lower the best objective
+    (degraded steps, e.g. the r=1 direction oscillation, are not kept) and
+    returns the previous iterate.
     """
-    eps = 1e-10 if config.eps is None else config.eps
     return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.max_outer_iters, fast=False, patience=1, eps=eps,
+                   config.max_outer_iters, fast=False, patience=1,
                    callback=callback)
 
 
@@ -219,8 +208,8 @@ def fast_local_search(objective, config: SolverConfig, callback=None
     The truncated half-refits rebuild one factor per pass, so the raw
     objective oscillates by refit side while both sides keep improving; the
     pass chain therefore runs until the best value stops decreasing, i.e.
-    until two consecutive passes (one per side) fail to improve it by more
-    than eps. Returns the best (last improving) pair. The trace records the
+    until two consecutive passes (one per side) fail to lower the best
+    objective. Returns the best (last improving) pair. The trace records the
     improving passes plus the final stalled one, so its objectives are
     strictly decreasing except the final entry. The greedy phase's first
     sigma anchors the gradient-zero floor. This is `fast_local_sweep` over
@@ -239,8 +228,8 @@ def fast_local_sweep(objective, configs, callback=None):
     start from that run's iterate at its rank. A greedy run that stops at
     gradient_zero after k < rank steps leaves iterate k, as the shorter run
     would. The configs must share seed and ls_iters (ValueError, raised on
-    the first iteration, otherwise); the other fields are each config's own.
-    No configs yield nothing.
+    the first iteration, otherwise); target_rank and max_outer_iters are
+    each config's own. No configs yield nothing.
     """
     configs = list(configs)
     if not configs:
@@ -259,7 +248,6 @@ def fast_local_sweep(objective, configs, callback=None):
     for config in configs:
         # a rank the greedy run stopped short of starts from its last iterate
         start = iterates.get(config.target_rank, last)
-        eps = 0.0 if config.eps is None else config.eps
         yield _pursue(objective, config, start, config.max_outer_iters, fast=True,
-                      patience=2, eps=eps, offset=config.target_rank,
+                      patience=2, offset=config.target_rank,
                       sigma0=init[0].top_sigma, callback=callback)

@@ -61,18 +61,15 @@ class SparseRegressionProblem:
 class SparseFit:
     support: list[int]
     coef: np.ndarray  # full-length vector, zero off support
-    rank_deficient: bool = False
 
 
-def _refit(problem: SparseRegressionProblem, support: list[int]) -> tuple[np.ndarray, bool]:
+def _refit(problem: SparseRegressionProblem, support: list[int]) -> np.ndarray:
     """Exact least squares on the support (minimum-norm if rank-deficient)."""
     x = np.zeros(problem.dim)
-    if not support:
-        return x, False
-    cols = problem.design[:, support]
-    sol, _, rank, _ = np.linalg.lstsq(cols, problem.response, rcond=None)
-    x[support] = sol
-    return x, rank < len(support)
+    if support:
+        x[support] = np.linalg.lstsq(problem.design[:, support], problem.response,
+                                     rcond=None)[0]
+    return x
 
 
 # relative floor under which the gradient counts as numerically zero
@@ -110,7 +107,6 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
         raise ValueError("sparsity must be >= 1")
     support: list[int] = []
     x = np.zeros(problem.dim)
-    deficient = False
     g0 = None
     for t in range(steps):
         g = problem.grad(x)
@@ -125,11 +121,10 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
             support.remove(j)
         if i not in support:
             support.append(i)
-        x, bad = _refit(problem, support)
-        deficient = deficient or bad
+        x = _refit(problem, support)
         if callback is not None:
-            callback(t, SparseFit(list(support), x, deficient))
-    return SparseFit(support, x, deficient)
+            callback(t, SparseFit(list(support), x))
+    return SparseFit(support, x)
 
 
 class LiftedQuadratic:
@@ -254,15 +249,11 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
     lifted = LiftedQuadratic(problem, beta)
     vectors = _pursuit_iterates(problem, mode, report.steps)
 
-    # the diagonality assertion needs coefficient refits far below the
-    # library's default tolerance
     for k, vec in enumerate(vectors, start=1):
         if mode == "greedy":
-            cfg = SolverConfig(target_rank=k, full_solve_tol=1e-13, seed=seed)
-            pair, _ = greedy(lifted, cfg)
+            pair, _ = greedy(lifted, SolverConfig(target_rank=k, seed=seed))
         else:
-            cfg = SolverConfig(target_rank=problem.sparsity, max_outer_iters=k,
-                               eps=0.0, full_solve_tol=1e-13, seed=seed)
+            cfg = SolverConfig(target_rank=problem.sparsity, max_outer_iters=k, seed=seed)
             pair, _ = local_search(lifted, cfg)
 
         off, diag = lifted._split(pair)

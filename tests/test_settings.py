@@ -41,8 +41,7 @@ _PROBLEM = make_equivalence_problem(6, 2, 1)
 
 def _solver_config(data):
     cfg = SolverConfig(target_rank=pick(data, 2, SIZES),
-                       max_outer_iters=pick(data, 4, SIZES),
-                       eps=pick(data, None), seed=pick(data, 0, SIZES))
+                       max_outer_iters=pick(data, 4, SIZES), seed=pick(data, 0, SIZES))
     def run():
         pair, traces = local_search(ObservedQuadratic(full_observations(_MATRIX)), cfg)
         return [pair.U, pair.V] + [t.objective for t in traces]
@@ -50,8 +49,7 @@ def _solver_config(data):
 
 
 def _inner_config(data):
-    cfg = SolverConfig(target_rank=2, ls_iters=pick(data, 3, SIZES),
-                       full_solve_tol=pick(data, 1e-10))
+    cfg = SolverConfig(target_rank=2, ls_iters=pick(data, 3, SIZES))
     def run():
         objective = ObservedQuadratic(full_observations(_MATRIX))
         out = []
@@ -166,8 +164,8 @@ def _lifted(data):
 
 def _equivalence_problem(data):
     problem = make_equivalence_problem(
-        pick(data, 5, COUNTS), pick(data, 2, COUNTS), data.draw(st.integers(0, 3)),
-        examples=pick(data, None, COUNTS), orthonormal=data.draw(st.booleans()),
+        pick(data, 5, SIZES), pick(data, 2, SIZES), data.draw(st.integers(0, 3)),
+        examples=pick(data, None, SIZES), orthonormal=data.draw(st.booleans()),
         correlation=pick(data, 0.0, ODD | st.sampled_from([0.99, 1.0])))
     return lambda: [problem.design, problem.response, omp(problem, 1).coef]
 
