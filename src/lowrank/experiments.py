@@ -228,8 +228,8 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     instances). `orthonormal` orthonormalizes the design columns;
     `correlation` > 0 mixes in an equicorrelated factor instead.
     """
-    sizes = SimpleNamespace(n=n, sparsity=sparsity, examples=examples)
-    check_integers(sizes, n=1, sparsity=0)
+    sizes = SimpleNamespace(n=n, sparsity=sparsity, examples=examples, seed=seed)
+    check_integers(sizes, n=1, sparsity=0, seed=0)
     n, sparsity = sizes.n, sizes.sparsity
     if sparsity > n:
         raise ValueError(f"sparsity must be in [0, n = {n}], got {sparsity}")
@@ -239,7 +239,7 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     rows = sizes.examples
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must be in [0, 1), got {correlation}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sizes.seed)
     g = rng.standard_normal((rows, n))
     if orthonormal:
         design, _ = np.linalg.qr(g)

@@ -1,33 +1,34 @@
 """Inner optimization: full joint coefficient solve and fast one-sided solves.
 
-The full solve refits an r x r coefficient matrix X in R(U X V^T) by
-conjugate gradient on the normal equations. The fast solve refits one whole
-factor, decomposed into independent per-row least-squares systems, each run
-for a fixed (small) number of CG-on-normal-equations steps from a zero
-start; the iteration cap doubles as regularization. Each CG step's product
-takes one of three kernels by the size rules in `linalg`: masked dense
-GEMMs on an observed set that `fits_dense`, per-row r x r Gram matrices
-formed once per refit on any other at the ranks and step caps where that
-pays (`fits_gram`), and a gather of the observed entries at every step
-otherwise. The V half-step is the U half-step on the transposed set, read
-through the `.T` of the set's own matrices: the dense arrays' transposes and
-CSC views of its CSR skeleton, so nothing is built twice. Huber objectives
-refit by a capped, preconditioned L-BFGS instead (`_huber_half_step` says
-how and why). scipy's optimizer is imported on its first use.
+The full solve refits an r x r coefficient matrix X in R(U X V^T) exactly,
+by one Cholesky solve of the objective's r^2 x r^2 normal matrix. The fast
+solve refits one whole factor, decomposed into independent per-row
+least-squares systems, each run for a fixed (small) number of
+CG-on-normal-equations steps from a zero start; the iteration cap doubles
+as regularization. Each CG step's product takes one of three kernels by
+the size rules in `linalg`: masked dense GEMMs on an observed set that
+`fits_dense`, per-row r x r Gram matrices formed once per refit on any
+other at the ranks and step caps where that pays (`fits_gram`), and a
+gather of the observed entries at every step otherwise. The V half-step
+is the U half-step on the transposed set, read through the `.T` of the
+set's own matrices: the dense arrays' transposes and CSC views of its CSR
+skeleton, so nothing is built twice. Huber objectives refit by a capped,
+preconditioned L-BFGS instead (`_huber_half_step` says how and why).
+scipy's optimizer is imported on its first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
-                     project_observed)
+                     project_observed, row_grams)
 from .objectives import HuberLowRank, ObservedQuadratic
 
-__all__ = ["FullSolveInfo", "optimize_full", "optimize_fast"]
+__all__ = ["optimize_full", "optimize_fast"]
 
 # iteration cap and memory of the capped L-BFGS half-step for Huber objectives
 _LBFGS_ITERS = 10
@@ -39,8 +40,19 @@ _LBFGS_MEMORY = 5
 # 1e-4 (2.2e-4: 120 evaluations, 1.7e-4). Full sweep: CHANGES.md, "Timing
 # tables".
 _LBFGS_FTOL = 1e-5
-# relative residual at which the full refit's CG stops; `optimize_full` says why
-_FULL_TOL = 1e-13
+# A Cholesky pivot of the full refit's normal matrix at most this share of
+# its diagonal entry marks the matrix numerically singular, and the
+# fallback then drops the eigenvalues at most this share of the largest
+# (`optimize_full`). Every matrix of condition number under 1e10 passes.
+_RCOND = 1e-10
+# The full refit's cap on the cells of each array it builds
+# (`check_full_refit`), 32 MB: the normal matrix has r^4 cells and its
+# Cholesky costs r^6 / 3 flops. At the cap (2-core host, one OpenBLAS
+# thread) one refit takes 0.21 s and peaks at 51 MB (tracemalloc) at r = 45
+# on a 943 x 1682 set with 100k entries, and 0.29 s and 84 MB at r = 26 on
+# 6040 x 3706 with 1M; `recsys`'s default rank of 100 would need 800 MB for
+# the normal matrix alone.
+_NORMAL_CELLS = 1 << 22
 
 
 def minimize(*args, **kwargs):
@@ -51,68 +63,51 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-@dataclass
-class FullSolveInfo:
-    converged: bool
-    iterations: int
+def check_full_refit(rank: int, shape: tuple[int, int]) -> None:
+    """Raise ValueError if the full refit at this rank would build an array
+    of more than `_NORMAL_CELLS` cells: its r^2 x r^2 normal matrix, or the
+    objective's products of factor columns, at most r^2 cells for each row
+    of the longer side of `shape`."""
+    cells = rank * rank * max(rank * rank, max(shape))
+    if cells > _NORMAL_CELLS:
+        raise ValueError(f"the full refit at rank {rank} on a {shape[0]} x {shape[1]} "
+                         f"objective needs {cells} cells, above its cap of "
+                         f"{_NORMAL_CELLS}")
 
 
-def optimize_full(U: np.ndarray, V: np.ndarray, objective
-                  ) -> tuple[FactorPair, FullSolveInfo]:
+def optimize_full(U: np.ndarray, V: np.ndarray, objective) -> FactorPair:
     """Minimize R(U X V^T) over X in R^{r x r}; returns (U X, V).
 
-    Requires a quadratic objective, i.e. one with a `quad_term`. CG runs on
-    the normal equations from a zero start for at most 10 r^2 steps, so
-    singular systems yield the minimum-norm solution (the non-converged flag
-    is reported, not raised). CG stops once the residual is at most 1e-13
-    of the right-hand side's norm, about rounding level, for the
-    equivalence check (criterion 6): it asserts that the solvers' iterates
-    on a lifted sparse problem are diagonal and match the vector pursuit's
-    iterates, which they do to 1.8e-13 over its 20 checks at this stop,
-    against 6.6e-13 at 1e-10.
+    Requires a quadratic objective, i.e. one with a `normal_matrix`: the
+    r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on row-major vec(X).
+    The refit solves H x = b, b = -U^T grad R(0) V, once, by LAPACK's
+    Cholesky. If that fails, or a pivot is at most `_RCOND` of its diagonal
+    entry of H, H counts as numerically singular and x is the minimum-norm
+    solution instead: the eigh pseudo-inverse, without the eigenvalues at
+    most `_RCOND` of the largest. A rank whose arrays exceed the cap raises
+    ValueError (`check_full_refit`).
     """
     r = U.shape[1]
     if r == 0:
-        return FactorPair(U, V), FullSolveInfo(True, 0)
-    if not hasattr(objective, "quad_term"):
+        return FactorPair(U, V)
+    if not hasattr(objective, "normal_matrix"):
         raise ValueError("optimize_full requires a quadratic objective")
+    check_full_refit(r, objective.shape)
 
     m, n = objective.shape
     g0 = objective.gradient(FactorPair.empty(m, n))
-    b = -(U.T @ (g0 @ V))
-
-    def matvec(x):
-        return U.T @ (objective.quad_term(U @ x, V) @ V)
-
-    x, info = _cg(matvec, b, 10 * r * r)
-    return FactorPair(U @ x, V), info
-
-
-def _cg(matvec, b: np.ndarray, max_iters: int) -> tuple[np.ndarray, FullSolveInfo]:
-    """Plain CG over matrix-shaped unknowns with Frobenius inner products."""
-    x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, FullSolveInfo(True, 0)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    it = 0
-    for it in range(1, max_iters + 1):
-        q = matvec(p)
-        pq = float(np.vdot(p, q))
-        if pq <= 0.0:
-            # numerically semidefinite direction: stop at current (min-norm) iterate
-            return x, FullSolveInfo(False, it)
-        alpha = rs / pq
-        x = x + alpha * p
-        r = r - alpha * q
-        rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= _FULL_TOL * bnorm:
-            return x, FullSolveInfo(True, it)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, FullSolveInfo(False, it)
+    b = -(U.T @ (g0 @ V)).ravel()
+    h = objective.normal_matrix(U, V)
+    diagonal = h.diagonal().copy()
+    # in place: h.T is h's Fortran-order view, and either triangle serves
+    c, info = dpotrf(h.T, clean=False, overwrite_a=True)
+    if info == 0 and np.all(c.diagonal() ** 2 > _RCOND * diagonal):
+        x, info = dpotrs(c, b)
+    else:
+        w, q = np.linalg.eigh(objective.normal_matrix(U, V))
+        keep = w > _RCOND * w[-1]
+        x = q[:, keep] @ ((b @ q[:, keep]) / w[keep])
+    return FactorPair(U @ x.reshape(r, r), V)
 
 
 def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
@@ -203,10 +198,9 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
     A set that `fits_dense` (shape and fill) takes two GEMMs and a masked
     multiply per product. Any other makes no m x n array. When the refit
     `fits_gram`, row i's Gram matrix G_i = F[omega_i]^T F[omega_i] is formed
-    once, as one SpMM of the set's 0/1 pattern by the r(r+1)/2 column
-    products of F, and each product is the batched G_i P_i. Otherwise each
-    product gathers the observed entries of P F^T and multiplies a CSR view
-    of them by F."""
+    once (`linalg.row_grams`), and each product is the batched G_i P_i.
+    Otherwise each product gathers the observed entries of P F^T and
+    multiplies a CSR view of them by F."""
     def oriented(a):
         return a.T if side else a
 
@@ -223,12 +217,8 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
     rhs = oriented(omega.csr()) @ F
     r = F.shape[1]
     if fits_gram(omega.shape[side], r, iters):
-        upper = np.triu_indices(r)
-        packed = oriented(omega.pattern) @ (F[:, upper[0]] * F[:, upper[1]])
-        # slot[a, b]: the packed column holding G[a, b], so one take fills
-        # both triangles
-        slot = np.empty((r, r), dtype=np.intp)
-        slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
+        packed, slot = row_grams(F, omega, side)
+        # one take fills both triangles
         gram = np.take(packed, slot.ravel(), axis=1).reshape(-1, r, r)
         return rhs, lambda P: np.einsum("ijk,ik->ij", gram, P)
 

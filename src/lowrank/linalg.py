@@ -260,10 +260,10 @@ _DENSE_CELLS = 65536
 
 # The fill floor of `fits_dense`: dense work costs a GEMM over every cell,
 # the gather and CSR kernels a multiply-add per entry and about 40 us of
-# fixed cost. At 256 x 256 they cross between 2% and 5% observed (a
-# `quad_term` and its product by V, dense vs sparse at r = 5 / 30: 106 / 328
-# vs 149 / 205 us at 2%, 122 / 344 vs 266 / 1318 at 5%). Full sweep:
-# CHANGES.md, "Timing tables".
+# fixed cost. At 256 x 256 they cross between 2% and 5% observed (the
+# Hessian product Pi_Omega(L R^T), as a matrix on the set, and its product
+# by V, dense vs sparse at r = 5 / 30: 106 / 328 vs 149 / 205 us at 2%,
+# 122 / 344 vs 266 / 1318 at 5%). Full sweep: CHANGES.md, "Timing tables".
 _DENSE_FILL = 32
 
 
@@ -283,7 +283,7 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
       the blocked gather);
     - gradients: `SparseObservations.matrix_with` builds a dense array,
       zero off the set (else a CSR matrix), for the observed objectives'
-      gradients and `quad_term`.
+      gradients.
     """
     rows, cols = shape
     if nnz is not None and nnz * _DENSE_FILL < rows * cols:
@@ -316,6 +316,24 @@ def fits_gram(rows: int, rank: int, steps: int) -> bool:
     beside it is about half its size.
     """
     return rank + 1 <= _GRAM_STEP_RANKS * steps and rows * rank * rank <= _GRAM_CELLS
+
+
+def row_grams(F: np.ndarray, omega: SparseObservations, side: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(packed, slot): the Gram matrix K_i = sum_j F[j]^T F[j] over the
+    entries j observed in row i of `omega` (column i on side 1), for every
+    i, packed by symmetry: K_i[a, b] = packed[i, slot[a, b]].
+
+    One SpMM of the set's 0/1 pattern by the r(r+1)/2 column products of F
+    (nnz x r(r+1)/2 multiply-adds). The capped refit's Gram kernel and the
+    observed quadratic's normal matrix both start from it."""
+    r = F.shape[1]
+    upper = np.triu_indices(r)
+    pattern = omega.pattern.T if side else omega.pattern
+    packed = pattern @ (F[:, upper[0]] * F[:, upper[1]])
+    slot = np.empty((r, r), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
+    return packed, slot
 
 
 def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> SingularTriplet:

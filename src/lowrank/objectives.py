@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactorPair, SparseObservations, project_observed
+from .linalg import FactorPair, SparseObservations, project_observed, row_grams
 
 __all__ = [
     "ObservedQuadratic",
@@ -76,10 +76,19 @@ class ObservedQuadratic:
     def gradient(self, pair: FactorPair) -> np.ndarray | sp.spmatrix:
         return self.target.matrix_with(self.residual(pair))
 
-    def quad_term(self, left: np.ndarray, right: np.ndarray) -> np.ndarray | sp.spmatrix:
-        """Hessian applied to left @ right^T (here: Pi_Omega of the product)."""
-        vals = project_observed(FactorPair(left, right), self.target)
-        return self.target.matrix_with(vals)
+    def normal_matrix(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The r^2 x r^2 matrix H of X -> U^T Pi_Omega(U X V^T) V on row-major
+        vec(X): H[(a, b), (c, d)] = sum_i U_ia U_ic K_i[b, d], K_i the Gram
+        matrix of the rows of V observed in row i (`linalg.row_grams`).
+
+        The sum runs over both factors' packed column products, so one
+        p x p GEMM of two m x p arrays forms it, p = r(r+1)/2; one broadcast
+        index, packed[slot[a, c], slot[b, d]], unpacks it."""
+        grams, slot = row_grams(V, self.target, 0)
+        upper = np.triu_indices(U.shape[1])
+        packed = (U[:, upper[0]] * U[:, upper[1]]).T @ grams
+        r2 = U.shape[1] ** 2
+        return packed[slot[:, None, :, None], slot[None, :, None, :]].reshape(r2, r2)
 
 
 def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import optimize_fast, optimize_full
-from .linalg import FactorPair, check_integers, svd_threshold, top_singular_triplet
+from .inner import check_full_refit, optimize_fast, optimize_full
+from .linalg import FactorPair, check_integers, top_singular_triplet
 
 __all__ = [
     "SolverConfig",
@@ -59,9 +59,8 @@ class SolverConfig:
 class IterationTrace:
     """One outer iteration: rank, objective, insertion sigma, timing.
 
-    flags joins with ';' any of gradient_zero, stalled, cg_incomplete and
-    objective_up (empty when none applies); README.md's CSV section defines
-    them.
+    flags joins with ';' any of gradient_zero, stalled and objective_up
+    (empty when none applies); README.md's CSV section defines them.
     """
 
     iter: int
@@ -81,13 +80,18 @@ def truncate_svd(pair: FactorPair) -> FactorPair:
     """Drop the minimum singular value of U V^T; factors keep one fewer column.
 
     The result is the SVD's leading components: left singular vectors scaled
-    by their singular values, and orthonormal right singular vectors. Local
-    search calls it only on a pair at its rank budget.
+    by their singular values, and orthonormal right singular vectors. The
+    SVD is U V^T = Q_U (R_U R_V^T) Q_V^T from QRs of the factors and the
+    SVD of the r x r middle (Golub & Van Loan, section 2.5), so no m x n
+    array is made. Local search calls it only on a pair at its rank budget.
     """
     if pair.rank < 1:
         raise ValueError("cannot truncate a rank-0 pair")
-    out, _ = svd_threshold(pair.matrix(), pair.rank - 1)
-    return out
+    qu, ru = np.linalg.qr(pair.U)
+    qv, rv = np.linalg.qr(pair.V)
+    u, s, vt = np.linalg.svd(ru @ rv.T, full_matrices=False)
+    k = min(pair.rank - 1, s.size)
+    return FactorPair(qu @ (u[:, :k] * s[:k]), qv @ vt[:k].T)
 
 
 def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
@@ -115,8 +119,11 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     lowers the best objective, `patience` failures in a row end the loop,
     and only improving steps and the final `stalled` one are traced. A
     traced row whose objective is above the previous traced row's gets
-    `objective_up`. The callback sees every iterate.
+    `objective_up`. The callback sees every iterate. The full refit's rank
+    cap (`inner.check_full_refit`) is checked before the first step.
     """
+    if not fast:
+        check_full_refit(config.target_rank, objective.shape)
     gradient = objective.gradient
     if fast:
         gradient = getattr(objective, "insertion_gradient", gradient)
@@ -148,9 +155,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
         if fast:
             pair = optimize_fast(pair.U, pair.V, t, objective, config.ls_iters)
         else:
-            pair, info = optimize_full(pair.U, pair.V, objective)
-            if not info.converged:
-                flags.append("cg_incomplete")
+            pair = optimize_full(pair.U, pair.V, objective)
         obj = objective.value(pair)
         flags += went_up(obj)
         if patience is None or obj < best_obj:

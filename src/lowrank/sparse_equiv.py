@@ -144,7 +144,7 @@ class LiftedQuadratic:
         self.problem = problem
         self.beta = float(beta)
         n = problem.dim
-        self._gram = problem.design.T @ problem.design
+        self._shifted_gram = problem.design.T @ problem.design - self.beta * np.eye(n)
         self._diagonal = np.diag_indices(n)
         self._last = (None, None, None)  # (pair, off-diagonal part, diagonal)
         self._zero_grad = self._with_diagonal(np.zeros((n, n)), problem.grad(np.zeros(n)))
@@ -185,11 +185,18 @@ class LiftedQuadratic:
         off, diag = self._split(pair)
         return self._with_diagonal(np.multiply(off, self.beta), self.problem.grad(diag))
 
-    def quad_term(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        e = left @ right.T
-        d = self._gram @ e[self._diagonal]
-        e *= self.beta
-        return self._with_diagonal(e, d)
+    def normal_matrix(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on row-major
+        vec(X): beta (U^T U kron V^T V) + W^T (G - beta I) W, with G the
+        design's Gram matrix and W[k, (a, b)] = U_ka V_kb, since the Hessian
+        maps E to beta E + Diag((G - beta I) diag E). The Kronecker product
+        is one broadcast multiply (`np.kron` is slower at these sizes)."""
+        r = U.shape[1]
+        h = (self.beta * (U.T @ U))[:, None, :, None] * (V.T @ V)[None, :, None, :]
+        h = h.reshape(r * r, r * r)
+        w = (U[:, :, None] * V[:, None, :]).reshape(-1, r * r)
+        h += w.T @ (self._shifted_gram @ w)
+        return h
 
 
 @dataclass

@@ -230,6 +230,18 @@ def test_zero_trials_or_splits_exit_one(tmp_path, mini_ratings, capsys):
         assert not csv_path.exists()
 
 
+def test_recsys_full_refit_rank_above_its_cap_exits_one(tmp_path, mini_ratings, capsys):
+    # greedy's full refit at recsys's default rank of 100 would build a
+    # 10^4 x 10^4 normal matrix; it is refused before the first step
+    csv_path = tmp_path / "g.csv"
+    code = run_cli(["recsys", "--data", str(mini_ratings), "--solver", "greedy",
+                    "--csv", str(csv_path), "--json", str(tmp_path / "g.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rank 100" in err and "cap of 4194304" in err
+    assert not csv_path.exists()
+
+
 def test_recsys_missing_data_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["recsys", "--rank", "3"])

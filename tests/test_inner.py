@@ -14,7 +14,7 @@ from lowrank.inner import optimize_fast, optimize_full
 from lowrank.linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
                             project_observed)
 from lowrank.objectives import HuberLowRank, ObservedQuadratic
-from lowrank.solvers import SolverConfig
+from lowrank.solvers import SolverConfig, greedy, local_search
 
 from conftest import dense_gradient, full_observations
 
@@ -34,8 +34,7 @@ def test_optimize_full_closed_form_orthonormal():
     u, _ = np.linalg.qr(rng.standard_normal((8, 3)))
     v, _ = np.linalg.qr(rng.standard_normal((7, 3)))
     obj = ObservedQuadratic(full_observations(m))
-    pair, info = optimize_full(u, v, obj)
-    assert info.converged
+    pair = optimize_full(u, v, obj)
     x_expect = u.T @ m @ v
     assert np.allclose(pair.U, u @ x_expect, atol=1e-8)
     assert np.allclose(pair.V, v)
@@ -45,7 +44,7 @@ def test_optimize_full_single_entry_scalar():
     obs = SparseObservations(3, 3, [1], [2], [6.0])
     u = np.array([[0.0], [2.0], [0.0]])
     v = np.array([[0.0], [0.0], [3.0]])
-    pair, _ = optimize_full(u, v, ObservedQuadratic(obs))
+    pair = optimize_full(u, v, ObservedQuadratic(obs))
     # u_1 * X * v_2 = 6 -> X = 1
     assert pair.matrix()[1, 2] == pytest.approx(6.0, abs=1e-10)
 
@@ -55,7 +54,7 @@ def test_optimize_full_first_order_optimality():
     obj = ObservedQuadratic(obs)
     u = rng.standard_normal((20, 3))
     v = rng.standard_normal((20, 3))
-    pair, info = optimize_full(u, v, obj)
+    pair = optimize_full(u, v, obj)
     g = dense_gradient(obj.gradient(pair))
     # U^T grad V = 0 at the optimum (Eq.-(2) optimality condition)
     resid = np.linalg.norm(pair.U.T @ g @ pair.V) / (1 + np.linalg.norm(g, 2))
@@ -69,16 +68,14 @@ def test_optimize_full_never_increases_objective():
         u = rng.standard_normal((12, 2))
         v = rng.standard_normal((10, 2))
         before = obj.value(FactorPair(u, v))
-        pair, _ = optimize_full(u, v, obj)
+        pair = optimize_full(u, v, obj)
         assert obj.value(pair) <= before + 1e-12
 
 
 def test_optimize_full_rank_zero_noop():
     obs = SparseObservations(3, 3, [0], [0], [1.0])
-    pair, info = optimize_full(np.zeros((3, 0)), np.zeros((3, 0)),
-                               ObservedQuadratic(obs))
+    pair = optimize_full(np.zeros((3, 0)), np.zeros((3, 0)), ObservedQuadratic(obs))
     assert pair.rank == 0
-    assert info.converged
 
 
 def test_optimize_full_rejects_non_quadratic():
@@ -88,18 +85,63 @@ def test_optimize_full_rejects_non_quadratic():
 
 
 def test_optimize_full_singular_system_min_norm():
-    # duplicate columns make the normal system singular; CG from zero still
-    # returns a finite (minimum-norm) solution and reports itself
+    # duplicate columns make the normal system singular; the refit still
+    # returns a finite (minimum-norm) solution
     obs, rng = sparse_instance(8, m=10, n=10, p=0.7)
     obj = ObservedQuadratic(obs)
     col_u = rng.standard_normal((10, 1))
     col_v = rng.standard_normal((10, 1))
     u = np.hstack([col_u, col_u])
     v = np.hstack([col_v, col_v])
-    pair, info = optimize_full(u, v, obj)
+    pair = optimize_full(u, v, obj)
     assert np.all(np.isfinite(pair.U))
     before = obj.value(FactorPair(u, v))
     assert obj.value(pair) <= before + 1e-12
+
+
+def _lstsq_coefficients(obs, U, V):
+    """The minimum-norm X of min ||U[row] X V[col]^T - vals||, by lstsq on the
+    explicit nnz x r^2 design (row-major vec(X))."""
+    design = (U[obs.row][:, :, None] * V[obs.col][:, None, :]).reshape(obs.nnz, -1)
+    r = U.shape[1]
+    return np.linalg.lstsq(design, obs.vals, rcond=None)[0].reshape(r, r)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicate", "ill"])
+def test_optimize_full_matches_min_norm_lstsq(kind):
+    # U has orthonormal columns, so X = U^T (U X); the duplicate and
+    # ill-conditioned cases put their defect in V. Wide and tall sets and
+    # both gradient kernels are covered.
+    for seed, (m, n, p) in enumerate([(12, 15, 0.6), (15, 12, 0.6), (300, 260, 0.05)]):
+        obs, rng = sparse_instance(40 + seed, m, n, p)
+        U, _ = np.linalg.qr(rng.standard_normal((m, 3)))
+        V = rng.standard_normal((n, 3))
+        if kind == "duplicate":
+            V[:, 2] = V[:, 0]
+        elif kind == "ill":
+            V[:, 2] = V[:, 0] + 1e-3 * V[:, 2]
+        want = _lstsq_coefficients(obs, U, V)
+        got = U.T @ optimize_full(U, V, ObservedQuadratic(obs)).U
+        tol = {"random": 1e-12, "duplicate": 1e-12, "ill": 1e-7}[kind]
+        assert np.abs(got - want).max() <= tol * np.abs(want).max(), kind
+
+
+def test_optimize_full_rank_cap():
+    # the cap is checked before anything is built, and the solvers check
+    # their target rank before the first step
+    obs = SparseObservations(60, 60, [0], [0], [1.0])
+    obj = ObservedQuadratic(obs)
+    rank = 46  # 46^4 cells > 2^22
+    with pytest.raises(ValueError, match=rf"rank {rank} .*cap of {inner._NORMAL_CELLS}"):
+        optimize_full(np.zeros((60, rank)), np.zeros((60, rank)), obj)
+    for solver in (greedy, local_search):
+        with pytest.raises(ValueError, match=rf"rank {rank} .*cap"):
+            solver(obj, SolverConfig(target_rank=rank))
+    inner.check_full_refit(45, obs.shape)  # 45^4 cells fit
+    # column products count too: r^2 cells for each row of the longer side
+    inner.check_full_refit(26, (6040, 3706))
+    with pytest.raises(ValueError, match="rank 27"):
+        inner.check_full_refit(27, (3706, 6040))
 
 
 # ------------------------------------------------------------- optimize_fast
@@ -682,8 +724,7 @@ def test_objective_after_inner():
     expect = 0.5 * sum((v - dense[i, j]) ** 2
                        for i, j, v in zip(obs.row, obs.col, obs.vals))
     assert obj.value(half) == pytest.approx(expect, abs=1e-12)
-    refit, info = optimize_full(half.U, half.V, obj)
-    assert info.converged
+    refit = optimize_full(half.U, half.V, obj)
     assert obj.value(refit) <= 1e-12 * expect
 
 

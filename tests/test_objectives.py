@@ -391,7 +391,6 @@ def test_gradient_matrices_match_dense_reference():
     # the small instance last: the Huber and lifted checks reuse its draws
     for size in SIZES[::-1]:
         obs, pair, rng = random_instance(17, **size)
-        left, right = rng.standard_normal((obs.rows, 2)), rng.standard_normal((obs.cols, 2))
         a, m = pair.matrix(), np.zeros(obs.shape)
         m[obs.row, obs.col] = obs.vals
         perm = rng.permutation(obs.nnz)
@@ -400,10 +399,8 @@ def test_gradient_matrices_match_dense_reference():
         got = {}
         for key, omega in (("sorted", obs), ("shuffled", shuffled)):
             quad, clip = ObservedQuadratic(omega), ClippedObservedQuadratic(omega, -0.5, 0.5)
-            got[key] = [quad.gradient(pair), quad.quad_term(left, right),
-                        clip.insertion_gradient(pair)]
-            wants = [_on_omega(omega, a - m), _on_omega(omega, left @ right.T),
-                     _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
+            got[key] = [quad.gradient(pair), clip.insertion_gradient(pair)]
+            wants = [_on_omega(omega, a - m), _on_omega(omega, np.clip(a, -0.5, 0.5) - m)]
             for g, want in zip(got[key], wants):
                 _check_matrix(g, want, not fits_dense(obs.shape, obs.nnz), rng)
         # entry order changes nothing: each entry's value is computed alone
@@ -417,12 +414,64 @@ def test_gradient_matrices_match_dense_reference():
     problem = SparseRegressionProblem(design, rng.standard_normal(12), 2)
     lifted, beta = LiftedQuadratic(problem, 2.0), 2.0
     sq = FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
-    a6, e6 = sq.matrix(), left[:6] @ right[:6].T
+    a6 = sq.matrix()
     off = np.ones((6, 6)) - np.eye(6)
     _check_matrix(lifted.gradient(sq),
                   np.diag(problem.grad(np.diag(a6).copy())) + beta * off * a6, False, rng)
-    _check_matrix(lifted.quad_term(left[:6], right[:6]),
-                  np.diag(design.T @ design @ np.diag(e6)) + beta * off * e6, False, rng)
+
+
+def _dense_normal_matrix(U, V, hessian):
+    """The matrix of X -> vec(U^T hessian(U X V^T) V), one basis X at a time."""
+    r = U.shape[1]
+    cols = []
+    for k in range(r * r):
+        x = np.zeros(r * r)
+        x[k] = 1.0
+        cols.append((U.T @ hessian(U @ x.reshape(r, r) @ V.T) @ V).ravel())
+    return np.column_stack(cols)
+
+
+def test_observed_normal_matrix_matches_dense_hessian():
+    # both sides of fits_dense, sorted and shuffled entries
+    dense = set()
+    for size in SIZES:
+        m, n = size["m"], size["n"]
+        obs, _, rng = random_instance(23, m=m, n=n, p=size.get("p", 0.6))
+        perm = rng.permutation(obs.nnz)
+        shuffled = SparseObservations(m, n, obs.row[perm], obs.col[perm],
+                                      obs.vals[perm])
+        dense.add(fits_dense(obs.shape, obs.nnz))
+        U, V = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
+        want = _dense_normal_matrix(U, V, lambda e: _on_omega(obs, e))
+        for omega in (obs, shuffled):
+            h = ObservedQuadratic(omega).normal_matrix(U, V)
+            assert h.shape == (9, 9)
+            assert np.allclose(h, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            x = rng.standard_normal(9)
+            assert np.allclose(h @ x, want @ x, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max() * np.abs(x).sum())
+    assert dense == {True, False}
+
+
+def test_lifted_normal_matrix_matches_dense_hessian():
+    rng = np.random.default_rng(29)
+    design = rng.standard_normal((12, 7))
+    problem = SparseRegressionProblem(design, rng.standard_normal(12), 3)
+    gram = design.T @ design
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    U, V = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    for beta in (1.01 * top, 0.3 * top):  # G - beta I negative / indefinite
+        lifted = LiftedQuadratic(problem, beta)
+
+        def hessian(e):
+            return np.diag(gram @ np.diag(e)) + beta * (e - np.diag(np.diag(e)))
+
+        want = _dense_normal_matrix(U, V, hessian)
+        h = lifted.normal_matrix(U, V)
+        assert np.allclose(h, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        x = rng.standard_normal(9)
+        assert np.allclose(h @ x, want @ x, rtol=1e-12,
+                           atol=1e-12 * np.abs(want).max() * np.abs(x).sum())
 
 
 def test_gradients_match_fd_on_twenty_directions():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import _solver_config
-from lowrank.linalg import FactorPair, SparseObservations, svd_threshold
+from lowrank.linalg import (FactorPair, SparseObservations, svd_threshold,
+                            top_singular_triplet)
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
                              fast_local_sweep, greedy, local_search,
@@ -93,6 +94,30 @@ def test_greedy_gradient_zero_invariant_via_callback():
 
     greedy(obj, SolverConfig(target_rank=4, seed=4), callback=probe)
     assert worst <= 1e-6
+
+
+def test_greedy_refits_exactly_at_movielens_100k_size():
+    # 943 x 1682 with 100k observed entries: every refit is solved (the span
+    # probe of criterion 4, at 1e-8) and nothing is flagged
+    config = SynthCompletionConfig(943, 1682, 5, 100_000 / (943 * 1682), 10.0, 0)
+    _, observed, _ = gen_completion(config)
+    obj = ObservedQuadratic(observed)
+    rng = np.random.default_rng(0)
+    worst = []
+
+    def probe(t, pair):
+        g = obj.gradient(pair)
+        top = top_singular_triplet(g).sigma
+        for _ in range(8):
+            u = pair.U @ rng.standard_normal(pair.rank)
+            v = pair.V @ rng.standard_normal(pair.rank)
+            worst.append(abs(u @ (g @ v)) / (np.linalg.norm(u) * np.linalg.norm(v)
+                                             * (1.0 + top)))
+
+    pair, traces = greedy(obj, SolverConfig(target_rank=12), callback=probe)
+    assert pair.rank == 12 and len(worst) == 12 * 8
+    assert max(worst) <= 1e-8
+    assert [t.flags for t in traces] == [""] * 12
 
 
 def test_greedy_deterministic():
@@ -235,6 +260,13 @@ def test_truncate_svd_matches_dense_oracle():
     pair = FactorPair(rng.standard_normal((9, 5)), rng.standard_normal((8, 5)))
     out = truncate_svd(pair)
     oracle, _ = svd_threshold(pair.matrix(), 4)
+    assert np.allclose(out.matrix(), oracle.matrix(), atol=1e-8)
+    assert np.allclose(out.V.T @ out.V, np.eye(4), atol=1e-12)
+    # a rank above the short side keeps that side's rank
+    wide = FactorPair(rng.standard_normal((3, 5)), rng.standard_normal((8, 5)))
+    out = truncate_svd(wide)
+    oracle, _ = svd_threshold(wide.matrix(), 4)
+    assert out.rank == oracle.rank == 3
     assert np.allclose(out.matrix(), oracle.matrix(), atol=1e-8)
 
 
