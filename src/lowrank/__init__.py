@@ -5,7 +5,7 @@ from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
                    gen_rpca, load_movielens, nmse_on, rmse_on, split_ratings)
 from .inner import optimize_fast, optimize_full
 from .linalg import (FactorPair, SingularTriplet, SparseObservations,
-                     project_observed, svd_threshold, top_singular_triplet)
+                     project_observed, top_singular_triplet)
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
 from .solvers import (IterationTrace, SolverConfig, fast_greedy,
                       fast_local_search, fast_local_sweep, greedy, local_search,

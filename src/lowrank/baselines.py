@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -15,17 +15,22 @@ __all__ = ["SoftImputeConfig", "SoftImputeTrace", "soft_impute", "lambda_grid"]
 
 @dataclass
 class SoftImputeConfig:
+    """The penalty lam and the rank cap max_rank of one SoftImpute run.
+
+    A run stops at a relative change of at most `tol` or after `max_iters`
+    steps: class constants, not fields, read from a config by whoever
+    judges whether a run was capped.
+    """
+
     lam: float
     max_rank: int
-    max_iters: int = 200
-    tol: float = 1e-5
+    max_iters: ClassVar[int] = 200
+    tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and >= 0")
-        check_integers(self, max_rank=1, max_iters=1)
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        check_integers(self, max_rank=1)
 
 
 @dataclass
@@ -83,8 +88,11 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
     too, the exact plain step is taken, so the traced objective never goes
     up.
 
-    A run stops when an exact step moves A by a relative Frobenius change of
-    at most tol, or after max_iters steps. A block step that reaches tol is
+    A run stops when an exact step moves A by a relative Frobenius change
+    ||A_new - A|| / ||A|| of at most SoftImputeConfig.tol (1e-5), or after
+    SoftImputeConfig.max_iters (200) steps. The change is 0 when A and the
+    step are both zero and inf when only A is, so the rule does not depend
+    on the data's scale. A block step that reaches tol is
     redone from the same point with the exact SVD, and only the exact step
     is traced, so a run that hit the cap ends on a rel_change above tol. The
     last row's `rank_capped` reports whether the (max_rank + 1)-th singular
@@ -129,7 +137,8 @@ def soft_impute(target: SparseObservations, config: SoftImputeConfig,
         return new, True
 
     def rel_change(new):
-        return float(np.linalg.norm(new.matrix - a)) / max(float(np.linalg.norm(a)), 1e-30)
+        change, size = float(np.linalg.norm(new.matrix - a)), float(np.linalg.norm(a))
+        return change / size if size > 0.0 else (np.inf if change else 0.0)
 
     a = np.zeros((m, n)) if start is None else start.matrix()
     a_prev, theta, obj, taken = a, 1.0, np.inf, None

@@ -34,7 +34,6 @@ __all__ = [
     "FactorPair",
     "SingularTriplet",
     "top_singular_triplet",
-    "svd_threshold",
     "project_observed",
 ]
 
@@ -501,25 +500,6 @@ def _top_tridiagonal_eigenvector(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"tridiagonal eigenproblem failed with info={info}")
     return z[:, 0]
-
-
-def svd_threshold(a: np.ndarray, r: int) -> tuple[FactorPair, np.ndarray]:
-    """H_r(a): keep the r largest singular values, returned in factored form.
-
-    The retained singular values (nonincreasing) are folded into the left
-    factor. For r >= rank(a) the result represents `a` itself.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite input")
-    m, n = a.shape
-    if r == 0:
-        return FactorPair.empty(m, n), np.zeros(0)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    k = min(r, s.size)
-    return FactorPair(u[:, :k] * s[:k], vt[:k].T), s[:k].copy()
 
 
 # Entries per block of `project_observed`'s gather: the two r-column buffers

@@ -28,8 +28,9 @@ __all__ = [
     "truncate_fast",
 ]
 
-# relative threshold under which the gradient's top singular value counts as zero
-_SIGMA_FLOOR = 1e-12
+# a gradient whose top magnitude is at most this fraction of the run's first
+# one counts as zero: the pursuits here and in sparse_equiv stop on it
+_GRADIENT_FLOOR = 1e-12
 
 
 @dataclass
@@ -113,8 +114,9 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
     Step t inserts the gradient's top singular pair (seed offset + t), after
     truncate_fast / truncate_svd once the pair is at config.target_rank,
     refits with optimize_fast (parity t) or optimize_full, and evaluates. A
-    top sigma at most 1e-12 * (1 + sigma0) ends the loop with a
-    `gradient_zero` row; sigma0 defaults to the first sigma. With
+    top sigma at most 1e-12 * sigma0 ends the loop with a `gradient_zero`
+    row, so the rule does not depend on the data's scale; sigma0 defaults
+    to the first sigma, and a zero first sigma ends the loop at once. With
     patience=None every step is kept; otherwise a step is kept only if it
     lowers the best objective, `patience` failures in a row end the loop,
     and only improving steps and the final `stalled` one are traced. A
@@ -139,7 +141,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
         trip = top_singular_triplet(gradient(pair),
                                     seed=_step_seed(config.seed, offset + t))
         sigma0 = trip.sigma if sigma0 is None else sigma0
-        if trip.sigma <= _SIGMA_FLOOR * (1.0 + sigma0):
+        if trip.sigma <= _GRADIENT_FLOOR * sigma0:
             obj = objective.value(pair)
             traces.append(IterationTrace(t, pair.rank, obj, trip.sigma, None,
                                          time.perf_counter_ns() - t0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import FactorPair, check_integers
-from .solvers import SolverConfig, greedy, local_search
+from .solvers import _GRADIENT_FLOOR, SolverConfig, greedy, local_search
 
 __all__ = [
     "SparseRegressionProblem",
@@ -72,12 +72,6 @@ def _refit(problem: SparseRegressionProblem, support: list[int]) -> np.ndarray:
     return x
 
 
-# relative floor under which the gradient counts as numerically zero
-# (mirrors the matrix solvers' early exit: stepping on a zero gradient
-# only swaps noise coordinates in and out)
-_GRAD_FLOOR = 1e-12
-
-
 def omp(problem: SparseRegressionProblem, steps: int, callback=None) -> SparseFit:
     """Orthogonal matching pursuit: grow the support by the top-|gradient|
     coordinate, re-fit exactly each step. Gradient ties break to the lowest
@@ -99,7 +93,9 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
     it first drops the support coordinate with the smallest coefficient
     magnitude (the vector analogue of removing the minimum singular value),
     then re-fits exactly. With sparsity = dim this degenerates to full least
-    squares. A numerically zero gradient stops the pursuit. Step t ends with
+    squares. A top |gradient| entry at most 1e-12 of the run's first one
+    stops the pursuit, as in the matrix solvers (stepping on a zero gradient
+    only swaps noise coordinates in and out). Step t ends with
     `callback(t, fit)`: no step depends on `steps`, so that fit is what a run
     of t + 1 steps returns.
     """
@@ -113,7 +109,7 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
         top = float(np.max(np.abs(g)))
         if g0 is None:
             g0 = top
-        if top <= _GRAD_FLOOR * (1.0 + g0):
+        if top <= _GRADIENT_FLOOR * g0:
             break
         i = int(np.argmax(np.abs(g)))
         if len(support) >= sparsity:
@@ -229,30 +225,36 @@ def _pursuit_iterates(problem: SparseRegressionProblem, mode: str, steps: int
     return fits + [last] * (steps - len(fits))
 
 
+# bounds of check_equivalence, each a multiple of the largest |coefficient|
+# of the step's vector iterate: on the off-diagonal Frobenius mass, and on
+# the iterate difference and the support threshold
+_OFFDIAG_TOL = 1e-8
+_ITERATE_TOL = 1e-6
+
+
 def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
-                      mode: str = "greedy", seed: int = 0,
-                      offdiag_tol: float = 1e-8, iterate_tol: float = 1e-6
-                      ) -> EquivalenceReport:
+                      mode: str = "greedy", seed: int = 0) -> EquivalenceReport:
     """Run the matrix solver on the lifted objective next to its vector
     analogue and compare every iterate.
 
-    Asserts (a) each matrix iterate is diagonal up to `offdiag_tol`
-    off-diagonal Frobenius mass, (b) its diagonal matches the vector iterate
-    within `iterate_tol`, (c) the supports coincide. The vector iterate at
-    step k comes from one omp / ompr run of `steps` steps (the k-step run is
-    its prefix). The matrix iterate at step k is still recovered by
-    re-running the (deterministic) solver for k steps, because perfbench
-    pins the `equivalence` workload's solver-run count. `steps` must be an
-    integer of at least 1, since a check of no steps compares nothing, and
-    both tolerances must be finite and >= 0.
+    With c the largest |coefficient| of the step's vector iterate, asserts
+    (a) each matrix iterate's off-diagonal Frobenius mass is at most 1e-8 c,
+    (b) its diagonal matches the vector iterate within 1e-6 c, (c) the
+    supports, the entries above 1e-6 c on each side, coincide; so a zero
+    vector iterate needs an exactly zero matrix iterate. The report's
+    `max_offdiag`, `max_iterate_diff` and `details` carry the two
+    magnitudes over c (0 / 0 = 0, x / 0 = inf), free of the data's scale.
+    The vector iterate at step k comes from one omp / ompr run of `steps`
+    steps (the k-step run is its prefix). The matrix iterate at step k is
+    still recovered by re-running the (deterministic) solver for k steps,
+    because perfbench pins the `equivalence` workload's solver-run count.
+    `steps` must be an integer of at least 1, since a check of no steps
+    compares nothing.
     """
     if mode not in ("greedy", "local"):
         raise ValueError("mode must be 'greedy' or 'local'")
     report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
     check_integers(report, steps=1)
-    for name, tol in (("offdiag_tol", offdiag_tol), ("iterate_tol", iterate_tol)):
-        if not 0.0 <= tol < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     lifted = LiftedQuadratic(problem, beta)
     vectors = _pursuit_iterates(problem, mode, report.steps)
 
@@ -264,13 +266,16 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
             pair, _ = local_search(lifted, cfg)
 
         off, diag = lifted._split(pair)
-        offdiag = float(np.linalg.norm(off))
-        diff = float(np.max(np.abs(diag - vec.coef)))
+        scale = float(np.max(np.abs(vec.coef)))
+        offdiag, diff = (
+            size / scale if scale > 0.0 else (np.inf if size else 0.0)
+            for size in (float(np.linalg.norm(off)),
+                         float(np.max(np.abs(diag - vec.coef)))))
         # effective supports by magnitude on both sides (an exactly-zero refit
         # coefficient is no support in either representation)
-        scale = 1.0 + float(np.max(np.abs(vec.coef)))
-        mat_support = set(np.flatnonzero(np.abs(diag) > iterate_tol * scale).tolist())
-        vec_support = set(np.flatnonzero(np.abs(vec.coef) > iterate_tol * scale).tolist())
+        cut = _ITERATE_TOL * scale
+        mat_support = set(np.flatnonzero(np.abs(diag) > cut).tolist())
+        vec_support = set(np.flatnonzero(np.abs(vec.coef) > cut).tolist())
         supports_ok = mat_support == vec_support
 
         report.max_offdiag = max(report.max_offdiag, offdiag)
@@ -280,10 +285,10 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
             "matrix_support": sorted(mat_support), "vector_support": sorted(vec_support),
         })
         if report.passed:
-            if offdiag > offdiag_tol:
+            if offdiag > _OFFDIAG_TOL:
                 report.passed = False
                 report.first_violation = f"step {k}: off-diagonal mass {offdiag:.3e}"
-            elif diff > iterate_tol:
+            elif diff > _ITERATE_TOL:
                 report.passed = False
                 report.first_violation = f"step {k}: iterate mismatch {diff:.3e}"
             elif not supports_ok:

@@ -30,3 +30,12 @@ def full_observations(mat):
 def dense_gradient(g):
     """A gradient matrix, sparse or dense, as a dense array."""
     return g.toarray() if sp.issparse(g) else g
+
+
+def top_r_svd(a, r):
+    """H_r(a), the best rank-r approximation of `a`, by np.linalg.svd: the r
+    largest singular values folded into the left factor of a FactorPair."""
+    from lowrank.linalg import FactorPair
+
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=np.float64), full_matrices=False)
+    return FactorPair(u[:, :r] * s[:r], vt[:r].T)

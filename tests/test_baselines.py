@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -11,11 +12,22 @@ from lowrank.linalg import FactorPair, SparseObservations
 from conftest import full_observations
 
 
+@contextlib.contextmanager
+def _strict_stop(max_iters=SoftImputeConfig.max_iters):
+    """SoftImpute runs to a relative change of 1e-12 within `max_iters`
+    steps, for the runs whose optimum an oracle checks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SoftImputeConfig, "max_iters", max_iters)
+        patch.setattr(SoftImputeConfig, "tol", 1e-12)
+        yield
+
+
 def test_soft_impute_zero_lambda_fully_observed_fixed_point():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 7))
     obs = full_observations(m)
-    pair, _ = soft_impute(obs, SoftImputeConfig(lam=0.0, max_rank=5, tol=1e-12))
+    with _strict_stop():
+        pair, _ = soft_impute(obs, SoftImputeConfig(lam=0.0, max_rank=5))
     assert np.allclose(pair.matrix(), m, atol=1e-8)
 
 
@@ -27,6 +39,8 @@ def test_soft_impute_full_shrinkage_returns_zero():
     pair, traces = soft_impute(obs, SoftImputeConfig(lam=sigma1 * 1.01, max_rank=6))
     assert pair.rank == 0
     assert np.allclose(pair.matrix(), 0.0)
+    # a zero step from zero: the relative change is 0, and the run stops
+    assert [t.rel_change for t in traces] == [0.0]
 
 
 def test_soft_impute_rounding_level_shrinkage_is_zero():
@@ -60,6 +74,32 @@ def test_soft_impute_nuclear_objective_monotone():
         assert objs[-1] == pytest.approx(expect, rel=1e-8, abs=1e-8)
 
 
+def test_soft_impute_stop_rule_is_scale_free():
+    # the relative change divided by max(||A||, 1e-30): a run that takes 94
+    # steps at scale 1 stopped after 2 at 2^-120 and after 1 at 2^-140. Each
+    # scaled run takes the same steps and returns 2^k times the unscaled one
+    _, obs, _ = gen_completion(SynthCompletionConfig(60, 50, 3, 0.3, 10.0, 1))
+    lam = lambda_grid(obs, seed=0)[3]
+    base, base_traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=10))
+    assert len(base_traces) == 94
+    want = base.matrix()
+    for k in (-100, -120, -140, 100):
+        scaled = SparseObservations(60, 50, obs.row, obs.col, np.ldexp(obs.vals, k))
+        pair, traces = soft_impute(scaled, SoftImputeConfig(lam=np.ldexp(lam, k),
+                                                            max_rank=10))
+        assert len(traces) == len(base_traces), k
+        err = np.abs(np.ldexp(pair.matrix(), -k) - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (k, err)
+
+
+def test_soft_impute_relative_change_from_zero_is_inf():
+    rng = np.random.default_rng(1)
+    obs = full_observations(rng.standard_normal((6, 6)))
+    sigma1 = lambda_grid(obs, seed=0)[-1]
+    _, traces = soft_impute(obs, SoftImputeConfig(lam=0.5 * sigma1, max_rank=6))
+    assert traces[0].rel_change == np.inf and len(traces) > 1
+
+
 def _plain_soft_impute_objective(obs, lam, max_rank, tol):
     """Momentum-free reference: A <- SVT_lam(Pi_Omega(M) + Pi_Omega_perp(A))."""
     a = np.zeros(obs.shape)
@@ -69,7 +109,8 @@ def _plain_soft_impute_objective(obs, lam, max_rank, tol):
         u, s, vt = np.linalg.svd(z, full_matrices=False)
         s2 = np.maximum(s[:max_rank] - lam, 0.0)
         a_new = (u[:, :max_rank] * s2) @ vt[:max_rank]
-        change = np.linalg.norm(a_new - a) / max(np.linalg.norm(a), 1e-30)
+        change = (np.linalg.norm(a_new - a) / np.linalg.norm(a) if a.any()
+                  else np.inf if a_new.any() else 0.0)
         a = a_new
         if change <= tol:
             resid = obs.vals - a[obs.row, obs.col]
@@ -85,8 +126,8 @@ def test_soft_impute_accelerated_reaches_plain_optimum_and_warm_start_stops():
                              rng.standard_normal(keep.size))
     for lam in (0.5, 2.0, 5.0):
         expect = _plain_soft_impute_objective(obs, lam, 30, 1e-12)
-        config = SoftImputeConfig(lam=lam, max_rank=30, max_iters=100_000, tol=1e-12)
-        pair, traces = soft_impute(obs, config)
+        with _strict_stop(100_000):
+            pair, traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=30))
         assert traces[-1].rel_change <= 1e-12
         assert traces[-1].objective == pytest.approx(expect, rel=1e-8)
         _, warm = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=30), start=pair)
@@ -126,10 +167,6 @@ def test_soft_impute_config_validation():
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="lam"):
             SoftImputeConfig(lam=lam, max_rank=3)
-    for tol in (np.nan, -1e-5):
-        with pytest.raises(ValueError, match="tol"):
-            SoftImputeConfig(lam=1.0, max_rank=3, tol=tol)
-    SoftImputeConfig(lam=0.0, max_rank=3, tol=0.0)
 
 
 def test_soft_impute_flags_binding_rank_cap():
@@ -221,8 +258,8 @@ def test_soft_impute_block_path_reaches_exact_optimum(monkeypatch):
     calls = _dense_calls(monkeypatch)
     for lam in (3.0, 6.0):
         calls.clear()
-        config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
-        pair, traces = soft_impute(obs, config)
+        with _strict_stop(100_000):
+            pair, traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=10))
         widths = _eigh_widths(calls, 60)
         assert widths and max(widths) <= 20 and min(widths) < 20  # block steps ran
         assert calls[-1] == ("svd", (60, 60))
@@ -282,8 +319,9 @@ def test_soft_impute_block_path_catches_rising_rank(monkeypatch):
     assert start.rank == 3
     calls = _dense_calls(monkeypatch)
     _record_kept_ranks(monkeypatch, calls)
-    config = SoftImputeConfig(lam=2.5, max_rank=12, max_iters=100_000, tol=1e-12)
-    pair, traces = soft_impute(obs, config, start=start)
+    with _strict_stop(100_000):
+        pair, traces = soft_impute(obs, SoftImputeConfig(lam=2.5, max_rank=12),
+                                   start=start)
     ranks = [t.rank for t in traces]
     assert any(b > a for a, b in zip(ranks, ranks[1:]))
     _, short = _check_block_widths(calls, 12)
@@ -341,8 +379,8 @@ def test_block_step_completes_the_basis_below_rounding():
     obs = full_observations(m)
     for lam in (0.0, 1.0):
         expect = _plain_soft_impute_objective(obs, lam, 10, 1e-12)
-        config = SoftImputeConfig(lam=lam, max_rank=10, max_iters=100_000, tol=1e-12)
-        pair, traces = soft_impute(obs, config)
+        with _strict_stop(100_000):
+            pair, traces = soft_impute(obs, SoftImputeConfig(lam=lam, max_rank=10))
         assert pair.rank == 3
         assert traces[-1].objective == pytest.approx(expect, rel=1e-8, abs=1e-12)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import threading
 
 import numpy as np
@@ -91,8 +90,7 @@ def test_softimpute_trial_flags_capped_runs(monkeypatch):
     # lambdas, and those runs say so
     ends = [f for f in flags() if f]
     assert ends and all(f == ["rank_capped"] for f in ends)
-    monkeypatch.setattr(experiments, "SoftImputeConfig",
-                        functools.partial(SoftImputeConfig, max_iters=2))
+    monkeypatch.setattr(SoftImputeConfig, "max_iters", 2)
     capped = flags()
     assert ["capped"] in capped
     assert all(f in ([], ["capped"], ["capped", "rank_capped"]) for f in capped)

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import lowrank
 from lowrank.linalg import (_DENSE_CELLS, _DENSE_FILL, _GATHER_BLOCK,
                             DuplicateEntryError, FactorPair, SparseObservations,
-                            fits_dense, project_observed, svd_threshold,
-                            top_singular_triplet)
+                            fits_dense, project_observed, top_singular_triplet)
 
-from conftest import full_observations
+from conftest import full_observations, top_r_svd
 
 
 # ---------------------------------------------------------------- containers
@@ -636,43 +635,13 @@ def test_krylov_path_copies_nothing_of_matrix_size():
         assert peak < g.nnz * 8 / 2, (type(a), peak)
 
 
-# ------------------------------------------------------------ svd threshold
-
-def test_svd_threshold_diagonal():
-    pair, vals = svd_threshold(np.diag([3.0, 2.0, 1.0]), 2)
-    assert np.allclose(pair.matrix(), np.diag([3.0, 2.0, 0.0]), atol=1e-12)
-    assert np.allclose(vals, [3.0, 2.0])
-
-
-def test_svd_threshold_identity_when_r_exceeds_rank():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 6))
-    pair, _ = svd_threshold(a, 4)
-    assert np.allclose(pair.matrix(), a, atol=1e-10)
-
-
-def test_svd_threshold_error_matches_tail():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((10, 7))
-    s = np.linalg.svd(a, compute_uv=False)
-    pair, _ = svd_threshold(a, 3)
-    err = np.linalg.norm(a - pair.matrix())
-    assert err == pytest.approx(np.sqrt((s[3:] ** 2).sum()), abs=1e-8)
-
-
-def test_svd_threshold_rank_zero():
-    pair, vals = svd_threshold(np.eye(3), 0)
-    assert pair.rank == 0
-    assert vals.size == 0
-
-
 def test_hr_optimality_quick():
     # value at H_r(A)/lam is maximal over random rank-r candidates
     rng = np.random.default_rng(4)
     a = rng.standard_normal((8, 6))
     lam = 0.7
     r = 2
-    best, _ = svd_threshold(a, r)
+    best = top_r_svd(a, r)
     m_star = best.matrix() / lam
 
     def val(mat):

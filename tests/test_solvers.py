@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import _solver_config
-from lowrank.linalg import (FactorPair, SparseObservations, svd_threshold,
-                            top_singular_triplet)
+from lowrank.linalg import FactorPair, SparseObservations, top_singular_triplet
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
                              fast_local_sweep, greedy, local_search,
                              truncate_fast, truncate_svd)
 
-from conftest import dense_gradient, full_observations
+from conftest import dense_gradient, full_observations, top_r_svd
 
 
 def quadratic_on(mat):
@@ -35,7 +34,7 @@ def test_greedy_zero_target_exits_immediately():
     obj = quadratic_on(np.zeros((4, 4)))
     pair, traces = greedy(obj, SolverConfig(target_rank=3, seed=0))
     assert pair.rank == 0
-    assert traces[-1].flags == "gradient_zero"
+    assert [(t.iter, t.top_sigma, t.flags) for t in traces] == [(0, 0.0, "gradient_zero")]
 
 
 def test_greedy_matches_truncated_svd():
@@ -43,7 +42,7 @@ def test_greedy_matches_truncated_svd():
     m = rng.standard_normal((20, 20))
     obj = quadratic_on(m)
     pair, _ = greedy(obj, SolverConfig(target_rank=4, seed=1))
-    h4, _ = svd_threshold(m, 4)
+    h4 = top_r_svd(m, 4)
     err = np.linalg.norm(pair.matrix() - h4.matrix())
     assert err <= 1e-6 * np.linalg.norm(m)
 
@@ -64,7 +63,7 @@ def test_greedy_theorem1_endpoint():
     m = rng.standard_normal((20, 20))
     obj = quadratic_on(m)
     r_star = 2
-    a_star, _ = svd_threshold(m, r_star)
+    a_star = top_r_svd(m, r_star)
     opt = obj.value(a_star)
     gap0 = obj.value(FactorPair.empty(20, 20)) - opt
     eps = gap0 / 100.0
@@ -143,7 +142,7 @@ def test_local_search_zero_target():
     obj = quadratic_on(np.zeros((4, 4)))
     pair, traces = local_search(obj, SolverConfig(target_rank=2, max_outer_iters=5, seed=0))
     assert np.allclose(pair.matrix(), 0.0)
-    assert len(traces) == 1  # zero gradient at the first iteration
+    assert [(t.iter, t.top_sigma, t.flags) for t in traces] == [(0, 0.0, "gradient_zero")]
 
 
 def test_local_search_not_worse_than_greedy():
@@ -259,13 +258,13 @@ def test_truncate_svd_matches_dense_oracle():
     rng = np.random.default_rng(27)
     pair = FactorPair(rng.standard_normal((9, 5)), rng.standard_normal((8, 5)))
     out = truncate_svd(pair)
-    oracle, _ = svd_threshold(pair.matrix(), 4)
+    oracle = top_r_svd(pair.matrix(), 4)
     assert np.allclose(out.matrix(), oracle.matrix(), atol=1e-8)
     assert np.allclose(out.V.T @ out.V, np.eye(4), atol=1e-12)
     # a rank above the short side keeps that side's rank
     wide = FactorPair(rng.standard_normal((3, 5)), rng.standard_normal((8, 5)))
     out = truncate_svd(wide)
-    oracle, _ = svd_threshold(wide.matrix(), 4)
+    oracle = top_r_svd(wide.matrix(), 4)
     assert out.rank == oracle.rank == 3
     assert np.allclose(out.matrix(), oracle.matrix(), atol=1e-8)
 
@@ -301,8 +300,9 @@ def test_fast_greedy_diag_high_cap():
 
 def test_fast_greedy_zero_target():
     obj = quadratic_on(np.zeros((5, 5)))
-    pair, _ = fast_greedy(obj, SolverConfig(target_rank=3, seed=0))
+    pair, traces = fast_greedy(obj, SolverConfig(target_rank=3, seed=0))
     assert pair.rank == 0
+    assert [(t.iter, t.top_sigma, t.flags) for t in traces] == [(0, 0.0, "gradient_zero")]
 
 
 def test_fast_greedy_flags_objective_up():
@@ -385,7 +385,7 @@ def test_fast_local_search_truncated_column_recorded():
 
 def test_fast_local_search_relative_gradient_floor():
     # exactly rank 2 at scale 1e6: after the greedy phase the gradient's top
-    # sigma sits above 1e-12 in absolute terms but below 1e-12 * (1 + sigma0)
+    # sigma sits above 1e-12 in absolute terms but below 1e-12 * sigma0
     rng = np.random.default_rng(28)
     m = 1e6 * rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
     obj = quadratic_on(m)
@@ -394,8 +394,42 @@ def test_fast_local_search_relative_gradient_floor():
     pair, traces = fast_local_search(obj, cfg)
     assert len(traces) == 1
     assert "gradient_zero" in traces[0].flags.split(";")
-    assert 1e-12 < traces[0].top_sigma <= 1e-12 * (1.0 + g_traces[0].top_sigma)
+    assert 1e-12 < traces[0].top_sigma <= 1e-12 * g_traces[0].top_sigma
     assert np.array_equal(pair.U, g_pair.U) and np.array_equal(pair.V, g_pair.V)
+
+
+def _completion_at(k):
+    """gen_completion(60, 50, rank 3, 30%, SNR 10, seed 1) with its values
+    times 2^k."""
+    _, obs, _ = gen_completion(SynthCompletionConfig(60, 50, 3, 0.3, 10.0, 1))
+    return ObservedQuadratic(SparseObservations(60, 50, obs.row, obs.col,
+                                                np.ldexp(obs.vals, k)))
+
+
+@pytest.mark.parametrize("solver", [greedy, local_search])
+def test_reference_solvers_scale_with_the_data(solver):
+    # the gradient-zero floor is relative to the first sigma alone: with
+    # 1e-12 * (1 + sigma0) both stopped at step 0 with rank 0 at 2^-60.
+    # Each run takes the same steps and returns 2^k times the unscaled
+    # U V^T (measured max relative difference 0.0)
+    cfg = SolverConfig(target_rank=4)
+    base, base_traces = solver(_completion_at(0), cfg)
+    want = base.matrix()
+    for k in (-100, -60, 60, 100):
+        pair, traces = solver(_completion_at(k), cfg)
+        assert pair.rank == base.rank == 4
+        assert [(t.iter, t.rank, t.flags) for t in traces] == \
+            [(t.iter, t.rank, t.flags) for t in base_traces]
+        err = np.abs(np.ldexp(pair.matrix(), -k) - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (k, err)
+
+
+def test_fast_greedy_grows_at_small_scale():
+    # at 2^-60 the first sigma is about 1e-17, which the old floor
+    # 1e-12 * (1 + sigma0) took for a zero gradient at step 0
+    pair, traces = fast_greedy(_completion_at(-60), SolverConfig(target_rank=4))
+    assert pair.rank == 4
+    assert all("gradient_zero" not in t.flags for t in traces)
 
 
 def test_fast_local_search_callback_sees_every_pass():

@@ -46,7 +46,7 @@ def test_omp_matches_rule_resimulation():
         for i in range(10):
             if abs(g[i]) > best:
                 best, best_i = abs(g[i]), i
-        if best <= 1e-12 * (1 + np.abs(problem.design.T @ problem.response).max()):
+        if best <= 1e-12 * np.abs(problem.design.T @ problem.response).max():
             break
         if best_i not in support:
             support.append(best_i)
@@ -130,7 +130,7 @@ def test_ompr_matches_rule_resimulation():
     g0 = np.abs(problem.design.T @ problem.response).max()
     for _ in range(6):
         g = problem.design.T @ (problem.design @ x - problem.response)
-        if np.abs(g).max() <= 1e-12 * (1 + g0):
+        if np.abs(g).max() <= 1e-12 * g0:
             break
         i = int(np.argmax(np.abs(g)))
         if len(support) >= s:
@@ -144,6 +144,23 @@ def test_ompr_matches_rule_resimulation():
         x[support] = sol
     assert fit.support == support
     assert np.allclose(fit.coef, x, atol=1e-10)
+
+
+def _with_response_at(problem, k):
+    """`problem` with its response times 2^k: every iterate scales by 2^k."""
+    return SparseRegressionProblem(problem.design, np.ldexp(problem.response, k),
+                                   problem.sparsity)
+
+
+def test_pursuits_keep_their_support_at_small_scale():
+    # the gradient floor is relative to the first step's top entry alone:
+    # with 1e-12 * (1 + g0) both stopped at once at 2^-60, with no support
+    problem = make_equivalence_problem(20, 6, 1, correlation=0.3)
+    small = _with_response_at(problem, -60)
+    want = omp(problem, 6).support
+    assert len(want) == 6 and omp(small, 6).support == want
+    want = ompr(problem, 3, 8).support
+    assert len(want) == 3 and ompr(small, 3, 8).support == want
 
 
 # ------------------------------------------------------------ lifted objective
@@ -267,6 +284,48 @@ def test_equivalence_orthonormal_local():
     assert report.passed, report.first_violation
 
 
+def _scale_instances():
+    for problem in (make_equivalence_problem(20, 6, 1, correlation=0.3),
+                    make_equivalence_problem(10, 5, 2, orthonormal=True)):
+        gram = problem.design.T @ problem.design
+        yield problem, 1.01 * float(np.linalg.eigvalsh(gram)[-1])
+
+
+@pytest.mark.parametrize("mode", ["greedy", "local"])
+def test_equivalence_check_is_scale_free(mode):
+    # the tolerances are relative to the vector iterate's largest entry: with
+    # absolute ones a correct check failed at 2^30 and 2^60 (and, at 2^-30
+    # and 2^-60, passed only with empty supports)
+    for problem, beta in _scale_instances():
+        base = check_equivalence(problem, beta, problem.sparsity, mode=mode)
+        assert base.passed, base.first_violation
+        for k in (-60, -30, 30, 60):
+            report = check_equivalence(_with_response_at(problem, k), beta,
+                                       problem.sparsity, mode=mode)
+            assert report.passed, (k, report.first_violation)
+            for name in ("matrix_support", "vector_support"):
+                assert [d[name] for d in report.details] == \
+                    [d[name] for d in base.details], (k, name)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "local"])
+def test_equivalence_check_fails_a_zero_matrix_at_every_scale(mode, monkeypatch):
+    # a matrix solver that returns the empty pair is wrong at every scale;
+    # the absolute tolerances passed it at 2^-30 and 2^-60
+    def empty(objective, config):
+        return FactorPair.empty(*objective.shape), []
+
+    monkeypatch.setattr(sparse_equiv, "greedy", empty)
+    monkeypatch.setattr(sparse_equiv, "local_search", empty)
+    for problem, beta in _scale_instances():
+        for k in (-60, -30, 30, 60):
+            report = check_equivalence(_with_response_at(problem, k), beta,
+                                       problem.sparsity, mode=mode)
+            assert not report.passed, k
+            assert report.first_violation == \
+                f"step 1: iterate mismatch {report.details[0]['iterate_diff']:.3e}"
+
+
 def test_equivalence_zero_response():
     problem = SparseRegressionProblem(np.eye(6), np.zeros(6), 0)
     report = check_equivalence(problem, 1.0, 3, mode="greedy", seed=0)
@@ -317,18 +376,16 @@ def test_equivalence_rejects_no_steps():
                 check_equivalence(problem, 1.0, steps, mode=mode)
 
 
-def test_equivalence_rejects_bad_tolerances():
-    # a NaN tolerance passed every comparison and made the check vacuous
+def test_equivalence_rejects_bad_tolerances(monkeypatch):
+    # the tolerances are module constants, not settings; a strict one still
+    # fails the check on an iterate mismatch
     problem = make_equivalence_problem(10, 3, 0, correlation=0.3)
     gram = problem.design.T @ problem.design
     beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
-    strict = check_equivalence(problem, beta, 3, iterate_tol=1e-30)
+    assert check_equivalence(problem, beta, 3).passed
+    monkeypatch.setattr(sparse_equiv, "_ITERATE_TOL", 1e-30)
+    strict = check_equivalence(problem, beta, 3)
     assert not strict.passed and "iterate mismatch" in strict.first_violation
-    for name in ("offdiag_tol", "iterate_tol"):
-        for tol in (np.nan, np.inf, -np.inf, -1e-12):
-            with pytest.raises(ValueError, match=name):
-                check_equivalence(problem, beta, 3, **{name: tol})
-        assert check_equivalence(problem, beta, 3, **{name: 1e-3}).passed
 
 
 def criterion_6_set():
