@@ -54,8 +54,7 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 def _cmd_synth_complete(args) -> int:
     rows, summary, traces = run_completion(
         args.m, args.n, args.true_rank, args.p, args.snr, args.seed,
-        args.solver, args.rank, args.inner_iters, args.trials,
-        collect_traces=args.trace is not None)
+        args.solver, args.rank, args.inner_iters, args.trials)
     _write_csv(args.csv, ["trial", "rank", "train_nmse", "test_nmse", "seconds"],
                [[r["trial"], r["rank"], r["train_nmse"], r["test_nmse"], r["seconds"]]
                 for r in rows])
@@ -80,8 +79,7 @@ def _cmd_recsys(args) -> int:
     ratings = load_movielens(args.data, args.format)
     rows, summary, traces = run_recsys(ratings, args.splits, args.split, args.seed,
                                        args.rank, args.inner_iters, args.clip,
-                                       args.solver,
-                                       collect_traces=args.trace is not None)
+                                       args.solver)
     _write_csv(args.csv, ["split", "rmse", "train_rmse", "seconds"],
                [[r["split"], r["rmse"], r["train_rmse"], r["seconds"]] for r in rows])
     _write_json(args.json, summary)

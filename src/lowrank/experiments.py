@@ -109,10 +109,11 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
 
 def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
                    seed: int, solver: str, rank: int, inner_iters: int,
-                   trials: int, collect_traces: bool = False
+                   trials: int
                    ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Per-rank NMSE sweep over independently seeded trials (seed + index),
-    run one after another."""
+    run one after another; every trial's traces come back tagged with its
+    index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
@@ -120,10 +121,8 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
                  for k in range(trials)]
 
     rows = [row for trial_rows, _ in per_trial for row in trial_rows]
-    traces = []
-    if collect_traces:
-        traces = [(k, tr) for k, (_, trial_traces) in enumerate(per_trial)
-                  for tr in trial_traces]
+    traces = [(k, tr) for k, (_, trial_traces) in enumerate(per_trial)
+              for tr in trial_traces]
     trial_stats = []
     for k, (trial_rows, _) in enumerate(per_trial):
         best = min(trial_rows, key=lambda r: r["test_nmse"])
@@ -177,12 +176,17 @@ def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
 
 def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                seed: int, rank: int, inner_iters: int,
-               clip: tuple[float, float] | None, solver: str = "fast-greedy",
-               collect_traces: bool = False
+               clip: tuple[float, float] | None, solver: str = "fast-greedy"
                ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
-    """Seeded train/test splits, one solver run per split, test RMSE rows."""
+    """Seeded train/test splits, one solver run per split, test RMSE rows and
+    every run's traces tagged with its split."""
     if splits < 1:
         raise ValueError("splits must be >= 1")
+    # looked up per call, so that a patched module attribute is the one run
+    solvers = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
+               "greedy": greedy, "local": local_search}
+    if solver not in solvers:
+        raise ValueError(f"unknown solver {solver!r}: choose one of {', '.join(solvers)}")
     rows = []
     traces: list[tuple[int, IterationTrace]] = []
     for s in range(splits):
@@ -192,12 +196,9 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
         else:
             objective = ObservedQuadratic(train)
         scfg = _solver_config(rank, seed + s, inner_iters)
-        fn = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
-              "greedy": greedy, "local": local_search}[solver]
         start = time.perf_counter()
-        pair, run_traces = fn(objective, scfg)
-        if collect_traces:
-            traces.extend((s, tr) for tr in run_traces)
+        pair, run_traces = solvers[solver](objective, scfg)
+        traces.extend((s, tr) for tr in run_traces)
         rows.append({
             "split": s,
             "rmse": rmse_on(pair, test, clip_range=clip),

@@ -78,9 +78,9 @@ def check_full_refit(rank: int, shape: tuple[int, int]) -> None:
 def optimize_full(U: np.ndarray, V: np.ndarray, objective) -> FactorPair:
     """Minimize R(U X V^T) over X in R^{r x r}; returns (U X, V).
 
-    Requires a quadratic objective, i.e. one with a `normal_matrix`: the
-    r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on row-major vec(X).
-    The refit solves H x = b, b = -U^T grad R(0) V, once, by LAPACK's
+    Requires a quadratic objective, i.e. one with `normal_equations`: the
+    r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on row-major vec(X)
+    and b = -U^T grad R(0) V. The refit solves H x = b once, by LAPACK's
     Cholesky. If that fails, or a pivot is at most `_RCOND` of its diagonal
     entry of H, H counts as numerically singular and x is the minimum-norm
     solution instead: the eigh pseudo-inverse, without the eigenvalues at
@@ -90,21 +90,19 @@ def optimize_full(U: np.ndarray, V: np.ndarray, objective) -> FactorPair:
     r = U.shape[1]
     if r == 0:
         return FactorPair(U, V)
-    if not hasattr(objective, "normal_matrix"):
+    if not hasattr(objective, "normal_equations"):
         raise ValueError("optimize_full requires a quadratic objective")
     check_full_refit(r, objective.shape)
 
-    m, n = objective.shape
-    g0 = objective.gradient(FactorPair.empty(m, n))
-    b = -(U.T @ (g0 @ V)).ravel()
-    h = objective.normal_matrix(U, V)
+    h, b = objective.normal_equations(U, V)
+    b = b.ravel()
     diagonal = h.diagonal().copy()
     # in place: h.T is h's Fortran-order view, and either triangle serves
     c, info = dpotrf(h.T, clean=False, overwrite_a=True)
     if info == 0 and np.all(c.diagonal() ** 2 > _RCOND * diagonal):
         x, info = dpotrs(c, b)
     else:
-        w, q = np.linalg.eigh(objective.normal_matrix(U, V))
+        w, q = np.linalg.eigh(objective.normal_equations(U, V)[0])
         keep = w > _RCOND * w[-1]
         x = q[:, keep] @ ((b @ q[:, keep]) / w[keep])
     return FactorPair(U @ x.reshape(r, r), V)

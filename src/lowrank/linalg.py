@@ -393,11 +393,11 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 # The Krylov path's basis cap and restart budget (`_krylov_triplet`). Step k
-# costs two products and a reorthogonalization against k vectors per side.
-# 64 steps hold every insertion of a 6040 x 3706, 1M-entry `fast_greedy`
-# solve (12-30 steps); on noise, where runs take 90-101 steps, one restart
-# is no slower than none. The bases hold 64 x (rows + cols) doubles. Full
-# timings: CHANGES.md, "Timing tables".
+# costs two products and a reorthogonalization against k vectors. 64 steps
+# hold every insertion of a 6040 x 3706, 1M-entry `fast_greedy` solve (12-30
+# steps); on noise, where runs take 96-108 steps uncapped, the restart makes
+# them 109-140 steps and about 10% slower (ROADMAP item 4). The basis holds
+# 64 x min(rows, cols) doubles. Full timings: CHANGES.md, "Timing tables".
 _KRYLOV_STEPS = 64
 _KRYLOV_RESTARTS = 16
 _EPS = float(np.finfo(np.float64).eps)
@@ -405,21 +405,21 @@ _EPS = float(np.finfo(np.float64).eps)
 
 def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
                     scale: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Top pair of `g / scale` (both sides >= 2) by Golub-Kahan-Lanczos
-    bidiagonalization with full reorthogonalization.
+    """Top pair of `g / scale` (both sides >= 2) by symmetric Lanczos on
+    a^T a with full reorthogonalization.
 
     With `a` the orientation of `g` whose columns are the smaller side, the
-    run builds orthonormal bases V (from the start vector) and U with
-    a V_k = U_k B_k, B_k upper bidiagonal (alpha on the diagonal, beta
-    above it), and a^T U_k = V_k B_k^T + beta_k v_{k+1} e_k^T. For the top
-    right singular vector q of B_k, with B_k q = sigma p, the Ritz pair
-    (U_k p, V_k q) has a v = sigma u, and a^T u - sigma v has norm
-    beta_k |p_k|: the run stops once that is at most eps * sigma. q is the
-    top eigenvector of the tridiagonal B_k^T B_k, an O(k) solve per step.
-    After `_KRYLOV_STEPS` steps the run restarts from V_k q, and after
-    `_KRYLOV_RESTARTS` restarts it raises. The factor 1 / scale goes on the
-    vectors, half before and half after each product, so that no finite
-    scale over- or underflows and `g` is never copied.
+    run builds an orthonormal basis V (from the start vector) with
+    a^T a V_k = V_k T_k + b_k v_{k+1} e_k^T, T_k symmetric tridiagonal
+    (alpha on the diagonal, beta beside it). For the top eigenpair
+    (theta, q) of T_k, the Ritz vector v = V_k q gives sigma = ||a v|| and
+    u = a v / sigma, so a v = sigma u and a^T u - sigma v has norm
+    b_k |q_k| / sigma: the run stops once b_k |q_k| <= eps * theta
+    (theta = sigma^2), an O(k) solve per step. After `_KRYLOV_STEPS` steps
+    the run restarts from v, and after `_KRYLOV_RESTARTS` restarts it
+    raises. The factor 1 / scale goes on the vectors, half before and half
+    after each product, so that no finite scale over- or underflows and `g`
+    is never copied.
     """
     a = g if g.shape[0] >= g.shape[1] else g.T
     at = a.T
@@ -433,42 +433,32 @@ def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
         return y
 
     steps = _KRYLOV_STEPS
-    U, V = np.empty((steps, a.shape[0])), np.empty((steps, a.shape[1]))
+    V = np.empty((steps, a.shape[1]))
     alpha, beta = np.empty(steps), np.empty(steps)
-    # B_k^T B_k: alpha_j^2 + beta_{j-1}^2 on the diagonal, alpha_j beta_j beside it
-    diag, off = np.empty(steps), np.empty(steps)
     x = np.random.default_rng(seed).standard_normal(a.shape[1])
     for _ in range(_KRYLOV_RESTARTS + 1):
         V[0] = x / math.sqrt(x.dot(x))
-        r = times(a, V[0])
-        alpha[0] = math.sqrt(r.dot(r))
-        if alpha[0] == 0.0:
-            raise np.linalg.LinAlgError("start vector in the null space")
-        U[0] = r / alpha[0]
-        diag[0] = alpha[0] ** 2
-        for k in range(1, steps + 1):
-            r = times(at, U[k - 1])
-            r -= alpha[k - 1] * V[k - 1]
-            _orthogonalize(r, V[:k])
-            b = beta[k - 1] = math.sqrt(r.dot(r))
-            q = _top_tridiagonal_eigenvector(diag[:k], off[:k - 1])
-            p = alpha[:k] * q  # B_k q = sigma p
-            p[:-1] += beta[:k - 1] * q[1:]
-            sigma = math.sqrt(p.dot(p))
-            if b * abs(p[-1]) <= _EPS * sigma * sigma:
-                u, v = (p / sigma) @ U[:k], q @ V[:k]
+        for k in range(steps):
+            r = times(at, times(a, V[k]))
+            alpha[k] = V[k].dot(r)
+            r -= alpha[k] * V[k]
+            if k:
+                r -= beta[k - 1] * V[k - 1]
+            _orthogonalize(r, V[:k + 1])
+            b = math.sqrt(r.dot(r))
+            theta, q = _top_tridiagonal_pair(alpha[:k + 1], beta[:k])
+            if b * abs(q[-1]) <= _EPS * theta:
+                v = q @ V[:k + 1]
+                u = times(a, v)
+                sigma = math.sqrt(u.dot(u))
+                if sigma == 0.0:
+                    raise np.linalg.LinAlgError("start vector in the null space")
+                u /= sigma
                 return (sigma, u, v) if a is g else (sigma, v, u)
-            if k == steps:
+            if k + 1 == steps:
                 break
-            V[k] = r / b
-            r = times(a, V[k])
-            r -= b * U[k - 1]
-            _orthogonalize(r, U[:k])
-            alpha[k] = math.sqrt(r.dot(r))
-            # alpha = 0: a v_{k+1} lies in span(U_k), and the next beta is 0
-            U[k] = r / alpha[k] if alpha[k] > 0.0 else 0.0
-            diag[k] = alpha[k] ** 2 + b ** 2
-            off[k - 1] = alpha[k - 1] * b
+            beta[k] = b
+            V[k + 1] = r / b
         x = q @ V
     raise np.linalg.LinAlgError(
         f"top singular pair not converged in {_KRYLOV_RESTARTS} restarts "
@@ -485,21 +475,21 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:
         r -= (basis @ r) @ basis
 
 
-def _top_tridiagonal_eigenvector(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the largest eigenvalue of the symmetric tridiagonal
-    matrix with diagonal `d` and off-diagonal `e`, by LAPACK's bisection
-    (dstebz) and inverse iteration (dstein): scipy's `eigh_tridiagonal` makes
-    the same two calls after 35-45 us of argument handling, which is 2-10
-    times their own cost at k = 64 down to 5."""
+def _top_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue and its unit eigenvector of the symmetric
+    tridiagonal matrix with diagonal `d` and off-diagonal `e`, by LAPACK's
+    bisection (dstebz) and inverse iteration (dstein): scipy's
+    `eigh_tridiagonal` makes the same two calls after 35-45 us of argument
+    handling, which is 2-10 times their own cost at k = 64 down to 5."""
     n = d.size
     if n == 1:
-        return np.ones(1)
+        return float(d[0]), np.ones(1)
     _, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "B")
     if not info:
         z, info = dstein(d, e, w[:1], block, split)
     if info:
         raise np.linalg.LinAlgError(f"tridiagonal eigenproblem failed with info={info}")
-    return z[:, 0]
+    return float(w[0]), z[:, 0]
 
 
 # Entries per block of `project_observed`'s gather: the two r-column buffers

@@ -76,9 +76,11 @@ class ObservedQuadratic:
     def gradient(self, pair: FactorPair) -> np.ndarray | sp.spmatrix:
         return self.target.matrix_with(self.residual(pair))
 
-    def normal_matrix(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The r^2 x r^2 matrix H of X -> U^T Pi_Omega(U X V^T) V on row-major
-        vec(X): H[(a, b), (c, d)] = sum_i U_ia U_ic K_i[b, d], K_i the Gram
+    def normal_equations(self, U: np.ndarray, V: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(H, b): the r^2 x r^2 matrix H of X -> U^T Pi_Omega(U X V^T) V on
+        row-major vec(X), and b = U^T M_Omega V, M_Omega the target zero off
+        Omega. H[(a, b), (c, d)] = sum_i U_ia U_ic K_i[b, d], K_i the Gram
         matrix of the rows of V observed in row i (`linalg.row_grams`).
 
         The sum runs over both factors' packed column products, so one
@@ -88,7 +90,8 @@ class ObservedQuadratic:
         upper = np.triu_indices(U.shape[1])
         packed = (U[:, upper[0]] * U[:, upper[1]]).T @ grams
         r2 = U.shape[1] ** 2
-        return packed[slot[:, None, :, None], slot[None, :, None, :]].reshape(r2, r2)
+        h = packed[slot[:, None, :, None], slot[None, :, None, :]].reshape(r2, r2)
+        return h, U.T @ (self.target.matrix_with(self.target.vals) @ V)
 
 
 def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:

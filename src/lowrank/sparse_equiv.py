@@ -130,8 +130,7 @@ class LiftedQuadratic:
     solvers only ever insert e_i e_i^T components. The last FactorPair seen
     is cached by identity as its off-diagonal part and its diagonal, so
     `value` and `gradient` on one pair form U V^T once, as
-    `ObservedQuadratic.residual` does; the gradient at rank 0, which every
-    full refit asks for, is formed once and shared read-only.
+    `ObservedQuadratic.residual` does.
     """
 
     def __init__(self, problem: SparseRegressionProblem, beta: float):
@@ -143,8 +142,6 @@ class LiftedQuadratic:
         self._shifted_gram = problem.design.T @ problem.design - self.beta * np.eye(n)
         self._diagonal = np.diag_indices(n)
         self._last = (None, None, None)  # (pair, off-diagonal part, diagonal)
-        self._zero_grad = self._with_diagonal(np.zeros((n, n)), problem.grad(np.zeros(n)))
-        self._zero_grad.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,23 +173,24 @@ class LiftedQuadratic:
         return 0.5 * float(resid @ resid) + 0.5 * self.beta * float(np.sum(off * off))
 
     def gradient(self, pair: FactorPair) -> np.ndarray:
-        if pair.rank == 0:
-            return self._zero_grad
         off, diag = self._split(pair)
         return self._with_diagonal(np.multiply(off, self.beta), self.problem.grad(diag))
 
-    def normal_matrix(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on row-major
-        vec(X): beta (U^T U kron V^T V) + W^T (G - beta I) W, with G the
-        design's Gram matrix and W[k, (a, b)] = U_ka V_kb, since the Hessian
-        maps E to beta E + Diag((G - beta I) diag E). The Kronecker product
-        is one broadcast multiply (`np.kron` is slower at these sizes)."""
+    def normal_equations(self, U: np.ndarray, V: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(H, b): the r^2 x r^2 matrix H of X -> U^T Hess R[U X V^T] V on
+        row-major vec(X), beta (U^T U kron V^T V) + W^T (G - beta I) W, with G
+        the design's Gram matrix and W[k, (a, b)] = U_ka V_kb, since the
+        Hessian maps E to beta E + Diag((G - beta I) diag E); and
+        b = -U^T grad R(0) V = U^T Diag(D^T y) V. The Kronecker product is one
+        broadcast multiply (`np.kron` is slower at these sizes)."""
         r = U.shape[1]
         h = (self.beta * (U.T @ U))[:, None, :, None] * (V.T @ V)[None, :, None, :]
         h = h.reshape(r * r, r * r)
         w = (U[:, :, None] * V[:, None, :]).reshape(-1, r * r)
         h += w.T @ (self._shifted_gram @ w)
-        return h
+        dty = self.problem.design.T @ self.problem.response
+        return h, U.T @ (dty[:, None] * V)
 
 
 @dataclass

@@ -218,8 +218,7 @@ def completion_bundle():
     si_rows, si_sum, si_traces = run_completion(c["m"], c["n"], c["true_rank"],
                                                 c["p"], c["snr"], c["seed"],
                                                 "softimpute", c["rank"],
-                                                c["inner_iters"], c["trials"],
-                                                collect_traces=True)
+                                                c["inner_iters"], c["trials"])
     elapsed = time.monotonic() - start
     # full-accuracy greedy runs back criteria 8 and 9
     fg_full_rows, _, _ = run_completion(c["m"], c["n"], c["true_rank"], c["p"],

@@ -137,8 +137,7 @@ def test_run_recsys_split_rows():
     ratings = SparseObservations(12, 15, idx // 15, idx % 15,
                                  rng.integers(1, 6, size=150).astype(float))
     rows, summary, traces = run_recsys(ratings, splits=3, split_fraction=0.8, seed=2,
-                                       rank=2, inner_iters=2, clip=(1.0, 5.0),
-                                       collect_traces=True)
+                                       rank=2, inner_iters=2, clip=(1.0, 5.0))
     assert [r["split"] for r in rows] == [0, 1, 2]
     assert all(1.0 <= r["rmse"] <= 5.0 or r["rmse"] >= 0 for r in rows)
     assert summary["rmse"]["stderr"] >= 0
@@ -174,6 +173,16 @@ def test_zero_trials_or_splits_raise():
     with pytest.raises(ValueError, match="splits"):
         run_recsys(ratings, splits=0, split_fraction=0.8, seed=0, rank=1,
                    inner_iters=2, clip=None)
+
+
+def test_run_recsys_names_its_solvers_for_an_unknown_one():
+    # softimpute is a completion solver only; the CLI catches ValueError
+    ratings = SparseObservations(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    for solver in ("softimpute", "nope"):
+        with pytest.raises(ValueError, match=f"unknown solver '{solver}'.*fast-greedy, "
+                                             "fast-local, greedy, local"):
+            run_recsys(ratings, splits=1, split_fraction=0.8, seed=0, rank=1,
+                       inner_iters=2, clip=None, solver=solver)
 
 
 def test_completion_without_heldout_entries_raises():

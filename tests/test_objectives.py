@@ -444,7 +444,7 @@ def test_observed_normal_matrix_matches_dense_hessian():
         U, V = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
         want = _dense_normal_matrix(U, V, lambda e: _on_omega(obs, e))
         for omega in (obs, shuffled):
-            h = ObservedQuadratic(omega).normal_matrix(U, V)
+            h = ObservedQuadratic(omega).normal_equations(U, V)[0]
             assert h.shape == (9, 9)
             assert np.allclose(h, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             x = rng.standard_normal(9)
@@ -467,11 +467,28 @@ def test_lifted_normal_matrix_matches_dense_hessian():
             return np.diag(gram @ np.diag(e)) + beta * (e - np.diag(np.diag(e)))
 
         want = _dense_normal_matrix(U, V, hessian)
-        h = lifted.normal_matrix(U, V)
+        h = lifted.normal_equations(U, V)[0]
         assert np.allclose(h, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         x = rng.standard_normal(9)
         assert np.allclose(h @ x, want @ x, rtol=1e-12,
                            atol=1e-12 * np.abs(want).max() * np.abs(x).sum())
+
+
+def test_normal_equations_right_side_is_minus_the_zero_gradient_bit_for_bit():
+    # b = -U^T grad R(0) V, as the full refit formed it from the gradient at
+    # the empty pair; both sides of fits_dense for the observed objective
+    rng = np.random.default_rng(31)
+    design = rng.standard_normal((12, 7))
+    lifted = LiftedQuadratic(SparseRegressionProblem(design, rng.standard_normal(12), 3), 2.0)
+    objectives = [lifted]
+    for size in SIZES:
+        obs, _, _ = random_instance(37, m=size["m"], n=size["n"], p=size.get("p", 0.6))
+        objectives.append(ObservedQuadratic(obs))
+    for objective in objectives:
+        m, n = objective.shape
+        U, V = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
+        g0 = objective.gradient(FactorPair.empty(m, n))
+        assert np.array_equal(objective.normal_equations(U, V)[1], -(U.T @ (g0 @ V)))
 
 
 def test_gradients_match_fd_on_twenty_directions():

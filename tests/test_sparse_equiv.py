@@ -260,13 +260,8 @@ def test_lifted_cache_alternating_pairs():
             value, grad = expected[i]
             assert bits(lifted.gradient(pairs[i])) == bits(grad)
             assert bits(lifted.value(pairs[i])) == bits(value)
-            # a caller's write to a gradient does not reach the cache; the
-            # shared rank-0 gradient is read-only
-            g = lifted.gradient(pairs[i])
-            if pairs[i].rank == 0:
-                assert not g.flags.writeable
-            else:
-                g[:] = 7.0
+            # a caller's write to a gradient does not reach the cache
+            lifted.gradient(pairs[i])[:] = 7.0
             assert bits(lifted.value(pairs[i])) == bits(value)
 
 
