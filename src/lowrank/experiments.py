@@ -114,8 +114,9 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
     """Per-rank NMSE sweep over independently seeded trials (seed + index),
     run one after another; every trial's traces come back tagged with its
     index."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    settings = SimpleNamespace(trials=trials)
+    check_integers(settings, trials=1)
+    trials = settings.trials
     per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
                                   rank, inner_iters)
                  for k in range(trials)]
@@ -180,8 +181,9 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Seeded train/test splits, one solver run per split, test RMSE rows and
     every run's traces tagged with its split."""
-    if splits < 1:
-        raise ValueError("splits must be >= 1")
+    settings = SimpleNamespace(splits=splits)
+    check_integers(settings, splits=1)
+    splits = settings.splits
     # looked up per call, so that a patched module attribute is the one run
     solvers = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
                "greedy": greedy, "local": local_search}

@@ -252,7 +252,7 @@ class SingularTriplet:
 
 # The cap of `fits_dense` (2-core host, one OpenBLAS thread). At n = 256 and
 # 20% fill the Gram insertion still beats the Krylov one on Gaussian entries
-# (3.5-4.4 vs 6.4-6.6 ms), and the dense refit product the sparse one
+# (4.4-4.5 vs 5.6-6.4 ms), and the dense refit product the sparse one
 # (108 / 267 vs 435 / 2120 us at r = 5 / 30). The cap also bounds each dense
 # copy at 512 kB. Full sweep: CHANGES.md, "Timing tables".
 _DENSE_CELLS = 65536
@@ -345,8 +345,9 @@ def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> Singular
     pair comes from the top eigenpair of its smaller Gram matrix (dsyevr).
     Any other matrix goes uncopied to `_krylov_triplet`, from a start vector
     drawn from ``np.random.default_rng(seed)``: identical (g, seed) give
-    bit-identical results, and a run that does not converge raises
-    ``np.linalg.LinAlgError`` rather than return an inexact pair. Non-finite
+    bit-identical results. Every Lanczos run ends by its residual test or at
+    step min(rows, cols), where its pair is exact to rounding; only a start
+    vector in the null space raises ``np.linalg.LinAlgError``. Non-finite
     entries raise ValueError. A zero matrix yields (0, e_1, e_1). The sign is
     fixed so that the largest-magnitude entry of u is nonnegative.
     """
@@ -392,14 +393,16 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return (sigma, w / sigma, x) if b is a else (sigma, x, w / sigma)
 
 
-# The Krylov path's basis cap and restart budget (`_krylov_triplet`). Step k
-# costs two products and a reorthogonalization against k vectors. 64 steps
-# hold every insertion of a 6040 x 3706, 1M-entry `fast_greedy` solve (12-30
-# steps); on noise, where runs take 96-108 steps uncapped, the restart makes
-# them 109-140 steps and about 10% slower (ROADMAP item 4). The basis holds
-# 64 x min(rows, cols) doubles. Full timings: CHANGES.md, "Timing tables".
-_KRYLOV_STEPS = 64
-_KRYLOV_RESTARTS = 16
+# The Krylov path's first basis allocation (`_krylov_triplet`), in vectors of
+# the smaller side n. A run that fills the basis doubles it, up to n vectors,
+# so the basis holds at most twice the steps taken, and n x n doubles at the
+# extreme. Step k costs two products and a reorthogonalization against k
+# vectors. 64 steps hold every insertion of a 6040 x 3706, 1M-entry
+# `fast_greedy` solve (12-30 steps), and such a call allocates 64 x 3706
+# doubles (1.9 MB). 1M entries of Gaussian noise at that shape take 144-180
+# steps, at an 11.5 MB peak. No result depends on this size. Full timings:
+# CHANGES.md, "Timing tables".
+_KRYLOV_BASIS = 64
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -408,21 +411,22 @@ def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
     """Top pair of `g / scale` (both sides >= 2) by symmetric Lanczos on
     a^T a with full reorthogonalization.
 
-    With `a` the orientation of `g` whose columns are the smaller side, the
-    run builds an orthonormal basis V (from the start vector) with
-    a^T a V_k = V_k T_k + b_k v_{k+1} e_k^T, T_k symmetric tridiagonal
+    With `a` the orientation of `g` whose columns are the smaller side (n
+    of them), the run builds an orthonormal basis V (from the start vector)
+    with a^T a V_k = V_k T_k + b_k v_{k+1} e_k^T, T_k symmetric tridiagonal
     (alpha on the diagonal, beta beside it). For the top eigenpair
     (theta, q) of T_k, the Ritz vector v = V_k q gives sigma = ||a v|| and
     u = a v / sigma, so a v = sigma u and a^T u - sigma v has norm
     b_k |q_k| / sigma: the run stops once b_k |q_k| <= eps * theta
-    (theta = sigma^2), an O(k) solve per step. After `_KRYLOV_STEPS` steps
-    the run restarts from v, and after `_KRYLOV_RESTARTS` restarts it
-    raises. The factor 1 / scale goes on the vectors, half before and half
-    after each product, so that no finite scale over- or underflows and `g`
-    is never copied.
+    (theta = sigma^2), an O(k) solve per step, and at the latest at step n,
+    where V spans the space and the pair is exact to rounding. The basis
+    starts at `_KRYLOV_BASIS` vectors and doubles when full. The factor
+    1 / scale goes on the vectors, half before and half after each product,
+    so that no finite scale over- or underflows and `g` is never copied.
     """
     a = g if g.shape[0] >= g.shape[1] else g.T
     at = a.T
+    n = a.shape[1]
     pre = math.ldexp(1.0, -math.frexp(scale)[1] // 2)
     post = 1.0 / (scale * pre)
 
@@ -432,37 +436,34 @@ def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
         y *= post
         return y
 
-    steps = _KRYLOV_STEPS
-    V = np.empty((steps, a.shape[1]))
-    alpha, beta = np.empty(steps), np.empty(steps)
-    x = np.random.default_rng(seed).standard_normal(a.shape[1])
-    for _ in range(_KRYLOV_RESTARTS + 1):
-        V[0] = x / math.sqrt(x.dot(x))
-        for k in range(steps):
-            r = times(at, times(a, V[k]))
-            alpha[k] = V[k].dot(r)
-            r -= alpha[k] * V[k]
-            if k:
-                r -= beta[k - 1] * V[k - 1]
-            _orthogonalize(r, V[:k + 1])
-            b = math.sqrt(r.dot(r))
-            theta, q = _top_tridiagonal_pair(alpha[:k + 1], beta[:k])
-            if b * abs(q[-1]) <= _EPS * theta:
-                v = q @ V[:k + 1]
-                u = times(a, v)
-                sigma = math.sqrt(u.dot(u))
-                if sigma == 0.0:
-                    raise np.linalg.LinAlgError("start vector in the null space")
-                u /= sigma
-                return (sigma, u, v) if a is g else (sigma, v, u)
-            if k + 1 == steps:
-                break
-            beta[k] = b
-            V[k + 1] = r / b
-        x = q @ V
-    raise np.linalg.LinAlgError(
-        f"top singular pair not converged in {_KRYLOV_RESTARTS} restarts "
-        f"of {_KRYLOV_STEPS} steps")
+    V = np.empty((min(_KRYLOV_BASIS, n), n))
+    alpha, beta = np.empty(n), np.empty(n)
+    x = np.random.default_rng(seed).standard_normal(n)
+    V[0] = x / math.sqrt(x.dot(x))
+    for k in range(n):
+        r = times(at, times(a, V[k]))
+        alpha[k] = V[k].dot(r)
+        r -= alpha[k] * V[k]
+        if k:
+            r -= beta[k - 1] * V[k - 1]
+        _orthogonalize(r, V[:k + 1])
+        b = math.sqrt(r.dot(r))
+        theta, q = _top_tridiagonal_pair(alpha[:k + 1], beta[:k])
+        if b * abs(q[-1]) <= _EPS * theta or k + 1 == n:
+            break
+        beta[k] = b
+        if k + 1 == len(V):
+            grown = np.empty((min(2 * len(V), n), n))
+            grown[:len(V)] = V
+            V = grown
+        V[k + 1] = r / b
+    v = q @ V[:k + 1]
+    u = times(a, v)
+    sigma = math.sqrt(u.dot(u))
+    if sigma == 0.0:
+        raise np.linalg.LinAlgError("start vector in the null space")
+    u /= sigma
+    return (sigma, u, v) if a is g else (sigma, v, u)
 
 
 def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:

@@ -10,6 +10,7 @@ coordinate-for-coordinate, and local search reproduces OMP with replacement;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +81,7 @@ def omp(problem: SparseRegressionProblem, steps: int, callback=None) -> SparseFi
     This is ompr with a budget of the whole dimension: the support grows by
     at most one coordinate per step, so within `steps` <= dim steps it never
     fills and nothing is dropped. The callback is ompr's."""
+    check_integers(SimpleNamespace(steps=steps), steps=0)
     if steps > problem.dim:
         raise ValueError("steps must be <= dimension")
     return ompr(problem, problem.dim, steps, callback)
@@ -97,10 +99,10 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
     stops the pursuit, as in the matrix solvers (stepping on a zero gradient
     only swaps noise coordinates in and out). Step t ends with
     `callback(t, fit)`: no step depends on `steps`, so that fit is what a run
-    of t + 1 steps returns.
+    of t + 1 steps returns. `sparsity` must be an integer >= 1 and `steps`
+    one >= 0.
     """
-    if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
+    check_integers(SimpleNamespace(sparsity=sparsity, steps=steps), sparsity=1, steps=0)
     support: list[int] = []
     x = np.zeros(problem.dim)
     g0 = None

@@ -226,7 +226,7 @@ def test_zero_trials_or_splits_exit_one(tmp_path, mini_ratings, capsys):
         code = run_cli(args + ["--csv", str(csv_path),
                                "--json", str(tmp_path / "out.json")])
         assert code == 1
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err
         assert not csv_path.exists()
 
 

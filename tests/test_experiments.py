@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import threading
 
 import numpy as np
@@ -173,6 +174,23 @@ def test_zero_trials_or_splits_raise():
     with pytest.raises(ValueError, match="splits"):
         run_recsys(ratings, splits=0, split_fraction=0.8, seed=0, rank=1,
                    inner_iters=2, clip=None)
+
+
+def test_trials_and_splits_must_be_integers():
+    # fractional counts raised range's TypeError, which names no field, and
+    # trials=True wrote "trials": true into the summary
+    ratings = SparseObservations(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_completion(20, 20, 2, 0.5, 10.0, 0, "fast-greedy", 3, 3, trials=2.5)
+    with pytest.raises(ValueError, match="splits must be an integer >= 1"):
+        run_recsys(ratings, 1.5, split_fraction=0.8, seed=0, rank=1,
+                   inner_iters=2, clip=None)
+    _, summary, _ = run_completion(20, 20, 2, 0.5, 10.0, 0, "fast-greedy", 3, 3,
+                                   trials=True)
+    assert json.dumps(summary["params"]["trials"]) == "1"
+    _, summary, _ = run_completion(20, 20, 2, 0.5, 10.0, 0, "fast-greedy", 3, 3,
+                                   trials=np.int64(1))
+    assert json.dumps(summary["params"]["trials"]) == "1"
 
 
 def test_run_recsys_names_its_solvers_for_an_unknown_one():

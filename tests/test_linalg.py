@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_DENSE_CELLS, _DENSE_FILL, _GATHER_BLOCK, _KRYLOV_STEPS,
+from lowrank.linalg import (_DENSE_CELLS, _DENSE_FILL, _GATHER_BLOCK, _KRYLOV_BASIS,
                             DuplicateEntryError, FactorPair, SparseObservations,
                             fits_dense, project_observed, top_singular_triplet)
 
@@ -592,51 +592,71 @@ def _counting_ritz_solves(monkeypatch):
     return calls
 
 
-def test_krylov_restarts_from_ritz_vector_at_the_step_cap(monkeypatch):
-    # the 0.999-gap instance takes 47-49 steps uncapped; at a cap of 16 it
-    # converges through restarts to the same 1e-12 oracle
-    a = _small_gap_matrix()
-    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_STEPS", 16)
+def _noise(m, n, nnz, seed):
+    """An m x n CSR matrix of `nnz` Gaussian entries at distinct random cells:
+    its top singular values cluster, so the Krylov path takes many steps."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(m * n, size=nnz, replace=False)
+    return sp.csr_matrix((rng.standard_normal(flat.size), (flat // n, flat % n)),
+                         shape=(m, n))
+
+
+def test_krylov_basis_growth_changes_no_bit(monkeypatch):
+    # the first allocation only sizes memory: started at 1, 2 or 16 vectors
+    # and doubled when full, every run gives the default's bits in one run
+    # of the same steps (the 0.999-gap instance takes 47-49, the noise 70-79)
+    cases = [(_small_gap_matrix(), seed) for seed in range(2)]
+    cases += [(_noise(300, 500, 30_000, seed), seed) for seed in range(2)]
     steps = _counting_ritz_solves(monkeypatch)
-    for seed in range(3):
-        steps.clear()
-        trip = top_singular_triplet(a, seed=seed)
-        # steps 1..16 per restart, then the converged run
-        restarts = steps.count(1) - 1
-        last = len(steps) - 16 * restarts
-        assert restarts >= 2 and 1 <= last <= 16, seed
-        assert steps == list(range(1, 17)) * restarts + list(range(1, last + 1)), seed
-        _assert_matches_svd(trip, a)
+    for g, seed in cases:
+        runs = {}
+        for rows in (_KRYLOV_BASIS, 1, 2, 16):
+            monkeypatch.setattr(lowrank.linalg, "_KRYLOV_BASIS", rows)
+            steps.clear()
+            trip = top_singular_triplet(g, seed=seed)
+            assert steps == list(range(1, len(steps) + 1)), (rows, seed)
+            runs[rows] = (len(steps), trip.sigma, trip.u, trip.v)
+        count, sigma, u, v = runs.pop(_KRYLOV_BASIS)
+        for rows, got in runs.items():
+            assert got[:2] == (count, sigma), (rows, seed)
+            assert np.array_equal(got[2], u) and np.array_equal(got[3], v), (rows, seed)
 
 
-def test_krylov_restarts_at_the_default_cap_on_noise(monkeypatch):
-    # Gaussian noise clusters the top singular values: these take 72 and 83
-    # steps, one restart past the 64-step cap, to the same 1e-12 oracle
+def test_krylov_runs_once_past_the_first_basis_on_noise(monkeypatch):
+    # Gaussian noise clusters the top singular values: these calls take
+    # 70 and 79 steps, one Lanczos run through the basis doubling, to the
+    # 1e-12 oracle
     steps = _counting_ritz_solves(monkeypatch)
     for seed in range(2):
-        rng = np.random.default_rng(seed)
-        flat = rng.choice(300 * 500, size=30_000, replace=False)
-        g = sp.csr_matrix((rng.standard_normal(flat.size), (flat // 500, flat % 500)),
-                          shape=(300, 500))
+        g = _noise(300, 500, 30_000, seed)
         steps.clear()
         trip = top_singular_triplet(g, seed=seed)
-        assert len(steps) > _KRYLOV_STEPS and steps.count(1) == 2, seed
+        assert len(steps) > _KRYLOV_BASIS, seed
+        assert steps == list(range(1, len(steps) + 1)), seed
         _assert_matches_svd(trip, g.toarray())
 
 
-def test_krylov_raises_when_restarts_run_out(monkeypatch):
-    a = _small_gap_matrix()
-    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_STEPS", 16)
-    monkeypatch.setattr(lowrank.linalg, "_KRYLOV_RESTARTS", 2)
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_krylov_returns_the_exact_pair_at_the_dimension(n, monkeypatch):
+    # with no residual test that can pass, the run ends at step n, where the
+    # basis spans the space; sigma_2 = (1 - 1e-9) sigma_1 on the Krylov path
+    rng = np.random.default_rng(n)
+    m = _DENSE_CELLS // n + 1
+    q1, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q1 * np.r_[1.0, 1.0 - 1e-9, np.linspace(0.9, 0.1, n - 2)]) @ q2
+    monkeypatch.setattr(lowrank.linalg, "_EPS", 0.0)
+    seen = _path_sentinel(monkeypatch)
     steps = _counting_ritz_solves(monkeypatch)
-    with pytest.raises(np.linalg.LinAlgError, match="not converged"):
-        top_singular_triplet(a, seed=0)
-    assert len(steps) == 3 * 16
+    trip = top_singular_triplet(a, seed=0)
+    assert seen == [("krylov", np.ndarray, (m, n))]
+    assert steps == list(range(1, n + 1))
+    _assert_matches_svd(trip, a)
 
 
 def test_krylov_path_copies_nothing_of_matrix_size():
     # no scaled copy, no transposed copy, no |g| temporary: the call allocates
-    # vectors and one basis of `_KRYLOV_STEPS` vectors on the smaller side
+    # vectors and one basis of `_KRYLOV_BASIS` vectors on the smaller side
     # (here 0.5 MB; a second basis on the other side would exceed the bound)
     rng = np.random.default_rng(23)
     g = sp.random(1000, 1000, density=0.5, format="csr", rng=rng)
@@ -648,7 +668,27 @@ def test_krylov_path_copies_nothing_of_matrix_size():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * _KRYLOV_STEPS * min(g.shape) * 8, (type(a), peak)
+        assert peak < 1.25 * _KRYLOV_BASIS * min(g.shape) * 8, (type(a), peak)
+
+
+def test_krylov_basis_grows_with_the_steps_taken(monkeypatch):
+    # noise takes more steps than the first allocation holds: the basis
+    # doubles as it fills, so the peak (old and new basis during the copy)
+    # stays within 3 x max(first allocation, steps) vectors of the smaller
+    # side, well under the n x n of a basis sized for the worst case
+    g = _noise(943, 1682, 100_000, 0)
+    n = min(g.shape)
+    steps = _counting_ritz_solves(monkeypatch)
+    top_singular_triplet(g, seed=0)
+    steps.clear()
+    tracemalloc.start()
+    try:
+        top_singular_triplet(g, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) > _KRYLOV_BASIS
+    assert peak < 1.25 * 3 * max(_KRYLOV_BASIS, len(steps)) * n * 8 < n * n * 8, peak
 
 
 def test_hr_optimality_quick():

@@ -110,8 +110,26 @@ def test_ompr_optimal_support_is_fixed_point():
 
 
 def test_ompr_rejects_empty_budget():
-    with pytest.raises(ValueError, match="sparsity must be >= 1"):
+    with pytest.raises(ValueError, match="sparsity must be an integer >= 1"):
         ompr(planted(4, 30, 8, 2), 0, 3)
+
+
+def test_pursuits_reject_non_integer_settings():
+    # a fractional budget ran with a support of 3, a negative step count
+    # returned the empty fit, and a fractional one raised range's TypeError
+    problem = planted(4, 30, 8, 2)
+    for call, match in ((lambda: ompr(problem, 2.5, 4), "sparsity must be an integer >= 1"),
+                        (lambda: ompr(problem, 3, -1), "steps must be an integer >= 0"),
+                        (lambda: ompr(problem, 3, 2.0), "steps must be an integer >= 0"),
+                        (lambda: omp(problem, -2), "steps must be an integer >= 0"),
+                        (lambda: omp(problem, 2.5), "steps must be an integer >= 0")):
+        with pytest.raises(ValueError, match=match):
+            call()
+    want = ompr(problem, 2, 3)
+    got = ompr(problem, np.int64(2), np.int64(3))
+    assert got.support == want.support and np.array_equal(got.coef, want.coef)
+    assert omp(problem, np.int64(3)).support == omp(problem, 3).support
+    assert omp(problem, 0).support == []
 
 
 def test_ompr_full_sparsity_is_least_squares():
