@@ -17,9 +17,9 @@ __all__ = ["SoftImputeConfig", "SoftImputeTrace", "soft_impute", "lambda_grid"]
 class SoftImputeConfig:
     """The penalty lam and the rank cap max_rank of one SoftImpute run.
 
-    A run stops at a relative change of at most `tol` or after `max_iters`
-    steps: class constants, not fields, read from a config by whoever
-    judges whether a run was capped.
+    `tol` and `max_iters` are the constants of `soft_impute`'s stop rule:
+    class constants, not fields, read from a config by whoever judges
+    whether a run was capped.
     """
 
     lam: float

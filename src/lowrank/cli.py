@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 from .data import load_movielens
 from .experiments import (COMPLETION_SOLVERS, run_completion, run_equivalence,
@@ -55,9 +55,7 @@ def _cmd_synth_complete(args) -> int:
     rows, summary, traces = run_completion(
         args.m, args.n, args.true_rank, args.p, args.snr, args.seed,
         args.solver, args.rank, args.inner_iters, args.trials)
-    _write_csv(args.csv, ["trial", "rank", "train_nmse", "test_nmse", "seconds"],
-               [[r["trial"], r["rank"], r["train_nmse"], r["test_nmse"], r["seconds"]]
-                for r in rows])
+    _write_csv(args.csv, list(rows[0]), [row.values() for row in rows])
     _write_json(args.json, summary)
     if args.trace is not None:
         _write_csv(args.trace, ["trial"] + TRACE_HEADER,
@@ -80,8 +78,7 @@ def _cmd_recsys(args) -> int:
     rows, summary, traces = run_recsys(ratings, args.splits, args.split, args.seed,
                                        args.rank, args.inner_iters, args.clip,
                                        args.solver)
-    _write_csv(args.csv, ["split", "rmse", "train_rmse", "seconds"],
-               [[r["split"], r["rmse"], r["train_rmse"], r["seconds"]] for r in rows])
+    _write_csv(args.csv, list(rows[0]), [row.values() for row in rows])
     _write_json(args.json, summary)
     if args.trace is not None:
         _write_csv(args.trace, ["split"] + TRACE_HEADER,
@@ -92,15 +89,8 @@ def _cmd_recsys(args) -> int:
 def _cmd_equivalence(args) -> int:
     report = run_equivalence(args.n, args.sparsity, args.steps, args.beta,
                              args.seed, args.mode)
-    out = {
-        "mode": report.mode,
-        "steps": report.steps,
-        "passed": report.passed,
-        "max_offdiag": report.max_offdiag,
-        "max_iterate_diff": report.max_iterate_diff,
-        "supports_match": report.supports_match,
-        "first_violation": report.first_violation,
-    }
+    out = asdict(report)
+    del out["details"]
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0 if report.passed else 1
 

@@ -56,6 +56,9 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
     row flagged `capped` when it stopped above tol and `rank_capped` when
     the rank cap binds)."""
     cfg = SynthCompletionConfig(m, n, true_rank, p, snr, seed)
+    if cfg.true_rank == 0:
+        raise ValueError("true_rank must be >= 1 for a completion trial: a rank-0 "
+                         "truth leaves no held-out signal to score test NMSE against")
     _, observed, heldout = gen_completion(cfg)
     if heldout.nnz == 0:
         raise ValueError("no held-out entries to score: p leaves none unobserved")

@@ -1,19 +1,10 @@
 """Inner optimization: full joint coefficient solve and fast one-sided solves.
 
-The full solve refits an r x r coefficient matrix X in R(U X V^T) exactly,
-by one Cholesky solve of the objective's r^2 x r^2 normal matrix. The fast
-solve refits one whole factor, decomposed into independent per-row
-least-squares systems, each run for a fixed (small) number of
-CG-on-normal-equations steps from a zero start; the iteration cap doubles
-as regularization. Each CG step's product takes one of three kernels by
-the size rules in `linalg`: masked dense GEMMs on an observed set that
-`fits_dense`, per-row r x r Gram matrices formed once per refit on any
-other at the ranks and step caps where that pays (`fits_gram`), and a
-gather of the observed entries at every step otherwise. The V half-step
-is the U half-step on the transposed set, read through the `.T` of the
-set's own matrices: the dense arrays' transposes and CSC views of its CSR
-skeleton, so nothing is built twice. Huber objectives refit by a capped,
-preconditioned L-BFGS instead (`_huber_half_step` says how and why).
+The full solve refits an r x r coefficient matrix X in R(U X V^T) exactly
+(`optimize_full`). The fast solve refits one whole factor by a few capped
+CG steps per row system (`_capped_cgnr`), on the kernel that the size
+rules `linalg.fits_dense` and `linalg.fits_gram` pick. Huber objectives
+refit by a capped, preconditioned L-BFGS instead (`_huber_half_step`).
 scipy's optimizer is imported on its first use.
 """
 
@@ -24,8 +15,8 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import (FactorPair, SparseObservations, fits_dense, fits_gram,
-                     project_observed, row_grams)
+from .linalg import (_REFIT_CELLS, FactorPair, SparseObservations, fits_dense,
+                     fits_gram, project_observed, row_grams)
 from .objectives import HuberLowRank, ObservedQuadratic
 
 __all__ = ["optimize_full", "optimize_fast"]
@@ -33,26 +24,14 @@ __all__ = ["optimize_full", "optimize_fast"]
 # iteration cap and memory of the capped L-BFGS half-step for Huber objectives
 _LBFGS_ITERS = 10
 _LBFGS_MEMORY = 5
-# the half-step stops once an iteration lowers the objective by at most this
-# share of its start value. Over the six 500 x 500 `rpca` instances, 1e-5
-# takes 150 L-BFGS evaluations, against 232 for scipy's default stops, and
-# is the largest value tried at which no recovery error moves by more than
-# 1e-4 (2.2e-4: 120 evaluations, 1.7e-4). Full sweep: CHANGES.md, "Timing
-# tables".
+# the half-step's value stop, whose rule and reason `_huber_half_step`
+# states; the sweep behind it: CHANGES.md, "Timing tables"
 _LBFGS_FTOL = 1e-5
 # A Cholesky pivot of the full refit's normal matrix at most this share of
 # its diagonal entry marks the matrix numerically singular, and the
 # fallback then drops the eigenvalues at most this share of the largest
 # (`optimize_full`). Every matrix of condition number under 1e10 passes.
 _RCOND = 1e-10
-# The full refit's cap on the cells of each array it builds
-# (`check_full_refit`), 32 MB: the normal matrix has r^4 cells and its
-# Cholesky costs r^6 / 3 flops. At the cap (2-core host, one OpenBLAS
-# thread) one refit takes 0.21 s and peaks at 51 MB (tracemalloc) at r = 45
-# on a 943 x 1682 set with 100k entries, and 0.29 s and 84 MB at r = 26 on
-# 6040 x 3706 with 1M; `recsys`'s default rank of 100 would need 800 MB for
-# the normal matrix alone.
-_NORMAL_CELLS = 1 << 22
 
 
 def minimize(*args, **kwargs):
@@ -65,14 +44,15 @@ def minimize(*args, **kwargs):
 
 def check_full_refit(rank: int, shape: tuple[int, int]) -> None:
     """Raise ValueError if the full refit at this rank would build an array
-    of more than `_NORMAL_CELLS` cells: its r^2 x r^2 normal matrix, or the
-    objective's products of factor columns, at most r^2 cells for each row
-    of the longer side of `shape`."""
+    above the refit cap `linalg._REFIT_CELLS`: its r^2 x r^2 normal matrix,
+    whose Cholesky costs r^6 / 3 flops, or the objective's products of
+    factor columns, at most r^2 cells for each row of the longer side of
+    `shape`. Costs at the cap: CHANGES.md, "Timing tables"."""
     cells = rank * rank * max(rank * rank, max(shape))
-    if cells > _NORMAL_CELLS:
+    if cells > _REFIT_CELLS:
         raise ValueError(f"the full refit at rank {rank} on a {shape[0]} x {shape[1]} "
                          f"objective needs {cells} cells, above its cap of "
-                         f"{_NORMAL_CELLS}")
+                         f"{_REFIT_CELLS}")
 
 
 def optimize_full(U: np.ndarray, V: np.ndarray, objective) -> FactorPair:
@@ -112,10 +92,9 @@ def optimize_fast(U: np.ndarray, V: np.ndarray, t: int, objective,
                   ls_iters: int) -> FactorPair:
     """One alternating half-step: refit U when t is even, V when t is odd.
 
-    Observed quadratics decompose into independent per-row systems on the
-    observed entries, solved by ls_iters capped CG steps each;
-    rows/columns with no observations are left unchanged. Huber objectives
-    run a capped L-BFGS on the non-frozen factor instead.
+    Observed quadratics take `ls_iters` capped CG steps per row system
+    (`_capped_cgnr`), Huber objectives the capped L-BFGS of
+    `_huber_half_step`.
     """
     if U.shape[1] == 0:
         return FactorPair(U, V)
@@ -142,16 +121,7 @@ def _capped_cgnr(W: np.ndarray, F: np.ndarray, omega: SparseObservations,
     that reach their numerical floor freeze (CG iterated past convergence
     turns rounding noise into huge steps), and the loop ends once every row
     has frozen. Rows with no observations keep their current value.
-
-    Only the normal-equation products depend on the size of `omega`, the
-    rank and `iters` (`_normal_products`): dense masked GEMMs, per-row Gram
-    matrices, or a gather at every step. The kernels add the same terms in
-    different orders, so their results agree to rounding, not bit for bit.
-    The V side reads the set's matrices through `.T`: the dense arrays'
-    transposes and, on the sparse kernels, CSC views of the CSR skeleton.
-    scipy's CSC product adds each output row's terms in the same order as a
-    CSR product over the transposed entries, so the V side matches the U
-    side on the transposed set bit for bit.
+    `linalg.fits_dense` says which kernel the products take.
     """
     X = np.zeros_like(W)
     R, normal = _normal_products(F, omega, iters, side)
@@ -191,14 +161,8 @@ def _normal_products(F: np.ndarray, omega: SparseObservations, iters: int,
                      side: int):
     """(M_Omega F, P -> Pi_Omega(P F^T) F): the right-hand sides and the
     normal-equation product of `_capped_cgnr`'s row systems, for at most
-    `iters` products, with M_Omega and Pi_Omega transposed on side 1.
-
-    A set that `fits_dense` (shape and fill) takes two GEMMs and a masked
-    multiply per product. Any other makes no m x n array. When the refit
-    `fits_gram`, row i's Gram matrix G_i = F[omega_i]^T F[omega_i] is formed
-    once (`linalg.row_grams`), and each product is the batched G_i P_i.
-    Otherwise each product gathers the observed entries of P F^T and
-    multiplies a CSR view of them by F."""
+    `iters` products, with M_Omega and Pi_Omega transposed on side 1, on the
+    kernel that `fits_dense` and `fits_gram` pick."""
     def oriented(a):
         return a.T if side else a
 
@@ -253,7 +217,8 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
       start's gradient norm;
     - L-BFGS-B's value stop divides each iteration's decrease by max(|f|,
       1), which is 1 from the start on, so `_LBFGS_FTOL` ends the run once
-      an iteration lowers the objective by at most 1e-5 s, about 1e-5 f0.
+      an iteration lowers the objective by at most 1e-5 times s, about
+      1e-5 f0.
     The half-step is solved again at every outer step, so it need not be
     solved tightly: on the `rpca` instances, the iterations past 1e-5 of f0
     moved the final recovery error by at most 1e-4. Scaling M, delta and W

@@ -3,17 +3,6 @@
 Dense matrices are plain float64 numpy arrays; observed sets and factored
 pairs are small dataclasses. Everything here is deterministic given its
 inputs, and `fits_dense` is the one size rule for dense or sparse work.
-
-An observed set is validated once, by its constructor (`_take` reuses the
-checked arrays). The duplicate check reads the flat cell index
-`row * cols + col`: one O(nnz) pass for row-major input, otherwise one sort
-and a neighbour compare, which also names the first repeated cell. It
-avoids `np.unique`, whose hash path (numpy 2.4) took 0.9 s per 1M distinct
-cells against 12.5 ms for `np.sort`. Entries keep the order they were given
-in ("entry order"), and so does every per-entry array (`vals`,
-`project_observed`'s output). A set builds its CSR skeleton, dense arrays
-and 0/1 pattern once each, when first asked for; the transposed problem
-reads their `.T`.
 """
 
 from __future__ import annotations
@@ -62,8 +51,18 @@ class SparseObservations:
     """The observed set Omega of an m x n matrix together with its values.
 
     Doubles as mask and target: `row[k], col[k]` locate entry k, `vals[k]`
-    holds its value. No duplicate (i, j) pairs. Treat instances as
-    immutable once constructed; all derived structures are cached.
+    holds its value. The constructor validates its input once: shapes,
+    bounds, whole-number indices, finite values and no repeated (i, j)
+    cell; `_take` reuses the checked arrays. The duplicate check reads the
+    flat cell index `row * cols + col`: one O(nnz) pass for row-major input,
+    otherwise one sort and a neighbour compare, which also names the first
+    repeated cell (not `np.unique`, whose hash path is far slower; CHANGES.md,
+    "Timing tables"). Entries keep the order they were given in ("entry
+    order"), and so does every per-entry array (`vals`, `project_observed`'s
+    output). The CSR skeleton, the dense arrays and the 0/1 pattern are
+    built once each, when first asked for, the dense arrays by
+    `matrix_with`'s scatter and the pattern by `csr_with`; the transposed
+    problem reads their `.T`. Treat instances as immutable once constructed.
     """
 
     rows: int
@@ -173,10 +172,14 @@ class SparseObservations:
 
     def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix:
         """`vals`, given in entry order, as a read-only m x n matrix on the
-        support: a dense array, zero off the support, when the set
-        `fits_dense` (shape and fill), else `csr_with(vals)`."""
+        support, dense or CSR as `fits_dense` picks."""
         if not fits_dense(self.shape, self.nnz):
             return self.csr_with(vals)
+        return self._scatter(vals)
+
+    def _scatter(self, vals) -> np.ndarray:
+        """`vals` (entry order, or one scalar) as a read-only dense m x n
+        array, zero off the support."""
         out = np.zeros(self.shape)
         out.ravel()[self._flat] = vals
         out.flags.writeable = False
@@ -186,26 +189,22 @@ class SparseObservations:
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """The 0/1 mask of Omega and the target zero-filled off Omega, as
         read-only m x n arrays."""
-        mask, target = np.zeros(self.shape), np.zeros(self.shape)
-        mask[self.row, self.col] = 1.0
-        target[self.row, self.col] = self.vals
-        mask.flags.writeable = target.flags.writeable = False
-        return mask, target
+        return self._scatter(1.0), self._scatter(self.vals)
 
     @cached_property
     def pattern(self) -> sp.csr_matrix:
         """The 0/1 matrix of Omega: the CSR skeleton with read-only ones."""
-        indptr, indices, _ = self._skeleton
-        ones = np.ones(self.nnz)
-        ones.flags.writeable = False
-        return sp.csr_matrix((ones, indices, indptr), shape=self.shape, copy=False)
+        return self.csr_with(np.ones(self.nnz))
 
 
 @dataclass
 class FactorPair:
     """A low-rank matrix held as A = U V^T with U (m x r), V (n x r).
 
-    Treat the factors as immutable: objectives cache results by pair identity.
+    Objectives cache their result for the last pair they saw by identity:
+    one (pair, result) entry, replaced in one assignment, so threads sharing
+    an objective at worst compute again. A pair, its factors included, must
+    therefore not be mutated once it has been passed to an objective.
     """
 
     U: np.ndarray
@@ -250,19 +249,16 @@ class SingularTriplet:
     v: np.ndarray
 
 
-# The cap of `fits_dense` (2-core host, one OpenBLAS thread). At n = 256 and
-# 20% fill the Gram insertion still beats the Krylov one on Gaussian entries
-# (4.4-4.5 vs 5.6-6.4 ms), and the dense refit product the sparse one
-# (108 / 267 vs 435 / 2120 us at r = 5 / 30). The cap also bounds each dense
-# copy at 512 kB. Full sweep: CHANGES.md, "Timing tables".
+# The cap of `fits_dense`: up to it, at 20% fill, the Gram insertion beats
+# the Krylov one on Gaussian entries and the dense refit product the sparse
+# one. It also bounds each dense copy at 512 kB. Sweep: CHANGES.md, "Timing
+# tables".
 _DENSE_CELLS = 65536
 
 # The fill floor of `fits_dense`: dense work costs a GEMM over every cell,
-# the gather and CSR kernels a multiply-add per entry and about 40 us of
-# fixed cost. At 256 x 256 they cross between 2% and 5% observed (the
-# Hessian product Pi_Omega(L R^T), as a matrix on the set, and its product
-# by V, dense vs sparse at r = 5 / 30: 106 / 328 vs 149 / 205 us at 2%,
-# 122 / 344 vs 266 / 1318 at 5%). Full sweep: CHANGES.md, "Timing tables".
+# the gather and CSR kernels a multiply-add per entry and a fixed cost per
+# call. At 256 x 256 they cross between 2% and 5% observed. Sweep:
+# CHANGES.md, "Timing tables".
 _DENSE_FILL = 32
 
 
@@ -272,17 +268,24 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     also at least 1 / `_DENSE_FILL` of its cells observed.
 
     The package's one size rule for an observed set's matrices and for
-    gradients. On a shape that fits:
-    - insertion: `top_singular_triplet` densifies the matrix and takes its
-      Gram eigenpair (else the Krylov path, on the matrix as given).
-    If the set's fill passes too:
-    - refit: `inner._normal_products` takes masked dense GEMMs (else the
-      Gram or gather kernel);
-    - predictions: `project_observed` takes one GEMM and one gather (else
-      the blocked gather);
-    - gradients: `SparseObservations.matrix_with` builds a dense array,
-      zero off the set (else a CSR matrix), for the observed objectives'
-      gradients.
+    gradients. A gradient's shape picks its insertion path
+    (`top_singular_triplet`). On an observed set that fits, shape and fill:
+    - refit (`inner._normal_products`): each capped CG product is two GEMMs
+      and a multiply by the dense 0/1 mask; any other set takes the Gram or
+      the gather kernel, as `fits_gram` rules;
+    - predictions (`project_observed`): one GEMM and one gather of the
+      entries; any other set gathers the factor rows of `_GATHER_BLOCK`
+      entries at a time into two reused buffers, so no nnz x r copy of
+      either factor is made, and each value equals
+      ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit;
+    - gradients (`SparseObservations.matrix_with`): a dense array, zero off
+      the set; any other set, a CSR matrix.
+    The refit kernels add the same terms in different orders, so they agree
+    to rounding, not bit for bit. A V-side refit reads the set's matrices
+    through `.T`: the dense arrays' transposes and CSC views of the CSR
+    skeleton. scipy's CSC product adds each output row's terms in the same
+    order as a CSR product over the transposed entries, so the V side is the
+    U side on the transposed set bit for bit.
     """
     rows, cols = shape
     if nnz is not None and nnz * _DENSE_FILL < rows * cols:
@@ -290,31 +293,32 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
     return rows * cols <= _DENSE_CELLS or min(rows, cols) == 1
 
 
-# The measurements behind `fits_gram`: at 2 steps, Gram beats gather on both
-# sides and both set sizes through r = 11 (62 vs 92 ms per refit on a
-# 6040 x 3706 set with 1M entries), and loses on some by r = 14-17 (V side
-# 9.0 vs 8.4 ms at 14 on 943 x 1682 with 80k entries). Full sweep:
-# CHANGES.md, "Timing tables".
+# The rank bound of `fits_gram`, per CG step: the Gram matrices are formed
+# once per refit, and they pay while the steps that reuse them are many
+# next to the rank. Sweep: CHANGES.md, "Timing tables".
 _GRAM_STEP_RANKS = 6
-_GRAM_CELLS = 1 << 22
+# The refit cap: no array a refit builds holds more than this many cells
+# (32 MB), neither the Gram kernel's (`fits_gram`) nor the full refit's
+# (`inner.check_full_refit`).
+_REFIT_CELLS = 1 << 22
 
 
 def fits_gram(rows: int, rank: int, steps: int) -> bool:
     """Whether a capped refit of `rows` row systems at this rank, for at most
     `steps` CG steps, works on per-row Gram matrices: while rank + 1 is at
     most `_GRAM_STEP_RANKS` times `steps`, and the rows x rank x rank array
-    holds at most `_GRAM_CELLS` cells (32 MB).
+    is within the refit cap `_REFIT_CELLS`.
 
     The package's one rule for the capped refit on an observed set above the
     `fits_dense` cap. If the refit fits, `inner._normal_products` forms each
-    row's r x r Gram matrix once (one SpMM, nnz x r(r+1)/2 multiply-adds) and
-    each CG step is one batched r x r product; else each step gathers the
-    observed entries and multiplies a CSR view of them (nnz x r per step).
-    The rank bound leaves some gain at 1 and 5 steps. The cell cap keeps a
-    large step cap from growing the array with r^2; the SpMM's packed output
-    beside it is about half its size.
+    row's r x r Gram matrix G_i = F[omega_i]^T F[omega_i] once (`row_grams`:
+    one SpMM, nnz x r(r+1)/2 multiply-adds), and each CG step is the batched
+    product G_i P_i; else each step gathers the observed entries of P F^T
+    and multiplies a CSR view of them by F (nnz x r per step). The cell cap
+    keeps a large step cap from growing the array with r^2; the SpMM's
+    packed output beside it is about half its size.
     """
-    return rank + 1 <= _GRAM_STEP_RANKS * steps and rows * rank * rank <= _GRAM_CELLS
+    return rank + 1 <= _GRAM_STEP_RANKS * steps and rows * rank * rank <= _REFIT_CELLS
 
 
 def row_grams(F: np.ndarray, omega: SparseObservations, side: int
@@ -343,13 +347,15 @@ def top_singular_triplet(g: np.ndarray | sp.spmatrix, seed: int = 0) -> Singular
     is scaled back at the end. A matrix that `fits_dense` is densified (C
     order, so CSR, CSC and dense inputs give bit-identical results) and its
     pair comes from the top eigenpair of its smaller Gram matrix (dsyevr).
-    Any other matrix goes uncopied to `_krylov_triplet`, from a start vector
-    drawn from ``np.random.default_rng(seed)``: identical (g, seed) give
-    bit-identical results. Every Lanczos run ends by its residual test or at
-    step min(rows, cols), where its pair is exact to rounding; only a start
-    vector in the null space raises ``np.linalg.LinAlgError``. Non-finite
-    entries raise ValueError. A zero matrix yields (0, e_1, e_1). The sign is
-    fixed so that the largest-magnitude entry of u is nonnegative.
+    Any other matrix goes uncopied to symmetric Lanczos on its smaller Gram
+    operator (`_krylov_triplet`), from a start vector drawn from
+    ``np.random.default_rng(seed)``: identical (g, seed) give bit-identical
+    results. The run is never restarted. It stops once the pair's residual
+    is at most eps times sigma, and at the latest at step min(rows, cols),
+    where its pair is exact to rounding; only a start vector in the null
+    space raises ``np.linalg.LinAlgError``. Non-finite entries raise
+    ValueError. A zero matrix yields (0, e_1, e_1). The sign is fixed so
+    that the largest-magnitude entry of u is nonnegative.
     """
     rows, cols = g.shape
     if rows < 1 or cols < 1:
@@ -382,7 +388,8 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     n = b.shape[1]
     # the upper triangle by scipy's BLAS, not numpy's `b.T @ b`: numpy and scipy
     # each bundle an OpenBLAS with its own thread pool, and numpy's threaded
-    # syrk just before dsyevr took a 100 x 100 call from 0.6 to 8.7 ms on 2 cores
+    # syrk just before scipy's dsyevr made small calls many times slower
+    # (CHANGES.md, "Timing tables")
     gram = dsyrk(1.0, b, trans=1)
     _, z, _, _, info = dsyevr(gram, range="I", il=n, iu=n)
     if info:
@@ -397,11 +404,9 @@ def _gram_triplet(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 # the smaller side n. A run that fills the basis doubles it, up to n vectors,
 # so the basis holds at most twice the steps taken, and n x n doubles at the
 # extreme. Step k costs two products and a reorthogonalization against k
-# vectors. 64 steps hold every insertion of a 6040 x 3706, 1M-entry
-# `fast_greedy` solve (12-30 steps), and such a call allocates 64 x 3706
-# doubles (1.9 MB). 1M entries of Gaussian noise at that shape take 144-180
-# steps, at an 11.5 MB peak. No result depends on this size. Full timings:
-# CHANGES.md, "Timing tables".
+# vectors. Sized so that the insertions of low-rank fits never grow it. No
+# result depends on this size. Step counts and memory peaks: CHANGES.md,
+# "Timing tables".
 _KRYLOV_BASIS = 64
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -409,7 +414,8 @@ _EPS = float(np.finfo(np.float64).eps)
 def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
                     scale: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Top pair of `g / scale` (both sides >= 2) by symmetric Lanczos on
-    a^T a with full reorthogonalization.
+    a^T a with full reorthogonalization; `top_singular_triplet` states the
+    stop rule.
 
     With `a` the orientation of `g` whose columns are the smaller side (n
     of them), the run builds an orthonormal basis V (from the start vector)
@@ -417,12 +423,11 @@ def _krylov_triplet(g: np.ndarray | sp.spmatrix, seed: int,
     (alpha on the diagonal, beta beside it). For the top eigenpair
     (theta, q) of T_k, the Ritz vector v = V_k q gives sigma = ||a v|| and
     u = a v / sigma, so a v = sigma u and a^T u - sigma v has norm
-    b_k |q_k| / sigma: the run stops once b_k |q_k| <= eps * theta
-    (theta = sigma^2), an O(k) solve per step, and at the latest at step n,
-    where V spans the space and the pair is exact to rounding. The basis
-    starts at `_KRYLOV_BASIS` vectors and doubles when full. The factor
-    1 / scale goes on the vectors, half before and half after each product,
-    so that no finite scale over- or underflows and `g` is never copied.
+    b_k |q_k| / sigma: the residual test is b_k |q_k| <= eps * theta
+    (theta = sigma^2), an O(k) solve per step; at step n, V spans the
+    space. The factor 1 / scale goes on the vectors, half before and half
+    after each product, so that no finite scale over- or underflows and `g`
+    is never copied.
     """
     a = g if g.shape[0] >= g.shape[1] else g.T
     at = a.T
@@ -479,9 +484,9 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:
 def _top_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
     """The largest eigenvalue and its unit eigenvector of the symmetric
     tridiagonal matrix with diagonal `d` and off-diagonal `e`, by LAPACK's
-    bisection (dstebz) and inverse iteration (dstein): scipy's
-    `eigh_tridiagonal` makes the same two calls after 35-45 us of argument
-    handling, which is 2-10 times their own cost at k = 64 down to 5."""
+    bisection (dstebz) and inverse iteration (dstein), called directly:
+    scipy's `eigh_tridiagonal` makes the same two calls behind argument
+    handling that costs more than they do (CHANGES.md, "Timing tables")."""
     n = d.size
     if n == 1:
         return float(d[0]), np.ones(1)
@@ -494,21 +499,13 @@ def _top_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarr
 
 
 # Entries per block of `project_observed`'s gather: the two r-column buffers
-# then stay in cache. On 1M entries of a 6040 x 3706 set, 4096 is near the
-# best at r = 5 / 10 / 30 (26 / 32 / 86 ms, against 76 / 101 / 235 for one
-# gather of all entries). Full sweep: CHANGES.md, "Timing tables".
+# then stay in cache. Sweep: CHANGES.md, "Timing tables".
 _GATHER_BLOCK = 4096
 
 
 def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
-    """(U V^T)_ij for each (i, j) in Omega, in Omega's entry order.
-
-    On a set that `fits_dense` (shape and fill) this is one GEMM and one
-    gather of its entries. Any other set gathers the factor rows of `_GATHER_BLOCK` entries
-    at a time into two reused buffers and takes the row-wise dot products
-    there, so no nnz x r copy of either factor is made; each entry's value
-    equals ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit.
-    """
+    """(U V^T)_ij for each (i, j) in Omega, in Omega's entry order, on the
+    kernel `fits_dense` picks."""
     if pair.shape != omega.shape:
         raise ValueError(f"factor shape {pair.shape} != observation shape {omega.shape}")
     if pair.rank == 0:

@@ -2,14 +2,9 @@
 
 Gradient sign convention, used by every solver in this package: for the
 observed-entry quadratic the gradient is Pi_Omega(A - M), i.e. prediction
-minus target on the observed set.
-
-Gradients are plain matrices: the observed quadratics' are zero off Omega,
-as the target's `matrix_with` builds them (dense or sparse by
-`linalg.fits_dense`); the Huber objective's is one dense m x n array, built
-in place. The Huber value, and the factor gradients of the L-BFGS
-half-step, walk the residual in M's row blocks (`_HUBER_BLOCK_CELLS`) on
-either side and make no m x n array.
+minus target on the observed set. Gradients are plain matrices: the
+observed quadratics' in the form `linalg.fits_dense` picks, the Huber
+objective's one dense m x n array, built in place.
 """
 
 from __future__ import annotations
@@ -30,14 +25,11 @@ __all__ = [
 class ObservedQuadratic:
     """R(A) = 1/2 * sum_{(i,j) in Omega} (A - M)_ij^2.
 
-    The residual of the last FactorPair seen is cached, so `value` at the
-    end of one outer step and `gradient` (or `insertion_gradient`) at the
-    start of the next share one gather and one subtraction. The cache is one
-    (pair, residual) tuple, matched by identity and replaced in one
-    assignment, so threads sharing an objective at worst project again; the
-    cached array is read-only, and so is every gradient built from it. A
-    FactorPair must therefore not be mutated after it has been passed to an
-    objective.
+    The residual of the last FactorPair seen is cached (see `FactorPair`),
+    so `value` at the end of one outer step and `gradient` (or
+    `insertion_gradient`) at the start of the next share one gather and one
+    subtraction; the cached array is read-only, and so is every gradient
+    built from it.
 
     The value at the zero matrix, 1/2 ||vals||^2, must be finite: values
     large enough to overflow it (about 1e154 and up) would make every
@@ -103,28 +95,21 @@ def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
 
 # Cells per row block of the Huber pass (`HuberLowRank.evaluate`): rows =
 # this // n, so the residual and clipped buffers (256 KB each) stay in cache
-# next to the target's block. At 500 x 500, r = 5, an evaluation takes 1.01
-# ms, near the best block (0.98 at 65536), against 3.42 for two whole m x n
-# buffers; small blocks pay the per-block calls. A 100 x 100 target is a
-# single block. Full sweep: CHANGES.md, "Timing tables".
+# next to the target's block; smaller blocks pay the per-block calls. A
+# 100 x 100 target is a single block. Sweep: CHANGES.md, "Timing tables".
 _HUBER_BLOCK_CELLS = 32768
 
 
 class HuberLowRank:
     """R(A) = sum_ij H_delta((A - M)_ij) with a dense target M.
 
-    The value of the last FactorPair seen is kept, so the solvers' `value`
-    after a half-step costs nothing: the L-BFGS half-step records the value
-    it ended on (`record_value`), which is the same block sum bit for bit.
-    The entry is one (pair, value) tuple, matched by identity and replaced
-    in one assignment, so threads sharing an objective at worst evaluate
-    again. As with `ObservedQuadratic`, a FactorPair must not be mutated
-    after it has been passed to an objective.
+    The value of the last FactorPair seen is kept (see `FactorPair`), and
+    `inner._huber_half_step` records the one it ends on (`record_value`).
 
     The value at the zero matrix must be finite, as `ObservedQuadratic`'s
     must: a target and delta whose terms overflow it (1e160 each, say) make
-    it NaN or infinite, and the L-BFGS half-step divides its objective by its
-    start value, so they are rejected when the objective is built.
+    it NaN or infinite, and the half-step divides its objective by its start
+    value, so they are rejected when the objective is built.
     """
 
     def __init__(self, target: np.ndarray, delta: float):

@@ -40,11 +40,9 @@ class SolverConfig:
     target_rank is the rank budget r. max_outer_iters is the iteration
     count L of local search, and a safety cap on fast local search passes.
     ls_iters caps the per-row CG steps of the fast solvers' refit (2-3 act
-    as regularization). seed picks the start vectors of the insertions that
-    top_singular_triplet finds by Lanczos. Each insertion is the gradient's
-    top singular pair, to machine precision. The fast solvers take the
-    insertion direction from the objective's insertion_gradient when it has
-    one (clipped ratings).
+    as regularization). seed seeds the insertions (`top_singular_triplet`).
+    The fast solvers take the insertion direction from the objective's
+    insertion_gradient when it has one (clipped ratings).
     """
 
     target_rank: int

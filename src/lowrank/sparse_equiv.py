@@ -130,9 +130,8 @@ class LiftedQuadratic:
 
     On diagonal iterates the gradient reduces to Diag(grad f), so the matrix
     solvers only ever insert e_i e_i^T components. The last FactorPair seen
-    is cached by identity as its off-diagonal part and its diagonal, so
-    `value` and `gradient` on one pair form U V^T once, as
-    `ObservedQuadratic.residual` does.
+    is cached (see `FactorPair`) as its off-diagonal part and its diagonal,
+    so `value` and `gradient` on one pair form U V^T once.
     """
 
     def __init__(self, problem: SparseRegressionProblem, beta: float):
@@ -225,9 +224,7 @@ def _pursuit_iterates(problem: SparseRegressionProblem, mode: str, steps: int
     return fits + [last] * (steps - len(fits))
 
 
-# bounds of check_equivalence, each a multiple of the largest |coefficient|
-# of the step's vector iterate: on the off-diagonal Frobenius mass, and on
-# the iterate difference and the support threshold
+# the bounds of `check_equivalence` (its docstring states them)
 _OFFDIAG_TOL = 1e-8
 _ITERATE_TOL = 1e-6
 

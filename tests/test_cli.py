@@ -9,6 +9,7 @@ import pytest
 
 import lowrank
 from lowrank.cli import build_parser, main
+from lowrank.experiments import COMPLETION_SOLVERS
 
 
 def run_cli(args):
@@ -118,6 +119,18 @@ def test_synth_complete_rejects_bad_config(tmp_path, capsys, flag, value, name):
                     "--csv", str(csv_path), "--json", str(json_path)])
     assert code == 1
     assert name in capsys.readouterr().err
+    assert not csv_path.exists() and not json_path.exists()
+
+
+@pytest.mark.parametrize("solver", COMPLETION_SOLVERS)
+def test_synth_complete_rejects_a_rank_0_truth(tmp_path, capsys, solver):
+    # a rank-0 truth leaves a zero held-out signal, so test NMSE is undefined
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["synth-complete", "--m", "20", "--n", "20", "--true-rank", "0",
+                    "--rank", "3", "--trials", "1", "--solver", solver,
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert "true_rank" in capsys.readouterr().err
     assert not csv_path.exists() and not json_path.exists()
 
 

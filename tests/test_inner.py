@@ -132,7 +132,7 @@ def test_optimize_full_rank_cap():
     obs = SparseObservations(60, 60, [0], [0], [1.0])
     obj = ObservedQuadratic(obs)
     rank = 46  # 46^4 cells > 2^22
-    with pytest.raises(ValueError, match=rf"rank {rank} .*cap of {inner._NORMAL_CELLS}"):
+    with pytest.raises(ValueError, match=rf"rank {rank} .*cap of {linalg._REFIT_CELLS}"):
         optimize_full(np.zeros((60, rank)), np.zeros((60, rank)), obj)
     for solver in (greedy, local_search):
         with pytest.raises(ValueError, match=rf"rank {rank} .*cap"):
@@ -388,7 +388,7 @@ def test_large_ranks_and_gram_arrays_take_the_gather_kernel(monkeypatch):
         assert _kernels_run(monkeypatch, recipe, 100, 2, t) == {"gather"}
     # a step cap that admits the rank still gathers once the rows x r x r
     # Gram array would pass the cell bound
-    rank, cells = 27, linalg._GRAM_CELLS
+    rank, cells = 27, linalg._REFIT_CELLS
     rows = cells // (rank * rank) + 1
     assert fits_gram(rows - 1, rank, 100) and not fits_gram(rows, rank, 100)
     assert _kernels_run(monkeypatch, dict(m=rows, n=12, p=0.3), rank, 100, 0) == {"gather"}
