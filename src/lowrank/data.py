@@ -1,7 +1,7 @@
 """Synthetic instance generation, MovieLens ingestion, splits, and metrics.
 
-All generators are pure functions of (config, seed); entries of observed
-sets are emitted in row-major order so replays are bit-identical.
+All generators are pure functions of (config, seed), so replays are
+bit-identical; observed sets hold their entries in row-major order.
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ __all__ = [
 ]
 
 
+def _check_grid(config) -> None:
+    """The checks both synthetic configs share."""
+    check_integers(config, m=1, n=1, true_rank=0, seed=0)
+    if config.m * config.n < 2:
+        raise ValueError("m * n must be >= 2: the generators scale by an sd over cells")
+    if config.true_rank > min(config.m, config.n):
+        raise ValueError("true_rank must be <= min(m, n)")
+
+
 @dataclass
 class SynthCompletionConfig:
     m: int
@@ -35,14 +44,9 @@ class SynthCompletionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, m=1, n=1, true_rank=0, seed=0)
-        if self.m * self.n < 2:
-            raise ValueError("m * n must be >= 2: the noise is scaled by its sd "
-                             "over the cells")
+        _check_grid(self)
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError("observed_fraction must be in (0, 1]")
-        if self.true_rank > min(self.m, self.n):
-            raise ValueError("true_rank must be <= min(m, n)")
         if not self.snr > 0:  # also rejects NaN
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
@@ -57,7 +61,7 @@ class SynthRpcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, m=1, n=1, true_rank=0, seed=0)
+        _check_grid(self)
         if not 0.0 <= self.sparse_fraction < 1.0:
             raise ValueError("sparse_fraction must be in [0, 1)")
         if not np.isfinite(self.sparse_magnitude):
@@ -122,10 +126,10 @@ _FORMATS = {"ml100k": "\t", "ml1m": "::"}
 
 
 def load_movielens(path: str, fmt: str) -> SparseObservations:
-    """Parse a MovieLens ratings file into a users x items observed set, in
-    file order; user/item ids are remapped to dense indices by ascending
-    original id. A repeated (user, item) pair is an error that names the
-    pair by its ids in the file."""
+    """Parse a MovieLens ratings file into a users x items observed set, its
+    ids remapped to dense indices by ascending original id; the set is
+    row-major whatever the line order. A repeated (user, item) pair is an
+    error that names the pair by its ids in the file."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_FORMATS)}")
     sep = _FORMATS[fmt]
@@ -162,15 +166,14 @@ def load_movielens(path: str, fmt: str) -> SparseObservations:
 
 def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int
                   ) -> tuple[SparseObservations, SparseObservations]:
-    """Seeded uniform partition of the ratings into train/test sets, both
-    over the full user x item grid and each in the ratings' entry order."""
+    """Seeded uniform partition of the ratings, drawn over their row-major
+    positions, into train/test sets over the full user x item grid."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ratings.nnz)
     n_train = int(np.floor(train_fraction * ratings.nnz))
-    train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
-    return ratings._take(train), ratings._take(test)
+    return ratings._take(perm[:n_train]), ratings._take(perm[n_train:])
 
 
 def nmse_on(pair: FactorPair, ref: SparseObservations) -> float:

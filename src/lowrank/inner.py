@@ -228,7 +228,7 @@ def _huber_half_step(U: np.ndarray, V: np.ndarray, t: int,
     depend on the data's units.
 
     Each function evaluation is one `HuberLowRank.evaluate` pass over M's row
-    blocks (`objectives._HUBER_BLOCK_CELLS`), whose buffers are per call. The
+    blocks (`linalg._BLOCK_CELLS`), whose buffers are per call. The
     start's pass, which picks c and s, is handed back as L-BFGS's first
     evaluation, so no point is evaluated twice. The value L-BFGS ends on,
     times s, is `evaluate` at the returned point bit for bit, so it is

@@ -53,14 +53,13 @@ class SparseObservations:
     Doubles as mask and target: `row[k], col[k]` locate entry k, `vals[k]`
     holds its value. The constructor validates its input once: shapes,
     bounds, whole-number indices, finite values and no repeated (i, j)
-    cell; `_take` reuses the checked arrays. The duplicate check reads the
-    flat cell index `row * cols + col`: one O(nnz) pass for row-major input,
-    otherwise one sort and a neighbour compare, which also names the first
-    repeated cell (not `np.unique`, whose hash path is far slower; CHANGES.md,
-    "Timing tables"). Entries keep the order they were given in ("entry
-    order"), and so does every per-entry array (`vals`, `project_observed`'s
-    output). The CSR skeleton, the dense arrays and the 0/1 pattern are
-    built once each, when first asked for, the dense arrays by
+    cell; `_take` reuses the checked arrays. Entries, and every per-entry
+    array (`vals`, `project_observed`'s output), are in row-major order:
+    input that is not is permuted by one argsort of the flat cell index
+    `row * cols + col`, whose neighbour compare names the first repeated
+    cell (not `np.unique`, whose hash path is far slower; CHANGES.md,
+    "Timing tables"). The CSR skeleton, the dense arrays and the 0/1 pattern
+    are built once each, when first asked for, the dense arrays by
     `matrix_with`'s scatter and the pattern by `csr_with`; the transposed
     problem reads their `.T`. Treat instances as immutable once constructed.
     """
@@ -96,11 +95,13 @@ class SparseObservations:
             # strictly increasing (row-major) input has no duplicates
             flat = self._flat
             if not np.all(flat[1:] > flat[:-1]):
-                flat = np.sort(flat)
+                order = np.argsort(flat)
+                flat = flat[order]
                 dup = np.flatnonzero(flat[1:] == flat[:-1])
                 if dup.size:
-                    i, j = divmod(int(flat[dup[0]]), self.cols)
-                    raise DuplicateEntryError(i, j)
+                    raise DuplicateEntryError(*divmod(int(flat[dup[0]]), self.cols))
+                self.row, self.col = self.row[order], self.col[order]
+                self.vals = self.vals[order]
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("non-finite observation values")
 
@@ -114,14 +115,14 @@ class SparseObservations:
 
     @property
     def _flat(self) -> np.ndarray:
-        """The flat cell index `row * cols + col` of each entry, in entry order."""
+        """The flat cell index `row * cols + col` of each entry."""
         return self.row * self.cols + self.col
 
     def _take(self, indices: np.ndarray) -> "SparseObservations":
-        """The entries at `indices`, in that order, without re-validation.
-
-        The caller passes distinct positions; repeated ones would yield a set
-        with duplicate (i, j) entries that the constructor rejects."""
+        """The entries at the distinct positions `indices`, in row-major order
+        (the positions are sorted), without re-validation: repeated positions
+        would yield a set with duplicate (i, j) entries."""
+        indices = np.sort(indices)
         out = object.__new__(SparseObservations)
         out.rows, out.cols = self.shape
         out.row, out.col = self.row[indices], self.col[indices]
@@ -135,35 +136,23 @@ class SparseObservations:
                 np.bincount(self.col, minlength=self.cols))
 
     @cached_property
-    def _skeleton(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(indptr, indices, perm) of this set's CSR matrix, read-only.
-
-        One O(nnz) pass for row-major input, otherwise one sort: `perm` is the
-        argsort of the flat cell index, which equals the (row, col) lexsort
-        because the cells are distinct, at an eighth of its cost."""
+    def _skeleton(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of this set's CSR matrix, read-only; the entries
+        are in row-major order, so the indices are `col`."""
         big = max(self.rows, self.cols, self.nnz) > np.iinfo(np.int32).max
         idx = np.int64 if big else np.int32
         indptr = np.zeros(self.rows + 1, dtype=idx)
         np.cumsum(self._counts[0], out=indptr[1:])
-        flat = self._flat
-        if np.all(flat[1:] > flat[:-1]):
-            perm, indices = None, self.col.astype(idx)
-        else:
-            perm = np.argsort(flat)
-            indices = self.col[perm].astype(idx)
+        indices = self.col.astype(idx)
         indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices, perm
+        return indptr, indices
 
     def csr_with(self, vals: np.ndarray) -> sp.csr_matrix:
-        """`vals`, given in entry order, as a CSR matrix on the support.
-
-        The matrix shares the set's skeleton and, for entries in CSR order,
-        holds a read-only view of `vals` (a permuted copy otherwise). Its `.T`
-        is the CSC matrix of the transposed set on the same arrays.
-        """
-        indptr, indices, perm = self._skeleton
-        data = np.ascontiguousarray(vals, dtype=np.float64)
-        data = data.view() if perm is None else data[perm]
+        """`vals`, one per entry, as a CSR matrix on the support: the set's
+        skeleton and a read-only view of `vals`. Its `.T` is the CSC matrix
+        of the transposed set on the same arrays."""
+        indptr, indices = self._skeleton
+        data = np.ascontiguousarray(vals, dtype=np.float64).view()
         data.flags.writeable = False
         return sp.csr_matrix((data, indices, indptr), shape=self.shape, copy=False)
 
@@ -171,14 +160,14 @@ class SparseObservations:
         return self.csr_with(self.vals)
 
     def matrix_with(self, vals: np.ndarray) -> np.ndarray | sp.csr_matrix:
-        """`vals`, given in entry order, as a read-only m x n matrix on the
-        support, dense or CSR as `fits_dense` picks."""
+        """`vals`, one per entry, as a read-only m x n matrix on the support,
+        dense or CSR as `fits_dense` picks."""
         if not fits_dense(self.shape, self.nnz):
             return self.csr_with(vals)
         return self._scatter(vals)
 
     def _scatter(self, vals) -> np.ndarray:
-        """`vals` (entry order, or one scalar) as a read-only dense m x n
+        """`vals` (one per entry, or one scalar) as a read-only dense m x n
         array, zero off the support."""
         out = np.zeros(self.shape)
         out.ravel()[self._flat] = vals
@@ -274,7 +263,7 @@ def fits_dense(shape: tuple[int, int], nnz: int | None = None) -> bool:
       and a multiply by the dense 0/1 mask; any other set takes the Gram or
       the gather kernel, as `fits_gram` rules;
     - predictions (`project_observed`): one GEMM and one gather of the
-      entries; any other set gathers the factor rows of `_GATHER_BLOCK`
+      entries; any other set gathers the factor rows of `_BLOCK_CELLS` // r
       entries at a time into two reused buffers, so no nnz x r copy of
       either factor is made, and each value equals
       ``np.einsum("ij,ij->i", U[row], V[col])`` bit for bit;
@@ -498,13 +487,15 @@ def _top_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarr
     return float(w[0]), z[:, 0]
 
 
-# Entries per block of `project_observed`'s gather: the two r-column buffers
-# then stay in cache. Sweep: CHANGES.md, "Timing tables".
-_GATHER_BLOCK = 4096
+# Cells per block of the blocked passes: `project_observed`'s gather takes
+# this // r entries, `objectives.HuberLowRank.evaluate` this // n rows, so
+# each pass's two block buffers (256 KB each) stay in cache; smaller blocks
+# pay the per-block calls. Sweeps: CHANGES.md, "Timing tables".
+_BLOCK_CELLS = 32768
 
 
 def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
-    """(U V^T)_ij for each (i, j) in Omega, in Omega's entry order, on the
+    """(U V^T)_ij for each (i, j) in Omega, in row-major order, on the
     kernel `fits_dense` picks."""
     if pair.shape != omega.shape:
         raise ValueError(f"factor shape {pair.shape} != observation shape {omega.shape}")
@@ -513,10 +504,11 @@ def project_observed(pair: FactorPair, omega: SparseObservations) -> np.ndarray:
     if fits_dense(omega.shape, omega.nnz):
         return (pair.U @ pair.V.T).ravel()[omega._flat]
     out = np.empty(omega.nnz)
-    bu = np.empty((min(_GATHER_BLOCK, omega.nnz), pair.rank))
+    block = max(1, _BLOCK_CELLS // pair.rank)
+    bu = np.empty((min(block, omega.nnz), pair.rank))
     bv = np.empty_like(bu)
-    for s in range(0, omega.nnz, _GATHER_BLOCK):
-        e = min(s + _GATHER_BLOCK, omega.nnz)
+    for s in range(0, omega.nnz, block):
+        e = min(s + block, omega.nnz)
         u, v = bu[:e - s], bv[:e - s]
         # the constructor checked the indices; mode="clip" lets take write
         # straight into `out` (the default "raise" buffers it)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactorPair, SparseObservations, project_observed, row_grams
+from .linalg import (_BLOCK_CELLS, FactorPair, SparseObservations, project_observed,
+                     row_grams)
 
 __all__ = [
     "ObservedQuadratic",
@@ -51,8 +52,8 @@ class ObservedQuadratic:
         return self.target.shape
 
     def residual(self, pair: FactorPair) -> np.ndarray:
-        """Prediction minus target on Omega, in entry order (read-only; from
-        the cache when `pair` is the last one)."""
+        """Prediction minus target on Omega, in row-major order (read-only;
+        from the cache when `pair` is the last one)."""
         last, res = self._last
         if last is not pair:
             res = project_observed(pair, self.target)
@@ -91,13 +92,6 @@ def huber_value(residual: np.ndarray, delta: float, clipped=None) -> float:
     `clipped` when given; each term is at least g r / 2, so nothing cancels."""
     g = np.clip(residual, -delta, delta) if clipped is None else clipped
     return float(np.vdot(g, residual) - 0.5 * np.vdot(g, g))
-
-
-# Cells per row block of the Huber pass (`HuberLowRank.evaluate`): rows =
-# this // n, so the residual and clipped buffers (256 KB each) stay in cache
-# next to the target's block; smaller blocks pay the per-block calls. A
-# 100 x 100 target is a single block. Sweep: CHANGES.md, "Timing tables".
-_HUBER_BLOCK_CELLS = 32768
 
 
 class HuberLowRank:
@@ -149,7 +143,7 @@ class HuberLowRank:
         """The value at `pair` and, for side 0 / 1, its gradient with respect
         to U / V: clip(R, -delta, delta) V or clip(R)^T U, R = U V^T - M.
 
-        One pass over M's row blocks of `_HUBER_BLOCK_CELLS` cells on every
+        One pass over M's row blocks of `linalg._BLOCK_CELLS` cells on every
         side, with two block buffers made per call (nothing is stored on the
         objective). Side 0 writes the block's gradient rows clip(R_b) V; side
         1 accumulates clip(R_b)^T U_b over the blocks, so no copy of M^T and
@@ -158,7 +152,7 @@ class HuberLowRank:
         self._check(pair)
         U, V, target = pair.U, pair.V, self.target
         m, n = target.shape
-        rows = max(1, min(m, _HUBER_BLOCK_CELLS // n))
+        rows = max(1, min(m, _BLOCK_CELLS // n))
         resid, clipped = np.empty((rows, n)), np.empty((rows, n))
         grad = None if side is None else np.zeros_like(V if side else U)
         total = 0.0

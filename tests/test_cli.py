@@ -232,6 +232,27 @@ def test_recsys_outputs(tmp_path, mini_ratings):
     assert summary["params"]["clip"] == [1.0, 5.0]
 
 
+def test_recsys_outputs_do_not_depend_on_the_files_line_order(tmp_path, mini_ratings):
+    # the splits are drawn over the ratings' row-major positions
+    lines = read_lines(mini_ratings)
+    shuffled = tmp_path / "shuffled.data"
+    order = np.random.default_rng(1).permutation(len(lines))
+    shuffled.write_text("\n".join(lines[k] for k in order) + "\n")
+    outputs = []
+    for name, data in (("given", mini_ratings), ("shuffled", shuffled)):
+        csv_path, json_path, trace_path = (tmp_path / f"{name}.{ext}"
+                                           for ext in ("csv", "json", "trace.csv"))
+        code = run_cli(["recsys", "--data", str(data), "--format", "ml100k",
+                        "--split", "0.8", "--splits", "2", "--seed", "0",
+                        "--rank", "3", "--inner-iters", "2",
+                        "--csv", str(csv_path), "--json", str(json_path),
+                        "--trace", str(trace_path)])
+        assert code == 0
+        outputs.append((strip_timing(read_lines(csv_path)), json_path.read_bytes(),
+                        strip_timing(read_lines(trace_path))))
+    assert outputs[0] == outputs[1]
+
+
 def test_zero_trials_or_splits_exit_one(tmp_path, mini_ratings, capsys):
     for args in (["synth-complete", "--m", "20", "--n", "20", "--trials", "0"],
                  ["recsys", "--data", str(mini_ratings), "--splits", "0"]):

@@ -82,6 +82,18 @@ def test_gen_rpca_validation():
         SynthRpcaConfig(10, 10, 1, 0.1, 4.0, seed=-3)
 
 
+@pytest.mark.parametrize("m, n, true_rank, field", [
+    (1, 1, 1, r"m \* n must be >= 2"), (2, 2, 3, r"true_rank must be <= min\(m, n\)")],
+    ids=["one-cell", "rank-above-grid"])
+def test_rpca_config_checks_the_grid_as_completion_config_does(m, n, true_rank, field):
+    # one cell has an sd of 0, which scaled the corruption to 0; a rank-3
+    # truth on a 2 x 2 grid was built at rank 2
+    with pytest.raises(ValueError, match=field):
+        SynthRpcaConfig(m, n, true_rank, 0.1, 4.0)
+    with pytest.raises(ValueError, match=field):
+        SynthCompletionConfig(m, n, true_rank, 0.5, 1.0)
+
+
 # ------------------------------------------------------------------ gen_rpca
 
 def test_gen_rpca_no_corruption():
@@ -123,10 +135,11 @@ def test_load_movielens_ml100k(tmp_path):
     path.write_text("1\t2\t3\t881250949\n7\t2\t5\t881250950\n3\t9\t1\t881250951\n")
     ratings = load_movielens(str(path), "ml100k")
     assert ratings.shape == (3, 2)
-    # sorted-ascending remap: users {1,3,7} -> {0,1,2}; items {2,9} -> {0,1}
-    assert ratings.row.tolist() == [0, 2, 1]
-    assert ratings.col.tolist() == [0, 0, 1]
-    assert ratings.vals.tolist() == [3.0, 5.0, 1.0]
+    # sorted-ascending remap: users {1,3,7} -> {0,1,2}; items {2,9} -> {0,1};
+    # entries in row-major order
+    assert ratings.row.tolist() == [0, 1, 2]
+    assert ratings.col.tolist() == [0, 1, 0]
+    assert ratings.vals.tolist() == [3.0, 1.0, 5.0]
 
 
 def test_load_movielens_ml1m(tmp_path):
@@ -158,12 +171,12 @@ def test_load_movielens_remaps_unsorted_sparse_ids(tmp_path):
     path.write_text("".join(f"{u}\t{i}\t{k % 5 + 1}\t0\n"
                             for k, (u, i) in enumerate(zip(users, items))))
     ratings = load_movielens(str(path), "ml100k")
-    # users {3, 7, 52, 1000} -> 0..3, items {4, 17, 88, 300} -> 0..3, file order kept
+    # users {3, 7, 52, 1000} -> 0..3, items {4, 17, 88, 300} -> 0..3, row-major
     assert ratings.shape == (4, 4)
-    assert ratings.row.tolist() == [3, 1, 2, 1, 3, 0]
-    assert ratings.col.tolist() == [2, 0, 2, 3, 0, 1]
+    assert ratings.row.tolist() == [0, 1, 1, 2, 3, 3]
+    assert ratings.col.tolist() == [1, 0, 3, 2, 0, 2]
     assert ratings.row.dtype == ratings.col.dtype == np.int64
-    assert ratings.vals.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 1.0]
+    assert ratings.vals.tolist() == [1.0, 2.0, 4.0, 3.0, 5.0, 1.0]
 
 
 def test_load_movielens_malformed_line(tmp_path):

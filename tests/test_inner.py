@@ -451,7 +451,7 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch):
 
 def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
     # bit for bit on each kernel: dense below the cap, Gram and gather above;
-    # on sets in row-major order, shuffled (the skeleton has a `perm`), and
+    # on sets given in row-major order, shuffled (stored row-major), and
     # with empty rows and columns (the V side reads the column counts)
     for (size, rank, iters), kind in itertools.product(
             ((dict(m=15, n=11, p=0.5), 3, 3), (ABOVE_CAP, 3, 3), (ABOVE_CAP, 12, 2)),
@@ -461,7 +461,7 @@ def test_optimize_fast_v_side_matches_u_side_on_transposed_set():
             order = rng.permutation(obs.nnz)
             obs = SparseObservations(obs.rows, obs.cols, obs.row[order],
                                      obs.col[order], obs.vals[order])
-            assert obs._skeleton[2] is not None
+            assert np.all(np.diff(obs._flat) > 0)
         elif kind == "empty lines":
             obs = _with_empty_lines(obs)
             assert (obs._counts[0] == 0).any() and (obs._counts[1] == 0).any()
@@ -663,7 +663,7 @@ def test_huber_half_step_threads_sharing_one_objective(monkeypatch):
     # budget splits each side into 5 row blocks, the last one partial; a
     # larger instance would reach threaded BLAS vector kernels, which
     # contend under the short switch interval below
-    monkeypatch.setattr(objectives, "_HUBER_BLOCK_CELLS", 700)
+    monkeypatch.setattr(objectives, "_BLOCK_CELLS", 700)
     obj, _, _ = _huber_instance(21)
     rng = np.random.default_rng(22)
     starts = [(rng.standard_normal((60, 3)), rng.standard_normal((50, 3)))

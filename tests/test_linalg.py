@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lowrank
-from lowrank.linalg import (_DENSE_CELLS, _DENSE_FILL, _GATHER_BLOCK, _KRYLOV_BASIS,
+from lowrank.linalg import (_BLOCK_CELLS, _DENSE_CELLS, _DENSE_FILL, _KRYLOV_BASIS,
                             DuplicateEntryError, FactorPair, SparseObservations,
                             fits_dense, project_observed, top_singular_triplet)
 
@@ -136,8 +136,27 @@ def test_derived_sets_skip_validation(monkeypatch):
     assert np.shares_memory(obs.csr().T.indices, obs._skeleton[1])
     assert obs.csr().T.T.format == "csr"
     taken = obs._take(np.arange(obs.nnz)[::-1])
+    assert np.all(np.diff(taken._flat) > 0)  # row-major, as every set
     assert taken.csr().format == "csr"
     assert np.array_equal(taken.csr().toarray(), obs.csr().toarray())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 8))
+def test_any_entry_order_builds_the_same_row_major_set(seed, m, n):
+    rng = np.random.default_rng(seed)
+    flat = np.flatnonzero(rng.random(m * n) < 0.6)
+    vals = rng.standard_normal(flat.size)
+    want = SparseObservations(m, n, flat // n, flat % n, vals)
+    order = rng.permutation(flat.size)
+    got = SparseObservations(m, n, flat[order] // n, flat[order] % n, vals[order])
+    for name in ("row", "col", "vals"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # positions in any order take the same row-major subset
+    pick = rng.permutation(flat.size)[:flat.size // 2]
+    taken = got._take(pick)
+    assert np.all(np.diff(taken._flat) > 0)
+    assert np.array_equal(taken._flat, np.sort(got._flat[pick]))
+    assert np.array_equal(taken.vals, got.vals[np.sort(pick)])
 
 
 def test_used_set_is_freed_without_a_collection():
@@ -204,23 +223,32 @@ def test_csr_data_is_read_only(shuffled):
 
 
 def test_csr_skeleton_shared_and_sorted_once(monkeypatch):
-    # above the dense cap, where gradients and refits read the skeleton
+    # a shuffled set is sorted once, when it is built; a solve above the
+    # dense cap, where gradients and refits read the skeleton, sorts nothing
     calls = []
-    argsort = np.argsort
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.size(a))
-        return argsort(a, *args, **kwargs)
+    def counting(name):
+        sort = getattr(np, name)
 
-    monkeypatch.setattr(np, "argsort", counting)
+        def counted(a, *args, **kwargs):
+            calls.append((name, np.size(a)))
+            return sort(a, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "argsort", counting("argsort"))
     in_order = _entries(300, 250, 7500, 10, shuffled=False)
-    shuffled = _entries(300, 250, 7500, 10, shuffled=True)
-    assert in_order.rows * in_order.cols > _DENSE_CELLS
-    config = lowrank.SolverConfig(target_rank=4, seed=1)
-    lowrank.fast_greedy(lowrank.ObservedQuadratic(in_order), config)
     assert calls == []
-    lowrank.fast_greedy(lowrank.ObservedQuadratic(shuffled), config)
-    assert calls == [shuffled.nnz]
+    shuffled = _entries(300, 250, 7500, 10, shuffled=True)
+    assert calls == [("argsort", shuffled.nnz)]
+    assert in_order.rows * in_order.cols > _DENSE_CELLS
+    calls.clear()
+    for name in ("sort", "lexsort"):
+        monkeypatch.setattr(np, name, counting(name))
+    config = lowrank.SolverConfig(target_rank=4, seed=1)
+    for obs in (in_order, shuffled):
+        lowrank.fast_greedy(lowrank.ObservedQuadratic(obs), config)
+        assert "_skeleton" in vars(obs)
+    assert calls == []
 
 
 def test_small_set_solve_builds_no_sparse_matrix(monkeypatch):
@@ -745,15 +773,28 @@ def test_project_observed_matches_dense(seed, m, n, r):
 
 
 @pytest.mark.parametrize("r", [1, 5, 30])
-@pytest.mark.parametrize("nnz", [0, 1, _GATHER_BLOCK - 1, _GATHER_BLOCK,
-                                 _GATHER_BLOCK + 1, 3 * _GATHER_BLOCK + 7])
+@pytest.mark.parametrize("nnz", [0, 1, 4095, 4096, 4097, 12295])
 def test_project_observed_blocks_match_one_gather_exactly(nnz, r):
-    # the blocked gather runs above the dense cap (and below its fill floor)
+    # the blocked gather runs above the dense cap (and below its fill floor);
+    # at r = 30 these sizes span several blocks, the last one partial
     obs = _entries(300, 250, nnz, nnz + r, shuffled=True)
     rng = np.random.default_rng(r)
     pair = FactorPair(rng.standard_normal((300, r)), rng.standard_normal((250, r)))
     want = np.einsum("ij,ij->i", pair.U[obs.row], pair.V[obs.col])
     assert np.array_equal(project_observed(pair, obs), want)
+
+
+@pytest.mark.parametrize("r", [1, 3, 5, 30, 100])
+def test_project_observed_matches_one_gather_at_each_ranks_block_edges(r):
+    # a block holds _BLOCK_CELLS // r entries: one short, exact, one over,
+    # and three blocks and a partial fourth
+    block = _BLOCK_CELLS // r
+    rng = np.random.default_rng(r)
+    pair = FactorPair(rng.standard_normal((400, r)), rng.standard_normal((300, r)))
+    for nnz in (block - 1, block, block + 1, 3 * block + 7):
+        obs = _entries(400, 300, nnz, nnz + r, shuffled=True)
+        want = np.einsum("ij,ij->i", pair.U[obs.row], pair.V[obs.col])
+        assert np.array_equal(project_observed(pair, obs), want)
 
 
 def test_operator_from_observations_matches_dense():

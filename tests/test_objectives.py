@@ -284,7 +284,7 @@ def test_huber_blocked_pass_matches_whole_residual(m, n):
     want = huber_value(resid, 1.0)
     assert obj.value(pair) == pytest.approx(want, rel=1e-13)
     # both sides walk M's row blocks
-    per_block = lowrank.objectives._HUBER_BLOCK_CELLS // n
+    per_block = lowrank.linalg._BLOCK_CELLS // n
     assert per_block < m and m % per_block
     for side, grad in ((0, clipped @ pair.V), (1, clipped.T @ pair.U)):
         value, got = obj.evaluate(pair, side)
