@@ -51,16 +51,19 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
         raise argparse.ArgumentTypeError(f"expected LO:HI or 'none', got {text!r}")
 
 
-def _cmd_synth_complete(args) -> int:
-    rows, summary, traces = run_completion(
-        args.m, args.n, args.true_rank, args.p, args.snr, args.seed,
-        args.solver, args.rank, args.inner_iters, args.trials)
+def _write_run(args, tag: str, rows: list[dict], summary: dict, traces) -> int:
     _write_csv(args.csv, list(rows[0]), [row.values() for row in rows])
     _write_json(args.json, summary)
     if args.trace is not None:
-        _write_csv(args.trace, ["trial"] + TRACE_HEADER,
-                   [(trial, *astuple(tr)) for trial, tr in traces])
+        _write_csv(args.trace, [tag] + TRACE_HEADER,
+                   [(k, *astuple(tr)) for k, tr in traces])
     return 0
+
+
+def _cmd_synth_complete(args) -> int:
+    return _write_run(args, "trial", *run_completion(
+        args.m, args.n, args.true_rank, args.p, args.snr, args.seed,
+        args.solver, args.rank, args.inner_iters, args.trials))
 
 
 def _cmd_rpca_synth(args) -> int:
@@ -75,15 +78,9 @@ def _cmd_rpca_synth(args) -> int:
 
 def _cmd_recsys(args) -> int:
     ratings = load_movielens(args.data, args.format)
-    rows, summary, traces = run_recsys(ratings, args.splits, args.split, args.seed,
-                                       args.rank, args.inner_iters, args.clip,
-                                       args.solver)
-    _write_csv(args.csv, list(rows[0]), [row.values() for row in rows])
-    _write_json(args.json, summary)
-    if args.trace is not None:
-        _write_csv(args.trace, ["split"] + TRACE_HEADER,
-                   [(s, *astuple(tr)) for s, tr in traces])
-    return 0
+    return _write_run(args, "split", *run_recsys(
+        ratings, args.splits, args.split, args.seed, args.rank, args.inner_iters,
+        args.clip, args.solver))
 
 
 def _cmd_equivalence(args) -> int:

@@ -60,6 +60,8 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
         raise ValueError("true_rank must be >= 1 for a completion trial: a rank-0 "
                          "truth leaves no held-out signal to score test NMSE against")
     _, observed, heldout = gen_completion(cfg)
+    if observed.nnz == 0:
+        raise ValueError("no observed entries to fit: p leaves none observed")
     if heldout.nnz == 0:
         raise ValueError("no held-out entries to score: p leaves none unobserved")
     objective = ObservedQuadratic(observed)
@@ -117,9 +119,7 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
     """Per-rank NMSE sweep over independently seeded trials (seed + index),
     run one after another; every trial's traces come back tagged with its
     index."""
-    settings = SimpleNamespace(trials=trials)
-    check_integers(settings, trials=1)
-    trials = settings.trials
+    (trials,) = check_integers(SimpleNamespace(trials=trials), trials=1)
     per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
                                   rank, inner_iters)
                  for k in range(trials)]
@@ -184,9 +184,7 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Seeded train/test splits, one solver run per split, test RMSE rows and
     every run's traces tagged with its split."""
-    settings = SimpleNamespace(splits=splits)
-    check_integers(settings, splits=1)
-    splits = settings.splits
+    (splits,) = check_integers(SimpleNamespace(splits=splits), splits=1)
     # looked up per call, so that a patched module attribute is the one run
     solvers = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
                "greedy": greedy, "local": local_search}
@@ -234,18 +232,16 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     instances). `orthonormal` orthonormalizes the design columns;
     `correlation` > 0 mixes in an equicorrelated factor instead.
     """
-    sizes = SimpleNamespace(n=n, sparsity=sparsity, examples=examples, seed=seed)
-    check_integers(sizes, n=1, sparsity=0, seed=0)
-    n, sparsity = sizes.n, sizes.sparsity
+    n, sparsity, seed = check_integers(SimpleNamespace(n=n, sparsity=sparsity, seed=seed),
+                                       n=1, sparsity=0, seed=0)
     if sparsity > n:
         raise ValueError(f"sparsity must be in [0, n = {n}], got {sparsity}")
-    if examples is None:
-        sizes.examples = 3 * n
-    check_integers(sizes, examples=n if orthonormal else 1)
-    rows = sizes.examples
+    examples = 3 * n if examples is None else examples
+    (rows,) = check_integers(SimpleNamespace(examples=examples),
+                             examples=n if orthonormal else 1)
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must be in [0, 1), got {correlation}")
-    rng = np.random.default_rng(sizes.seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((rows, n))
     if orthonormal:
         design, _ = np.linalg.qr(g)

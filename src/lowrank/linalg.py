@@ -27,14 +27,15 @@ __all__ = [
 ]
 
 
-def check_integers(obj, **least: int) -> None:
+def check_integers(obj, **least: int) -> tuple[int, ...]:
     """Each named field of `obj` must be an integer at least its given value;
-    numpy integers are stored as ints."""
+    numpy integers are stored as ints, and returned in the order named."""
     for name, low in least.items():
         value = getattr(obj, name)
         if not isinstance(value, numbers.Integral) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         setattr(obj, name, int(value))
+    return tuple(getattr(obj, name) for name in least)
 
 
 class DuplicateEntryError(ValueError):
@@ -71,12 +72,7 @@ class SparseObservations:
     vals: np.ndarray
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            size = getattr(self, name)
-            if not isinstance(size, numbers.Integral) or size < 0:
-                raise ValueError(f"rows and cols must be integers >= 0, "
-                                 f"got {name}={size!r}")
-            setattr(self, name, int(size))
+        check_integers(self, rows=0, cols=0)
         for name in ("row", "col"):
             idx = np.asarray(getattr(self, name))
             # integer dtypes pass unchecked; other values must be whole numbers

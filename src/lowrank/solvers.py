@@ -103,27 +103,31 @@ def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
     return FactorPair(pair.U[:, keep], pair.V[:, keep]), i
 
 
-def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
-            fast: bool, patience: int | None = None,
+def _pursue(objective, config: SolverConfig, *, fast: bool,
+            pair: FactorPair | None = None, patience: int | None = None,
             offset: int = 0, sigma0: float | None = None,
             callback=None) -> tuple[FactorPair, list[IterationTrace]]:
     """The outer loop of all four solvers; returns the best iterate and trace.
 
-    Step t inserts the gradient's top singular pair (seed offset + t), after
-    truncate_fast / truncate_svd once the pair is at config.target_rank,
-    refits with optimize_fast (parity t) or optimize_full, and evaluates. A
-    top sigma at most 1e-12 * sigma0 ends the loop with a `gradient_zero`
-    row, so the rule does not depend on the data's scale; sigma0 defaults
-    to the first sigma, and a zero first sigma ends the loop at once. With
-    patience=None every step is kept; otherwise a step is kept only if it
+    From `pair` (default empty), step t inserts the gradient's top singular
+    pair (seed offset + t), after truncate_fast / truncate_svd once the
+    pair is at config.target_rank, refits with optimize_fast (parity t) or
+    optimize_full, and evaluates. A top sigma at most 1e-12 * sigma0 ends
+    the loop with a `gradient_zero` row, so the rule does not depend on the
+    data's scale; sigma0 defaults to the first sigma, and a zero first
+    sigma ends the loop at once. With patience=None every step is kept,
+    for config.target_rank steps; otherwise a step is kept only if it
     lowers the best objective, `patience` failures in a row end the loop,
-    and only improving steps and the final `stalled` one are traced. A
-    traced row whose objective is above the previous traced row's gets
-    `objective_up`. The callback sees every iterate. The full refit's rank
-    cap (`inner.check_full_refit`) is checked before the first step.
+    at most config.max_outer_iters steps run, and only improving steps and
+    the final `stalled` one are traced. A traced row whose objective is
+    above the previous traced row's gets `objective_up`. The callback sees
+    every iterate. The full refit's rank cap (`inner.check_full_refit`) is
+    checked before the first step.
     """
     if not fast:
         check_full_refit(config.target_rank, objective.shape)
+    pair = FactorPair.empty(*objective.shape) if pair is None else pair
+    steps = config.target_rank if patience is None else config.max_outer_iters
     gradient = objective.gradient
     if fast:
         gradient = getattr(objective, "insertion_gradient", gradient)
@@ -178,8 +182,7 @@ def _pursue(objective, config: SolverConfig, pair: FactorPair, steps: int, *,
 def greedy(objective, config: SolverConfig, callback=None
            ) -> tuple[FactorPair, list[IterationTrace]]:
     """Rank-1 pursuit with the full joint coefficient refit (reference path)."""
-    return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.target_rank, fast=False, callback=callback)
+    return _pursue(objective, config, fast=False, callback=callback)
 
 
 def local_search(objective, config: SolverConfig, callback=None
@@ -193,16 +196,13 @@ def local_search(objective, config: SolverConfig, callback=None
     (degraded steps, e.g. the r=1 direction oscillation, are not kept) and
     returns the previous iterate.
     """
-    return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.max_outer_iters, fast=False, patience=1,
-                   callback=callback)
+    return _pursue(objective, config, fast=False, patience=1, callback=callback)
 
 
 def fast_greedy(objective, config: SolverConfig, callback=None
                 ) -> tuple[FactorPair, list[IterationTrace]]:
     """Greedy with the one-sided alternating inner solve (the practical path)."""
-    return _pursue(objective, config, FactorPair.empty(*objective.shape),
-                   config.target_rank, fast=True, callback=callback)
+    return _pursue(objective, config, fast=True, callback=callback)
 
 
 def fast_local_search(objective, config: SolverConfig, callback=None
@@ -253,6 +253,6 @@ def fast_local_sweep(objective, configs, callback=None):
     for config in configs:
         # a rank the greedy run stopped short of starts from its last iterate
         start = iterates.get(config.target_rank, last)
-        yield _pursue(objective, config, start, config.max_outer_iters, fast=True,
-                      patience=2, offset=config.target_rank,
-                      sigma0=init[0].top_sigma, callback=callback)
+        yield _pursue(objective, config, fast=True, pair=start, patience=2,
+                      offset=config.target_rank, sigma0=init[0].top_sigma,
+                      callback=callback)

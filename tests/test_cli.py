@@ -109,6 +109,19 @@ def test_synth_complete_without_heldout_entries_is_an_error(tmp_path, capsys):
     assert not csv_path.exists() and not json_path.exists()
 
 
+@pytest.mark.parametrize("solver", COMPLETION_SOLVERS)
+def test_synth_complete_without_observed_entries_is_an_error(tmp_path, capsys, solver):
+    # floor(0.005 * 10 * 10) = 0 cells are observed
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["synth-complete", "--m", "10", "--n", "10", "--p", "0.005",
+                    "--solver", solver, "--rank", "3", "--trials", "1",
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert "error: no observed entries to fit: p leaves none observed" in (
+        capsys.readouterr().err)
+    assert not csv_path.exists() and not json_path.exists()
+
+
 @pytest.mark.parametrize("flag,value,name", [
     ("--snr", "nan", "snr"), ("--true-rank", "-1", "true_rank"),
     ("--m", "0", "m must"), ("--n", "0", "n must")])

@@ -71,13 +71,13 @@ def test_sparse_observations_integer_indices_skip_whole_number_check(monkeypatch
 
 def test_sparse_observations_rejects_negative_shape():
     for rows, cols in ((-2, 3), (3, -1)):
-        with pytest.raises(ValueError, match="rows and cols"):
+        with pytest.raises(ValueError, match="(rows|cols) must be an integer >= 0"):
             SparseObservations(rows, cols, [], [], [])
     assert SparseObservations(0, 0, [], [], []).nnz == 0
     # non-integer sizes are named; numpy integers are stored as ints
     for rows, cols, name in ((np.nan, 3, "rows"), (2.5, 3, "rows"), (3, np.inf, "cols"),
                              (3.0, 3, "rows")):
-        with pytest.raises(ValueError, match=f"got {name}="):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             SparseObservations(rows, cols, [0], [0], [1.0])
     obs = SparseObservations(np.int64(3), np.uint8(255), [0], [254], [1.0])
     assert obs.shape == (3, 255) and all(type(x) is int for x in obs.shape)

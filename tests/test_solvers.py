@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
-from lowrank.experiments import _solver_config
+from lowrank.experiments import _solver_config, make_equivalence_problem
 from lowrank.linalg import FactorPair, SparseObservations, top_singular_triplet
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
                              fast_local_sweep, greedy, local_search,
                              truncate_fast, truncate_svd)
+from lowrank.sparse_equiv import LiftedQuadratic
 
 from conftest import dense_gradient, full_observations, top_r_svd
 
@@ -127,6 +128,54 @@ def test_greedy_deterministic():
     p1, _ = greedy(obj, cfg)
     p2, _ = greedy(obj, cfg)
     assert np.array_equal(p1.U, p2.U) and np.array_equal(p1.V, p2.V)
+
+
+def _progress_instances():
+    """(objective, rho, rank, seed): observed quadratics (rho = 1) and
+    lifted problems (rho = max(beta, lambda_max(D^T D)))."""
+    for m, n, p in ((60, 50, 0.3), (100, 100, 0.2)):
+        for seed in range(4):
+            _, observed, _ = gen_completion(SynthCompletionConfig(m, n, 5, p, 10.0, seed))
+            yield ObservedQuadratic(observed), 1.0, 10, seed
+    for args, kwargs in (((10, 5), {}), ((20, 6), {"correlation": 0.3})):
+        for seed in range(4):
+            problem = make_equivalence_problem(*args, seed, **kwargs)
+            top = float(np.linalg.eigvalsh(problem.design.T @ problem.design)[-1])
+            for beta in (0.5 * top, 1.01 * top, 2.0 * top):
+                yield (LiftedQuadratic(problem, beta), max(beta, top),
+                       problem.sparsity, seed)
+
+
+def _progress_shortfalls(tol=1e-9):
+    """Greedy steps that lower R by less than (1 - tol) sigma^2 / (2 rho),
+    sigma the step's top_sigma, over `_progress_instances`."""
+    short = []
+    for objective, rho, rank, seed in _progress_instances():
+        before = objective.value(FactorPair.empty(*objective.shape))
+        _, traces = greedy(objective, SolverConfig(target_rank=rank, seed=seed))
+        for tr in traces:
+            if "gradient_zero" in tr.flags:
+                continue
+            bound = tr.top_sigma ** 2 / (2 * rho)
+            if before - tr.objective < (1 - tol) * bound:
+                short.append((type(objective).__name__, seed, tr.iter))
+            before = tr.objective
+    return short
+
+
+def test_greedy_steps_meet_the_progress_bound():
+    # Shalev-Shwartz, Gonen & Shamir (ICML 2011): the solved refit contains
+    # A - eta u v^T, so each step lowers R by at least sigma^2 / (2 rho).
+    # The tolerance, 1e-9 of the bound, covers rounding in R; the worst
+    # measured step here clears the bound by a factor of about 1.3.
+    assert _progress_shortfalls() == []
+
+
+def test_the_progress_check_fails_on_unrefit_steps(monkeypatch):
+    monkeypatch.setattr("lowrank.solvers.optimize_full",
+                        lambda U, V, objective: FactorPair(U, V))
+    assert {name for name, _, _ in _progress_shortfalls()} == {
+        "ObservedQuadratic", "LiftedQuadratic"}
 
 
 # ------------------------------------------------------------- local search

@@ -3,6 +3,8 @@
 Run as a script, `python tests/test_sources.py [DIR]` prints the code,
 docstring, comment and blank lines of each module of `src/lowrank` (or of
 DIR, another checkout's package) and their totals.
+`python tests/test_sources.py BEFORE_DIR AFTER_DIR` prints AFTER_DIR's
+counts, each with its change from BEFORE_DIR.
 """
 
 import ast
@@ -79,6 +81,32 @@ def line_counts(path: Path) -> dict[str, int]:
     return {kind: kinds.count(kind) for kind in KINDS}
 
 
+def report(package: Path, before: Path | None = None) -> list[str]:
+    """The table the script prints: the four counts and the total of each
+    module of `package` and of all of them; with `before`, each count is
+    followed by its change from that package, in which a module that one
+    side lacks counts 0."""
+    def table(where):
+        return {path.name: [*line_counts(path).values()]
+                for path in sorted(where.glob("*.py"))} if where else {}
+
+    now, then = table(package), table(before)
+    width = 10 if before is None else 16
+    lines = [f"{'module':<16}"
+             + "".join(f"{kind:>{width}}" for kind in KINDS + ("lines",))]
+    zero = [0] * len(KINDS)
+    rows = {name: (now.get(name, zero), then.get(name, zero))
+            for name in sorted(now.keys() | then.keys())}
+    rows["total"] = ([sum(col) for col in zip(zero, *now.values())],
+                     [sum(col) for col in zip(zero, *then.values())])
+    for name, (counts, old) in rows.items():
+        counts, old = counts + [sum(counts)], old + [sum(old)]
+        cells = [str(c) if before is None else f"{c} ({c - o:+d})"
+                 for c, o in zip(counts, old)]
+        lines.append(f"{name:<16}" + "".join(f"{cell:>{width}}" for cell in cells))
+    return lines
+
+
 def test_line_kinds_partition_each_module():
     for path in sorted(PACKAGE.glob("*.py")):
         counts = line_counts(path)
@@ -119,15 +147,21 @@ def test_the_timing_check_sees_comments_and_docstrings(tmp_path):
     assert [hit.split(":")[1] for hit in _timings(path)] == ["1", "2", "3"]
 
 
+def test_report_gives_each_count_and_its_change(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir(), after.mkdir()
+    (before / "a.py").write_text("X = 1\n\n# gone\n")
+    (before / "b.py").write_text("Y = 2\n")
+    (after / "a.py").write_text('"""Doc."""\nX = 1\n')
+    assert [row.split() for row in report(after)] == [
+        ["module", *KINDS, "lines"], ["a.py", "1", "1", "0", "0", "2"],
+        ["total", "1", "1", "0", "0", "2"]]
+    assert [row.split() for row in report(after, before)[1:]] == [
+        ["a.py", "1", "(+0)", "1", "(+1)", "0", "(-1)", "0", "(-1)", "2", "(-1)"],
+        ["b.py", "0", "(-1)", "0", "(+0)", "0", "(+0)", "0", "(+0)", "0", "(-1)"],
+        ["total", "1", "(-1)", "1", "(+1)", "0", "(-1)", "0", "(-1)", "2", "(-2)"]]
+
+
 if __name__ == "__main__":
-    package = Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE
-    total = dict.fromkeys(KINDS, 0)
-    print(f"{'module':<16}" + "".join(f"{kind:>10}" for kind in KINDS) + f"{'lines':>10}")
-    for path in sorted(package.glob("*.py")):
-        counts = line_counts(path)
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        print(f"{path.name:<16}" + "".join(f"{counts[k]:>10}" for k in KINDS)
-              + f"{sum(counts.values()):>10}")
-    print(f"{'total':<16}" + "".join(f"{total[k]:>10}" for k in KINDS)
-          + f"{sum(total.values()):>10}")
+    dirs = [Path(arg) for arg in sys.argv[1:]]
+    print("\n".join(report(*(dirs[::-1] or [PACKAGE]))))
