@@ -13,9 +13,10 @@ import sys
 from dataclasses import asdict, astuple, fields
 
 from .data import load_movielens
-from .experiments import (COMPLETION_SOLVERS, run_completion, run_equivalence,
-                          run_recsys, run_rpca)
+from .experiments import (COMPLETION_SOLVERS, make_equivalence_problem,
+                          run_completion, run_recsys, run_rpca)
 from .solvers import IterationTrace
+from .sparse_equiv import check_equivalence
 
 TRACE_HEADER = [f.name for f in fields(IterationTrace)]
 
@@ -84,8 +85,8 @@ def _cmd_recsys(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    report = run_equivalence(args.n, args.sparsity, args.steps, args.beta,
-                             args.seed, args.mode)
+    problem = make_equivalence_problem(args.n, args.sparsity, args.seed)
+    report = check_equivalence(problem, args.beta, args.steps, args.mode, args.seed)
     out = asdict(report)
     del out["details"]
     print(json.dumps(out, indent=2, sort_keys=True))

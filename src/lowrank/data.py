@@ -173,7 +173,10 @@ def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ratings.nnz)
     n_train = int(np.floor(train_fraction * ratings.nnz))
-    return ratings._take(perm[:n_train]), ratings._take(perm[n_train:])
+    halves = (np.sort(perm[:n_train]), np.sort(perm[n_train:]))
+    return tuple(SparseObservations(*ratings.shape, ratings.row[k], ratings.col[k],
+                                    ratings.vals[k])
+                 for k in halves)
 
 
 def nmse_on(pair: FactorPair, ref: SparseObservations) -> float:

@@ -1,5 +1,5 @@
 """Experiment drivers behind the CLI: completion sweeps, RPCA recovery,
-recommender splits, and the pursuit-equivalence check."""
+recommender splits, and the pursuit-equivalence instances."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from .data import (SynthCompletionConfig, SynthRpcaConfig, gen_completion,
                    gen_rpca, nmse_on, rmse_on, split_ratings)
 from .linalg import SparseObservations, check_integers
 from .objectives import ClippedObservedQuadratic, HuberLowRank, ObservedQuadratic
-from .sparse_equiv import (EquivalenceReport, SparseRegressionProblem,
-                           check_equivalence)
+from .sparse_equiv import SparseRegressionProblem
 from .solvers import (IterationTrace, SolverConfig, fast_greedy,
                       fast_local_search, fast_local_sweep, greedy, local_search)
 
@@ -25,7 +24,6 @@ __all__ = [
     "run_rpca",
     "run_recsys",
     "make_equivalence_problem",
-    "run_equivalence",
 ]
 
 COMPLETION_SOLVERS = ("greedy", "local", "fast-greedy", "fast-local", "softimpute")
@@ -36,15 +34,6 @@ def mean_stderr(xs) -> dict:
     out = {"mean": float(xs.mean())}
     out["stderr"] = float(xs.std(ddof=1) / np.sqrt(xs.size)) if xs.size > 1 else 0.0
     return out
-
-
-def _solver_config(rank: int, seed: int, inner_iters: int) -> SolverConfig:
-    return SolverConfig(
-        target_rank=rank,
-        max_outer_iters=max(100, 4 * rank),
-        ls_iters=inner_iters,
-        seed=seed,
-    )
 
 
 def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
@@ -79,13 +68,14 @@ def completion_trial(trial: int, seed: int, m: int, n: int, true_rank: int,
         })
 
     if solver in ("greedy", "fast-greedy"):
-        scfg = _solver_config(rank, seed, inner_iters)
+        scfg = SolverConfig(rank, ls_iters=inner_iters, seed=seed)
         fn = {"greedy": greedy, "fast-greedy": fast_greedy}[solver]
         _, traces = fn(objective, scfg, callback=lambda t, pair: record(pair, pair.rank))
     elif solver in ("local", "fast-local"):
         # the swaps change the whole solution, so each target rank has its
         # own run; fast-local's greedy phase is one run shared by all of them
-        configs = [_solver_config(r, seed, inner_iters) for r in range(1, rank + 1)]
+        configs = [SolverConfig(r, ls_iters=inner_iters, seed=seed)
+                   for r in range(1, rank + 1)]
         runs = (fast_local_sweep(objective, configs) if solver == "fast-local"
                 else (local_search(objective, c) for c in configs))
         for scfg, (pair, traces) in zip(configs, runs):
@@ -119,7 +109,8 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
     """Per-rank NMSE sweep over independently seeded trials (seed + index),
     run one after another; every trial's traces come back tagged with its
     index."""
-    (trials,) = check_integers(SimpleNamespace(trials=trials), trials=1)
+    trials, rank = check_integers(SimpleNamespace(trials=trials, rank=rank),
+                                  trials=1, rank=1)
     per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
                                   rank, inner_iters)
                  for k in range(trials)]
@@ -158,14 +149,16 @@ def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
     entries. Returns the solver trace and a recovery report.
     """
     cfg = SynthRpcaConfig(m, n, true_rank, sparse_frac, sparse_mag, seed)
+    if cfg.true_rank == 0:
+        raise ValueError("true_rank must be >= 1 for RPCA: a rank-0 truth has no "
+                         "clean entries to scale delta by or to measure recovery against")
     truth, corrupted, _ = gen_rpca(cfg)
     low = truth.matrix()
-    sd = float(np.std(low)) if true_rank > 0 else 1.0
+    sd = float(np.std(low))
     objective = HuberLowRank(corrupted, delta * sd)
     start = time.perf_counter()
     pair, traces = fast_greedy(objective, SolverConfig(target_rank=rank, seed=seed))
-    denom = float(np.linalg.norm(low))
-    rel = float(np.linalg.norm(pair.matrix() - low)) / denom if denom else float("nan")
+    rel = float(np.linalg.norm(pair.matrix() - low)) / float(np.linalg.norm(low))
     report = {
         "params": {"m": m, "n": n, "true_rank": true_rank,
                    "sparse_frac": sparse_frac, "sparse_mag": sparse_mag,
@@ -198,7 +191,7 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
             objective = ClippedObservedQuadratic(train, clip[0], clip[1])
         else:
             objective = ObservedQuadratic(train)
-        scfg = _solver_config(rank, seed + s, inner_iters)
+        scfg = SolverConfig(rank, ls_iters=inner_iters, seed=seed + s)
         start = time.perf_counter()
         pair, run_traces = solvers[solver](objective, scfg)
         traces.extend((s, tr) for tr in run_traces)
@@ -256,12 +249,3 @@ def make_equivalence_problem(n: int, sparsity: int, seed: int,
     x_star[support] = rng.choice([-1.0, 1.0], size=sparsity) * mags[:sparsity]
     response = design @ x_star
     return SparseRegressionProblem(design, response, sparsity)
-
-
-def run_equivalence(n: int, sparsity: int, steps: int, beta: float | None,
-                    seed: int, mode: str) -> EquivalenceReport:
-    problem = make_equivalence_problem(n, sparsity, seed)
-    if beta is None:
-        gram = problem.design.T @ problem.design
-        beta = 1.01 * float(np.linalg.eigvalsh(gram)[-1])
-    return check_equivalence(problem, beta, steps, mode=mode, seed=seed)

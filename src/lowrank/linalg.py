@@ -54,9 +54,9 @@ class SparseObservations:
     Doubles as mask and target: `row[k], col[k]` locate entry k, `vals[k]`
     holds its value. The constructor validates its input once: shapes,
     bounds, whole-number indices, finite values and no repeated (i, j)
-    cell; `_take` reuses the checked arrays. Entries, and every per-entry
-    array (`vals`, `project_observed`'s output), are in row-major order:
-    input that is not is permuted by one argsort of the flat cell index
+    cell. Entries, and every per-entry array (`vals`, `project_observed`'s
+    output), are in row-major order: row-major input is taken as it is, and
+    other input is permuted by one argsort of the flat cell index
     `row * cols + col`, whose neighbour compare names the first repeated
     cell (not `np.unique`, whose hash path is far slower; CHANGES.md,
     "Timing tables"). The CSR skeleton, the dense arrays and the 0/1 pattern
@@ -113,17 +113,6 @@ class SparseObservations:
     def _flat(self) -> np.ndarray:
         """The flat cell index `row * cols + col` of each entry."""
         return self.row * self.cols + self.col
-
-    def _take(self, indices: np.ndarray) -> "SparseObservations":
-        """The entries at the distinct positions `indices`, in row-major order
-        (the positions are sorted), without re-validation: repeated positions
-        would yield a set with duplicate (i, j) entries."""
-        indices = np.sort(indices)
-        out = object.__new__(SparseObservations)
-        out.rows, out.cols = self.shape
-        out.row, out.col = self.row[indices], self.col[indices]
-        out.vals = self.vals[indices]
-        return out
 
     @cached_property
     def _counts(self) -> tuple[np.ndarray, np.ndarray]:

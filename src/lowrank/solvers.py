@@ -38,20 +38,25 @@ class SolverConfig:
     """Shared configuration for the four outer solvers.
 
     target_rank is the rank budget r. max_outer_iters is the iteration
-    count L of local search, and a safety cap on fast local search passes.
-    ls_iters caps the per-row CG steps of the fast solvers' refit (2-3 act
-    as regularization). seed seeds the insertions (`top_singular_triplet`).
+    count L of local search, and a safety cap on fast local search passes;
+    left out, it is max(100, 4 r), since a local search from zero spends
+    its first r steps growing to the budget before it swaps. ls_iters caps
+    the per-row CG steps of the fast solvers' refit (2-3 act as
+    regularization). seed seeds the insertions (`top_singular_triplet`).
     The fast solvers take the insertion direction from the objective's
     insertion_gradient when it has one (clipped ratings).
     """
 
     target_rank: int
-    max_outer_iters: int = 100
+    max_outer_iters: int | None = None
     ls_iters: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, target_rank=1, max_outer_iters=1, ls_iters=1, seed=0)
+        (rank,) = check_integers(self, target_rank=1)
+        if self.max_outer_iters is None:
+            self.max_outer_iters = max(100, 4 * rank)
+        check_integers(self, max_outer_iters=1, ls_iters=1, seed=0)
 
 
 @dataclass

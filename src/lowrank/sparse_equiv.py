@@ -229,10 +229,12 @@ _OFFDIAG_TOL = 1e-8
 _ITERATE_TOL = 1e-6
 
 
-def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
-                      mode: str = "greedy", seed: int = 0) -> EquivalenceReport:
+def check_equivalence(problem: SparseRegressionProblem, beta: float | None,
+                      steps: int, mode: str = "greedy", seed: int = 0
+                      ) -> EquivalenceReport:
     """Run the matrix solver on the lifted objective next to its vector
-    analogue and compare every iterate.
+    analogue and compare every iterate. beta=None lifts with
+    1.01 lambda_max(D^T D), just above the smoothness constant of f.
 
     With c the largest |coefficient| of the step's vector iterate, asserts
     (a) each matrix iterate's off-diagonal Frobenius mass is at most 1e-8 c,
@@ -252,6 +254,8 @@ def check_equivalence(problem: SparseRegressionProblem, beta: float, steps: int,
         raise ValueError("mode must be 'greedy' or 'local'")
     report = EquivalenceReport(mode, steps, True, 0.0, 0.0, True)
     check_integers(report, steps=1)
+    if beta is None:
+        beta = 1.01 * float(np.linalg.eigvalsh(problem.design.T @ problem.design)[-1])
     lifted = LiftedQuadratic(problem, beta)
     vectors = _pursuit_iterates(problem, mode, report.steps)
 

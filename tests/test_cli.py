@@ -16,6 +16,23 @@ def run_cli(args):
     return main(list(args))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def load_json(text):
+    """json.loads that fails on NaN and Infinity, which json.dump writes but
+    JSON does not allow."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.fixture(autouse=True)
+def written_json_is_valid(tmp_path):
+    yield
+    for path in tmp_path.rglob("*.json"):
+        load_json(path.read_text())
+
+
 def read_lines(path):
     return path.read_text().splitlines()
 
@@ -38,7 +55,7 @@ def strip_timing(csv_lines, columns=("seconds", "wall_nanos")):
 def test_equivalence_exit_zero(capsys):
     code = run_cli(["equivalence", "--n", "10", "--sparsity", "2", "--steps", "5",
                     "--seed", "1", "--mode", "greedy"])
-    out = json.loads(capsys.readouterr().out)
+    out = load_json(capsys.readouterr().out)
     assert code == 0
     assert out["passed"] is True
 
@@ -52,7 +69,7 @@ def test_equivalence_local_mode(capsys):
 def test_equivalence_above_64_dimensions_passes(capsys):
     code = run_cli(["equivalence", "--n", "80", "--sparsity", "3", "--steps", "3",
                     "--seed", "1"])
-    out = json.loads(capsys.readouterr().out)
+    out = load_json(capsys.readouterr().out)
     assert code == 0
     assert out["passed"] is True
 
@@ -91,7 +108,7 @@ def test_synth_complete_shapes(tmp_path):
     lines = read_lines(csv_path)
     assert lines[0] == "trial,rank,train_nmse,test_nmse,seconds"
     assert len(lines) == 1 + 2 * 5  # trials x ranks
-    summary = json.loads(json_path.read_text())
+    summary = load_json(json_path.read_text())
     assert "best_test_nmse" in summary and "mean" in summary["best_test_nmse"]
     assert len(summary["trials"]) == 2
     tlines = read_lines(trace_path)
@@ -147,6 +164,18 @@ def test_synth_complete_rejects_a_rank_0_truth(tmp_path, capsys, solver):
     assert not csv_path.exists() and not json_path.exists()
 
 
+@pytest.mark.parametrize("solver", COMPLETION_SOLVERS)
+def test_synth_complete_rejects_rank_0(tmp_path, capsys, solver):
+    # local and fast-local used to fail inside the sweep on an empty min()
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["synth-complete", "--m", "20", "--n", "20", "--rank", "0",
+                    "--trials", "1", "--solver", solver,
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rank must be an integer >= 1")
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_synth_complete_softimpute_rows(tmp_path):
     csv_path = tmp_path / "o.csv"
     code = run_cli(["synth-complete", "--m", "25", "--n", "25", "--true-rank", "2",
@@ -180,7 +209,7 @@ def test_rpca_synth_outputs(tmp_path):
     assert code == 0
     lines = read_lines(csv_path)
     assert lines[0] == "iter,rank,objective,top_sigma,truncated_column,wall_nanos,flags"
-    report = json.loads(json_path.read_text())
+    report = load_json(json_path.read_text())
     assert "rel_frobenius_error" in report
     assert np.isfinite(report["rel_frobenius_error"])
 
@@ -209,6 +238,17 @@ def test_rpca_synth_rejects_bad_shape(tmp_path, capsys, flag, value, name):
     assert code == 1
     assert name in capsys.readouterr().err
     assert not csv_path.exists() and not json_path.exists()
+
+
+def test_rpca_synth_rejects_a_rank_0_truth(tmp_path, capsys):
+    # its relative error was 0 / 0, written to the JSON as NaN
+    paths = [tmp_path / name for name in ("r.csv", "r.json", "t.csv")]
+    code = run_cli(["rpca-synth", "--m", "20", "--n", "20", "--true-rank", "0",
+                    "--rank", "2", "--csv", str(paths[0]), "--json", str(paths[1]),
+                    "--trace", str(paths[2])])
+    assert code == 1
+    assert "error: true_rank must be >= 1" in capsys.readouterr().err
+    assert not any(p.exists() for p in paths)
 
 
 # --------------------------------------------------------------------- recsys
@@ -240,7 +280,7 @@ def test_recsys_outputs(tmp_path, mini_ratings):
     lines = read_lines(csv_path)
     assert lines[0] == "split,rmse,train_rmse,seconds"
     assert len(lines) == 3
-    summary = json.loads(json_path.read_text())
+    summary = load_json(json_path.read_text())
     assert summary["rmse"]["mean"] > 0
     assert summary["params"]["clip"] == [1.0, 5.0]
 
@@ -328,5 +368,5 @@ def test_clip_parser_accepts_none(tmp_path, mini_ratings):
                     "--rank", "2", "--clip", "none",
                     "--csv", str(tmp_path / "c.csv"), "--json", str(tmp_path / "c.json")])
     assert code == 0
-    summary = json.loads((tmp_path / "c.json").read_text())
+    summary = load_json((tmp_path / "c.json").read_text())
     assert summary["params"]["clip"] is None

@@ -9,10 +9,11 @@ from lowrank import experiments, inner, solvers
 from lowrank.baselines import SoftImputeConfig
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
 from lowrank.experiments import (completion_trial, make_equivalence_problem,
-                                 mean_stderr, run_completion, run_equivalence,
-                                 run_recsys, run_rpca)
+                                 mean_stderr, run_completion, run_recsys, run_rpca)
 from lowrank.linalg import FactorPair, SparseObservations
 from lowrank.objectives import ObservedQuadratic
+from lowrank.solvers import SolverConfig
+from lowrank.sparse_equiv import check_equivalence
 
 
 def test_mean_stderr():
@@ -73,7 +74,7 @@ def test_local_trial_runs_each_target_rank():
     _, observed, heldout = gen_completion(cfg)
     for row in rows:
         pair, last = solvers.local_search(ObservedQuadratic(observed),
-                                          experiments._solver_config(row["rank"], 0, 3))
+                                          SolverConfig(row["rank"], ls_iters=3, seed=0))
         assert (row["train_nmse"], row["test_nmse"]) == (nmse_on(pair, observed),
                                                          nmse_on(pair, heldout))
     assert [dataclasses.replace(t, wall_nanos=0) for t in traces] == \
@@ -146,8 +147,8 @@ def test_run_recsys_split_rows():
 
 
 def test_run_recsys_builds_the_solver_config_as_completion_does(monkeypatch):
-    # with max_outer_iters left at 100, local search at rank 100 spent every
-    # iteration growing from zero and never swapped
+    # with max_outer_iters left at 100, local search at rank 30 would have
+    # spent 30 of its 100 iterations growing from zero before it swapped
     rng = np.random.default_rng(1)
     idx = rng.choice(40 * 50, size=600, replace=False)
     ratings = SparseObservations(40, 50, idx // 50, idx % 50,
@@ -163,7 +164,7 @@ def test_run_recsys_builds_the_solver_config_as_completion_does(monkeypatch):
         monkeypatch.setattr(experiments, name, spy)
         run_recsys(ratings, splits=2, split_fraction=0.8, seed=4, rank=30,
                    inner_iters=2, clip=None, solver=solver)
-        assert seen == [experiments._solver_config(30, 4 + s, 2) for s in range(2)]
+        assert seen == [SolverConfig(30, ls_iters=2, seed=4 + s) for s in range(2)]
         assert seen[0].max_outer_iters == 120
 
 
@@ -221,9 +222,12 @@ def test_make_equivalence_problem_planted_optimum():
     assert np.allclose(fit_resid, 0.0, atol=1e-18)
 
 
-def test_run_equivalence_default_beta():
-    rep = run_equivalence(8, 3, 3, beta=None, seed=0, mode="greedy")
+def test_check_equivalence_default_beta():
+    problem = make_equivalence_problem(8, 3, 0)
+    rep = check_equivalence(problem, None, 3, mode="greedy", seed=0)
     assert rep.passed, rep.first_violation
+    lam = float(np.linalg.eigvalsh(problem.design.T @ problem.design)[-1])
+    assert rep == check_equivalence(problem, 1.01 * lam, 3, mode="greedy", seed=0)
 
 
 @pytest.mark.xfail(

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lowrank
+from lowrank.data import split_ratings
 from lowrank.linalg import (_BLOCK_CELLS, _DENSE_CELLS, _DENSE_FILL, _KRYLOV_BASIS,
                             DuplicateEntryError, FactorPair, SparseObservations,
                             fits_dense, project_observed, top_singular_triplet)
@@ -135,10 +136,6 @@ def test_derived_sets_skip_validation(monkeypatch):
     # the transposed matrix is a view on the set's own skeleton
     assert np.shares_memory(obs.csr().T.indices, obs._skeleton[1])
     assert obs.csr().T.T.format == "csr"
-    taken = obs._take(np.arange(obs.nnz)[::-1])
-    assert np.all(np.diff(taken._flat) > 0)  # row-major, as every set
-    assert taken.csr().format == "csr"
-    assert np.array_equal(taken.csr().toarray(), obs.csr().toarray())
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 8))
@@ -151,12 +148,14 @@ def test_any_entry_order_builds_the_same_row_major_set(seed, m, n):
     got = SparseObservations(m, n, flat[order] // n, flat[order] % n, vals[order])
     for name in ("row", "col", "vals"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    # positions in any order take the same row-major subset
-    pick = rng.permutation(flat.size)[:flat.size // 2]
-    taken = got._take(pick)
-    assert np.all(np.diff(taken._flat) > 0)
-    assert np.array_equal(taken._flat, np.sort(got._flat[pick]))
-    assert np.array_equal(taken.vals, got.vals[np.sort(pick)])
+    # a split draws its halves' positions in random order, and each half
+    # holds them row-major
+    train, test = split_ratings(got, 0.5, seed)
+    pick = np.random.default_rng(seed).permutation(flat.size)
+    for half, positions in ((train, pick[:flat.size // 2]), (test, pick[flat.size // 2:])):
+        assert np.all(np.diff(half._flat) > 0)
+        assert np.array_equal(half._flat, np.sort(got._flat[positions]))
+        assert np.array_equal(half.vals, got.vals[np.sort(positions)])
 
 
 def test_used_set_is_freed_without_a_collection():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lowrank.baselines import SoftImputeConfig, lambda_grid, soft_impute
 from lowrank.data import SynthCompletionConfig, gen_completion, nmse_on
-from lowrank.experiments import _solver_config, make_equivalence_problem
+from lowrank.experiments import make_equivalence_problem
 from lowrank.linalg import FactorPair, SparseObservations, top_singular_triplet
 from lowrank.objectives import ClippedObservedQuadratic, ObservedQuadratic
 from lowrank.solvers import (SolverConfig, fast_greedy, fast_local_search,
@@ -515,7 +515,7 @@ SWEEP_CASES = (
      for s in range(6)]
     + [(f"100x100-seed{s}", lambda s=s: _completion_objective(100, 5, 0.2, s), 10, s)
        for s in range(6)]
-    # ranks above 25 get a larger max_outer_iters from _solver_config
+    # ranks above 25 get a larger max_outer_iters from SolverConfig
     + [("100x100-rank30", lambda: _completion_objective(100, 5, 0.2, 7), 30, 7),
        ("clipped", lambda: ClippedObservedQuadratic(
            _completion_objective(40, 3, 0.3, 2).target, -1.0, 1.0), 8, 2),
@@ -537,7 +537,7 @@ def _bits(pair, traces):
                          ids=[c[0] for c in SWEEP_CASES])
 def test_fast_local_sweep_matches_per_rank_runs(make, rank, seed):
     objective = make()
-    configs = [_solver_config(r, seed, 3) for r in range(1, rank + 1)]
+    configs = [SolverConfig(r, ls_iters=3, seed=seed) for r in range(1, rank + 1)]
 
     def log_into(seen):
         return lambda t, pair: seen.append((t, pair.U.tobytes(), pair.V.tobytes()))
@@ -604,3 +604,13 @@ def test_solver_config_validation():
         SolverConfig(target_rank=0)
     with pytest.raises(ValueError):
         SolverConfig(target_rank=1, seed=-3)
+
+
+def test_solver_config_sizes_its_iteration_cap():
+    # a local search from zero spends target_rank steps growing first
+    assert [SolverConfig(r).max_outer_iters for r in (1, 25, 26, 30)] == [100, 100, 104, 120]
+    assert SolverConfig(30, max_outer_iters=7).max_outer_iters == 7
+    with pytest.raises(ValueError, match="target_rank must be an integer >= 1"):
+        SolverConfig(target_rank=2.5)
+    with pytest.raises(ValueError, match="max_outer_iters must be an integer >= 1"):
+        SolverConfig(target_rank=3, max_outer_iters=0)
