@@ -99,13 +99,22 @@ def truncate_svd(pair: FactorPair) -> FactorPair:
 
 
 def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
-    """Remove the column i minimizing ||U e_i|| * ||V e_i||; ties -> lowest i."""
+    """Remove the column i minimizing ||U e_i|| * ||V e_i||; ties -> lowest i.
+
+    Each kept column pair is rebalanced to equal norms, u f and v / f with
+    f = sqrt(||v|| / ||u||) (f = 1 when either is zero), so U V^T is kept
+    to rounding. The swap passes' one-sided refits leave the data's scale on
+    the side they refit; balanced, the next capped refit sees a fixed factor
+    whose scale does not depend on which side was refit last.
+    """
     if pair.rank < 1:
         raise ValueError("cannot truncate a rank-0 pair")
-    products = np.linalg.norm(pair.U, axis=0) * np.linalg.norm(pair.V, axis=0)
-    i = int(np.argmin(products))
+    nu, nv = np.linalg.norm(pair.U, axis=0), np.linalg.norm(pair.V, axis=0)
+    i = int(np.argmin(nu * nv))
     keep = np.arange(pair.rank) != i
-    return FactorPair(pair.U[:, keep], pair.V[:, keep]), i
+    nu, nv = nu[keep], nv[keep]
+    f = np.sqrt(np.divide(nv, nu, out=np.ones_like(nu), where=(nu > 0) & (nv > 0)))
+    return FactorPair(pair.U[:, keep] * f, pair.V[:, keep] / f), i
 
 
 def _pursue(objective, config: SolverConfig, *, fast: bool,

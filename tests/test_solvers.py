@@ -338,6 +338,27 @@ def test_truncate_fast_matches_bruteforce(seed, r):
     assert removed == int(np.argmin(products))
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_truncate_fast_balances_the_kept_columns(seed, r):
+    # column scales 1e-6..1e6 on each side, and some zero columns
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((6, r)) * 10.0 ** rng.integers(-6, 7, size=r)
+    v = rng.standard_normal((7, r)) * 10.0 ** rng.integers(-6, 7, size=r)
+    u[:, rng.random(r) < 0.2] = 0.0
+    v[:, rng.random(r) < 0.2] = 0.0
+    out, removed = truncate_fast(FactorPair(u, v))
+    keep = np.arange(r) != removed
+    kept = FactorPair(u[:, keep], v[:, keep])
+    nu, nv = (np.linalg.norm(a, axis=0) for a in (out.U, out.V))
+    zero = (np.linalg.norm(kept.U, axis=0) == 0) | (np.linalg.norm(kept.V, axis=0) == 0)
+    assert np.allclose(nu[~zero], nv[~zero], rtol=1e-14, atol=0)
+    # a column pair with a zero side is left as it was
+    assert np.array_equal(out.U[:, zero], kept.U[:, zero])
+    assert np.array_equal(out.V[:, zero], kept.V[:, zero])
+    scale = np.sum(np.linalg.norm(kept.U, axis=0) * np.linalg.norm(kept.V, axis=0))
+    assert np.allclose(out.matrix(), kept.matrix(), rtol=0, atol=1e-14 * scale)
+
+
 # -------------------------------------------------------------- fast greedy
 
 def test_fast_greedy_diag_high_cap():
