@@ -102,18 +102,16 @@ def truncate_fast(pair: FactorPair) -> tuple[FactorPair, int]:
     """Remove the column i minimizing ||U e_i|| * ||V e_i||; ties -> lowest i.
 
     Each kept column pair is rebalanced to equal norms, u f and v / f with
-    f = sqrt(||v|| / ||u||) (f = 1 when either is zero), so U V^T is kept
-    to rounding. The swap passes' one-sided refits leave the data's scale on
-    the side they refit; balanced, the next capped refit sees a fixed factor
-    whose scale does not depend on which side was refit last.
+    f = sqrt(||v|| / ||u||) (f = 1 when either is zero), keeping U V^T to
+    rounding: the swap passes' one-sided refits leave the data's scale on
+    the side they refit, and the next capped refit must not see which.
     """
     if pair.rank < 1:
         raise ValueError("cannot truncate a rank-0 pair")
     nu, nv = np.linalg.norm(pair.U, axis=0), np.linalg.norm(pair.V, axis=0)
     i = int(np.argmin(nu * nv))
     keep = np.arange(pair.rank) != i
-    nu, nv = nu[keep], nv[keep]
-    f = np.sqrt(np.divide(nv, nu, out=np.ones_like(nu), where=(nu > 0) & (nv > 0)))
+    f = np.sqrt(np.divide(nv, nu, out=np.ones_like(nu), where=(nu > 0) & (nv > 0)))[keep]
     return FactorPair(pair.U[:, keep] * f, pair.V[:, keep] / f), i
 
 
