@@ -8,6 +8,7 @@ between runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict, astuple, fields
@@ -21,19 +22,11 @@ from .sparse_equiv import check_equivalence
 TRACE_HEADER = [f.name for f in fields(IterationTrace)]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: str, obj) -> None:
@@ -70,10 +63,11 @@ def _cmd_synth_complete(args) -> int:
 def _cmd_rpca_synth(args) -> int:
     traces, report = run_rpca(args.m, args.n, args.true_rank, args.sparse_frac,
                               args.sparse_mag, args.delta, args.rank, args.seed)
-    _write_csv(args.csv, TRACE_HEADER, [astuple(tr) for tr in traces])
+    rows = [astuple(tr) for tr in traces]
+    _write_csv(args.csv, TRACE_HEADER, rows)
     _write_json(args.json, report)
     if args.trace is not None:
-        _write_csv(args.trace, TRACE_HEADER, [astuple(tr) for tr in traces])
+        _write_csv(args.trace, TRACE_HEADER, rows)
     return 0
 
 
@@ -111,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--rank", type=int, default=30)
     sc.add_argument("--inner-iters", type=int, default=3)
     sc.add_argument("--trials", type=int, default=5)
-    sc.add_argument("--csv", default="synth_complete.csv")
-    sc.add_argument("--json", default="synth_complete.json")
-    sc.add_argument("--trace", default=None)
     sc.set_defaults(func=_cmd_synth_complete)
 
     rp = sub.add_parser("rpca-synth",
@@ -128,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Huber delta in units of sd of the clean entries")
     rp.add_argument("--rank", type=int, default=3)
     rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--csv", default="rpca_synth.csv")
-    rp.add_argument("--json", default="rpca_synth.json")
-    rp.add_argument("--trace", default=None)
     rp.set_defaults(func=_cmd_rpca_synth)
 
     rs = sub.add_parser("recsys", help="MovieLens train/test RMSE")
@@ -144,10 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--clip", type=_parse_clip, default="1:5")
     rs.add_argument("--solver", choices=("fast-greedy", "fast-local", "greedy", "local"),
                     default="fast-greedy")
-    rs.add_argument("--csv", default="recsys.csv")
-    rs.add_argument("--json", default="recsys.json")
-    rs.add_argument("--trace", default=None)
     rs.set_defaults(func=_cmd_recsys)
+
+    for cmd, stem in ((sc, "synth_complete"), (rp, "rpca_synth"), (rs, "recsys")):
+        cmd.add_argument("--csv", default=f"{stem}.csv")
+        cmd.add_argument("--json", default=f"{stem}.json")
+        cmd.add_argument("--trace", default=None)
 
     eq = sub.add_parser("equivalence",
                         help="pursuit equivalence check on a lifted instance")

@@ -206,7 +206,5 @@ class ClippedObservedQuadratic(ObservedQuadratic):
         monotone, so pred - vals passes a rounded bound exactly where pred
         passes the bound, and a clipped entry is the rounded bound itself."""
         vals = self.target.vals
-        bound = np.subtract(self.clip_hi, vals)
-        grad = np.minimum(self.residual(pair), bound)
-        np.maximum(grad, np.subtract(self.clip_lo, vals, out=bound), out=grad)
-        return self.target.matrix_with(grad)
+        return self.target.matrix_with(
+            np.clip(self.residual(pair), self.clip_lo - vals, self.clip_hi - vals))

@@ -64,15 +64,6 @@ class SparseFit:
     coef: np.ndarray  # full-length vector, zero off support
 
 
-def _refit(problem: SparseRegressionProblem, support: list[int]) -> np.ndarray:
-    """Exact least squares on the support (minimum-norm if rank-deficient)."""
-    x = np.zeros(problem.dim)
-    if support:
-        x[support] = np.linalg.lstsq(problem.design[:, support], problem.response,
-                                     rcond=None)[0]
-    return x
-
-
 def omp(problem: SparseRegressionProblem, steps: int, callback=None) -> SparseFit:
     """Orthogonal matching pursuit: grow the support by the top-|gradient|
     coordinate, re-fit exactly each step. Gradient ties break to the lowest
@@ -119,7 +110,10 @@ def ompr(problem: SparseRegressionProblem, sparsity: int, steps: int,
             support.remove(j)
         if i not in support:
             support.append(i)
-        x = _refit(problem, support)
+        # exact least squares on the support (minimum-norm if rank-deficient)
+        x = np.zeros(problem.dim)
+        x[support] = np.linalg.lstsq(problem.design[:, support], problem.response,
+                                     rcond=None)[0]
         if callback is not None:
             callback(t, SparseFit(list(support), x))
     return SparseFit(support, x)
@@ -160,14 +154,6 @@ class LiftedQuadratic:
             self._last = (pair, off, diag)
         return off, diag
 
-    def _with_diagonal(self, out: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """`out`, already scaled by beta, with `diag` written on its diagonal;
-        adding 0.0 last turns each -0.0 into 0.0, as the sum
-        Diag(diag) + beta * offdiag does on its zero entries. In place."""
-        out[self._diagonal] = diag
-        out += 0.0
-        return out
-
     def value(self, pair: FactorPair) -> float:
         off, diag = self._split(pair)
         resid = self.problem.design @ diag - self.problem.response
@@ -175,7 +161,12 @@ class LiftedQuadratic:
 
     def gradient(self, pair: FactorPair) -> np.ndarray:
         off, diag = self._split(pair)
-        return self._with_diagonal(np.multiply(off, self.beta), self.problem.grad(diag))
+        out = np.multiply(off, self.beta)
+        out[self._diagonal] = self.problem.grad(diag)
+        # adding 0.0 last turns each -0.0 into 0.0, as the sum
+        # Diag(grad f) + beta * off does on its zero entries
+        out += 0.0
+        return out
 
     def normal_equations(self, U: np.ndarray, V: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
