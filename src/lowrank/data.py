@@ -167,12 +167,15 @@ def load_movielens(path: str, fmt: str) -> SparseObservations:
 def split_ratings(ratings: SparseObservations, train_fraction: float, seed: int
                   ) -> tuple[SparseObservations, SparseObservations]:
     """Seeded uniform partition of the ratings, drawn over their row-major
-    positions, into train/test sets over the full user x item grid."""
+    positions, into train/test sets over the full user x item grid; the
+    training half gets floor(train_fraction * nnz) >= 1 of them."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ratings.nnz)
     n_train = int(np.floor(train_fraction * ratings.nnz))
+    if n_train == 0:
+        raise ValueError(f"train_fraction {train_fraction} of {ratings.nnz} ratings "
+                         f"leaves the training half empty")
+    perm = np.random.default_rng(seed).permutation(ratings.nnz)
     halves = (np.sort(perm[:n_train]), np.sort(perm[n_train:]))
     return tuple(SparseObservations(*ratings.shape, ratings.row[k], ratings.col[k],
                                     ratings.vals[k])

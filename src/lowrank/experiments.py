@@ -109,8 +109,9 @@ def run_completion(m: int, n: int, true_rank: int, p: float, snr: float,
     """Per-rank NMSE sweep over independently seeded trials (seed + index),
     run one after another; every trial's traces come back tagged with its
     index."""
-    trials, rank = check_integers(SimpleNamespace(trials=trials, rank=rank),
-                                  trials=1, rank=1)
+    trials, rank, inner_iters = check_integers(
+        SimpleNamespace(trials=trials, rank=rank, inner_iters=inner_iters),
+        trials=1, rank=1, inner_iters=1)
     per_trial = [completion_trial(k, seed + k, m, n, true_rank, p, snr, solver,
                                   rank, inner_iters)
                  for k in range(trials)]
@@ -148,6 +149,7 @@ def run_rpca(m: int, n: int, true_rank: int, sparse_frac: float,
     sparse_mag and delta are in units of the sd of the clean low-rank
     entries. Returns the solver trace and a recovery report.
     """
+    (rank,) = check_integers(SimpleNamespace(rank=rank), rank=1)
     cfg = SynthRpcaConfig(m, n, true_rank, sparse_frac, sparse_mag, seed)
     if cfg.true_rank == 0:
         raise ValueError("true_rank must be >= 1 for RPCA: a rank-0 truth has no "
@@ -177,7 +179,9 @@ def run_recsys(ratings: SparseObservations, splits: int, split_fraction: float,
                ) -> tuple[list[dict], dict, list[tuple[int, IterationTrace]]]:
     """Seeded train/test splits, one solver run per split, test RMSE rows and
     every run's traces tagged with its split."""
-    (splits,) = check_integers(SimpleNamespace(splits=splits), splits=1)
+    splits, rank, inner_iters = check_integers(
+        SimpleNamespace(splits=splits, rank=rank, inner_iters=inner_iters),
+        splits=1, rank=1, inner_iters=1)
     # looked up per call, so that a patched module attribute is the one run
     solvers = {"fast-greedy": fast_greedy, "fast-local": fast_local_search,
                "greedy": greedy, "local": local_search}

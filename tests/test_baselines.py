@@ -157,6 +157,11 @@ def test_lambda_grid_spans_sigma1():
     assert grid[0] == pytest.approx(0.01 * sigma1, rel=1e-6)
     assert grid[-1] == pytest.approx(sigma1, rel=1e-6)
     assert np.all(np.diff(grid) > 0)
+    # an all-zero set has sigma_1 = 0, where geomspace would divide by zero
+    for zero in (SparseObservations(20, 20, obs.row, obs.col, np.zeros(obs.nnz)),
+                 SparseObservations(3, 4, [], [], [])):
+        grid = lambda_grid(zero, seed=0)
+        assert grid.shape == (10,) and not grid.any()
 
 
 def test_soft_impute_config_validation():

@@ -1,15 +1,19 @@
+import csv
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lowrank
-from lowrank.cli import build_parser, main
-from lowrank.experiments import COMPLETION_SOLVERS
+from lowrank.cli import TRACE_HEADER, build_parser, main
+from lowrank.experiments import COMPLETION_SOLVERS, run_completion, run_rpca
 
 
 def run_cli(args):
@@ -48,6 +52,38 @@ def strip_timing(csv_lines, columns=("seconds", "wall_nanos")):
             cells[i] = ""
         out.append(",".join(cells))
     return out
+
+
+def _kind(value):
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return type(value).__name__
+
+
+def _reads_back(field, value) -> bool:
+    """Whether the CSV field parses back to `value` bit for bit; "" is None."""
+    if value is None:
+        return field == ""
+    if isinstance(value, float):
+        return struct.pack("<d", float(field)) == struct.pack("<d", value)
+    return type(value)(field) == value
+
+
+def reads_back(path, header, rows, timing=("seconds", "wall_nanos")) -> set[str]:
+    """Assert that the CSV at `path` holds `header` and `rows` outside the
+    timing columns; returns the kinds of value compared."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == list(header)
+    assert len(lines) == 1 + len(rows)
+    kinds = set()
+    for line, row in zip(lines[1:], rows):
+        assert len(line) == len(row)
+        for name, field, value in zip(header, line, row):
+            if name not in timing:
+                assert _reads_back(field, value), (path.name, name, field, value)
+                kinds.add(_kind(value))
+    return kinds
 
 
 # -------------------------------------------------------------- equivalence
@@ -197,6 +233,38 @@ def test_synth_complete_deterministic_modulo_timing(tmp_path):
     assert strip_timing(read_lines(a_csv)) == strip_timing(read_lines(b_csv))
 
 
+@pytest.mark.parametrize("solver", ["fast-local", "softimpute"])
+def test_synth_complete_csvs_read_back_the_library_values(tmp_path, solver):
+    csv_path, json_path, trace_path = (tmp_path / name
+                                       for name in ("o.csv", "o.json", "t.csv"))
+    code = run_cli(["synth-complete", "--m", "25", "--n", "20", "--true-rank", "2",
+                    "--p", "0.5", "--snr", "10", "--seed", "4", "--solver", solver,
+                    "--rank", "3", "--inner-iters", "3", "--trials", "2",
+                    "--csv", str(csv_path), "--json", str(json_path),
+                    "--trace", str(trace_path)])
+    assert code == 0
+    rows, _, traces = run_completion(25, 20, 2, 0.5, 10.0, 4, solver, 3, 3, 2)
+    kinds = reads_back(csv_path, rows[0], [list(row.values()) for row in rows])
+    kinds |= reads_back(trace_path, ["trial"] + TRACE_HEADER,
+                        [(k, *astuple(tr)) for k, tr in traces])
+    # SoftImpute's traces have no insertion sigma and no truncated column
+    assert kinds == {"int", "float", "str"} | (
+        {"nan", "NoneType"} if solver == "softimpute" else set())
+
+
+def test_rpca_synth_csvs_read_back_the_library_values(tmp_path):
+    csv_path, json_path, trace_path = (tmp_path / name
+                                       for name in ("r.csv", "r.json", "t.csv"))
+    code = run_cli(["rpca-synth", "--m", "30", "--n", "25", "--true-rank", "2",
+                    "--rank", "3", "--seed", "2", "--csv", str(csv_path),
+                    "--json", str(json_path), "--trace", str(trace_path)])
+    assert code == 0
+    traces, _ = run_rpca(30, 25, 2, 0.05, 10.0, 1.0, 3, 2)
+    rows = [astuple(tr) for tr in traces]
+    for path in (csv_path, trace_path):
+        assert reads_back(path, TRACE_HEADER, rows) >= {"int", "float", "str"}
+
+
 # ----------------------------------------------------------------- rpca-synth
 
 def test_rpca_synth_outputs(tmp_path):
@@ -317,6 +385,37 @@ def test_zero_trials_or_splits_exit_one(tmp_path, mini_ratings, capsys):
         assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("command, flag, field", [
+    ("synth-complete", "--inner-iters", "inner_iters"), ("rpca-synth", "--rank", "rank"),
+    ("recsys", "--rank", "rank"), ("recsys", "--inner-iters", "inner_iters")])
+def test_zero_rank_or_inner_iters_names_the_flags_field(tmp_path, mini_ratings, capsys,
+                                                        command, flag, field):
+    # the solver config named them target_rank and ls_iters
+    size = {"synth-complete": ["--m", "20", "--n", "20", "--trials", "1"],
+            "rpca-synth": ["--m", "20", "--n", "20"],
+            "recsys": ["--data", str(mini_ratings), "--splits", "1"]}[command]
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli([command, *size, "--rank", "2", flag, "0",
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be an integer >= 1")
+    assert not csv_path.exists() and not json_path.exists()
+
+
+def test_recsys_split_leaving_no_training_rating_exits_one(tmp_path, capsys):
+    # floor(0.3 * 3) = 0: the empty training half used to be fitted, and
+    # only the scoring then failed, on "reference set is empty"
+    data = tmp_path / "u.data"
+    data.write_text("1\t1\t3\t0\n1\t2\t4\t0\n2\t1\t5\t0\n")
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(["recsys", "--data", str(data), "--split", "0.3", "--rank", "1",
+                    "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: train_fraction 0.3 of 3 ratings leaves "
+                                       "the training half empty\n")
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_recsys_full_refit_rank_above_its_cap_exits_one(tmp_path, mini_ratings, capsys):
     # greedy's full refit at recsys's default rank of 100 would build a
     # 10^4 x 10^4 normal matrix; it is refused before the first step
@@ -361,6 +460,14 @@ def test_module_entry_point():
 
 def test_clip_default_is_parsed():
     assert build_parser().parse_args(["recsys", "--data", "x"]).clip == (1.0, 5.0)
+
+
+def test_clip_parser_rejects_a_malformed_range(capsys):
+    for text in ("1-5", "1:2:3", "a:5"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["recsys", "--data", "x", "--clip", text])
+        assert exc.value.code == 2
+        assert f"expected LO:HI or 'none', got {text!r}" in capsys.readouterr().err
 
 
 def test_clip_parser_accepts_none(tmp_path, mini_ratings):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,9 @@ def test_gen_rpca_validation():
             SynthRpcaConfig(*args, 0.1, 4.0)
     with pytest.raises(ValueError, match="seed must be an integer"):
         SynthRpcaConfig(10, 10, 1, 0.1, 4.0, seed=-3)
+    for fraction in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"sparse_fraction must be in \[0, 1\)"):
+            SynthRpcaConfig(10, 10, 1, fraction, 4.0)
 
 
 @pytest.mark.parametrize("m, n, true_rank, field", [
@@ -181,9 +186,14 @@ def test_load_movielens_remaps_unsorted_sparse_ids(tmp_path):
 
 def test_load_movielens_malformed_line(tmp_path):
     path = tmp_path / "u.data"
-    path.write_text("1\t2\t3\t4\n1\t2\t3\n")
-    with pytest.raises(ValueError, match=":2"):
-        load_movielens(str(path), "ml100k")
+    for text, match in (("1\t2\t3\t4\n1\t2\t3\n", ":2: expected 4 fields, got 3"),
+                        # blank lines are skipped but counted
+                        ("1\t2\t3\t4\n\n  \n1\tx\t3\t4\n",
+                         r":4: invalid literal for int\(\)"),
+                        ("\n1\t2\tfive\t4\n", ":2: could not convert string to float")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + match):
+            load_movielens(str(path), "ml100k")
 
 
 def test_load_movielens_bad_rating(tmp_path):
@@ -245,6 +255,13 @@ def test_split_deterministic():
 def test_split_validation():
     with pytest.raises(ValueError):
         split_ratings(_toy_dataset(), 1.0, seed=0)
+    # floor(0.3 * 3) = 0 training ratings: the solver would fit an empty set
+    three = SparseObservations(2, 2, [0, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="train_fraction 0.3 of 3 ratings leaves the "
+                                         "training half empty"):
+        split_ratings(three, 0.3, seed=0)
+    train, test = split_ratings(three, 0.34, seed=0)
+    assert (train.nnz, test.nnz) == (1, 2)
 
 
 # ------------------------------------------------------------------ metrics

@@ -194,6 +194,11 @@ def test_trials_and_splits_must_be_integers():
     assert json.dumps(summary["params"]["trials"]) == "1"
 
 
+def test_completion_trial_rejects_an_unknown_solver():
+    with pytest.raises(ValueError, match="unknown solver 'fast_greedy'"):
+        completion_trial(0, 0, 10, 10, 2, 0.5, 10.0, "fast_greedy", 2, 3)
+
+
 def test_run_recsys_names_its_solvers_for_an_unknown_one():
     # softimpute is a completion solver only; the CLI catches ValueError
     ratings = SparseObservations(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])

@@ -146,6 +146,21 @@ def test_optimize_full_rank_cap():
 
 # ------------------------------------------------------------- optimize_fast
 
+def test_optimize_fast_rank_zero_noop():
+    obs = SparseObservations(3, 4, [0], [0], [1.0])
+    U, V = np.zeros((3, 0)), np.zeros((4, 0))
+    for objective in (ObservedQuadratic(obs), HuberLowRank(np.ones((3, 4)), 1.0), None):
+        for t in (0, 1):
+            pair = optimize_fast(U, V, t, objective, 3)
+            assert pair.U is U and pair.V is V
+
+
+def test_optimize_fast_rejects_an_objective_it_has_no_refit_for():
+    pair = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
+    with pytest.raises(TypeError, match="objective object has no fast inner solve"):
+        optimize_fast(pair.U, pair.V, 0, object(), 3)
+
+
 def test_optimize_fast_fully_observed_orthonormal():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((9, 6))

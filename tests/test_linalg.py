@@ -90,6 +90,13 @@ def test_sparse_observations_rejects_non_finite():
         SparseObservations(2, 2, [0], [0], [np.nan])
 
 
+def test_sparse_observations_rejects_mismatched_entry_arrays():
+    for row, col, vals in (([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]),
+                           ([0], [0], [1.0, 2.0]), ([[0]], [0], [1.0])):
+        with pytest.raises(ValueError, match="row, col, vals must have identical shapes"):
+            SparseObservations(2, 2, row, col, vals)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 8))
 def test_csr_consistent_with_entries(seed, m, n):
     rng = np.random.default_rng(seed)
@@ -149,7 +156,11 @@ def test_any_entry_order_builds_the_same_row_major_set(seed, m, n):
     for name in ("row", "col", "vals"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     # a split draws its halves' positions in random order, and each half
-    # holds them row-major
+    # holds them row-major; it refuses to leave the training half empty
+    if flat.size < 2:
+        with pytest.raises(ValueError, match="train_fraction"):
+            split_ratings(got, 0.5, seed)
+        return
     train, test = split_ratings(got, 0.5, seed)
     pick = np.random.default_rng(seed).permutation(flat.size)
     for half, positions in ((train, pick[:flat.size // 2]), (test, pick[flat.size // 2:])):
@@ -347,8 +358,12 @@ def test_factor_pair_append_and_rank():
     pair = pair.append(np.ones(3), np.ones(4))
     assert pair.rank == 1
     assert np.allclose(pair.matrix(), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same number of columns"):
         FactorPair(np.zeros((3, 2)), np.zeros((4, 1)))
+    for U, V in ((np.zeros(3), np.zeros((4, 1))), (np.zeros((3, 1)), np.zeros(4)),
+                 (np.zeros((3, 1, 1)), np.zeros((4, 1)))):
+        with pytest.raises(ValueError, match="factors must be 2-d"):
+            FactorPair(U, V)
 
 
 # ---------------------------------------------------- top singular triplet
@@ -497,6 +512,13 @@ def test_top_triplet_zero_operator():
             assert trip.sigma == 0.0
             assert np.array_equal(trip.u, np.eye(1, m)[0])
             assert np.array_equal(trip.v, np.eye(1, n)[0])
+
+
+def test_top_triplet_rejects_an_empty_side():
+    for shape in ((0, 4), (4, 0), (0, 0)):
+        for g in (np.zeros(shape), sp.csr_matrix(shape)):
+            with pytest.raises(ValueError, match="matrix must have positive dimensions"):
+                top_singular_triplet(g)
 
 
 def test_top_triplet_non_finite_raises():

@@ -294,6 +294,12 @@ def test_truncate_svd_rank_one_to_empty():
     assert out.rank == 0
 
 
+@pytest.mark.parametrize("truncate", [truncate_svd, truncate_fast])
+def test_truncations_reject_a_rank_0_pair(truncate):
+    with pytest.raises(ValueError, match="cannot truncate a rank-0 pair"):
+        truncate(FactorPair.empty(3, 4))
+
+
 def test_truncate_svd_drops_smaller_singular_value():
     u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))
     v, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))

@@ -4,7 +4,7 @@ import pytest
 import lowrank.sparse_equiv as sparse_equiv
 from lowrank.experiments import make_equivalence_problem
 from lowrank.linalg import FactorPair
-from lowrank.sparse_equiv import (LiftedQuadratic, SparseRegressionProblem,
+from lowrank.sparse_equiv import (LiftedQuadratic, SparseFit, SparseRegressionProblem,
                                   _pursuit_iterates, check_equivalence, omp, ompr)
 
 from conftest import dense_gradient
@@ -324,19 +324,59 @@ def test_equivalence_check_is_scale_free(mode):
 @pytest.mark.parametrize("mode", ["greedy", "local"])
 def test_equivalence_check_fails_a_zero_matrix_at_every_scale(mode, monkeypatch):
     # a matrix solver that returns the empty pair is wrong at every scale;
-    # the absolute tolerances passed it at 2^-30 and 2^-60
+    # the absolute tolerances passed it at 2^-30 and 2^-60. So is one whose
+    # iterates have off-diagonal mass 1e-6 c, and one that shows at 0.8e-6 c
+    # a coordinate the vector side has at 1.2e-6 c: the iterates agree
+    # within 1e-6 c, but only one side has it above the support cut
+    real_ompr = sparse_equiv.ompr  # omp runs it too
+
+    def nudge(coef, size):
+        """`size` times max |coef| at coef's first zero coordinate."""
+        out = np.zeros_like(coef)
+        out[np.flatnonzero(coef == 0.0)[0]] = size * np.max(np.abs(coef))
+        return out
+
     def empty(objective, config):
         return FactorPair.empty(*objective.shape), []
 
-    monkeypatch.setattr(sparse_equiv, "greedy", empty)
-    monkeypatch.setattr(sparse_equiv, "local_search", empty)
-    for problem, beta in _scale_instances():
-        for k in (-60, -30, 30, 60):
-            report = check_equivalence(_with_response_at(problem, k), beta,
-                                       problem.sparsity, mode=mode)
-            assert not report.passed, k
-            assert report.first_violation == \
-                f"step 1: iterate mismatch {report.details[0]['iterate_diff']:.3e}"
+    def diagonal(shift, off):
+        """A solver returning the vector iterate on the diagonal, moved by
+        `shift` (as a multiple of c) at its first zero coordinate, plus
+        `off` c at (0, 1)."""
+        def solve(objective, config):
+            problem = objective.problem
+            if mode == "greedy":
+                coef = real_ompr(problem, problem.dim, config.target_rank).coef
+            else:
+                coef = real_ompr(problem, problem.sparsity, config.max_outer_iters).coef
+            a = np.diag(coef + nudge(coef, shift))
+            a[0, 1] = off * np.max(np.abs(coef))
+            return FactorPair(a, np.eye(coef.size)), []
+        return solve
+
+    def shifted_ompr(problem, sparsity, steps, callback):
+        def shift(t, fit):
+            callback(t, SparseFit(fit.support, fit.coef + nudge(fit.coef, 1.2e-6)))
+        fit = real_ompr(problem, sparsity, steps, shift)
+        return SparseFit(fit.support, fit.coef + nudge(fit.coef, 1.2e-6))
+
+    for solver, pursuit, violation, detail in (
+            (empty, real_ompr, "iterate mismatch", "iterate_diff"),
+            (diagonal(0.0, 1e-6), real_ompr, "off-diagonal mass", "offdiag"),
+            (diagonal(0.8e-6, 0.0), shifted_ompr, "support mismatch", None)):
+        monkeypatch.setattr(sparse_equiv, "greedy", solver)
+        monkeypatch.setattr(sparse_equiv, "local_search", solver)
+        monkeypatch.setattr(sparse_equiv, "ompr", pursuit)
+        for problem, beta in _scale_instances():
+            for k in (-60, -30, 30, 60):
+                report = check_equivalence(_with_response_at(problem, k), beta,
+                                           problem.sparsity, mode=mode)
+                assert not report.passed, (violation, k)
+                want = f"step 1: {violation}"
+                if detail is not None:
+                    want += f" {report.details[0][detail]:.3e}"
+                assert report.first_violation == want, k
+                assert report.supports_match is (detail is not None)
 
 
 def test_equivalence_zero_response():
